@@ -1,7 +1,7 @@
 """Command line entry point.
 
 Subcommands:
-    run    --scenario PATH --out DIR [--seed N] [--jobs N]
+    run    --scenario PATH --out DIR [--seed N]
     corpus
     plots  --out DIR
 
@@ -29,9 +29,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--scenario", required=True, help="path to a scenario JSON file")
     p_run.add_argument("--out", default=None, help="output directory")
     p_run.add_argument("--seed", type=int, default=None, help="override scenario seed")
-    p_run.add_argument(
-        "--jobs", type=int, default=1, help="worker count (accepted; runs serially)"
-    )
 
     sub.add_parser("corpus", help="list the named germ corpus")
 
@@ -45,7 +42,7 @@ def _cmd_run(args) -> int:
     out = args.out or scenario.out
     if out is None:
         raise ScenarioError("no output directory: pass --out or set 'out' in the file")
-    code, summary = run_scenario(scenario, out, seed=args.seed, jobs=args.jobs)
+    code, summary = run_scenario(scenario, out, seed=args.seed)
     for gate in summary["gates"]:
         status = "PASS" if gate["passed"] else "FAIL"
         print(f"{status} {gate['id']}  {gate['detail']}")

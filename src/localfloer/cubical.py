@@ -224,35 +224,33 @@ def _as_callable(f: FieldLike) -> Callable[[np.ndarray], np.ndarray]:
     return f
 
 
-def _grid_values(f: FieldLike, box: Box, resolution: int) -> np.ndarray:
-    fn = _as_callable(f)
-    return np.asarray(fn(box.nodes(resolution)), dtype=float).reshape(
-        (resolution,) * box.m
-    )
-
-
-def _grad_grids(
-    values: np.ndarray, spacing: float, grad: Optional[Callable], box: Box, resolution: int
-) -> np.ndarray:
+def _sample(
+    fn: Callable, grad: Optional[Callable], box: Box, resolution: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Field values, shape (res,) * m, and gradients, shape (res,) * m + (m,),
+    at the box grid nodes; without grad, gradients are central differences."""
+    nodes = box.nodes(resolution)
+    shape = (resolution,) * box.m
+    values = np.asarray(fn(nodes), dtype=float).reshape(shape)
     if grad is not None:
-        g = np.asarray(grad(box.nodes(resolution)), dtype=float)
-        return g.reshape((resolution,) * box.m + (box.m,))
-    grads = np.gradient(values, spacing, edge_order=2)
+        return values, np.asarray(grad(nodes), dtype=float).reshape(shape + (box.m,))
+    grads = np.gradient(values, box.spacing(resolution), edge_order=2)
     if box.m == 1:
         grads = [grads]
-    return np.stack(grads, axis=-1)
+    return values, np.stack(grads, axis=-1)
 
 
 def sublevel_pair(
-    f: FieldLike,
+    values: np.ndarray,
+    g: np.ndarray,
     c: float,
     delta: float,
     box: Box,
-    resolution: int,
-    grad: Optional[Callable] = None,
     exclude_fraction: float = 0.5,
 ) -> CubicalPair:
     """The pair ({f <= c}, {f <= c - delta}) on the box grid.
+
+    values and g are f and its gradient sampled at the box grid nodes.
 
     Checks that no critical point with value inside [c - delta, c + delta]
     exists away from the center: at any node in the value window outside
@@ -263,9 +261,8 @@ def sublevel_pair(
     """
     if delta <= 0:
         raise ValueError("delta must be positive")
-    values = _grid_values(f, box, resolution)
+    resolution = values.shape[0]
     h = box.spacing(resolution)
-    g = _grad_grids(values, h, grad, box, resolution)
     gnorm = np.linalg.norm(g, axis=-1)
     hess_sq = np.zeros_like(values)
     for i in range(box.m):
@@ -349,9 +346,7 @@ def local_morse_homology(
     c = float(np.asarray(fn(np.zeros((1, box.m))))[0])
 
     fine = res_sorted[-1]
-    values_fine = _grid_values(f, box, fine)
-    h_fine = box.spacing(fine)
-    g_fine = _grad_grids(values_fine, h_fine, grad, box, fine)
+    values_fine, g_fine = _sample(fn, grad, box, fine)
     radii = np.max(np.abs(box.nodes(fine) - np.asarray(box.center)), axis=1).reshape(
         values_fine.shape
     )
@@ -366,17 +361,13 @@ def local_morse_homology(
     results = []
     deltas = []
     for res in res_sorted:
-        values = _grid_values(f, box, res)
-        h = box.spacing(res)
-        g = _grad_grids(values, h, grad, box, res)
+        values, g = (values_fine, g_fine) if res == fine else _sample(fn, grad, box, res)
         if delta is not None:
             d = delta
         else:
             gn = np.linalg.norm(g, axis=-1)
-            d = h * max(float(np.median(gn)), 0.05 * float(np.max(gn)))
-        pair = sublevel_pair(
-            f, c, d, box, res, grad=grad, exclude_fraction=exclude_fraction
-        )
+            d = box.spacing(res) * max(float(np.median(gn)), 0.05 * float(np.max(gn)))
+        pair = sublevel_pair(values, g, c, d, box, exclude_fraction=exclude_fraction)
         results.append(relative_homology_z2(pair))
         deltas.append(d)
     if results[-1] != results[-2]:

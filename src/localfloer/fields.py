@@ -4,20 +4,15 @@ Everything downstream samples functions on axis-aligned cubes centered near
 the origin: generating functions on 2n-dimensional boxes, Morse data on
 m-dimensional ones.  A Box is a center plus a half-width; grids are uniform
 with an odd node count preferred so the center is a node.
-
-Sampled grids serialize to .npy (header carries only dtype and shape, so
-output is byte-stable) with a small JSON sidecar for the geometry.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Callable, List, Optional
+from typing import Callable, List
 
 import numpy as np
 
-__all__ = ["Box", "SampledField", "sample_field", "save_field", "load_field"]
+__all__ = ["Box", "SampledField", "sample_field"]
 
 
 @dataclass(frozen=True)
@@ -50,10 +45,6 @@ class Box:
 
     def to_json(self) -> dict:
         return {"center": [float(v) for v in self.center], "radius": self.radius}
-
-    @classmethod
-    def from_json(cls, data: dict) -> "Box":
-        return cls(center=tuple(float(v) for v in data["center"]), radius=float(data["radius"]))
 
 
 @dataclass(frozen=True)
@@ -94,16 +85,3 @@ def sample_field(f: Callable[[np.ndarray], np.ndarray], box: Box, resolution: in
     vals = np.asarray(f(box.nodes(resolution)), dtype=float)
     return SampledField(box=box, values=vals.reshape((resolution,) * box.m))
 
-
-def save_field(field: SampledField, path) -> None:
-    base = Path(path)
-    np.save(base.with_suffix(".npy"), field.values)
-    meta = {"box": field.box.to_json(), "resolution": field.resolution}
-    base.with_suffix(".json").write_text(json.dumps(meta, sort_keys=True) + "\n")
-
-
-def load_field(path) -> SampledField:
-    base = Path(path)
-    values = np.load(base.with_suffix(".npy"))
-    meta = json.loads(base.with_suffix(".json").read_text())
-    return SampledField(box=Box.from_json(meta["box"]), values=values)

@@ -112,7 +112,30 @@ class OdeGermMap(GermMap):
         return total
 
     def iterate(self, k: int) -> "OdeGermMap":
+        if k == 1:
+            return self
         return OdeGermMap(self.germ, self.k * k, check=False)
+
+
+class _IterateTower:
+    """Images and Jacobians of phi^j at the padded grid nodes, j = 0, 1, ...
+
+    Level j + 1 is one flow of level j, so every order costs one grid flow
+    however it is reached.  The spline map built for each order is kept in
+    ``maps`` so that all iterates of one map share a single object per order.
+    """
+
+    def __init__(self, germ: HamiltonianGerm, nodes: np.ndarray):
+        self.germ = germ
+        self.levels = [(nodes, np.broadcast_to(np.eye(2), (len(nodes), 2, 2)).copy())]
+        self.maps: dict = {}
+
+    def level(self, k: int):
+        while len(self.levels) <= k:
+            pts, total = self.levels[-1]
+            pts, d = flow_jacobians(self.germ, pts)
+            self.levels.append((pts, d @ total))
+        return self.levels[k]
 
 
 class SplineGermMap(GermMap):
@@ -120,7 +143,8 @@ class SplineGermMap(GermMap):
 
     The grid for phi^{j+1} is obtained by flowing the images of phi^j, so
     iteration composes exactly at nodes with no interpolation error; only
-    off-node evaluation interpolates.  Two dimensional germs only.
+    off-node evaluation interpolates.  All iterates of a map share one
+    iterate tower (passed on as ``_data``).  Two dimensional germs only.
     """
 
     def __init__(
@@ -143,18 +167,10 @@ class SplineGermMap(GermMap):
         self.name = f"{germ.name}^{k}[spline]"
         self.padded = Box(center=box.center, radius=box.radius * padding)
         if _data is None:
-            _data = self._evolve(k)
-        self._fit(_data)
+            _data = _IterateTower(germ, self.padded.nodes(self.resolution))
+        self._tower = _data
+        self._fit(_data.level(self.k))
         self._validate_origin()
-
-    def _evolve(self, k: int):
-        nodes = self.padded.nodes(self.resolution)
-        pts = nodes.copy()
-        total = np.broadcast_to(np.eye(2), (len(pts), 2, 2)).copy()
-        for _ in range(k):
-            pts, d = flow_jacobians(self.germ, pts)
-            total = d @ total
-        return pts, total
 
     def _fit(self, data):
         from scipy.interpolate import RectBivariateSpline
@@ -195,13 +211,20 @@ class SplineGermMap(GermMap):
         return out
 
     def iterate(self, k: int) -> "SplineGermMap":
-        return SplineGermMap(
-            self.germ,
-            self.base_box,
-            resolution=self.resolution,
-            k=self.k * k,
-            padding=self.padding,
-        )
+        if k == 1:
+            return self
+        order = self.k * k
+        maps = self._tower.maps
+        if order not in maps:
+            maps[order] = SplineGermMap(
+                self.germ,
+                self.base_box,
+                resolution=self.resolution,
+                k=order,
+                padding=self.padding,
+                _data=self._tower,
+            )
+        return maps[order]
 
 
 # ----------------------------------------------------------------------- psi
@@ -252,7 +275,7 @@ def psi(phi: GermMap, k: int = 1, probe_box: Optional[Box] = None, probe_res: in
     x -> (phi^k)_x(x, y) injective for each frozen y.  NotInvertibleOnBox
     if even the smallest probe fails.
     """
-    phi_k = phi.iterate(k) if k != 1 else phi
+    phi_k = phi.iterate(k)
     n = phi.n
     if probe_box is None:
         base = getattr(phi_k, "base_box", None)
@@ -337,12 +360,18 @@ def _plaquette_defect(grad_grid: np.ndarray, spacing: float) -> float:
 
 @dataclass(frozen=True)
 class GeneratingFunction:
+    """F_k sampled on a box, with the psi_k it was assembled through."""
+
     field: SampledField
     order: int
     c1_norm: float
     min_det_xx: float
     closedness_defect: float
-    invertibility_radius: float
+    psi_k: PsiMap
+
+    @property
+    def invertibility_radius(self) -> float:
+        return self.psi_k.invertibility_radius
 
     def report(self) -> dict:
         return {
@@ -375,8 +404,8 @@ def generating_function(
         raise ValueError("generating functions are assembled for plane maps only")
     if resolution % 2 == 0:
         raise ValueError("resolution must be odd so the origin is a node")
-    phi_k = phi.iterate(k) if k != 1 else phi
     pm = psi(phi, k, probe_box=box)
+    phi_k = pm.phi_k
     nodes = box.nodes(resolution)
     jacs = phi_k.jac(nodes)
     n = phi.n
@@ -408,7 +437,7 @@ def generating_function(
         c1_norm=c1,
         min_det_xx=float(np.min(np.abs(dets))),
         closedness_defect=defect,
-        invertibility_radius=pm.invertibility_radius,
+        psi_k=pm,
     )
 
 
@@ -428,7 +457,7 @@ def reconstruction_residual(phi: GermMap, k: int, gf: GeneratingFunction, probe:
     """Max norm of (phi^k - id) - X_F o psi_k at probe points, F from the grid."""
     from scipy.interpolate import RegularGridInterpolator
 
-    phi_k = phi.iterate(k) if k != 1 else phi
+    phi_k = phi.iterate(k)
     pm = PsiMap(phi_k, 0.0)
     n = phi.n
     g = grid_gradient(gf.field)
@@ -497,7 +526,7 @@ def gf_property_report(
         crit_mask = mask if crit_mask is None else crit_mask & mask
     crit_pts = _cell_centers(box, res, crit_mask)
 
-    phi_k = phi.iterate(gf.order) if gf.order != 1 else phi
+    phi_k = phi.iterate(gf.order)
     nodes = box.nodes(res)
     disp = phi_k(nodes) - nodes
     fixed_mask = None
@@ -638,6 +667,8 @@ class _ConjugatedMap(GermMap):
         return self.s_inv @ self.inner.jac(z @ self.s.T) @ self.s
 
     def iterate(self, k: int) -> "GermMap":
+        if k == 1:
+            return self
         return _ConjugatedMap(self.inner.iterate(k), self.s, self.s_inv)
 
 

@@ -25,13 +25,14 @@ import numpy as np
 from .cubical import GradedRanks, gradient_degree, local_morse_homology
 from .errors import (
     HypothesisFailed,
+    LocalFloerError,
     NotAdmissible,
     NotIsolated,
     RouteUnavailable,
     ShiftAmbiguous,
 )
 from .fields import Box
-from .genfun import GermMap, OdeGermMap, SplineGermMap, generating_function, psi
+from .genfun import GermMap, OdeGermMap, SplineGermMap, generating_function
 from .germs import (
     FixedPointRecord,
     HamiltonianGerm,
@@ -127,9 +128,8 @@ def _degenerate_route(
     else:
         phi = OdeGermMap(base)
     gf = generating_function(phi, k, box, gf_resolution, c1_gate=c1_gate)
-
-    pm = psi(phi, k, probe_box=box)
-    phi_k = phi.iterate(k)
+    pm = gf.psi_k
+    phi_k = pm.phi_k
 
     def grad_fn(pts: np.ndarray) -> np.ndarray:
         z = pm.invert(np.asarray(pts, dtype=float))
@@ -368,7 +368,7 @@ def verify_persistence(
     zero_ok = True
     sdm_regime = abs(delta) <= SDM_DELTA_TOL and base.ranks.rank(n) >= 1
     for k in ks:
-        lf = local_floer(germ, record, k, **lf_kwargs)
+        lf = base if k == 1 else local_floer(germ, record, k, **lf_kwargs)
         is_good = good(record.endpoint, k)
         s_k = _align_shift(base.ranks, lf.ranks)
         even = s_k % 2 == 0
@@ -440,7 +440,7 @@ def detect_sdm(
                 "hf_n_rank": lfk.ranks.rank(n),
                 "consistent": lfk.ranks.rank(n) >= 1,
             }
-        except Exception as exc:  # cross-check is best-effort, never fatal
+        except LocalFloerError as exc:  # a refused cross-check is recorded, not fatal
             evidence["crosscheck"] = {"k": k0, "error": f"{type(exc).__name__}: {exc}"}
     return {"is_sdm": is_sdm, "evidence": evidence}
 

@@ -1,11 +1,11 @@
 """Quantitative persistence of isolation for iterated germ maps.
 
 Three tools: the discrete Wirtinger-type constant c(k) relating the L1 norm
-of a zero-mean cyclic sequence to that of its difference sequence, computed
-exactly by vertex enumeration; a grid-seeded Newton search for k-periodic
-points in shrinking balls; and a contraction certificate in the style of
-the Yorke period bound, where a C1 bound on phi - id rules out non-fixed
-k-periodic orbits.
+of a zero-mean cyclic sequence to that of its difference sequence, in
+closed form; a grid-seeded Newton search for k-periodic points in
+shrinking balls; and a contraction certificate in the style of the Yorke
+period bound, where a C1 bound on phi - id rules out non-fixed k-periodic
+orbits.
 """
 from __future__ import annotations
 
@@ -67,27 +67,13 @@ def c_constant_exact(k: int) -> Fraction:
     The feasible set maps bijectively (via cyclic summation on the zero-mean
     slice) to the zero-sum L1 ball in the difference variable, whose
     vertices are (e_i - e_j)/2.  A convex function attains its maximum at a
-    vertex, so enumerating the k(k-1) vertices is exact.
+    vertex; the vertex with j - i = h (cyclically) gives the orbit that is
+    1/2 on h consecutive positions, of norm h (k - h) / k, maximal at
+    h = floor(k / 2).
     """
     if k < 2:
         raise ValueError("need k >= 2")
-    best = Fraction(0)
-    half = Fraction(1, 2)
-    for i in range(k):
-        for j in range(k):
-            if i == j:
-                continue
-            eta = [Fraction(0)] * k
-            eta[i] = half
-            eta[j] = -half
-            xi = [Fraction(0)] * k
-            for l in range(1, k):
-                xi[l] = xi[l - 1] + eta[l - 1]
-            mean = sum(xi) / k
-            norm = sum(abs(v - mean) for v in xi)
-            if norm > best:
-                best = norm
-    return best
+    return Fraction((k // 2) * ((k + 1) // 2), k)
 
 
 def c_constant(k: int, m: int = 1) -> float:
@@ -102,26 +88,14 @@ def c_constant(k: int, m: int = 1) -> float:
 
 
 def maximizing_orbit(k: int) -> np.ndarray:
-    """A zero-mean sequence achieving equality in the c(k) bound (m = 1)."""
-    best_norm = Fraction(-1)
-    best = None
-    half = Fraction(1, 2)
-    for i in range(k):
-        for j in range(k):
-            if i == j:
-                continue
-            eta = [Fraction(0)] * k
-            eta[i] = half
-            eta[j] = -half
-            xi = [Fraction(0)] * k
-            for l in range(1, k):
-                xi[l] = xi[l - 1] + eta[l - 1]
-            mean = sum(xi) / k
-            norm = sum(abs(v - mean) for v in xi)
-            if norm > best_norm:
-                best_norm = norm
-                best = [v - mean for v in xi]
-    return np.array([float(v) for v in best])[:, None]
+    """A zero-mean sequence achieving equality in the c(k) bound (m = 1):
+    1/2 on positions 1..floor(k/2), minus its mean."""
+    if k < 2:
+        raise ValueError("need k >= 2")
+    h = k // 2
+    mean = Fraction(h, 2 * k)
+    xi = [Fraction(1, 2) if 1 <= l <= h else Fraction(0) for l in range(k)]
+    return np.array([float(v - mean) for v in xi])[:, None]
 
 
 # ------------------------------------------------------------ point search
@@ -193,7 +167,7 @@ def periodic_point_search(
     for q in spectrum(lin).unit_root_orders():
         if k % q == 0:
             adm = False
-    phi_k = phi.iterate(k) if k != 1 else phi
+    phi_k = phi.iterate(k)
 
     axes = [np.linspace(-1.0, 1.0, seeds_per_axis)] * d
     grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d)
@@ -383,7 +357,7 @@ def splitting_ratio_report(
         }
     wb = np.array(basis[:w_dim])
     vb = np.array(basis[w_dim:])
-    phi_k = phi.iterate(k) if k != 1 else phi
+    phi_k = phi.iterate(k)
 
     t = np.linspace(0.0, 2.0 * np.pi, samples, endpoint=False)
     if w_dim == 1:

@@ -496,14 +496,12 @@ def run_scenario(
     scenario: Scenario,
     out_dir,
     seed: Optional[int] = None,
-    jobs: int = 1,
 ) -> Tuple[int, dict]:
     """Execute all tasks; write artifacts and summary.json into out_dir.
 
     Returns (exit_code, summary): 0 when every gate passed and no task
     raised, 1 otherwise.  Module errors are serialized with context, not
-    re-raised; jobs is accepted for interface stability, execution is
-    serial so outputs stay deterministic.
+    re-raised.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)

@@ -125,7 +125,7 @@ def test_spectrum_and_morse_run(tmp_path, capsys):
     sc["tasks"] = ["spectrum", {"kind": "morse", "field": "neg-r2"}]
     path = write_scenario(tmp_path, sc)
     out = tmp_path / "out"
-    code = main(["run", "--scenario", path, "--out", str(out), "--jobs", "2"])
+    code = main(["run", "--scenario", path, "--out", str(out)])
     printed = capsys.readouterr().out
     assert code == 0
     assert "(pass)" in printed
@@ -265,3 +265,10 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert "quartic-max" in proc.stdout
+
+
+def test_every_export_resolves():
+    import localfloer
+
+    missing = [name for name in localfloer.__all__ if not hasattr(localfloer, name)]
+    assert missing == []

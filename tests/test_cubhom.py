@@ -106,6 +106,18 @@ def test_report_shows_stabilized_refinements():
     assert report.ranks.as_dict() == {1: 1}
 
 
+def test_gradient_sampled_once_per_resolution():
+    e = FIELDS["saddle"]
+    sizes = []
+
+    def grad(pts):
+        sizes.append(len(pts))
+        return e.grad(pts)
+
+    local_morse_homology(e.value, BOX2, resolutions=(17, 25, 33), grad=grad)
+    assert sorted(sizes) == [17**2, 25**2, 33**2]
+
+
 def test_invariance_under_scaling_and_rotation():
     e = FIELDS["saddle"]
 

@@ -120,3 +120,32 @@ def test_conjugated_map_is_coordinate_change():
     z = 0.05 * rng.standard_normal((20, 2))
     expected = (np.linalg.inv(s) @ phi(z @ s.T).T).T
     assert np.max(np.abs(conj(z) - expected)) < 1e-10
+
+
+def test_first_iterate_is_the_map_itself():
+    germ = quartic(-1)
+    maps = [
+        OdeGermMap(germ),
+        SplineGermMap(germ, BOX2, resolution=17),
+        conjugated_map(OdeGermMap(germ), scaling_conjugation(1, 0.5)),
+    ]
+    for phi in maps:
+        assert phi.iterate(1) is phi
+
+
+def test_spline_iterates_are_built_once_per_order():
+    phi = SplineGermMap(quartic(-1), BOX2, resolution=17)
+    phi2 = phi.iterate(2)
+    assert phi.iterate(2) is phi2
+    assert phi2.iterate(3) is phi.iterate(6)
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_spline_iterate_equals_map_built_from_scratch(k):
+    germ = quartic(-1)
+    tower = SplineGermMap(germ, BOX2, resolution=17).iterate(k)
+    scratch = SplineGermMap(germ, BOX2, resolution=17, k=k)
+    rng = np.random.default_rng(13)
+    z = rng.uniform(-0.1, 0.1, (40, 2))
+    assert np.array_equal(tower(z), scratch(z))
+    assert np.array_equal(tower.jac(z), scratch.jac(z))

@@ -42,9 +42,35 @@ def test_c_constant_exact_small_values():
     assert c_constant_exact(8) == Fraction(2)
 
 
+def vertex_enumeration(k):
+    """Best norm and maximizing orbit over the k(k-1) vertices (e_i - e_j)/2
+    of the zero-sum L1 ball, first maximum kept, in exact arithmetic."""
+    best_norm = Fraction(-1)
+    best = None
+    half = Fraction(1, 2)
+    for i in range(k):
+        for j in range(k):
+            if i == j:
+                continue
+            eta = [Fraction(0)] * k
+            eta[i] = half
+            eta[j] = -half
+            xi = [Fraction(0)] * k
+            for l in range(1, k):
+                xi[l] = xi[l - 1] + eta[l - 1]
+            mean = sum(xi) / k
+            norm = sum(abs(v - mean) for v in xi)
+            if norm > best_norm:
+                best_norm = norm
+                best = [v - mean for v in xi]
+    return best_norm, np.array([float(v) for v in best])[:, None]
+
+
 @pytest.mark.parametrize("k", range(2, 13))
 def test_c_constant_closed_form(k):
-    assert c_constant_exact(k) == Fraction((k // 2) * ((k + 1) // 2), k)
+    norm, orbit = vertex_enumeration(k)
+    assert c_constant_exact(k) == norm
+    assert np.array_equal(maximizing_orbit(k), orbit)
 
 
 def test_c_constant_rejects_k_below_two():
@@ -52,6 +78,8 @@ def test_c_constant_rejects_k_below_two():
         c_constant_exact(1)
     with pytest.raises(ValueError):
         c_constant(0)
+    with pytest.raises(ValueError):
+        maximizing_orbit(1)
 
 
 def test_c_constant_independent_of_dimension():

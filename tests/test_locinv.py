@@ -13,7 +13,12 @@ from localfloer.corpus import (
     shear,
 )
 from localfloer.cubical import GradedRanks
-from localfloer.errors import NotAdmissible, RouteUnavailable, ShiftAmbiguous
+from localfloer.errors import (
+    HypothesisFailed,
+    NotAdmissible,
+    RouteUnavailable,
+    ShiftAmbiguous,
+)
 from localfloer.germs import HamiltonianGerm, fixed_point_record
 from localfloer.invariants import (
     detect_sdm,
@@ -55,6 +60,22 @@ def test_degenerate_maximum_rank_is_stable(k):
     assert lf.delta == 0.0
     assert lf.hypothesis["hessian_norm_at_zero"] < 2.0 * np.pi
     assert lf.hypothesis["kk_side_bounds_checked"] is False
+
+
+def test_degenerate_route_flows_the_padded_grid_once_per_order(monkeypatch):
+    import localfloer.genfun as genfun
+
+    sizes = []
+    original = genfun.flow_jacobians
+
+    def counting(germ, points, *args, **kwargs):
+        sizes.append(len(points))
+        return original(germ, points, *args, **kwargs)
+
+    monkeypatch.setattr(genfun, "flow_jacobians", counting)
+    germ = quartic(-1)
+    local_floer(germ, record_of(germ), 2)
+    assert sizes == [97**2, 97**2]
 
 
 def test_forced_route_matches_detected_route():
@@ -186,6 +207,38 @@ def test_degenerate_maximum_is_detected():
     assert result["is_sdm"]
     assert result["evidence"]["strongly_degenerate"]
     assert result["evidence"]["crosscheck"]["consistent"]
+
+
+def _crosscheck_raising(monkeypatch, exc):
+    """Make local_floer raise exc at the cross-check order k = 2 only."""
+    import localfloer.invariants as inv
+
+    original = inv.local_floer
+
+    def patched(germ, record, k=1, **kwargs):
+        if k == 2:
+            raise exc
+        return original(germ, record, k, **kwargs)
+
+    monkeypatch.setattr(inv, "local_floer", patched)
+
+
+def test_crosscheck_programming_error_propagates(monkeypatch):
+    _crosscheck_raising(monkeypatch, TypeError("bug in the cross-check"))
+    germ = quartic(-1)
+    with pytest.raises(TypeError, match="bug in the cross-check"):
+        detect_sdm(germ, record_of(germ))
+
+
+def test_crosscheck_refusal_is_recorded(monkeypatch):
+    _crosscheck_raising(monkeypatch, HypothesisFailed("refused at order 2"))
+    germ = quartic(-1)
+    result = detect_sdm(germ, record_of(germ))
+    assert result["is_sdm"]
+    assert result["evidence"]["crosscheck"] == {
+        "k": 2,
+        "error": "HypothesisFailed: refused at order 2",
+    }
 
 
 def test_small_nondegenerate_maximum_is_not_detected():
