@@ -186,10 +186,12 @@ def resonant_rotation(twist: float = 40.0, ring_radius: float = 0.15) -> Hamilto
 
     def hess(t, z):
         s = z[:, 0] ** 2 + z[:, 1] ** 2
-        eye = np.broadcast_to(np.eye(2), (len(z), 2, 2))
-        outer = np.einsum("ni,nj->nij", z, z)
         d2 = -np.pi * twist * (2.0 * s - s_star)
-        return 2.0 * rho_terms(s)[:, None, None] * eye + 4.0 * d2[:, None, None] * outer
+        out = 4.0 * d2[:, None, None] * (z[:, :, None] * z[:, None, :])
+        radial = 2.0 * rho_terms(s)
+        out[:, 0, 0] += radial
+        out[:, 1, 1] += radial
+        return out
 
     return HamiltonianGerm(
         n=1, value=value, grad=grad, hess=hess, name="resonant-rotation"
@@ -218,9 +220,11 @@ def twisted_rotation(alpha: float = 0.3, beta: float = 2.0 * np.pi) -> Hamiltoni
 
     def hess(t, z):
         rho = 0.5 * (z[:, 0] ** 2 + z[:, 1] ** 2)
-        eye = np.broadcast_to(np.eye(2), (len(z), 2, 2))
-        outer = np.einsum("ni,nj->nij", z, z)
-        return h_prime(rho)[:, None, None] * eye - beta * outer
+        out = -beta * (z[:, :, None] * z[:, None, :])
+        radial = h_prime(rho)
+        out[:, 0, 0] += radial
+        out[:, 1, 1] += radial
+        return out
 
     return HamiltonianGerm(n=1, value=value, grad=grad, hess=hess, name="twisted-rotation")
 

@@ -71,6 +71,10 @@ class GermMap:
     def jac(self, pts: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
+    def value_and_jac(self, pts: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """(self(pts), self.jac(pts)); maps that get both from one pass override it."""
+        return self(pts), self.jac(pts)
+
     def iterate(self, k: int) -> "GermMap":
         raise NotImplementedError
 
@@ -79,15 +83,20 @@ class GermMap:
 
     def _validate_origin(self):
         z0 = np.zeros((1, 2 * self.n))
-        drift = float(np.linalg.norm(self(z0)))
+        img, d = self.value_and_jac(z0)
+        drift = float(np.linalg.norm(img))
         if drift > FIX_TOL:
             raise ValueError(f"map does not fix the origin: |phi(0)| = {drift:.3e}")
-        validate_symplectic(self.jac(z0)[0], tol=1e-6)
+        validate_symplectic(d[0], tol=1e-6)
 
 
 class OdeGermMap(GermMap):
     """phi^k realized by k sequential unit-time flow integrations.  Exact but
-    slow; the spline variant below is preferred for dense grids."""
+    slow; the spline variant below is preferred for dense grids.
+
+    Value and Jacobian come from one pass: each flow integrates the points
+    together with their variational equations, so asking for both costs
+    the same k flows as asking for either."""
 
     def __init__(self, germ: HamiltonianGerm, k: int = 1, check: bool = True):
         self.germ = germ
@@ -98,18 +107,18 @@ class OdeGermMap(GermMap):
             self._validate_origin()
 
     def __call__(self, pts: np.ndarray) -> np.ndarray:
-        z = np.atleast_2d(np.asarray(pts, dtype=float))
-        for _ in range(self.k):
-            z, _ = flow_jacobians(self.germ, z)
-        return z
+        return self.value_and_jac(pts)[0]
 
     def jac(self, pts: np.ndarray) -> np.ndarray:
+        return self.value_and_jac(pts)[1]
+
+    def value_and_jac(self, pts: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         z = np.atleast_2d(np.asarray(pts, dtype=float))
         total = np.broadcast_to(np.eye(2 * self.n), (len(z), 2 * self.n, 2 * self.n)).copy()
         for _ in range(self.k):
             z, d = flow_jacobians(self.germ, z)
             total = d @ total
-        return total
+        return z, total
 
     def iterate(self, k: int) -> "OdeGermMap":
         if k == 1:
@@ -238,30 +247,39 @@ class PsiMap:
         self.n = phi_k.n
         self.invertibility_radius = invertibility_radius
 
-    def __call__(self, pts: np.ndarray) -> np.ndarray:
-        z = np.atleast_2d(np.asarray(pts, dtype=float))
-        img = self.phi_k(z)
+    def _project(self, z: np.ndarray, img: np.ndarray) -> np.ndarray:
         out = z.copy()
         out[:, : self.n] = img[:, : self.n]
         return out
 
-    def jac(self, pts: np.ndarray) -> np.ndarray:
-        z = np.atleast_2d(np.asarray(pts, dtype=float))
-        d = self.phi_k.jac(z)
+    def _project_jac(self, d: np.ndarray) -> np.ndarray:
         out = np.broadcast_to(np.eye(2 * self.n), d.shape).copy()
         out[:, : self.n, :] = d[:, : self.n, :]
         return out
+
+    def __call__(self, pts: np.ndarray) -> np.ndarray:
+        z = np.atleast_2d(np.asarray(pts, dtype=float))
+        return self._project(z, self.phi_k(z))
+
+    def jac(self, pts: np.ndarray) -> np.ndarray:
+        z = np.atleast_2d(np.asarray(pts, dtype=float))
+        return self._project_jac(self.phi_k.jac(z))
+
+    def value_and_jac(self, pts: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        z = np.atleast_2d(np.asarray(pts, dtype=float))
+        img, d = self.phi_k.value_and_jac(z)
+        return self._project(z, img), self._project_jac(d)
 
     def invert(self, w: np.ndarray, tol: float = 1e-12, max_iter: int = 40) -> np.ndarray:
         """Solve psi(z) = w per row by Newton, seeded at z = w."""
         w = np.atleast_2d(np.asarray(w, dtype=float))
         z = w.copy()
         for _ in range(max_iter):
-            res = self(z) - w
+            val, j = self.value_and_jac(z)
+            res = val - w
             err = float(np.max(np.abs(res)))
             if err <= tol:
                 return z
-            j = self.jac(z)
             z = z - np.linalg.solve(j, res[..., None])[..., 0]
         raise NewtonDivergence(f"psi inversion stalled at residual {err:.3e}")
 
@@ -566,8 +584,9 @@ def gf_property_report(
             float(np.max(np.abs(hh))),
         )
         sub_nodes = b.nodes(field_resolution)
-        d1 = float(np.max(np.linalg.norm(phi_k(sub_nodes) - sub_nodes, axis=1)))
-        d1 = max(d1, float(np.max(_opnorms(phi_k.jac(sub_nodes) - np.eye(2 * phi.n)))))
+        img, jacs = phi_k.value_and_jac(sub_nodes)
+        d1 = float(np.max(np.linalg.norm(img - sub_nodes, axis=1)))
+        d1 = max(d1, float(np.max(_opnorms(jacs - np.eye(2 * phi.n)))))
         if d1 > 0:
             ratios.append(c2 / d1)
     bounded = len(ratios) > 0 and max(ratios) <= 10.0 * (ratios[0] + 1.0)
@@ -665,6 +684,11 @@ class _ConjugatedMap(GermMap):
     def jac(self, pts: np.ndarray) -> np.ndarray:
         z = np.atleast_2d(np.asarray(pts, dtype=float))
         return self.s_inv @ self.inner.jac(z @ self.s.T) @ self.s
+
+    def value_and_jac(self, pts: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        z = np.atleast_2d(np.asarray(pts, dtype=float))
+        img, d = self.inner.value_and_jac(z @ self.s.T)
+        return img @ self.s_inv.T, self.s_inv @ d @ self.s
 
     def iterate(self, k: int) -> "GermMap":
         if k == 1:

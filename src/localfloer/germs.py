@@ -138,7 +138,7 @@ def flow_jacobians(
         z = blocks[:, :dim]
         m = blocks[:, dim:].reshape(nbatch, dim, dim)
         dz = germ.grad(t, z) @ jvf.T
-        dm = np.einsum("ab,nbc,ncd->nad", jvf, germ.hess(t, z), m)
+        dm = jvf @ (germ.hess(t, z) @ m)
         return np.concatenate([dz, dm.reshape(nbatch, -1)], axis=1).reshape(-1)
 
     sol = _solve(rhs, y0.reshape(-1), t_final, rtol=rtol, atol=atol)

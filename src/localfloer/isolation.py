@@ -15,7 +15,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import LinearizationNotIdentity
+from .errors import LinearizationNotIdentity, NewtonDivergence
 from .fields import Box
 from .genfun import GermMap, _opnorms
 from .symplectic import DEFAULT_CLUSTER_TOL, spectrum, validate_symplectic
@@ -179,31 +179,35 @@ def periodic_point_search(
     eye = np.eye(d)
     for radius in radii:
         z = radius * grid
+        # each point's residual at its last evaluation; a seed retires once
+        # it has converged or diverged
+        rnorm = np.full(len(z), np.inf)
         active = np.ones(len(z), dtype=bool)
         for _ in range(max_iter):
-            if not np.any(active):
+            idx = np.nonzero(active)[0]
+            if len(idx) == 0:
                 break
-            za = z[active]
-            res = phi_k(za) - za
-            rnorm = np.linalg.norm(res, axis=1)
-            moving = rnorm > newton_tol
+            img, jac = phi_k.value_and_jac(z[idx])
+            res = img - z[idx]
+            rnorm[idx] = np.linalg.norm(res, axis=1)
+            moving = rnorm[idx] > newton_tol
+            active[idx[~moving]] = False
             if not np.any(moving):
                 break
-            jac = phi_k.jac(za[moving]) - eye
+            idx = idx[moving]
             # pinv tolerates the singular Jacobians of resonant iterates
-            step = (np.linalg.pinv(jac) @ res[moving][..., None])[..., 0]
-            idx = np.nonzero(active)[0][np.nonzero(moving)[0]]
+            step = (np.linalg.pinv(jac[moving] - eye) @ res[moving][..., None])[..., 0]
             znew = z[idx] - step
             diverged = (
                 ~np.all(np.isfinite(znew), axis=1)
                 | (np.linalg.norm(znew, axis=1) > 3.0 * radii[0])
             )
-            z[idx] = np.where(diverged[:, None], z[idx], znew)
-            newly_done = np.zeros(len(z), dtype=bool)
-            newly_done[idx[diverged]] = True
-            active[newly_done] = False
-        res = phi_k(z) - z
-        ok = np.linalg.norm(res, axis=1) <= 10.0 * newton_tol
+            z[idx[~diverged]] = znew[~diverged]
+            active[idx[diverged]] = False
+        # seeds still active when max_iter runs out moved after their last evaluation
+        if np.any(active):
+            rnorm[active] = np.linalg.norm(phi_k(z[active]) - z[active], axis=1)
+        ok = rnorm <= 10.0 * newton_tol
         inside = np.linalg.norm(z, axis=1) <= radius * (1.0 + 1e-9)
         found = _dedup_sorted(z[ok & inside], dedup_tol)
         snapped = np.where(np.abs(found) <= dedup_tol, 0.0, found)
@@ -292,9 +296,9 @@ def contraction_check(
     nodes = box.nodes(resolution)
     inside = np.linalg.norm(nodes - np.asarray(box.center), axis=1) <= box.radius + 1e-12
     nodes = nodes[inside]
-    jacs = phi.jac(nodes)
+    img, jacs = phi.value_and_jac(nodes)
     lip = float(np.max(_opnorms(jacs - np.eye(d))))
-    sup = float(np.max(np.linalg.norm(phi(nodes) - nodes, axis=1)))
+    sup = float(np.max(np.linalg.norm(img - nodes, axis=1)))
     measured = max(lip, sup / max(box.radius, 1e-300))
     threshold = 1.0 / c_constant(k)
     ok = bool(measured < threshold)
@@ -327,6 +331,7 @@ def splitting_ratio_report(
     point equation P_V(phi^k(v + w) - (v + w)) = 0 for v = v(w) by Newton,
     and reports the largest ratio |v(w1) - v(w0)| / |w1 - w0| over
     consecutive sample pairs.  Trivial splits report ratio 0.
+    NewtonDivergence if a solve misses newton_tol after 60 steps.
     """
     d = 2 * phi.n
     lin = phi.jac(np.zeros((1, d)))[0]
@@ -371,11 +376,15 @@ def splitting_ratio_report(
         v = np.zeros(v_dim)
         for _ in range(60):
             z = (w + v @ vb)[None, :]
-            res = vb @ (phi_k(z) - z)[0]
+            img, jac = phi_k.value_and_jac(z)
+            res = vb @ (img - z)[0]
             if np.linalg.norm(res) <= newton_tol:
                 break
-            jac = vb @ (phi_k.jac(z)[0] - np.eye(d)) @ vb.T
-            v = v - np.linalg.solve(jac, res)
+            v = v - np.linalg.solve(vb @ (jac[0] - np.eye(d)) @ vb.T, res)
+        else:
+            raise NewtonDivergence(
+                f"splitting graph solve stalled at residual {np.linalg.norm(res):.3e}"
+            )
         sols.append(v)
     sols = np.array(sols)
     ratios = []

@@ -149,3 +149,38 @@ def test_spline_iterate_equals_map_built_from_scratch(k):
     z = rng.uniform(-0.1, 0.1, (40, 2))
     assert np.array_equal(tower(z), scratch(z))
     assert np.array_equal(tower.jac(z), scratch.jac(z))
+
+
+def test_ode_value_and_jac_is_one_pass(monkeypatch):
+    import localfloer.genfun as genfun
+
+    phi = OdeGermMap(quartic(-1), 3)
+    p = np.random.default_rng(17).uniform(-0.05, 0.05, (12, 2))
+    value, jac = phi.value_and_jac(p)
+    assert np.array_equal(value, phi(p))
+    assert np.array_equal(jac, phi.jac(p))
+    batches = []
+    original = genfun.flow_jacobians
+
+    def counting(germ, points, *args, **kwargs):
+        batches.append(len(points))
+        return original(germ, points, *args, **kwargs)
+
+    monkeypatch.setattr(genfun, "flow_jacobians", counting)
+    phi.value_and_jac(p)
+    assert batches == [12, 12, 12]
+
+
+def test_forwarded_value_and_jac_match_separate_calls():
+    germ = quartic(-1)
+    z = np.random.default_rng(19).uniform(-0.05, 0.05, (10, 2))
+    maps = [
+        conjugated_map(OdeGermMap(germ), scaling_conjugation(1, 0.5)),
+        conjugated_map(SplineGermMap(germ, BOX2, resolution=17), scaling_conjugation(1, 0.5)),
+        psi(OdeGermMap(germ), 2, probe_box=BOX2, probe_res=9),
+        psi(SplineGermMap(germ, BOX2, resolution=17), 2),
+    ]
+    for m in maps:
+        value, jac = m.value_and_jac(z)
+        assert np.array_equal(value, m(z))
+        assert np.array_equal(jac, m.jac(z))

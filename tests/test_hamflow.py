@@ -9,6 +9,8 @@ from localfloer.corpus import (
     morse_triple,
     negative_hyperbolic,
     quartic,
+    resonant_rotation,
+    twisted_rotation,
     zero_germ,
 )
 from localfloer.errors import NonIsolated, NotAdmissible
@@ -171,3 +173,34 @@ def test_gap_table_requires_admissible_order():
     rec = fixed_point_record(linear_rotation(1.0 / 3.0), np.zeros(2))
     with pytest.raises(NotAdmissible):
         gap_table([rec, rec], 3)
+
+
+def _radial_hessians_by_outer_product(germ_name, z):
+    """The Hessians of the two radial corpus germs as first written: an
+    identity block plus an einsum outer product (defaults of the corpus)."""
+    s = z[:, 0] ** 2 + z[:, 1] ** 2
+    eye = np.broadcast_to(np.eye(2), (len(z), 2, 2))
+    outer = np.einsum("ni,nj->nij", z, z)
+    if germ_name == "resonant":
+        twist, s_star = 40.0, 0.15**2
+        rho_terms = -np.pi * (1.0 / 3.0 + twist * s * (s - s_star))
+        d2 = -np.pi * twist * (2.0 * s - s_star)
+        return 2.0 * rho_terms[:, None, None] * eye + 4.0 * d2[:, None, None] * outer
+    alpha, beta = 0.3, 2.0 * np.pi
+    h_prime = -2.0 * np.pi * alpha - beta * 0.5 * s
+    return h_prime[:, None, None] * eye - beta * outer
+
+
+@pytest.mark.parametrize("name", ["resonant", "twisted"])
+def test_radial_corpus_hessians(name):
+    germ = resonant_rotation() if name == "resonant" else twisted_rotation()
+    z = np.random.default_rng(23).uniform(-0.3, 0.3, (200, 2))
+    hess = germ.hess(0.0, z)
+    oracle = _radial_hessians_by_outer_product(name, z)
+    np.testing.assert_allclose(hess, oracle, rtol=1e-14, atol=1e-14)
+    h = 1e-6
+    fd = np.stack(
+        [(germ.grad(0.0, z + h * e) - germ.grad(0.0, z - h * e)) / (2.0 * h) for e in np.eye(2)],
+        axis=2,
+    )
+    np.testing.assert_allclose(hess, fd, rtol=0.0, atol=1e-7)

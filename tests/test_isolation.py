@@ -17,7 +17,7 @@ from localfloer import (
     periodic_point_search,
     splitting_ratio_report,
 )
-from localfloer.errors import LinearizationNotIdentity
+from localfloer.errors import LinearizationNotIdentity, NewtonDivergence
 from localfloer.corpus import (
     direct_sum_germ,
     hyperbolic,
@@ -202,6 +202,49 @@ def test_search_resonant_clean_order(resonant_map):
     assert rep.witnesses == ()
 
 
+def test_search_flows_each_newton_step_once(monkeypatch):
+    import localfloer.genfun as genfun
+
+    phi = OdeGermMap(resonant_rotation())
+    batches = []
+    original = genfun.flow_jacobians
+
+    def recording(germ, points, *args, **kwargs):
+        batches.append(np.array(points, copy=True))
+        return original(germ, points, *args, **kwargs)
+
+    monkeypatch.setattr(genfun, "flow_jacobians", recording)
+    # an even seed count leaves the origin out of the seeds, so every seed moves
+    rep = periodic_point_search(phi, 1, [0.05], seeds_per_axis=8)
+    assert rep.conclusion == "ISOLATION_HOLDS"
+    for i, later in enumerate(batches):
+        for earlier in batches[:i]:
+            assert not np.array_equal(later, earlier)
+
+
+def test_search_does_not_flow_retired_seeds():
+    phi = OdeGermMap(resonant_rotation())
+    calls = []
+    one_pass = phi.value_and_jac
+
+    def recording(pts):
+        img, jac = one_pass(pts)
+        calls.append((np.array(pts, copy=True), np.linalg.norm(img - pts, axis=1)))
+        return img, jac
+
+    phi.value_and_jac = recording
+    newton_tol = 1e-11
+    periodic_point_search(phi, 1, [0.05], seeds_per_axis=8, newton_tol=newton_tol)
+    retired_early = 0
+    for i, (pts, rnorm) in enumerate(calls):
+        done = pts[rnorm <= newton_tol]
+        retired_early += len(done) if i < len(calls) - 1 else 0
+        for later, _ in calls[i + 1 :]:
+            assert not any(np.any(np.all(later == p, axis=1)) for p in done)
+    # seeds converge at different steps, so some retire before the loop ends
+    assert retired_early > 0
+
+
 def test_search_identity_fails_without_witnesses():
     # every point is fixed, so nothing moves and nothing can be a witness,
     # yet the origin is certainly not isolated
@@ -280,3 +323,9 @@ def test_splitting_ratio_trivial_for_hyperbolic():
     assert rep["v_dim"] == 2
     assert rep["max_ratio"] == 0.0
     assert rep["pairs"] == 0
+
+
+def test_splitting_ratio_unconverged_newton_raises():
+    phi = OdeGermMap(direct_sum_germ(linear_rotation(0.05), quartic(-1)))
+    with pytest.raises(NewtonDivergence):
+        splitting_ratio_report(phi, k=1, radius=0.02, newton_tol=-1.0)
