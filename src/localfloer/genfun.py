@@ -247,39 +247,30 @@ class PsiMap:
         self.n = phi_k.n
         self.invertibility_radius = invertibility_radius
 
-    def _project(self, z: np.ndarray, img: np.ndarray) -> np.ndarray:
+    def __call__(self, pts: np.ndarray) -> np.ndarray:
+        z = np.atleast_2d(np.asarray(pts, dtype=float))
+        img = self.phi_k(z)
         out = z.copy()
         out[:, : self.n] = img[:, : self.n]
         return out
 
-    def _project_jac(self, d: np.ndarray) -> np.ndarray:
+    def jac(self, pts: np.ndarray) -> np.ndarray:
+        z = np.atleast_2d(np.asarray(pts, dtype=float))
+        d = self.phi_k.jac(z)
         out = np.broadcast_to(np.eye(2 * self.n), d.shape).copy()
         out[:, : self.n, :] = d[:, : self.n, :]
         return out
-
-    def __call__(self, pts: np.ndarray) -> np.ndarray:
-        z = np.atleast_2d(np.asarray(pts, dtype=float))
-        return self._project(z, self.phi_k(z))
-
-    def jac(self, pts: np.ndarray) -> np.ndarray:
-        z = np.atleast_2d(np.asarray(pts, dtype=float))
-        return self._project_jac(self.phi_k.jac(z))
-
-    def value_and_jac(self, pts: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        z = np.atleast_2d(np.asarray(pts, dtype=float))
-        img, d = self.phi_k.value_and_jac(z)
-        return self._project(z, img), self._project_jac(d)
 
     def invert(self, w: np.ndarray, tol: float = 1e-12, max_iter: int = 40) -> np.ndarray:
         """Solve psi(z) = w per row by Newton, seeded at z = w."""
         w = np.atleast_2d(np.asarray(w, dtype=float))
         z = w.copy()
         for _ in range(max_iter):
-            val, j = self.value_and_jac(z)
-            res = val - w
+            res = self(z) - w
             err = float(np.max(np.abs(res)))
             if err <= tol:
                 return z
+            j = self.jac(z)
             z = z - np.linalg.solve(j, res[..., None])[..., 0]
         raise NewtonDivergence(f"psi inversion stalled at residual {err:.3e}")
 
@@ -684,11 +675,6 @@ class _ConjugatedMap(GermMap):
     def jac(self, pts: np.ndarray) -> np.ndarray:
         z = np.atleast_2d(np.asarray(pts, dtype=float))
         return self.s_inv @ self.inner.jac(z @ self.s.T) @ self.s
-
-    def value_and_jac(self, pts: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        z = np.atleast_2d(np.asarray(pts, dtype=float))
-        img, d = self.inner.value_and_jac(z @ self.s.T)
-        return img @ self.s_inv.T, self.s_inv @ d @ self.s
 
     def iterate(self, k: int) -> "GermMap":
         if k == 1:

@@ -170,17 +170,3 @@ def test_ode_value_and_jac_is_one_pass(monkeypatch):
     phi.value_and_jac(p)
     assert batches == [12, 12, 12]
 
-
-def test_forwarded_value_and_jac_match_separate_calls():
-    germ = quartic(-1)
-    z = np.random.default_rng(19).uniform(-0.05, 0.05, (10, 2))
-    maps = [
-        conjugated_map(OdeGermMap(germ), scaling_conjugation(1, 0.5)),
-        conjugated_map(SplineGermMap(germ, BOX2, resolution=17), scaling_conjugation(1, 0.5)),
-        psi(OdeGermMap(germ), 2, probe_box=BOX2, probe_res=9),
-        psi(SplineGermMap(germ, BOX2, resolution=17), 2),
-    ]
-    for m in maps:
-        value, jac = m.value_and_jac(z)
-        assert np.array_equal(value, m(z))
-        assert np.array_equal(jac, m.jac(z))
