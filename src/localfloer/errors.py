@@ -40,7 +40,7 @@ class SplitFailed(LocalFloerError):
 
 
 class WindingUnresolved(LocalFloerError):
-    """Step-doubling hit the sample cap before the winding stabilised."""
+    """Bisection hit the sample cap or float resolution before the winding settled."""
 
 
 class DegenerateEndpoint(LocalFloerError):

@@ -20,6 +20,13 @@ elliptic pair contributes p (pi - theta) + q (theta - pi), every other
 eigenvalue type contributes zero.  The correction is what the winding of an
 explicit normalizing extension inside the nondegenerate stratum evaluates
 to, so the quotient by pi is an integer up to discretization noise.
+
+The winding is sampled by local bisection: an interval of the sample grid
+is split until both halves turn by less than pi / 2 and agree with it, so
+samples gather where rho turns.  Along an iterated hyperbolic path rho
+turns only inside elliptic windows of width about 2^-j on leg j; each
+window costs samples in proportion to the logarithm of its width, not to
+its inverse.
 """
 from __future__ import annotations
 
@@ -149,11 +156,16 @@ class SymplecticPath:
         return validate_symplectic(self(self.span), tol=tol)
 
     def iterated(self, k: int) -> "SymplecticPath":
-        """Path of the k-th iterate: on [j, j+1] it is t -> Psi(t - j) E^j."""
+        """Path of the k-th iterate: on [j, j+1] it is t -> Psi(t - j) E^j.
+
+        The first iterate is the path itself, with its cached rho samples.
+        """
         if k < 1:
             raise ValueError("iteration order must be >= 1")
         if abs(self.span - 1.0) > 1e-12:
             raise ValueError("iteration requires a unit-span path")
+        if k == 1:
+            return self
         e = self(1.0)
         powers = [np.eye(2 * self.n)]
         for _ in range(k - 1):
@@ -212,37 +224,52 @@ def winding(
 ) -> float:
     """Total winding (radians) of rho along the path.
 
-    Uniform sampling with stepwise principal-branch increments; the grid is
-    doubled until two consecutive totals agree and every increment is below
-    pi / 2, which rules out aliasing for the smooth paths this package
-    produces.  Raises WindingUnresolved past the sample budget.
+    Local bisection with principal-branch increments.  The span starts as
+    start_samples equal intervals, and every open interval is bisected
+    once per round.  An interval is settled when both halves turn by less
+    than pi / 2 and their increments add up to its own within agree_tol,
+    which rules out aliasing for the smooth paths this package produces;
+    only the halves of unsettled intervals are bisected again, so samples
+    gather where rho turns.  The total is the sum of the settled half
+    increments in t order.  Raises WindingUnresolved when the next round
+    would take more than max_samples rho samples in all, or when an
+    interval can no longer be split in floating point.
     """
-    nsamp = int(start_samples)
-    ts = np.linspace(0.0, path.span, nsamp + 1)
+    ts = np.linspace(0.0, path.span, int(start_samples) + 1)
     vals = np.array([path.rho(t, circ_tol) for t in ts])
-    prev_total: Optional[float] = None
-    while True:
-        incr = np.angle(vals[1:] / vals[:-1])
-        total = float(np.sum(incr))
-        resolved = float(np.max(np.abs(incr))) < 0.5 * np.pi if len(incr) else True
-        if prev_total is not None and resolved and abs(total - prev_total) <= agree_tol:
-            return total
-        if 2 * nsamp > max_samples:
+    samples = len(ts)
+    # open intervals [a, b] with rho at both ends
+    a, b, va, vb = ts[:-1], ts[1:], vals[:-1], vals[1:]
+    done_t, done_incr = [], []
+    while len(a):
+        if samples + len(a) > max_samples:
             raise WindingUnresolved(
-                f"no convergence with {nsamp} samples: "
-                f"last totals {prev_total} -> {total}"
+                f"no convergence with {samples} samples: "
+                f"{len(a)} intervals still open, first at t = {a[0]}"
             )
-        prev_total = total
-        mid_ts = 0.5 * (ts[:-1] + ts[1:])
-        mid_vals = np.array([path.rho(t, circ_tol) for t in mid_ts])
-        merged_t = np.empty(2 * nsamp + 1)
-        merged_v = np.empty(2 * nsamp + 1, dtype=complex)
-        merged_t[0::2] = ts
-        merged_t[1::2] = mid_ts
-        merged_v[0::2] = vals
-        merged_v[1::2] = mid_vals
-        ts, vals = merged_t, merged_v
-        nsamp *= 2
+        m = 0.5 * (a + b)
+        stuck = (m <= a) | (m >= b)
+        if np.any(stuck):
+            raise WindingUnresolved(
+                f"rho does not settle at t = {a[stuck][0]} "
+                f"(interval below float resolution, {samples} samples)"
+            )
+        vm = np.array([path.rho(t, circ_tol) for t in m])
+        samples += len(m)
+        left = np.angle(vm / va)
+        right = np.angle(vb / vm)
+        settled = (
+            (np.abs(left) < 0.5 * np.pi)
+            & (np.abs(right) < 0.5 * np.pi)
+            & (np.abs(left + right - np.angle(vb / va)) <= agree_tol)
+        )
+        done_t += [a[settled], m[settled]]
+        done_incr += [left[settled], right[settled]]
+        keep = ~settled
+        a, b = np.r_[a[keep], m[keep]], np.r_[m[keep], b[keep]]
+        va, vb = np.r_[va[keep], vm[keep]], np.r_[vm[keep], vb[keep]]
+    order = np.argsort(np.concatenate(done_t))
+    return float(np.sum(np.concatenate(done_incr)[order]))
 
 
 def mean_index(path: SymplecticPath, **kwargs) -> float:
@@ -262,6 +289,17 @@ def _endpoint_correction(mat: np.ndarray, degeneracy_tol: float = 1e-8) -> float
     return sum(p * (np.pi - theta) + q * (theta - np.pi) for theta, p, q in pairs)
 
 
+def _integer_index(w: float, endpoint: np.ndarray, degeneracy_tol: float) -> int:
+    """Winding plus endpoint correction, divided by pi, as an integer."""
+    raw = (w + _endpoint_correction(endpoint, degeneracy_tol=degeneracy_tol)) / np.pi
+    nearest = round(raw)
+    if abs(raw - nearest) > 0.1:
+        raise WindingUnresolved(
+            f"index {raw} not within 0.1 of an integer; winding inconsistent"
+        )
+    return int(nearest)
+
+
 def conley_zehnder(
     path: SymplecticPath,
     degeneracy_tol: float = 1e-8,
@@ -274,14 +312,7 @@ def conley_zehnder(
     of 1, and WindingUnresolved when the result is not close to an integer.
     """
     w = winding(path, **winding_kwargs)
-    ext = _endpoint_correction(path(path.span), degeneracy_tol=degeneracy_tol)
-    raw = (w + ext) / np.pi
-    nearest = round(raw)
-    if abs(raw - nearest) > 0.1:
-        raise WindingUnresolved(
-            f"index {raw} not within 0.1 of an integer; winding inconsistent"
-        )
-    return int(nearest)
+    return _integer_index(w, path(path.span), degeneracy_tol)
 
 
 def maslov_loop(path: SymplecticPath, loop_tol: float = 1e-6, **winding_kwargs) -> int:
@@ -323,11 +354,7 @@ def index_report(path: SymplecticPath, **winding_kwargs) -> IndexReport:
     cz: Optional[int] = None
     degenerate = False
     try:
-        ext = _endpoint_correction(path(path.span))
-        raw = (w + ext) / np.pi
-        cz = int(round(raw))
-        if abs(raw - cz) > 0.1:
-            raise WindingUnresolved(f"index {raw} not close to an integer")
+        cz = _integer_index(w, path(path.span), degeneracy_tol=1e-8)
     except DegenerateEndpoint as exc:
         degenerate = True
         notes.append(str(exc))

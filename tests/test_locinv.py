@@ -4,6 +4,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from localfloer import paths
 from localfloer.corpus import (
     direct_sum_germ,
     hyperbolic,
@@ -49,6 +50,19 @@ def test_hyperbolic_rank_sits_in_degree_zero():
     germ = hyperbolic(2.0)
     lf = local_floer(germ, record_of(germ))
     assert lf.ranks.as_dict() == {0: 1}
+
+
+def test_first_order_reuses_the_record_winding(monkeypatch):
+    germ = negative_hyperbolic(2.0)
+    rec = record_of(germ)
+    calls = []
+    real = paths.rho
+    monkeypatch.setattr(
+        paths, "rho", lambda mat, circ_tol: calls.append(1) or real(mat, circ_tol)
+    )
+    lf = local_floer(germ, rec, 1)
+    assert lf.route == "nondegenerate" and lf.ranks.as_dict() == {1: 1}
+    assert calls == []
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])

@@ -2,21 +2,31 @@
 
 Expected values for rotation paths come from the closed form: a rotation
 by total angle a has mean index a/pi and, when a is not a multiple of
-2 pi, integer index 2 floor(a / 2 pi) + 1.
+2 pi, integer index 2 floor(a / 2 pi) + 1.  The bisecting winding is
+checked against uniform doubling of the whole grid (uniform_winding), and
+iterates of the reflected saddle against Long's iteration formula for
+hyperbolic paths: the index of the k-th iterate is k times the index 1.
 """
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from localfloer.errors import DegenerateEndpoint, NotALoop
+from localfloer import paths
+from localfloer.corpus import negative_hyperbolic
+from localfloer.errors import DegenerateEndpoint, NotALoop, WindingUnresolved
+from localfloer.germs import monodromy
 from localfloer.paths import (
+    SymplecticPath,
     conley_zehnder,
     exponential_path,
     index_report,
     maslov_loop,
     mean_index,
     rho,
+    winding,
 )
 from localfloer.symplectic import standard_j, vectorfield_j
 
@@ -187,3 +197,124 @@ def test_unipotent_endpoint_mean_index_is_even():
     for path in (shear_path(), full_loop(1)):
         delta = mean_index(path)
         assert abs(delta - 2.0 * round(delta / 2.0)) < 1e-6
+
+
+# --- bisecting winding against uniform doubling
+
+
+def uniform_winding(path, agree_tol=1e-10, start_samples=64, max_samples=1 << 20):
+    """Oracle: double the whole grid until two totals agree and every
+    increment is below pi / 2."""
+    nsamp = int(start_samples)
+    ts = np.linspace(0.0, path.span, nsamp + 1)
+    vals = np.array([path.rho(t) for t in ts])
+    prev_total = None
+    while True:
+        incr = np.angle(vals[1:] / vals[:-1])
+        total = float(np.sum(incr))
+        resolved = float(np.max(np.abs(incr))) < 0.5 * np.pi
+        if prev_total is not None and resolved and abs(total - prev_total) <= agree_tol:
+            return total
+        if 2 * nsamp > max_samples:
+            raise WindingUnresolved(f"no convergence with {nsamp} samples")
+        prev_total = total
+        mid_ts = 0.5 * (ts[:-1] + ts[1:])
+        mid_vals = np.array([path.rho(t) for t in mid_ts])
+        merged_t = np.empty(2 * nsamp + 1)
+        merged_v = np.empty(2 * nsamp + 1, dtype=complex)
+        merged_t[0::2], merged_t[1::2] = ts, mid_ts
+        merged_v[0::2], merged_v[1::2] = vals, mid_vals
+        ts, vals = merged_t, merged_v
+        nsamp *= 2
+
+
+@functools.lru_cache(maxsize=None)
+def reflected_saddle_path():
+    return monodromy(negative_hyperbolic(2.0), np.zeros(2))
+
+
+@pytest.fixture
+def rho_calls(monkeypatch):
+    """Counts evaluations of the spectral rho (cached samples do not count)."""
+    calls = []
+    real = paths.rho
+
+    def counted(mat, circ_tol=paths.CIRCLE_TOL):
+        calls.append(1)
+        return real(mat, circ_tol=circ_tol)
+
+    monkeypatch.setattr(paths, "rho", counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: rotation_path(13.0),
+        lambda: rotation_path(2.0 * np.pi * 0.3183),
+        lambda: hyperbolic_path(np.log(3.0)),
+        lambda: shear_path(),
+        lambda: full_loop(2),
+        lambda: random_path(7, n=2),
+    ]
+    + [lambda seed=seed: random_path(seed) for seed in range(5)],
+)
+def test_winding_matches_uniform_oracle(make):
+    assert abs(winding(make()) - uniform_winding(make())) < 1e-9
+
+
+@pytest.mark.parametrize("k", range(1, 10))
+def test_winding_of_reflected_saddle_iterates_matches_oracle(k):
+    path = reflected_saddle_path().iterated(k)
+    assert abs(winding(path) - uniform_winding(path)) < 1e-9
+
+
+def test_iterated_once_is_the_path_itself():
+    p = rotation_path(0.4)
+    assert p.iterated(1) is p
+    with pytest.raises(ValueError):
+        rotation_path(0.4, span=2.0).iterated(1)
+
+
+def test_reflected_saddle_iterate_samples_grow_slowly(rho_calls):
+    winding(reflected_saddle_path().iterated(12))
+    # uniform doubling takes 262,145 samples here
+    assert len(rho_calls) < 1000
+
+
+@pytest.mark.parametrize("k", [15, 20])
+def test_high_iterates_of_reflected_saddle_follow_iteration_formula(k):
+    assert conley_zehnder(reflected_saddle_path().iterated(k)) == k
+
+
+def test_genuine_rho_jump_is_refused_promptly(rho_calls):
+    # rho jumps by pi at t = 0.5: no grid resolves it
+    step = SymplecticPath(1, 1.0, lambda t: np.eye(2) if t < 0.5 else -np.eye(2))
+    with pytest.raises(WindingUnresolved):
+        winding(step)
+    assert len(rho_calls) < 10**4
+
+
+def test_winding_refuses_past_sample_budget():
+    with pytest.raises(WindingUnresolved):
+        winding(rotation_path(13.0), max_samples=100)
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    st.one_of(
+        st.builds(random_path, st.integers(0, 10**6)),
+        st.builds(rotation_path, st.floats(-20.0, 20.0)),
+        st.builds(lambda k: reflected_saddle_path().iterated(k), st.integers(1, 20)),
+    )
+)
+def test_indices_do_not_depend_on_start_samples(path):
+    ref = winding(path)
+    try:
+        cz = conley_zehnder(path)
+    except DegenerateEndpoint:
+        cz = None
+    for start in (8, 16, 256):
+        assert abs(winding(path, start_samples=start) - ref) < 1e-9
+        if cz is not None:
+            assert conley_zehnder(path, start_samples=start) == cz
