@@ -9,11 +9,12 @@ instances under stable names so command-line runs are reproducible.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict
 
 import numpy as np
 
 from .germs import HamiltonianGerm, concatenate
+from .symplectic import direct_sum_indices
 
 __all__ = [
     "zero_germ",
@@ -251,10 +252,8 @@ def morse_triple(eps: float = 0.05) -> HamiltonianGerm:
 
 def direct_sum_germ(g1: HamiltonianGerm, g2: HamiltonianGerm) -> HamiltonianGerm:
     """Split germ H(z) = H1(z1) + H2(z2) in interleaved (x1, x2, y1, y2) coordinates."""
-    n1, n2 = g1.n, g2.n
-    n = n1 + n2
-    i1 = np.concatenate([np.arange(n1), n + np.arange(n1)])
-    i2 = np.concatenate([n1 + np.arange(n2), n + n1 + np.arange(n2)])
+    n = g1.n + g2.n
+    i1, i2 = direct_sum_indices(g1.n, g2.n)
 
     def value(t, z):
         return g1.value(t, z[:, i1]) + g2.value(t, z[:, i2])

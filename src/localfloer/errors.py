@@ -58,10 +58,6 @@ class KreinDegenerate(LocalFloerError):
 # ---------------------------------------------------------------- flows
 
 
-class LeftDomain(LocalFloerError):
-    """A trajectory left the germ's domain box during integration."""
-
-
 class StepFailure(LocalFloerError):
     """The adaptive integrator could not meet the requested tolerance."""
 

@@ -12,7 +12,7 @@ from typing import Callable, List
 
 import numpy as np
 
-__all__ = ["Box", "SampledField", "sample_field"]
+__all__ = ["Box", "SampledField"]
 
 
 @dataclass(frozen=True)
@@ -79,9 +79,3 @@ class SampledField:
             fill_value=None,
         )
         return lambda pts: np.asarray(rgi(np.atleast_2d(pts)), dtype=float)
-
-
-def sample_field(f: Callable[[np.ndarray], np.ndarray], box: Box, resolution: int) -> SampledField:
-    vals = np.asarray(f(box.nodes(resolution)), dtype=float)
-    return SampledField(box=box, values=vals.reshape((resolution,) * box.m))
-

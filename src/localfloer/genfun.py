@@ -20,14 +20,13 @@ grad F = (0, y) and F = y^2 / 2 with dF vanishing exactly on the fixed line
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
 from .errors import (
     ClosednessDefect,
     NewtonDivergence,
-    NonIsolated,
     NotC1Small,
     NotInvertibleOnBox,
 )
@@ -77,9 +76,6 @@ class GermMap:
 
     def iterate(self, k: int) -> "GermMap":
         raise NotImplementedError
-
-    def displacement(self, pts: np.ndarray) -> np.ndarray:
-        return self(pts) - np.atleast_2d(pts)
 
     def _validate_origin(self):
         z0 = np.zeros((1, 2 * self.n))

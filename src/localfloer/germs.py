@@ -19,21 +19,15 @@ integrated as an extra component of the same ODE system.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .errors import LeftDomain, NonIsolated, NotClosed, StepFailure
+from .errors import NonIsolated, NotClosed, StepFailure
 from .paths import SymplecticPath, index_report
-from .symplectic import (
-    SymplecticMatrix,
-    admissible,
-    spectrum,
-    validate_symplectic,
-    vectorfield_j,
-)
+from .symplectic import SymplecticMatrix, admissible, vectorfield_j
 
 __all__ = [
     "HamiltonianGerm",
@@ -69,19 +63,15 @@ class HamiltonianGerm:
     # set for germs built as direct sums; consumers may split along it
     factors: Optional[tuple] = None
 
-    def vector_field(self, t: float, z: np.ndarray) -> np.ndarray:
-        jvf = vectorfield_j(self.n)
-        return self.grad(t, np.atleast_2d(z)) @ jvf.T
 
-
-def _solve(rhs, y0: np.ndarray, t_final: float, dense: bool = False, rtol=RTOL, atol=ATOL):
+def _solve(rhs, y0: np.ndarray, dense: bool = False):
     sol = solve_ivp(
         rhs,
-        (0.0, t_final),
+        (0.0, 1.0),
         y0,
         method="DOP853",
-        rtol=rtol,
-        atol=atol,
+        rtol=RTOL,
+        atol=ATOL,
         dense_output=dense,
     )
     if not sol.success:
@@ -89,15 +79,8 @@ def _solve(rhs, y0: np.ndarray, t_final: float, dense: bool = False, rtol=RTOL, 
     return sol
 
 
-def flow_points(
-    germ: HamiltonianGerm,
-    points: np.ndarray,
-    t_final: float = 1.0,
-    domain_radius: Optional[float] = None,
-    rtol: float = RTOL,
-    atol: float = ATOL,
-) -> np.ndarray:
-    """Time-t_final flow applied to a batch of points, shape preserved."""
+def flow_points(germ: HamiltonianGerm, points: np.ndarray) -> np.ndarray:
+    """Time-1 flow applied to a batch of points, shape preserved."""
     jvf = vectorfield_j(germ.n)
     z0 = np.atleast_2d(np.asarray(points, dtype=float))
     nbatch = z0.shape[0]
@@ -106,23 +89,12 @@ def flow_points(
         z = y.reshape(nbatch, 2 * germ.n)
         return (germ.grad(t, z) @ jvf.T).reshape(-1)
 
-    sol = _solve(rhs, z0.reshape(-1), t_final, dense=domain_radius is not None, rtol=rtol, atol=atol)
-    if domain_radius is not None:
-        checks = sol.sol(np.linspace(0.0, t_final, 65)).T.reshape(65, nbatch, 2 * germ.n)
-        reach = float(np.max(np.linalg.norm(checks, axis=2)))
-        if reach > domain_radius:
-            raise LeftDomain(f"trajectory reached radius {reach:.3e} > {domain_radius:.3e}")
+    sol = _solve(rhs, z0.reshape(-1))
     out = sol.y[:, -1].reshape(nbatch, 2 * germ.n)
     return out if np.asarray(points).ndim == 2 else out[0]
 
 
-def flow_jacobians(
-    germ: HamiltonianGerm,
-    points: np.ndarray,
-    t_final: float = 1.0,
-    rtol: float = RTOL,
-    atol: float = ATOL,
-) -> Tuple[np.ndarray, np.ndarray]:
+def flow_jacobians(germ: HamiltonianGerm, points: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Flow and its space derivative for a batch: (phi(z), Dphi(z))."""
     jvf = vectorfield_j(germ.n)
     dim = 2 * germ.n
@@ -141,7 +113,7 @@ def flow_jacobians(
         dm = jvf @ (germ.hess(t, z) @ m)
         return np.concatenate([dz, dm.reshape(nbatch, -1)], axis=1).reshape(-1)
 
-    sol = _solve(rhs, y0.reshape(-1), t_final, rtol=rtol, atol=atol)
+    sol = _solve(rhs, y0.reshape(-1))
     final = sol.y[:, -1].reshape(nbatch, per)
     phi = final[:, :dim]
     jac = final[:, dim:].reshape(nbatch, dim, dim)
@@ -150,13 +122,7 @@ def flow_jacobians(
     return phi[0], jac[0]
 
 
-def monodromy(
-    germ: HamiltonianGerm,
-    point: Optional[np.ndarray] = None,
-    t_final: float = 1.0,
-    rtol: float = RTOL,
-    atol: float = ATOL,
-) -> SymplecticPath:
+def monodromy(germ: HamiltonianGerm, point: Optional[np.ndarray] = None) -> SymplecticPath:
     """Linearized flow along the trajectory of a point, as a path in Sp(2n)."""
     dim = 2 * germ.n
     jvf = vectorfield_j(germ.n)
@@ -170,13 +136,13 @@ def monodromy(
         dm = jvf @ (germ.hess(t, z)[0] @ m)
         return np.concatenate([dz, dm.reshape(-1)])
 
-    sol = _solve(rhs, y0, t_final, dense=True, rtol=rtol, atol=atol)
+    sol = _solve(rhs, y0, dense=True)
 
     def ev(t: float) -> np.ndarray:
-        tt = min(max(t, 0.0), t_final)
+        tt = min(max(t, 0.0), 1.0)
         return sol.sol(tt)[dim:].reshape(dim, dim)
 
-    return SymplecticPath(germ.n, t_final, ev)
+    return SymplecticPath(germ.n, 1.0, ev)
 
 
 def iterate(germ: HamiltonianGerm, k: int) -> HamiltonianGerm:
@@ -272,13 +238,7 @@ def concatenate(first: HamiltonianGerm, second: HamiltonianGerm) -> HamiltonianG
     )
 
 
-def orbit_action(
-    germ: HamiltonianGerm,
-    point: np.ndarray,
-    closure_tol: float = 1e-6,
-    rtol: float = RTOL,
-    atol: float = ATOL,
-) -> float:
+def orbit_action(germ: HamiltonianGerm, point: np.ndarray, closure_tol: float = 1e-6) -> float:
     """Action of the closed orbit through a fixed point of the time-1 map."""
     dim = 2 * germ.n
     jvf = vectorfield_j(germ.n)
@@ -293,7 +253,7 @@ def orbit_action(
         da = float(germ.value(t, z)[0]) - float(np.dot(z[0, germ.n :], dz[: germ.n]))
         return np.concatenate([dz, [da]])
 
-    sol = _solve(rhs, y0, 1.0, rtol=rtol, atol=atol)
+    sol = _solve(rhs, y0)
     final = sol.y[:, -1]
     drift = float(np.linalg.norm(final[:dim] - z0))
     if drift > closure_tol:
@@ -338,6 +298,50 @@ def fixed_point_record(germ: HamiltonianGerm, point: np.ndarray) -> FixedPointRe
     )
 
 
+def _newton_search(
+    value_and_jac: Callable[[np.ndarray], Tuple[np.ndarray, np.ndarray]],
+    seeds: np.ndarray,
+    newton_tol: float,
+    max_iter: int,
+    escape: float,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Batched Newton iteration on f(z) - z, with value_and_jac(z) = (f(z), Df(z)).
+
+    A seed retires at residual <= newton_tol, or when its step is not finite
+    or leaves the ball of radius escape (that step is not taken).  Seeds
+    still moving after max_iter steps are evaluated once more.  Returns the
+    points and each one's residual at its last evaluation.
+    """
+    z = np.array(seeds, dtype=float)
+    eye = np.eye(z.shape[1])
+    rnorm = np.full(len(z), np.inf)
+    active = np.ones(len(z), dtype=bool)
+    for _ in range(max_iter):
+        idx = np.nonzero(active)[0]
+        if len(idx) == 0:
+            break
+        img, jac = value_and_jac(z[idx])
+        res = img - z[idx]
+        rnorm[idx] = np.linalg.norm(res, axis=1)
+        moving = rnorm[idx] > newton_tol
+        active[idx[~moving]] = False
+        if not np.any(moving):
+            break
+        idx = idx[moving]
+        # pinv tolerates the singular Jacobians of resonant iterates
+        step = (np.linalg.pinv(jac[moving] - eye) @ res[moving][..., None])[..., 0]
+        znew = z[idx] - step
+        diverged = (
+            ~np.all(np.isfinite(znew), axis=1)
+            | (np.linalg.norm(znew, axis=1) > escape)
+        )
+        z[idx[~diverged]] = znew[~diverged]
+        active[idx[diverged]] = False
+    if np.any(active):
+        rnorm[active] = np.linalg.norm(value_and_jac(z[active])[0] - z[active], axis=1)
+    return z, rnorm
+
+
 def find_fixed_points(
     germ: HamiltonianGerm,
     radius: float,
@@ -348,46 +352,19 @@ def find_fixed_points(
     """Newton search for fixed points of the time-1 map inside a box.
 
     Seeds a uniform grid on [-radius, radius]^{2n}, runs a damped-free Newton
-    iteration on phi(z) - z, deduplicates converged points, and returns full
-    records.  Raises NonIsolated when converged points accumulate: either two
-    distinct points closer than 100 * newton_tol, or more points than half
-    the seed count, which signals a positive-dimensional fixed set.
+    iteration on phi(z) - z, deduplicates points converged within 1.5 * radius,
+    and returns full records.  Raises NonIsolated when converged points
+    accumulate: either two distinct points closer than 100 * newton_tol, or
+    more points than half the seed count, which signals a positive-dimensional
+    fixed set.
     """
     dim = 2 * germ.n
     axes = [np.linspace(-radius, radius, seeds_per_axis)] * dim
     grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, dim)
-    z = grid.copy()
-    active = np.ones(len(z), dtype=bool)
-    converged: List[np.ndarray] = []
-
-    for _ in range(max_iter):
-        if not np.any(active):
-            break
-        za = z[active]
-        phi, jac = flow_jacobians(germ, za)
-        res = phi - za
-        resn = np.linalg.norm(res, axis=1)
-        done = resn <= newton_tol
-        inside = np.linalg.norm(za, axis=1) <= 1.5 * radius
-        for p in za[done & inside]:
-            converged.append(p)
-        keep = ~done
-        a = jac - np.eye(dim)
-        step = np.empty_like(res)
-        for i in np.where(keep)[0]:
-            try:
-                step[i] = np.linalg.solve(a[i], res[i])
-            except np.linalg.LinAlgError:
-                step[i] = np.linalg.lstsq(a[i], res[i], rcond=None)[0]
-        za_new = za - np.where(keep[:, None], step, 0.0)
-        ok = keep & np.all(np.isfinite(za_new), axis=1) & (
-            np.linalg.norm(za_new, axis=1) <= 3.0 * radius
-        )
-        idx = np.where(active)[0]
-        z[idx[ok]] = za_new[ok]
-        newactive = np.zeros(len(z), dtype=bool)
-        newactive[idx[ok]] = True
-        active = newactive
+    z, rnorm = _newton_search(
+        lambda pts: flow_jacobians(germ, pts), grid, newton_tol, max_iter, 3.0 * radius
+    )
+    converged = z[(rnorm <= newton_tol) & (np.linalg.norm(z, axis=1) <= 1.5 * radius)]
 
     dedup_tol = max(10.0 * newton_tol, 1e-9)
     points: List[np.ndarray] = []

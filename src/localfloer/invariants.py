@@ -42,7 +42,7 @@ from .germs import (
     translate,
 )
 from .paths import conley_zehnder
-from .symplectic import admissible, good, spectrum, standard_j
+from .symplectic import admissible, direct_sum_indices, good, spectrum, standard_j
 
 __all__ = [
     "LocalFloer",
@@ -58,6 +58,10 @@ __all__ = [
 
 SDM_DELTA_TOL = 1e-6
 WINDOW_TOL = 1e-6
+# grids of the degenerate route: the spline of phi (n = 1) and the
+# resolutions at which the local Morse homology of F_k must stabilize
+SPLINE_RESOLUTION = 97
+HM_RESOLUTIONS = (17, 25, 33)
 
 
 @dataclass(frozen=True)
@@ -91,13 +95,6 @@ def kunneth(a: GradedRanks, b: GradedRanks) -> GradedRanks:
     return a.convolve(b)
 
 
-def _split_indices(n1: int, n2: int) -> Tuple[np.ndarray, np.ndarray]:
-    n = n1 + n2
-    i1 = np.concatenate([np.arange(n1), n + np.arange(n1)])
-    i2 = np.concatenate([n1 + np.arange(n2), n + n1 + np.arange(n2)])
-    return i1, i2
-
-
 def _check_window(ranks: GradedRanks, delta: float, n: int):
     for l in ranks.support:
         if l < delta - n - WINDOW_TOL or l > delta + n + WINDOW_TOL:
@@ -113,10 +110,8 @@ def _degenerate_route(
     k: int,
     gf_radius: float,
     gf_resolution: int,
-    hm_resolutions: Sequence[int],
     c1_gate: float,
     exclude_fraction: float,
-    spline_resolution: int,
 ) -> Tuple[GradedRanks, dict]:
     n = germ.n
     base = germ
@@ -124,7 +119,7 @@ def _degenerate_route(
         base = translate(germ, record.point)
     box = Box(center=(0.0,) * (2 * n), radius=gf_radius)
     if n == 1:
-        phi: GermMap = SplineGermMap(base, box, resolution=spline_resolution)
+        phi: GermMap = SplineGermMap(base, box, resolution=SPLINE_RESOLUTION)
     else:
         phi = OdeGermMap(base)
     gf = generating_function(phi, k, box, gf_resolution, c1_gate=c1_gate)
@@ -153,7 +148,7 @@ def _degenerate_route(
         hm = local_morse_homology(
             gf.field,
             box,
-            resolutions=hm_resolutions,
+            resolutions=HM_RESOLUTIONS,
             grad=grad_fn,
             exclude_fraction=exclude_fraction,
         )
@@ -164,7 +159,7 @@ def _degenerate_route(
         "c1_norm": gf.c1_norm,
         "closedness_defect": gf.closedness_defect,
         "gf_resolution": gf_resolution,
-        "hm_resolutions": list(hm_resolutions),
+        "hm_resolutions": list(HM_RESOLUTIONS),
         "kk_side_bounds_checked": False,
     }
     return hm.shift(-n), hypothesis
@@ -177,10 +172,8 @@ def local_floer(
     route: Optional[str] = None,
     gf_radius: float = 0.1,
     gf_resolution: int = 65,
-    hm_resolutions: Sequence[int] = (17, 25, 33),
     c1_gate: float = 0.2,
     exclude_fraction: float = 0.5,
-    spline_resolution: int = 97,
 ) -> LocalFloer:
     """Local Floer homology of the k-th iterate at the recorded fixed point.
 
@@ -226,10 +219,8 @@ def local_floer(
             k,
             gf_radius,
             gf_resolution,
-            hm_resolutions,
             c1_gate,
             exclude_fraction,
-            spline_resolution,
         )
         result = LocalFloer(
             ranks=ranks,
@@ -243,7 +234,7 @@ def local_floer(
         if germ.factors is None or len(germ.factors) != 2:
             raise RouteUnavailable("germ does not expose two direct-sum factors")
         g1, g2 = germ.factors
-        i1, i2 = _split_indices(g1.n, g2.n)
+        i1, i2 = direct_sum_indices(g1.n, g2.n)
         parts = []
         for g, idx in ((g1, i1), (g2, i2)):
             rec = fixed_point_record(g, np.asarray(record.point, dtype=float)[idx])
@@ -254,10 +245,8 @@ def local_floer(
                     k,
                     gf_radius=gf_radius,
                     gf_resolution=gf_resolution,
-                    hm_resolutions=hm_resolutions,
                     c1_gate=c1_gate,
                     exclude_fraction=exclude_fraction,
-                    spline_resolution=spline_resolution,
                 )
             )
         ranks = kunneth(parts[0].ranks, parts[1].ranks)

@@ -11,14 +11,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
 from .errors import LinearizationNotIdentity, NewtonDivergence
 from .fields import Box
 from .genfun import GermMap, _opnorms
-from .symplectic import DEFAULT_CLUSTER_TOL, spectrum, validate_symplectic
+from .germs import _newton_search
+from .symplectic import spectrum, validate_symplectic
 
 __all__ = [
     "DiscreteOrbit",
@@ -176,37 +177,10 @@ def periodic_point_search(
     dedup_tol = max(10.0 * newton_tol, 1e-9)
     per_radius: List[dict] = []
     witnesses: List[dict] = []
-    eye = np.eye(d)
     for radius in radii:
-        z = radius * grid
-        # each point's residual at its last evaluation; a seed retires once
-        # it has converged or diverged
-        rnorm = np.full(len(z), np.inf)
-        active = np.ones(len(z), dtype=bool)
-        for _ in range(max_iter):
-            idx = np.nonzero(active)[0]
-            if len(idx) == 0:
-                break
-            img, jac = phi_k.value_and_jac(z[idx])
-            res = img - z[idx]
-            rnorm[idx] = np.linalg.norm(res, axis=1)
-            moving = rnorm[idx] > newton_tol
-            active[idx[~moving]] = False
-            if not np.any(moving):
-                break
-            idx = idx[moving]
-            # pinv tolerates the singular Jacobians of resonant iterates
-            step = (np.linalg.pinv(jac[moving] - eye) @ res[moving][..., None])[..., 0]
-            znew = z[idx] - step
-            diverged = (
-                ~np.all(np.isfinite(znew), axis=1)
-                | (np.linalg.norm(znew, axis=1) > 3.0 * radii[0])
-            )
-            z[idx[~diverged]] = znew[~diverged]
-            active[idx[diverged]] = False
-        # seeds still active when max_iter runs out moved after their last evaluation
-        if np.any(active):
-            rnorm[active] = np.linalg.norm(phi_k(z[active]) - z[active], axis=1)
+        z, rnorm = _newton_search(
+            phi_k.value_and_jac, radius * grid, newton_tol, max_iter, 3.0 * radii[0]
+        )
         ok = rnorm <= 10.0 * newton_tol
         inside = np.linalg.norm(z, axis=1) <= radius * (1.0 + 1e-9)
         found = _dedup_sorted(z[ok & inside], dedup_tol)

@@ -41,7 +41,7 @@ from .errors import (
     NotALoop,
     WindingUnresolved,
 )
-from .symplectic import SymplecticMatrix, standard_j, validate_symplectic
+from .symplectic import SymplecticMatrix, direct_sum_indices, standard_j, validate_symplectic
 
 __all__ = [
     "SymplecticPath",
@@ -188,10 +188,8 @@ class SymplecticPath:
         """Block path in split coordinates (x1, x2, y1, y2)."""
         if abs(self.span - other.span) > 1e-12:
             raise ValueError("direct sum requires matching span")
-        n1, n2 = self.n, other.n
-        n = n1 + n2
-        i1 = np.concatenate([np.arange(n1), n + np.arange(n1)])
-        i2 = np.concatenate([n1 + np.arange(n2), n + n1 + np.arange(n2)])
+        n = self.n + other.n
+        i1, i2 = direct_sum_indices(self.n, other.n)
 
         def ev(t: float) -> np.ndarray:
             out = np.zeros((2 * n, 2 * n))
@@ -225,17 +223,19 @@ def winding(
     """Total winding (radians) of rho along the path.
 
     Local bisection with principal-branch increments.  The span starts as
-    start_samples equal intervals, and every open interval is bisected
-    once per round.  An interval is settled when both halves turn by less
-    than pi / 2 and their increments add up to its own within agree_tol,
-    which rules out aliasing for the smooth paths this package produces;
-    only the halves of unsettled intervals are bisected again, so samples
-    gather where rho turns.  The total is the sum of the settled half
-    increments in t order.  Raises WindingUnresolved when the next round
-    would take more than max_samples rho samples in all, or when an
-    interval can no longer be split in floating point.
+    start_samples equal intervals, and at least one per unit of span: on an
+    iterated path rho at t = j is rho of the j-th power of the endpoint,
+    which can repeat, so a wider first interval can hide whole turns.
+    Every open interval is bisected once per round.  An interval is settled
+    when both halves turn by less than pi / 2 and their increments add up
+    to its own within agree_tol, which rules out aliasing for the smooth
+    paths this package produces; only the halves of unsettled intervals are
+    bisected again, so samples gather where rho turns.  The total is the sum
+    of the settled half increments in t order.  Raises WindingUnresolved
+    when the next round would take more than max_samples rho samples in
+    all, or when an interval can no longer be split in floating point.
     """
-    ts = np.linspace(0.0, path.span, int(start_samples) + 1)
+    ts = np.linspace(0.0, path.span, max(int(start_samples), int(np.ceil(path.span))) + 1)
     vals = np.array([path.rho(t, circ_tol) for t in ts])
     samples = len(ts)
     # open intervals [a, b] with rho at both ends

@@ -33,6 +33,7 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -106,6 +107,11 @@ class Scenario:
     seed: int
     out: Optional[str]
     raw: dict
+
+    @cached_property
+    def record(self):
+        """The origin's FixedPointRecord, built once for all tasks that read it."""
+        return fixed_point_record(self.germ, np.zeros(2 * self.germ.n))
 
 
 def _reject_unknown(obj: dict, allowed: set, where: str):
@@ -274,7 +280,7 @@ def _lf_kwargs(task: dict) -> dict:
 
 
 def _run_spectrum(sc: Scenario, task: dict, out: Path, prefix: str):
-    record = fixed_point_record(sc.germ, np.zeros(2 * sc.germ.n))
+    record = sc.record
     eigen = spectrum(record.endpoint)
     orders = [
         {
@@ -301,7 +307,7 @@ def _run_spectrum(sc: Scenario, task: dict, out: Path, prefix: str):
 
 
 def _run_persistence(sc: Scenario, task: dict, out: Path, prefix: str):
-    record = fixed_point_record(sc.germ, np.zeros(2 * sc.germ.n))
+    record = sc.record
     eigen = spectrum(record.endpoint)
     ks = [k for k in sc.ks if admissible(record.endpoint, k, eigen=eigen)]
     skipped = [k for k in sc.ks if k not in ks]
@@ -322,15 +328,12 @@ def _run_persistence(sc: Scenario, task: dict, out: Path, prefix: str):
 
 
 def _run_sdm(sc: Scenario, task: dict, out: Path, prefix: str):
-    record = fixed_point_record(sc.germ, np.zeros(2 * sc.germ.n))
-    kwargs = _lf_kwargs(task)
-    kwargs.pop("exclude_fraction", None)
     result = detect_sdm(
         sc.germ,
-        record,
+        sc.record,
         delta_tol=sc.tolerances.get("sdm_delta_tol", 1e-6),
         crosscheck=bool(task.get("crosscheck", True)),
-        **kwargs,
+        **_lf_kwargs(task),
     )
     payload = {"germ": sc.germ_name, **result}
     fn = f"{prefix}.json"

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 import scipy.linalg
@@ -36,6 +36,7 @@ from .errors import ClusterAmbiguous, NotAdmissible, NotSymplectic, SplitFailed
 __all__ = [
     "standard_j",
     "vectorfield_j",
+    "direct_sum_indices",
     "SymplecticMatrix",
     "validate_symplectic",
     "EigenCluster",
@@ -65,6 +66,14 @@ def standard_j(n: int) -> np.ndarray:
 def vectorfield_j(n: int) -> np.ndarray:
     """Matrix mapping grad H to the Hamiltonian field: X_H = vectorfield_j @ grad H."""
     return -standard_j(n)
+
+
+def direct_sum_indices(n1: int, n2: int):
+    """Index arrays (i1, i2) of the factors in split coordinates (x1, x2, y1, y2)."""
+    n = n1 + n2
+    i1 = np.concatenate([np.arange(n1), n + np.arange(n1)])
+    i2 = np.concatenate([n1 + np.arange(n2), n + n1 + np.arange(n2)])
+    return i1, i2
 
 
 @dataclass(frozen=True)
@@ -369,9 +378,6 @@ class AdmissibleSet:
 
     def members(self) -> list:
         return list(range(self.progression_start, self.horizon + 1, self.progression_step))
-
-    def is_admissible(self, k: int) -> bool:
-        return not any(k % q == 0 for q in self.forbidden_divisors)
 
     def to_json(self) -> dict:
         return {

@@ -189,6 +189,21 @@ def test_isolation_task_writes_constant_table(tmp_path, capsys):
     assert len(table) == 12
 
 
+def test_origin_record_is_built_once_per_scenario(tmp_path, capsys, monkeypatch):
+    import localfloer.scenarios as scenarios
+
+    calls = []
+    real = scenarios.fixed_point_record
+    monkeypatch.setattr(
+        scenarios, "fixed_point_record", lambda *a: calls.append(a) or real(*a)
+    )
+    sc = spectrum_scenario(formula="negative-hyperbolic-2", k_range=[1, 2])
+    sc["tasks"] = ["spectrum", "persistence", "spectrum"]
+    path = write_scenario(tmp_path, sc)
+    assert main(["run", "--scenario", path, "--out", str(tmp_path / "out")]) == 0
+    assert len(calls) == 1
+
+
 # ---------------------------------------------------------- failure paths
 
 

@@ -15,6 +15,7 @@ from localfloer.corpus import (
 )
 from localfloer.errors import NonIsolated, NotAdmissible
 from localfloer.germs import (
+    _newton_search,
     concatenate,
     find_fixed_points,
     fixed_point_record,
@@ -138,6 +139,98 @@ def test_find_fixed_points_locates_all_three():
 def test_zero_germ_fixed_set_is_not_isolated():
     with pytest.raises(NonIsolated):
         find_fixed_points(zero_germ(), 0.5)
+
+
+def fixed_points_by_row_solves(germ, radius, seeds_per_axis=9, newton_tol=1e-11, max_iter=40):
+    """Oracle: Newton on phi(z) - z with one linear solve per seed, seeds
+    still moving after max_iter dropped; converged points sorted by norm
+    and deduplicated as find_fixed_points lists them."""
+    dim = 2 * germ.n
+    axes = [np.linspace(-radius, radius, seeds_per_axis)] * dim
+    z = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, dim)
+    active = np.ones(len(z), dtype=bool)
+    converged = []
+    for _ in range(max_iter):
+        if not np.any(active):
+            break
+        za = z[active]
+        phi, jac = flow_jacobians(germ, za)
+        res = phi - za
+        done = np.linalg.norm(res, axis=1) <= newton_tol
+        inside = np.linalg.norm(za, axis=1) <= 1.5 * radius
+        converged.extend(za[done & inside])
+        a = jac - np.eye(dim)
+        step = np.zeros_like(res)
+        for i in np.where(~done)[0]:
+            try:
+                step[i] = np.linalg.solve(a[i], res[i])
+            except np.linalg.LinAlgError:
+                step[i] = np.linalg.lstsq(a[i], res[i], rcond=None)[0]
+        za_new = za - step
+        ok = ~done & np.all(np.isfinite(za_new), axis=1) & (
+            np.linalg.norm(za_new, axis=1) <= 3.0 * radius
+        )
+        idx = np.where(active)[0]
+        z[idx[ok]] = za_new[ok]
+        active = np.zeros(len(z), dtype=bool)
+        active[idx[ok]] = True
+    dedup_tol = max(10.0 * newton_tol, 1e-9)
+    points = []
+    for p in sorted(converged, key=lambda q: (float(np.linalg.norm(q)), tuple(q))):
+        if all(np.linalg.norm(p - q) > dedup_tol for q in points):
+            points.append(p)
+    return points
+
+
+@pytest.mark.parametrize("shift", [None, (0.3, -0.2)])
+def test_find_fixed_points_matches_row_solve_oracle(shift):
+    germ = morse_triple() if shift is None else translate(morse_triple(), np.array(shift))
+    got = [r.point for r in find_fixed_points(germ, 1.4)]
+    want = fixed_points_by_row_solves(germ, 1.4)
+    assert len(got) == len(want) == 3
+    for p, q in zip(got, want):
+        assert np.max(np.abs(p - q)) <= 1e-12
+
+
+def _affine(a, b, calls):
+    """value_and_jac of z -> a z + b, recording the size of every batch."""
+
+    def value_and_jac(z):
+        calls.append(len(z))
+        return z @ a.T + b, np.broadcast_to(a, (len(z),) + a.shape).copy()
+
+    return value_and_jac
+
+
+def test_newton_search_on_an_affine_map():
+    a = np.array([[2.0, 1.0], [0.5, 3.0]])
+    b = np.array([1.0, -2.0])
+    fixed = np.linalg.solve(np.eye(2) - a, b)
+    seeds = np.array([[0.0, 0.0], [1.0, -1.0], [-2.0, 0.5], fixed])
+    residual = lambda z: np.linalg.norm(z @ a.T + b - z, axis=1)
+
+    # converged: every seed ends at the fixed point within newton_tol
+    calls = []
+    z, rnorm = _newton_search(_affine(a, b, calls), seeds, 1e-11, 40, 100.0)
+    assert np.all(rnorm <= 1e-11)
+    np.testing.assert_allclose(rnorm, residual(z), rtol=0.0, atol=1e-15)
+    assert np.max(np.abs(z - fixed)) <= 1e-12
+    assert calls == [4, 3]
+
+    # escaping: a step past the escape radius is not taken and retires the seed
+    calls = []
+    far = np.linalg.norm(fixed) / 2.0
+    z, rnorm = _newton_search(_affine(a, b, calls), seeds[:3], 1e-11, 40, far)
+    assert np.array_equal(z, seeds[:3])
+    np.testing.assert_array_equal(rnorm, residual(seeds[:3]))
+    assert calls == [3]
+
+    # still moving after max_iter: one more evaluation gives the final residual
+    calls = []
+    z, rnorm = _newton_search(_affine(a, b, calls), seeds[:3], 1e-11, 1, 100.0)
+    assert calls == [3, 3]
+    np.testing.assert_array_equal(rnorm, residual(z))
+    assert np.all(rnorm <= 1e-11)
 
 
 # --- gap tables
