@@ -228,9 +228,11 @@ def winding(
     which can repeat, so a wider first interval can hide whole turns.
     Every open interval is bisected once per round.  An interval is settled
     when both halves turn by less than pi / 2 and their increments add up
-    to its own within agree_tol, which rules out aliasing for the smooth
-    paths this package produces; only the halves of unsettled intervals are
-    bisected again, so samples gather where rho turns.  The total is the sum
+    to its own within agree_tol; only the halves of unsettled intervals are
+    bisected again, so samples gather where rho turns.  The settle test does
+    not rule out aliasing: if rho turns by close to a whole number of turns
+    over a first-round interval, both halves can look settled and the turns
+    are lost, so start_samples must be fine enough for the path.  The total is the sum
     of the settled half increments in t order.  Raises WindingUnresolved
     when the next round would take more than max_samples rho samples in
     all, or when an interval can no longer be split in floating point.
