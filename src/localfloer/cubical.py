@@ -3,8 +3,11 @@
 Sublevel pairs (X, A) = ({f <= c} n box, {f <= c - delta} n box) are realized
 on a node grid: an elementary cube belongs to a mask when all its vertices
 do, which makes both complexes closed and A a closed subcomplex of X.  The
-homology of the pair is computed from boundary matrices over GF(2), with
-ranks obtained by bit-packed Gaussian elimination.
+homology of the pair is computed over GF(2) from relative cell counts and
+boundary ranks.  The ranks of d_1 and d_m come from component counts
+(H_0 and H_m, found with scipy's connected_components), so a line or plane
+field needs no elimination; only d_2 .. d_{m-1} of a field in three or more
+variables are ranked by bit-packed Gaussian elimination.
 
 The sampling is an approximation; the correctness gate is stabilization of
 the graded ranks across the two finest grid resolutions, plus an Euler
@@ -18,6 +21,8 @@ from itertools import combinations
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
 
 from .errors import (
     CriticalValueInWindow,
@@ -92,15 +97,22 @@ class GradedRanks:
 # ------------------------------------------------------- complexes and rank
 
 
+def _axis_slice(m: int, ax: int, sl: slice) -> tuple:
+    """Index of an m-dimensional array taking sl along ax and all else."""
+    out = [slice(None)] * m
+    out[ax] = sl
+    return tuple(out)
+
+
+LOWER, UPPER = slice(0, -1), slice(1, None)
+
+
 def _cube_mask(node_mask: np.ndarray, dirs: Tuple[int, ...]) -> np.ndarray:
     """Mask of cubes spanned along dirs whose vertices all pass."""
     out = node_mask
     for ax in dirs:
-        lo = [slice(None)] * out.ndim
-        hi = [slice(None)] * out.ndim
-        lo[ax] = slice(0, -1)
-        hi[ax] = slice(1, None)
-        out = out[tuple(lo)] & out[tuple(hi)]
+        m = out.ndim
+        out = out[_axis_slice(m, ax, LOWER)] & out[_axis_slice(m, ax, UPPER)]
     return out
 
 
@@ -160,56 +172,127 @@ def _gf2_rank(nrows: int, ncols: int, rows: np.ndarray, cols: np.ndarray) -> int
     return rank
 
 
+def _free_components(sink: np.ndarray, joined: Sequence[np.ndarray]) -> int:
+    """Components of a cell graph that meet no sink cell.
+
+    The cells are the entries of the grid-shaped boolean array sink;
+    joined[ax] (one entry shorter along ax) joins each cell to its
+    neighbour one step up along ax.
+    """
+    flat = np.arange(sink.size).reshape(sink.shape)
+    lo = np.concatenate(
+        [flat[_axis_slice(sink.ndim, ax, LOWER)][j] for ax, j in enumerate(joined)]
+    )
+    hi = np.concatenate(
+        [flat[_axis_slice(sink.ndim, ax, UPPER)][j] for ax, j in enumerate(joined)]
+    )
+    graph = coo_matrix(
+        (np.ones(lo.size, dtype=np.int8), (lo, hi)), shape=(sink.size, sink.size)
+    )
+    ncomp, labels = connected_components(graph, directed=False)
+    hit = np.zeros(ncomp, dtype=bool)
+    hit[labels[sink.ravel()]] = True
+    return ncomp - int(np.count_nonzero(hit))
+
+
+def _bottom_homology(pair: CubicalPair, rel_nodes: np.ndarray) -> int:
+    """H_0(X, A): components of the X nodes, joined along X edges, that
+    contain no A node."""
+    joined = [_cube_mask(pair.x_mask, (ax,)) for ax in range(pair.m)]
+    return _free_components(~rel_nodes, joined)
+
+
+def _top_homology(
+    pair: CubicalPair,
+    rel_faces: Dict[Tuple[int, ...], np.ndarray],
+    rel_top: np.ndarray,
+) -> int:
+    """H_m(X, A): components of relative top cells, joined across shared
+    relative faces, in which no cell has a free relative face (one whose
+    other side is not a top cell of X)."""
+    m = pair.m
+    x_top = _cube_mask(pair.x_mask, tuple(range(m)))
+    sink = ~rel_top
+    joined = []
+    for ax in range(m):
+        face = rel_faces[tuple(d for d in range(m) if d != ax)]
+        widths = [(1, 1) if d == ax else (0, 0) for d in range(m)]
+        padded = np.pad(x_top, widths)
+        below = padded[_axis_slice(m, ax, LOWER)]
+        above = padded[_axis_slice(m, ax, UPPER)]
+        # face j is the lower face of cell j and the upper face of cell j - 1
+        sink |= (face & ~below)[_axis_slice(m, ax, LOWER)]
+        sink |= (face & ~above)[_axis_slice(m, ax, UPPER)]
+        # a join next to a cell outside X only links two sinks
+        joined.append(face[_axis_slice(m, ax, slice(1, -1))])
+    return _free_components(sink, joined)
+
+
+CellIds = Dict[Tuple[int, ...], np.ndarray]
+
+
+def _cell_ids(masks: Dict[Tuple[int, ...], np.ndarray]) -> CellIds:
+    """Consecutive ids of the cells of one degree, -1 off the masks."""
+    offset = 0
+    out = {}
+    for dirs, mask in masks.items():
+        idx = -np.ones(mask.shape, dtype=np.int64)
+        cnt = int(np.count_nonzero(mask))
+        idx[mask] = offset + np.arange(cnt)
+        offset += cnt
+        out[dirs] = idx
+    return out
+
+
+def _boundary_rank(
+    m: int,
+    ids_d: CellIds,
+    ids_f: CellIds,
+    nrows: int,
+    ncols: int,
+) -> int:
+    """Rank of the relative boundary map from the cells ids_d to ids_f."""
+    rows_all: List[np.ndarray] = []
+    cols_all: List[np.ndarray] = []
+    for dirs, idx_d in ids_d.items():
+        cell_ok = idx_d >= 0
+        for ax in dirs:
+            idx_f = ids_f[tuple(x for x in dirs if x != ax)]
+            for sl in (LOWER, UPPER):
+                face_ids = idx_f[_axis_slice(m, ax, sl)]
+                keep = cell_ok & (face_ids >= 0)
+                rows_all.append(idx_d[keep])
+                cols_all.append(face_ids[keep])
+    return _gf2_rank(nrows, ncols, np.concatenate(rows_all), np.concatenate(cols_all))
+
+
 def relative_homology_z2(pair: CubicalPair) -> GradedRanks:
-    """Ranks of H_*(X, A; Z2) by boundary-matrix elimination."""
+    """Ranks of H_*(X, A; Z2).
+
+    H_d = c_d - rank d_d - rank d_{d+1}, with c_d the relative cell counts.
+    The two end boundary ranks come from component counts, rank d_1 =
+    c_0 - H_0 and rank d_m = c_m - H_m (see _bottom_homology and
+    _top_homology).  The top count is exact: every coface in X of a
+    relative face is itself relative (A is closed), and a face has at most
+    two cofaces, so a relative top cycle is a union of components closed
+    under crossing relative faces, none with a free face.  Only
+    d_2 .. d_{m-1}, which exist for m >= 3, are ranked by elimination.
+    """
     m = pair.m
     cell_masks = [pair.relative_cell_masks(d) for d in range(m + 1)]
-    ids: List[Dict[Tuple[int, ...], np.ndarray]] = []
-    counts = []
-    for d in range(m + 1):
-        offset = 0
-        layer = {}
-        for dirs, mask in cell_masks[d].items():
-            idx = -np.ones(mask.shape, dtype=np.int64)
-            cnt = int(np.sum(mask))
-            idx[mask] = offset + np.arange(cnt)
-            offset += cnt
-            layer[dirs] = idx
-        ids.append(layer)
-        counts.append(offset)
-
-    def boundary_rank(d: int) -> int:
-        if d == 0:
-            return 0
-        rows_all: List[np.ndarray] = []
-        cols_all: List[np.ndarray] = []
-        for dirs, idx_d in ids[d].items():
-            cell_ok = idx_d >= 0
-            for ax in dirs:
-                sub = tuple(x for x in dirs if x != ax)
-                idx_f = ids[d - 1][sub]
-                lo_sl = [slice(None)] * m
-                hi_sl = [slice(None)] * m
-                lo_sl[ax] = slice(0, -1)
-                hi_sl[ax] = slice(1, None)
-                for face_ids in (idx_f[tuple(lo_sl)], idx_f[tuple(hi_sl)]):
-                    keep = cell_ok & (face_ids >= 0)
-                    rows_all.append(idx_d[keep])
-                    cols_all.append(face_ids[keep])
-        if not rows_all:
-            return 0
-        return _gf2_rank(
-            counts[d],
-            counts[d - 1],
-            np.concatenate(rows_all),
-            np.concatenate(cols_all),
-        )
-
-    b_rank = [boundary_rank(d) for d in range(m + 1)] + [0]
-    ranks = {}
-    for d in range(m + 1):
-        ranks[d] = counts[d] - b_rank[d] - b_rank[d + 1]
-    return GradedRanks.from_dict(ranks)
+    counts = [sum(int(np.count_nonzero(c)) for c in cm.values()) for cm in cell_masks]
+    b_rank = [0] * (m + 2)
+    b_rank[1] = counts[0] - _bottom_homology(pair, cell_masks[0][()])
+    if m >= 2:
+        top = cell_masks[m][tuple(range(m))]
+        b_rank[m] = counts[m] - _top_homology(pair, cell_masks[m - 1], top)
+    # cell ids only for the degrees that feed the middle eliminations
+    ids = {d: _cell_ids(cell_masks[d]) for d in range(1, m)} if m >= 3 else {}
+    for d in range(2, m):
+        b_rank[d] = _boundary_rank(m, ids[d], ids[d - 1], counts[d], counts[d - 1])
+    return GradedRanks.from_dict(
+        {d: counts[d] - b_rank[d] - b_rank[d + 1] for d in range(m + 1)}
+    )
 
 
 # ----------------------------------------------------------- sublevel pairs

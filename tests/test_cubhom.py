@@ -4,13 +4,16 @@ Rank oracles: a nondegenerate critical point of index d contributes a
 single rank in degree d; the monkey saddle splits under perturbation
 into two ordinary saddles, giving rank 2 in degree 1; f = x^3 on the
 line has vanishing local homology.  Euler characteristics must agree
-with the boundary winding degree of the gradient.
+with the boundary winding degree of the gradient.  The engine's
+component counts for degrees 0 and m are checked against elimination of
+every boundary matrix (ranks_by_elimination).
 """
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from localfloer import cubical
 from localfloer.corpus import FIELDS
 from localfloer.cubical import (
     CubicalPair,
@@ -66,25 +69,163 @@ def test_pair_requires_containment():
         _pair(x, a)
 
 
+# --- component counts against elimination of every boundary matrix
+
+
+def ranks_by_elimination(pair):
+    """H_*(X, A; Z2) with every boundary rank from dense GF(2) elimination."""
+    m = pair.m
+    ids, counts = [], []
+    for d in range(m + 1):
+        offset, layer = 0, {}
+        for dirs, mask in pair.relative_cell_masks(d).items():
+            idx = -np.ones(mask.shape, dtype=np.int64)
+            cnt = int(np.sum(mask))
+            idx[mask] = offset + np.arange(cnt)
+            offset += cnt
+            layer[dirs] = idx
+        ids.append(layer)
+        counts.append(offset)
+
+    def boundary_rank(d):
+        rows, cols = [np.zeros(0, np.int64)], [np.zeros(0, np.int64)]
+        for dirs, idx_d in ids[d].items():
+            for ax in dirs:
+                idx_f = ids[d - 1][tuple(x for x in dirs if x != ax)]
+                lo = [slice(None)] * m
+                hi = [slice(None)] * m
+                lo[ax] = slice(0, -1)
+                hi[ax] = slice(1, None)
+                for face_ids in (idx_f[tuple(lo)], idx_f[tuple(hi)]):
+                    keep = (idx_d >= 0) & (face_ids >= 0)
+                    rows.append(idx_d[keep])
+                    cols.append(face_ids[keep])
+        return cubical._gf2_rank(
+            counts[d], counts[d - 1], np.concatenate(rows), np.concatenate(cols)
+        )
+
+    b_rank = [0] + [boundary_rank(d) for d in range(1, m + 1)] + [0]
+    return GradedRanks.from_dict(
+        {d: counts[d] - b_rank[d] - b_rank[d + 1] for d in range(m + 1)}
+    )
+
+
+MAX_SIDE = {1: 12, 2: 12, 3: 5, 4: 5}
+
+
+def random_pair(m, side, seed, px, pa, boxes):
+    """Random node masks; each box is put whole into X and only its
+    boundary into A, which makes top-degree classes common."""
+    rng = np.random.default_rng(seed)
+    shape = (side,) * m
+    x = rng.random(shape) < px
+    a = x & (rng.random(shape) < pa)
+    for _ in range(boxes if side >= 3 else 0):
+        lo = rng.integers(0, side - 2, m)
+        hi = lo + rng.integers(2, side - lo)
+        x[tuple(slice(i, j + 1) for i, j in zip(lo, hi))] = True
+        a[tuple(slice(i, j + 1) for i, j in zip(lo, hi))] = True
+        a[tuple(slice(i + 1, j) for i, j in zip(lo, hi))] = False
+    return _pair(x, a)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(1, 4).flatmap(
+        lambda m: st.tuples(
+            st.just(m),
+            st.integers(2, MAX_SIDE[m]),
+            st.integers(0, 2**32 - 1),
+            st.floats(0.0, 1.0),
+            st.floats(0.0, 1.0),
+            st.integers(0, 2),
+        )
+    )
+)
+def test_component_counts_match_elimination(case):
+    pair = random_pair(*case)
+    assert relative_homology_z2(pair) == ranks_by_elimination(pair)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+@pytest.mark.parametrize("case", ["x-empty", "a-empty", "a-equals-x", "x-full-a-boundary"])
+@pytest.mark.parametrize("side", [2, 3, 5])
+def test_component_counts_match_elimination_on_edge_cases(m, case, side):
+    rng = np.random.default_rng(side * 10 + m)
+    shape = (side,) * m
+    full = np.ones(shape, bool)
+    interior = np.zeros(shape, bool)
+    interior[(slice(1, -1),) * m] = True
+    x, a = {
+        "x-empty": (~full, ~full),
+        "a-empty": (rng.random(shape) < 0.7, ~full),
+        "a-equals-x": (rng.random(shape) < 0.7,) * 2,
+        "x-full-a-boundary": (full, ~interior),
+    }[case]
+    pair = _pair(x, a)
+    assert relative_homology_z2(pair) == ranks_by_elimination(pair)
+    if case == "x-full-a-boundary" and side >= 3:
+        assert relative_homology_z2(pair).as_dict() == {m: 1}
+
+
+@pytest.mark.parametrize("m,calls", [(1, 0), (2, 0), (3, 1), (4, 2)])
+def test_elimination_only_for_middle_degrees(monkeypatch, m, calls):
+    seen = []
+    rank = cubical._gf2_rank
+
+    def counting(*args):
+        seen.append(args[:2])
+        return rank(*args)
+
+    monkeypatch.setattr(cubical, "_gf2_rank", counting)
+    shape = (4,) * m
+    interior = np.zeros(shape, bool)
+    interior[(slice(1, -1),) * m] = True
+    assert relative_homology_z2(_pair(np.ones(shape, bool), ~interior)).as_dict() == {m: 1}
+    assert len(seen) == calls
+
+
 # --- local Morse homology of the field corpus
 
 
-@pytest.mark.parametrize(
-    "name,expected",
-    [
-        ("neg-r2", {2: 1}),
-        ("r2", {0: 1}),
-        ("saddle", {1: 1}),
-        ("cubic-1d", {}),
-        ("monkey", {1: 2}),
-        ("quartic-neg", {2: 1}),
-    ],
-)
+CORPUS_RANKS = {
+    "neg-r2": {2: 1},
+    "r2": {0: 1},
+    "saddle": {1: 1},
+    "cubic-1d": {},
+    "monkey": {1: 2},
+    "quartic-neg": {2: 1},
+}
+
+
+@pytest.mark.parametrize("name,expected", list(CORPUS_RANKS.items()))
 def test_field_corpus_ranks(name, expected):
     e = FIELDS[name]
     box = BOX1 if e.m == 1 else BOX2
     ranks = local_morse_homology(e.value, box, grad=e.grad)
     assert ranks.as_dict() == expected
+
+
+@pytest.mark.parametrize("name", sorted(CORPUS_RANKS))
+def test_fine_corpus_pairs_match_elimination(monkeypatch, name):
+    """The sublevel pairs local_morse_homology builds at resolutions 129
+    and 193 give the corpus ranks, by component counts and by elimination."""
+    pairs = []
+    engine = cubical.relative_homology_z2
+
+    def recording(pair):
+        pairs.append(pair)
+        return engine(pair)
+
+    monkeypatch.setattr(cubical, "relative_homology_z2", recording)
+    e = FIELDS[name]
+    box = BOX1 if e.m == 1 else BOX2
+    local_morse_homology(e.value, box, resolutions=(129, 193), grad=e.grad)
+    assert [p.x_mask.shape[0] for p in pairs] == [129, 193]
+    for pair in pairs:
+        ranks = engine(pair)
+        assert ranks == ranks_by_elimination(pair)
+        assert ranks.as_dict() == CORPUS_RANKS[name]
 
 
 def test_monkey_saddle_without_supplied_gradient():
