@@ -109,9 +109,8 @@ LOWER, UPPER = slice(0, -1), slice(1, None)
 
 def _cube_mask(node_mask: np.ndarray, dirs: Tuple[int, ...]) -> np.ndarray:
     """Mask of cubes spanned along dirs whose vertices all pass."""
-    out = node_mask
+    out, m = node_mask, node_mask.ndim
     for ax in dirs:
-        m = out.ndim
         out = out[_axis_slice(m, ax, LOWER)] & out[_axis_slice(m, ax, UPPER)]
     return out
 
