@@ -25,7 +25,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .errors import NonIsolated, NotClosed, StepFailure
+from .errors import NonIsolated, NotAdmissible, NotClosed, StepFailure
 from .paths import SymplecticPath, index_report
 from .symplectic import SymplecticMatrix, admissible, vectorfield_j
 
@@ -406,8 +406,6 @@ def gap_table(records: Sequence[FixedPointRecord], k: int) -> GapTable:
     Requires k admissible for every record monodromy."""
     for rec in records:
         if not admissible(rec.endpoint, k):
-            from .errors import NotAdmissible
-
             raise NotAdmissible(f"order {k} not admissible at {rec.point}")
     rows = []
     for i in range(len(records)):

@@ -10,14 +10,18 @@ Three computation routes, each with its shift convention recorded:
   split                direct-sum germs: Kunneth convolution of the factor
                        answers ("kunneth_product").
 
-Mixed germs that fit none of these get RouteUnavailable rather than an
-approximate answer.  On top of the per-iterate computation sit the
-persistence laws: shift alignment s_k, evenness at good orders, the
-support window, and detection of symplectically degenerate maxima.
+Mixed germs that fit none of these, and strongly degenerate germs off the
+plane that do not split, get RouteUnavailable rather than an approximate
+answer.  All orders of one fixed point are read from one sweep: the route
+is decided, phi splined (one iterate tower) and the factor records built
+once, and each order's answer is kept.  On top sit the persistence laws:
+shift alignment s_k, evenness at good orders, the support window, and
+detection of symplectically degenerate maxima.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -32,7 +36,7 @@ from .errors import (
     ShiftAmbiguous,
 )
 from .fields import Box
-from .genfun import GermMap, OdeGermMap, SplineGermMap, generating_function
+from .genfun import SplineGermMap, generating_function
 from .germs import (
     FixedPointRecord,
     HamiltonianGerm,
@@ -62,6 +66,11 @@ WINDOW_TOL = 1e-6
 # resolutions at which the local Morse homology of F_k must stabilize
 SPLINE_RESOLUTION = 97
 HM_RESOLUTIONS = (17, 25, 33)
+_CONVENTIONS = {
+    "nondegenerate": "cz_anchor",
+    "strongly_degenerate": "genfun_N0",
+    "split": "kunneth_product",
+}
 
 
 @dataclass(frozen=True)
@@ -104,65 +113,135 @@ def _check_window(ranks: GradedRanks, delta: float, n: int):
             )
 
 
-def _degenerate_route(
-    germ: HamiltonianGerm,
-    record: FixedPointRecord,
-    k: int,
-    gf_radius: float,
-    gf_resolution: int,
-    c1_gate: float,
-    exclude_fraction: float,
-) -> Tuple[GradedRanks, dict]:
-    n = germ.n
-    base = germ
-    if float(np.linalg.norm(record.point)) > 1e-9:
-        base = translate(germ, record.point)
-    box = Box(center=(0.0,) * (2 * n), radius=gf_radius)
-    if n == 1:
-        phi: GermMap = SplineGermMap(base, box, resolution=SPLINE_RESOLUTION)
-    else:
-        phi = OdeGermMap(base)
-    gf = generating_function(phi, k, box, gf_resolution, c1_gate=c1_gate)
-    pm = gf.psi_k
-    phi_k = pm.phi_k
+@dataclass(eq=False)
+class _IterateSweep:
+    """All iterates of one fixed point, from a route, a phi and factor
+    sweeps built on first use; ``at(k)`` keeps each answer but no refusal."""
 
-    def grad_fn(pts: np.ndarray) -> np.ndarray:
-        z = pm.invert(np.asarray(pts, dtype=float))
-        disp = phi_k(z) - z
-        return np.concatenate([-disp[:, n:], disp[:, :n]], axis=1)
+    germ: HamiltonianGerm
+    record: FixedPointRecord
+    route: Optional[str] = None
+    gf_radius: float = 0.1
+    gf_resolution: int = 65
+    c1_gate: float = 0.2
+    exclude_fraction: float = 0.5
 
-    # Hessian of F at 0 from the linearized return map M_k = A-block form:
-    # d(grad F)(0) = J (M_k - I) S^{-1} with S the vertical-projection frame
-    mk = np.linalg.matrix_power(record.endpoint.entries, k)
-    s_frame = np.eye(2 * n)
-    s_frame[:n, :n] = mk[:n, :n]
-    s_frame[:n, n:] = mk[:n, n:]
-    hess0 = standard_j(n) @ (mk - np.eye(2 * n)) @ np.linalg.inv(s_frame)
-    hess_norm = float(np.linalg.norm(hess0, 2))
-    if hess_norm >= 2.0 * np.pi:
-        raise HypothesisFailed(
-            f"||d2F(0)|| = {hess_norm:.3f} is not below 2 pi; the bridge from "
-            "generating-function Morse data to Floer data is not certified"
+    def __post_init__(self):
+        self._answers: Dict[int, LocalFloer] = {}
+
+    @cached_property
+    def _route(self) -> str:
+        data = spectrum(self.record.endpoint)
+        route = self.route
+        if route is None:
+            if not data.has_eigenvalue_one():
+                route = "nondegenerate"
+            elif self.germ.factors is not None:
+                route = "split"
+            elif data.all_eigenvalues_one():
+                route = "strongly_degenerate"
+            else:
+                raise RouteUnavailable(
+                    "monodromy mixes eigenvalue-1 and other spectrum and the germ "
+                    "does not split; no computation route applies"
+                )
+        if route not in _CONVENTIONS:
+            raise ValueError(f"unknown route {route!r}")
+        if route == "nondegenerate" and data.has_eigenvalue_one():
+            raise RouteUnavailable("monodromy has eigenvalue 1; not nondegenerate")
+        if route == "strongly_degenerate" and not data.all_eigenvalues_one():
+            raise RouteUnavailable("monodromy is not unipotent")
+        if route == "strongly_degenerate" and self.germ.n != 1:
+            raise RouteUnavailable(
+                "generating functions are assembled for plane germs only, and "
+                f"this germ of dimension {2 * self.germ.n} exposes no direct-sum factors"
+            )
+        if route == "split" and (self.germ.factors is None or len(self.germ.factors) != 2):
+            raise RouteUnavailable("germ does not expose two direct-sum factors")
+        return route
+
+    @cached_property
+    def _phi(self) -> SplineGermMap:
+        base = self.germ
+        if float(np.linalg.norm(self.record.point)) > 1e-9:
+            base = translate(self.germ, self.record.point)
+        box = Box(center=(0.0, 0.0), radius=self.gf_radius)
+        return SplineGermMap(base, box, resolution=SPLINE_RESOLUTION)
+
+    @cached_property
+    def _factors(self) -> Tuple["_IterateSweep", ...]:
+        g1, g2 = self.germ.factors
+        point = np.asarray(self.record.point, dtype=float)
+        return tuple(
+            replace(self, germ=g, record=fixed_point_record(g, point[idx]), route=None)
+            for g, idx in zip((g1, g2), direct_sum_indices(g1.n, g2.n))
         )
-    try:
-        hm = local_morse_homology(
-            gf.field,
-            box,
-            resolutions=HM_RESOLUTIONS,
-            grad=grad_fn,
-            exclude_fraction=exclude_fraction,
-        )
-    except NotIsolated as exc:
-        raise HypothesisFailed(f"critical point of F_{k} not isolated: {exc}")
-    hypothesis = {
-        "hessian_norm_at_zero": hess_norm,
-        "c1_norm": gf.c1_norm,
-        "closedness_defect": gf.closedness_defect,
-        "gf_resolution": gf_resolution,
-        "hm_resolutions": list(HM_RESOLUTIONS),
-        "kk_side_bounds_checked": False,
-    }
-    return hm.shift(-n), hypothesis
+
+    def at(self, k: int) -> LocalFloer:
+        if k not in self._answers:
+            if k < 1:
+                raise ValueError("iteration order must be >= 1")
+            if not admissible(self.record.endpoint, k):
+                raise NotAdmissible(f"iteration order {k} resonates with the monodromy spectrum")
+            route = self._route
+            delta, hypothesis = k * self.record.mean_index, None
+            if route == "nondegenerate":
+                ranks = GradedRanks.from_dict({conley_zehnder(self.record.path.iterated(k)): 1})
+            elif route == "strongly_degenerate":
+                ranks, hypothesis = self._degenerate(k)
+            else:
+                parts = [factor.at(k) for factor in self._factors]
+                ranks = kunneth(parts[0].ranks, parts[1].ranks)
+                delta = parts[0].delta + parts[1].delta
+            _check_window(ranks, delta, self.germ.n)
+            self._answers[k] = LocalFloer(ranks, _CONVENTIONS[route], delta, route, k, hypothesis)
+        return self._answers[k]
+
+    def _degenerate(self, k: int) -> Tuple[GradedRanks, dict]:
+        n = 1
+        phi = self._phi
+        box = phi.base_box
+        gf = generating_function(phi, k, box, self.gf_resolution, c1_gate=self.c1_gate)
+        pm = gf.psi_k
+        phi_k = pm.phi_k
+
+        def grad_fn(pts: np.ndarray) -> np.ndarray:
+            z = pm.invert(np.asarray(pts, dtype=float))
+            disp = phi_k(z) - z
+            return np.concatenate([-disp[:, n:], disp[:, :n]], axis=1)
+
+        # Hessian of F at 0 from the linearized return map M_k = A-block form:
+        # d(grad F)(0) = J (M_k - I) S^{-1} with S the vertical-projection frame
+        mk = np.linalg.matrix_power(self.record.endpoint.entries, k)
+        s_frame = np.eye(2 * n)
+        s_frame[:n, :n] = mk[:n, :n]
+        s_frame[:n, n:] = mk[:n, n:]
+        hess0 = standard_j(n) @ (mk - np.eye(2 * n)) @ np.linalg.inv(s_frame)
+        hess_norm = float(np.linalg.norm(hess0, 2))
+        if hess_norm >= 2.0 * np.pi:
+            raise HypothesisFailed(
+                f"||d2F(0)|| = {hess_norm:.3f} is not below 2 pi; the bridge from "
+                "generating-function Morse data to Floer data is not certified"
+            )
+        try:
+            hm = local_morse_homology(
+                gf.field,
+                box,
+                resolutions=HM_RESOLUTIONS,
+                grad=grad_fn,
+                exclude_fraction=self.exclude_fraction,
+            )
+        except NotIsolated as exc:
+            raise HypothesisFailed(f"critical point of F_{k} not isolated: {exc}")
+        hypothesis = {
+            "hessian_norm_at_zero": hess_norm,
+            "c1_norm": gf.c1_norm,
+            "closedness_defect": gf.closedness_defect,
+            "gf_resolution": self.gf_resolution,
+            "hm_resolutions": list(HM_RESOLUTIONS),
+            "kk_side_bounds_checked": False,
+        }
+        return hm.shift(-n), hypothesis
 
 
 def local_floer(
@@ -181,87 +260,8 @@ def local_floer(
     nondegenerate when no eigenvalue satisfies lambda^k = 1, split for
     direct-sum germs, strongly_degenerate when the monodromy is unipotent.
     """
-    if k < 1:
-        raise ValueError("iteration order must be >= 1")
-    if not admissible(record.endpoint, k):
-        raise NotAdmissible(f"iteration order {k} resonates with the monodromy spectrum")
-    data = spectrum(record.endpoint)
-    n = germ.n
-    delta = k * record.mean_index
-
-    if route is None:
-        if not data.has_eigenvalue_one():
-            route = "nondegenerate"
-        elif germ.factors is not None:
-            route = "split"
-        elif data.all_eigenvalues_one():
-            route = "strongly_degenerate"
-        else:
-            raise RouteUnavailable(
-                "monodromy mixes eigenvalue-1 and other spectrum and the germ "
-                "does not split; no computation route applies"
-            )
-
-    if route == "nondegenerate":
-        if data.has_eigenvalue_one():
-            raise RouteUnavailable("monodromy has eigenvalue 1; not nondegenerate")
-        mu = conley_zehnder(record.path.iterated(k))
-        ranks = GradedRanks.from_dict({mu: 1})
-        result = LocalFloer(
-            ranks=ranks, shift_convention="cz_anchor", delta=delta, route=route, order=k
-        )
-    elif route == "strongly_degenerate":
-        if not data.all_eigenvalues_one():
-            raise RouteUnavailable("monodromy is not unipotent")
-        ranks, hypothesis = _degenerate_route(
-            germ,
-            record,
-            k,
-            gf_radius,
-            gf_resolution,
-            c1_gate,
-            exclude_fraction,
-        )
-        result = LocalFloer(
-            ranks=ranks,
-            shift_convention="genfun_N0",
-            delta=delta,
-            route=route,
-            order=k,
-            hypothesis=hypothesis,
-        )
-    elif route == "split":
-        if germ.factors is None or len(germ.factors) != 2:
-            raise RouteUnavailable("germ does not expose two direct-sum factors")
-        g1, g2 = germ.factors
-        i1, i2 = direct_sum_indices(g1.n, g2.n)
-        parts = []
-        for g, idx in ((g1, i1), (g2, i2)):
-            rec = fixed_point_record(g, np.asarray(record.point, dtype=float)[idx])
-            parts.append(
-                local_floer(
-                    g,
-                    rec,
-                    k,
-                    gf_radius=gf_radius,
-                    gf_resolution=gf_resolution,
-                    c1_gate=c1_gate,
-                    exclude_fraction=exclude_fraction,
-                )
-            )
-        ranks = kunneth(parts[0].ranks, parts[1].ranks)
-        result = LocalFloer(
-            ranks=ranks,
-            shift_convention="kunneth_product",
-            delta=parts[0].delta + parts[1].delta,
-            route=route,
-            order=k,
-        )
-    else:
-        raise ValueError(f"unknown route {route!r}")
-
-    _check_window(result.ranks, result.delta, n)
-    return result
+    sweep = _IterateSweep(germ, record, route, gf_radius, gf_resolution, c1_gate, exclude_fraction)
+    return sweep.at(k)
 
 
 # ------------------------------------------------------------- persistence
@@ -348,7 +348,8 @@ def verify_persistence(
             raise NotAdmissible(f"iteration order {k} is not admissible")
     n = germ.n
     delta = record.mean_index
-    base = local_floer(germ, record, 1, **lf_kwargs)
+    sweep = _IterateSweep(germ, record, **lf_kwargs)
+    base = sweep.at(1)
 
     rows = []
     limit_vals = []
@@ -357,7 +358,7 @@ def verify_persistence(
     zero_ok = True
     sdm_regime = abs(delta) <= SDM_DELTA_TOL and base.ranks.rank(n) >= 1
     for k in ks:
-        lf = base if k == 1 else local_floer(germ, record, k, **lf_kwargs)
+        lf = sweep.at(k)
         is_good = good(record.endpoint, k)
         s_k = _align_shift(base.ranks, lf.ranks)
         even = s_k % 2 == 0
@@ -409,7 +410,8 @@ def detect_sdm(
     cross-check HF_n(phi^k) != 0 at an admissible order k >= n + 1.
     """
     n = germ.n
-    lf1 = local_floer(germ, record, 1, **lf_kwargs)
+    sweep = _IterateSweep(germ, record, **lf_kwargs)
+    lf1 = sweep.at(1)
     hf_n = lf1.ranks.rank(n)
     strongly = spectrum(record.endpoint).all_eigenvalues_one()
     is_sdm = abs(record.mean_index) <= delta_tol and hf_n >= 1
@@ -423,7 +425,7 @@ def detect_sdm(
         while k0 <= n + 8 and not admissible(record.endpoint, k0):
             k0 += 1
         try:
-            lfk = local_floer(germ, record, k0, **lf_kwargs)
+            lfk = sweep.at(k0)
             evidence["crosscheck"] = {
                 "k": k0,
                 "hf_n_rank": lfk.ranks.rank(n),
@@ -441,10 +443,11 @@ def total_ranks(
     **lf_kwargs,
 ) -> Dict[int, int]:
     """Total rank per admissible k in ks; inadmissible orders are skipped."""
+    sweep = _IterateSweep(germ, record, **lf_kwargs)
     out = {}
     for k in sorted(set(int(k) for k in ks)):
         if admissible(record.endpoint, k):
-            out[k] = local_floer(germ, record, k, **lf_kwargs).total
+            out[k] = sweep.at(k).total
     return out
 
 

@@ -19,7 +19,7 @@ from .errors import LinearizationNotIdentity, NewtonDivergence
 from .fields import Box
 from .genfun import GermMap, _opnorms
 from .germs import _newton_search
-from .symplectic import spectrum, validate_symplectic
+from .symplectic import admissible, validate_symplectic
 
 __all__ = [
     "DiscreteOrbit",
@@ -164,10 +164,7 @@ def periodic_point_search(
         raise ValueError("need at least one radius")
     d = 2 * phi.n
     lin = validate_symplectic(phi.jac(np.zeros((1, d)))[0])
-    adm = True
-    for q in spectrum(lin).unit_root_orders():
-        if k % q == 0:
-            adm = False
+    adm = admissible(lin, k)
     phi_k = phi.iterate(k)
 
     axes = [np.linspace(-1.0, 1.0, seeds_per_axis)] * d

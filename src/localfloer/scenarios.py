@@ -282,16 +282,11 @@ def _lf_kwargs(task: dict) -> dict:
 def _run_spectrum(sc: Scenario, task: dict, out: Path, prefix: str):
     record = sc.record
     eigen = spectrum(record.endpoint)
-    orders = [
-        {
-            "k": k,
-            "admissible": admissible(record.endpoint, k, eigen=eigen),
-            "good": good(record.endpoint, k, eigen=eigen)
-            if admissible(record.endpoint, k, eigen=eigen)
-            else None,
-        }
-        for k in sc.ks
-    ]
+    orders = []
+    for k in sc.ks:
+        adm = admissible(record.endpoint, k, eigen=eigen)
+        good_k = good(record.endpoint, k, eigen=eigen) if adm else None
+        orders.append({"k": k, "admissible": adm, "good": good_k})
     payload = {
         "germ": sc.germ_name,
         "eigenvalues": eigen.to_json(),

@@ -259,6 +259,11 @@ def test_search_requires_a_radius(quartic_map):
         periodic_point_search(quartic_map, 2, [])
 
 
+def test_search_requires_a_positive_order(quartic_map):
+    with pytest.raises(ValueError, match="iteration order must be >= 1"):
+        periodic_point_search(quartic_map, 0, [0.1])
+
+
 def test_search_report_round_trips_to_json(quartic_map):
     rep = periodic_point_search(quartic_map, 2, [0.02], seeds_per_axis=5)
     data = rep.to_json()

@@ -76,7 +76,8 @@ def test_degenerate_maximum_rank_is_stable(k):
     assert lf.hypothesis["kk_side_bounds_checked"] is False
 
 
-def test_degenerate_route_flows_the_padded_grid_once_per_order(monkeypatch):
+def flow_sizes(monkeypatch):
+    """Sizes of the flow_jacobians batches the map classes run from now on."""
     import localfloer.genfun as genfun
 
     sizes = []
@@ -87,8 +88,14 @@ def test_degenerate_route_flows_the_padded_grid_once_per_order(monkeypatch):
         return original(germ, points, *args, **kwargs)
 
     monkeypatch.setattr(genfun, "flow_jacobians", counting)
+    return sizes
+
+
+def test_degenerate_route_flows_the_padded_grid_once_per_order(monkeypatch):
     germ = quartic(-1)
-    local_floer(germ, record_of(germ), 2)
+    rec = record_of(germ)
+    sizes = flow_sizes(monkeypatch)
+    local_floer(germ, rec, 2)
     assert sizes == [97**2, 97**2]
 
 
@@ -120,6 +127,16 @@ def test_mixed_spectrum_without_split_has_no_route():
     opaque = dataclasses.replace(base, factors=None)
     with pytest.raises(RouteUnavailable):
         local_floer(opaque, record_of(opaque))
+
+
+def test_degenerate_germ_off_the_plane_without_factors_is_refused(monkeypatch):
+    base = direct_sum_germ(quartic(-1), quartic(-1))
+    opaque = dataclasses.replace(base, factors=None)
+    rec = record_of(opaque)
+    sizes = flow_sizes(monkeypatch)
+    with pytest.raises(RouteUnavailable, match="plane germs only"):
+        local_floer(opaque, rec)
+    assert sizes == []
 
 
 def test_nondegenerate_route_refused_on_unipotent_monodromy():
@@ -156,6 +173,14 @@ def test_rotation_shift_sequence():
     shifts = [row.s_k for row in report.rows]
     assert shifts == [0, 0, 0, 2, 2, 2]
     assert all(report.checks.values())
+
+
+def test_persistence_grows_one_iterate_tower(monkeypatch):
+    germ = quartic(-1)
+    rec = record_of(germ)
+    sizes = flow_sizes(monkeypatch)
+    verify_persistence(germ, rec, [1, 2, 3])
+    assert sizes == [97**2] * 3
 
 
 def test_degenerate_maximum_shifts_vanish():
@@ -223,18 +248,27 @@ def test_degenerate_maximum_is_detected():
     assert result["evidence"]["crosscheck"]["consistent"]
 
 
+def test_crosscheck_adds_one_padded_grid_flow(monkeypatch):
+    germ = quartic(-1)
+    rec = record_of(germ)
+    sizes = flow_sizes(monkeypatch)
+    result = detect_sdm(germ, rec)
+    assert result["evidence"]["crosscheck"]["k"] == 2
+    assert sizes == [97**2, 97**2]
+
+
 def _crosscheck_raising(monkeypatch, exc):
-    """Make local_floer raise exc at the cross-check order k = 2 only."""
+    """Make the iterate sweep raise exc at the cross-check order k = 2 only."""
     import localfloer.invariants as inv
 
-    original = inv.local_floer
+    original = inv._IterateSweep.at
 
-    def patched(germ, record, k=1, **kwargs):
+    def patched(self, k):
         if k == 2:
             raise exc
-        return original(germ, record, k, **kwargs)
+        return original(self, k)
 
-    monkeypatch.setattr(inv, "local_floer", patched)
+    monkeypatch.setattr(inv._IterateSweep, "at", patched)
 
 
 def test_crosscheck_programming_error_propagates(monkeypatch):
@@ -276,6 +310,20 @@ def test_total_rank_constant_for_degenerate_maximum():
     germ = quartic(-1)
     totals = total_ranks(germ, record_of(germ), range(1, 4))
     assert totals == {1: 1, 2: 1, 3: 1}
+
+
+def test_total_ranks_builds_each_factor_record_once(monkeypatch):
+    import localfloer.invariants as inv
+
+    germ = direct_sum_germ(linear_rotation(0.3183), quartic(-1))
+    rec = record_of(germ)
+    built = []
+    original = inv.fixed_point_record
+    monkeypatch.setattr(
+        inv, "fixed_point_record", lambda g, p: built.append(g.name) or original(g, p)
+    )
+    assert total_ranks(germ, rec, [1, 2], gf_radius=0.06) == {1: 1, 2: 1}
+    assert built == [g.name for g in germ.factors]
 
 
 def test_total_ranks_skips_resonant_orders():
