@@ -30,7 +30,7 @@ from .errors import (
     NotStabilized,
     WindingUnresolved,
 )
-from .fields import Box, SampledField
+from .fields import SHELL, Box, SampledField, grid_gradient
 
 __all__ = [
     "GradedRanks",
@@ -41,6 +41,10 @@ __all__ = [
     "MorseReport",
     "gradient_degree",
 ]
+
+# gradient_degree: first and largest sample count on the probe circle
+DEGREE_SAMPLES = 512
+DEGREE_MAX_SAMPLES = 1 << 16
 
 
 # ------------------------------------------------------------- graded ranks
@@ -316,10 +320,7 @@ def _sample(
     values = np.asarray(fn(nodes), dtype=float).reshape(shape)
     if grad is not None:
         return values, np.asarray(grad(nodes), dtype=float).reshape(shape + (box.m,))
-    grads = np.gradient(values, box.spacing(resolution), edge_order=2)
-    if box.m == 1:
-        grads = [grads]
-    return values, np.stack(grads, axis=-1)
+    return values, grid_gradient(values, box)
 
 
 def sublevel_pair(
@@ -403,7 +404,6 @@ def local_morse_homology(
     resolutions: Sequence[int] = (17, 25, 33),
     delta: Optional[float] = None,
     grad: Optional[Callable] = None,
-    shell: Tuple[float, float] = (0.25, 1.0),
     exclude_fraction: float = 0.5,
     return_report: bool = False,
 ):
@@ -412,7 +412,7 @@ def local_morse_homology(
     Computes sublevel-pair homology at each resolution and requires the
     graded ranks to agree across the two finest (NotStabilized otherwise).
     The critical point must be isolated: the gradient may not vanish on the
-    shell annulus (NotIsolated).
+    SHELL annulus (NotIsolated).
 
     The default delta at each resolution is h times the median gradient
     norm over the box: wide enough that the gap between the sub-c and
@@ -432,7 +432,7 @@ def local_morse_homology(
     radii = np.max(np.abs(box.nodes(fine) - np.asarray(box.center)), axis=1).reshape(
         values_fine.shape
     )
-    shell_mask = (radii >= shell[0] * box.radius) & (radii <= shell[1] * box.radius)
+    shell_mask = (radii >= SHELL[0] * box.radius) & (radii <= SHELL[1] * box.radius)
     gnorm_shell = np.linalg.norm(g_fine[shell_mask], axis=-1)
     scale = max(float(np.max(np.linalg.norm(g_fine, axis=-1))), 1e-300)
     if float(np.min(gnorm_shell)) <= 1e-9 * scale:
@@ -469,14 +469,9 @@ def local_morse_homology(
 # ------------------------------------------------------------ degree oracle
 
 
-def gradient_degree(
-    grad: Callable[[np.ndarray], np.ndarray],
-    radius: float,
-    samples: int = 512,
-    max_samples: int = 1 << 16,
-) -> int:
+def gradient_degree(grad: Callable[[np.ndarray], np.ndarray], radius: float) -> int:
     """Brouwer degree of a plane vector field at 0 via boundary winding."""
-    n = samples
+    n = DEGREE_SAMPLES
     while True:
         t = np.linspace(0.0, 2.0 * np.pi, n + 1)
         pts = radius * np.stack([np.cos(t), np.sin(t)], axis=1)
@@ -493,5 +488,5 @@ def gradient_degree(
                 raise WindingUnresolved(f"winding {total / (2*np.pi)} not near an integer")
             return int(deg)
         n *= 2
-        if n > max_samples:
+        if n > DEGREE_MAX_SAMPLES:
             raise WindingUnresolved("boundary winding did not resolve")

@@ -12,7 +12,10 @@ from typing import Callable, List
 
 import numpy as np
 
-__all__ = ["Box", "SampledField"]
+__all__ = ["Box", "SampledField", "grid_gradient"]
+
+# annulus, in fractions of a box radius, where an isolated center has no critical point
+SHELL = (0.25, 1.0)
 
 
 @dataclass(frozen=True)
@@ -79,3 +82,11 @@ class SampledField:
             fill_value=None,
         )
         return lambda pts: np.asarray(rgi(np.atleast_2d(pts)), dtype=float)
+
+
+def grid_gradient(values: np.ndarray, box: Box) -> np.ndarray:
+    """Central-difference gradient of box grid node samples, shape (res,) * m + (m,)."""
+    grads = np.gradient(values, box.spacing(values.shape[0]), edge_order=2)
+    if box.m == 1:
+        grads = [grads]
+    return np.stack(grads, axis=-1)

@@ -30,8 +30,8 @@ from .errors import (
     NotC1Small,
     NotInvertibleOnBox,
 )
-from .fields import Box, SampledField
-from .germs import HamiltonianGerm, flow_jacobians
+from .fields import SHELL, Box, SampledField, grid_gradient
+from .germs import NEWTON_MAX_ITER, HamiltonianGerm, flow_jacobians
 from .symplectic import validate_symplectic
 
 __all__ = [
@@ -47,11 +47,21 @@ __all__ = [
     "homotopy_isolation_scan",
     "conjugated_map",
     "scaling_conjugation",
-    "grid_gradient",
     "reconstruction_residual",
 ]
 
 FIX_TOL = 1e-8
+# PsiMap.invert stops at this max-norm residual
+INVERT_TOL = 1e-12
+# psi probes the xx Jacobian block on this many nodes per axis
+PROBE_RES = 33
+# generating_function: least |det| of the xx Jacobian block on the box
+DET_MIN = 0.2
+# gf_property_report: shrinking boxes, and their grid resolution
+SHRINK_STEPS = 4
+SHRINK_RESOLUTION = 33
+SCAN_T_SAMPLES = 11
+SCAN_MARGIN = 3.0
 
 
 def _opnorms(mats: np.ndarray) -> np.ndarray:
@@ -257,21 +267,21 @@ class PsiMap:
         out[:, : self.n, :] = d[:, : self.n, :]
         return out
 
-    def invert(self, w: np.ndarray, tol: float = 1e-12, max_iter: int = 40) -> np.ndarray:
+    def invert(self, w: np.ndarray) -> np.ndarray:
         """Solve psi(z) = w per row by Newton, seeded at z = w."""
         w = np.atleast_2d(np.asarray(w, dtype=float))
         z = w.copy()
-        for _ in range(max_iter):
+        for _ in range(NEWTON_MAX_ITER):
             res = self(z) - w
             err = float(np.max(np.abs(res)))
-            if err <= tol:
+            if err <= INVERT_TOL:
                 return z
             j = self.jac(z)
             z = z - np.linalg.solve(j, res[..., None])[..., 0]
         raise NewtonDivergence(f"psi inversion stalled at residual {err:.3e}")
 
 
-def psi(phi: GermMap, k: int = 1, probe_box: Optional[Box] = None, probe_res: int = 33) -> PsiMap:
+def psi(phi: GermMap, k: int = 1, probe_box: Optional[Box] = None) -> PsiMap:
     """The vertical-complement projection of phi^k, with an invertibility radius.
 
     D psi is block triangular with identity y block, so injectivity reduces
@@ -289,7 +299,7 @@ def psi(phi: GermMap, k: int = 1, probe_box: Optional[Box] = None, probe_res: in
     radius = None
     for frac in (1.0, 0.75, 0.5, 0.25, 0.1):
         r = probe_box.radius * frac
-        nodes = Box(center=probe_box.center, radius=r).nodes(probe_res)
+        nodes = Box(center=probe_box.center, radius=r).nodes(PROBE_RES)
         xx = phi_k.jac(nodes)[:, :n, :n]
         dev = float(np.max(_opnorms(xx - np.eye(n))))
         if dev < 0.9:
@@ -394,7 +404,6 @@ def generating_function(
     box: Box,
     resolution: int,
     c1_gate: float = 0.2,
-    det_min: float = 0.2,
     closedness_tol: float = 1e-6,
 ) -> GeneratingFunction:
     """Assemble F_k on the box at the given odd resolution.
@@ -418,7 +427,7 @@ def generating_function(
     if c1 > c1_gate:
         raise NotC1Small(f"||Dphi^k - id|| = {c1:.3f} exceeds gate {c1_gate}")
     dets = np.linalg.det(jacs[:, :n, :n])
-    if float(np.min(np.abs(dets))) < det_min:
+    if float(np.min(np.abs(dets))) < DET_MIN:
         raise NotInvertibleOnBox(
             f"xx Jacobian block determinant reaches {float(np.min(np.abs(dets))):.3e}"
         )
@@ -449,15 +458,6 @@ def generating_function(
 # ------------------------------------------------------------ derived checks
 
 
-def grid_gradient(field: SampledField) -> np.ndarray:
-    """Central-difference gradient, shape (res,) * m + (m,)."""
-    h = field.box.spacing(field.resolution)
-    grads = np.gradient(field.values, h, edge_order=2)
-    if field.box.m == 1:
-        grads = [grads]
-    return np.stack(grads, axis=-1)
-
-
 def reconstruction_residual(phi: GermMap, k: int, gf: GeneratingFunction, probe: np.ndarray) -> float:
     """Max norm of (phi^k - id) - X_F o psi_k at probe points, F from the grid."""
     from scipy.interpolate import RegularGridInterpolator
@@ -465,7 +465,7 @@ def reconstruction_residual(phi: GermMap, k: int, gf: GeneratingFunction, probe:
     phi_k = phi.iterate(k)
     pm = PsiMap(phi_k, 0.0)
     n = phi.n
-    g = grid_gradient(gf.field)
+    g = grid_gradient(gf.field.values, gf.field.box)
     axes = tuple(gf.field.box.axes(gf.field.resolution))
     interps = [
         RegularGridInterpolator(axes, g[..., i], method="linear", bounds_error=False, fill_value=None)
@@ -514,17 +514,12 @@ def _hausdorff(a: np.ndarray, b: np.ndarray) -> float:
     return float(max(d.min(axis=1).max(), d.min(axis=0).max()))
 
 
-def gf_property_report(
-    phi: GermMap,
-    gf: GeneratingFunction,
-    shrink_steps: int = 4,
-    field_resolution: int = 33,
-) -> dict:
+def gf_property_report(phi: GermMap, gf: GeneratingFunction) -> dict:
     """Critical set of F against fixed set of phi^k, plus the C2/C1 ratio
     along shrinking boxes.  Violations are flagged, not raised."""
     box = gf.field.box
     res = gf.field.resolution
-    g = grid_gradient(gf.field)
+    g = grid_gradient(gf.field.values, box)
     crit_mask = None
     for i in range(g.shape[-1]):
         mask = _sign_change_cells(g[..., i])
@@ -544,7 +539,7 @@ def gf_property_report(
     haus = _hausdorff(crit_pts, fixed_pts)
 
     ratios = []
-    for j in range(shrink_steps):
+    for j in range(SHRINK_STEPS):
         b = Box(center=box.center, radius=box.radius / 2.0**j)
         try:
             # shrinking cannot raise the C1 norm of a nonlinear germ, but a
@@ -554,23 +549,20 @@ def gf_property_report(
                 phi,
                 gf.order,
                 b,
-                field_resolution,
+                SHRINK_RESOLUTION,
                 c1_gate=max(1.0, 1.05 * gf.c1_norm),
                 closedness_tol=np.inf,
             )
         except NotInvertibleOnBox:
             break
-        gg = grid_gradient(sub.field)
-        hh = np.stack(
-            [grid_gradient(SampledField(b, gg[..., i])) for i in range(gg.shape[-1])],
-            axis=-1,
-        )
+        gg = grid_gradient(sub.field.values, b)
+        hh = np.stack([grid_gradient(gg[..., i], b) for i in range(gg.shape[-1])], axis=-1)
         c2 = max(
             float(np.max(np.abs(sub.field.values))),
             float(np.max(np.linalg.norm(gg, axis=-1))),
             float(np.max(np.abs(hh))),
         )
-        sub_nodes = b.nodes(field_resolution)
+        sub_nodes = b.nodes(SHRINK_RESOLUTION)
         img, jacs = phi_k.value_and_jac(sub_nodes)
         d1 = float(np.max(np.linalg.norm(img - sub_nodes, axis=1)))
         d1 = max(d1, float(np.max(_opnorms(jacs - np.eye(2 * phi.n)))))
@@ -615,40 +607,33 @@ def _third_difference_scale(field: SampledField) -> float:
     return worst
 
 
-def homotopy_isolation_scan(
-    f: SampledField,
-    f_k: SampledField,
-    k: int,
-    t_samples: int = 11,
-    shell: Tuple[float, float] = (0.25, 1.0),
-    margin_factor: float = 3.0,
-) -> ScanReport:
+def homotopy_isolation_scan(f: SampledField, f_k: SampledField, k: int) -> ScanReport:
     """Uniform isolation of the critical point along G_t = t F_k + (1 - t) k F.
 
-    Scans the annulus shell (fractions of the box radius) for zeros of
-    grad G_t; passes iff the minimal gradient norm exceeds margin_factor
+    Scans the annulus SHELL (fractions of the box radius) for zeros of
+    grad G_t; passes iff the minimal gradient norm exceeds SCAN_MARGIN
     times the central-difference truncation error h^2 max|f'''| / 6."""
     if f.box != f_k.box or f.resolution != f_k.resolution:
         raise ValueError("fields must share box and resolution")
     res = f.resolution
     nodes = f.box.nodes(res)
     radii = np.max(np.abs(nodes - np.asarray(f.box.center)), axis=1)
-    inner, outer = shell[0] * f.box.radius, shell[1] * f.box.radius
+    inner, outer = SHELL[0] * f.box.radius, SHELL[1] * f.box.radius
     mask = ((radii >= inner) & (radii <= outer)).reshape((res,) * f.box.m)
     if not np.any(mask):
         raise ValueError("empty shell")
-    g1 = grid_gradient(f)
-    g2 = grid_gradient(f_k)
+    g1 = grid_gradient(f.values, f.box)
+    g2 = grid_gradient(f_k.values, f_k.box)
     h = f.box.spacing(res)
     best = np.inf
-    for t in np.linspace(0.0, 1.0, t_samples):
+    for t in np.linspace(0.0, 1.0, SCAN_T_SAMPLES):
         g = t * g2 + (1.0 - t) * k * g1
         norms = np.linalg.norm(g[mask], axis=-1)
         best = min(best, float(np.min(norms)))
     d3 = max(_third_difference_scale(f_k), k * _third_difference_scale(f))
     err = h**2 * d3 / 6.0 + 1e-300
     margin = best / err
-    passed = bool(margin > margin_factor)
+    passed = bool(margin > SCAN_MARGIN)
     note = "" if passed else "gradient of the homotopy nearly vanishes on the shell"
     return ScanReport(passed=passed, min_grad_norm=best, margin=margin, note=note)
 

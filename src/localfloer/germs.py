@@ -26,6 +26,7 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from .errors import NonIsolated, NotAdmissible, NotClosed, StepFailure
+from .fields import Box
 from .paths import SymplecticPath, index_report
 from .symplectic import SymplecticMatrix, admissible, vectorfield_j
 
@@ -47,6 +48,10 @@ __all__ = [
 
 RTOL = 1e-11
 ATOL = 1e-13
+# a closed orbit may miss its start by this much after one period
+CLOSURE_TOL = 1e-6
+# step cap of the Newton searches for fixed and periodic points and of PsiMap.invert
+NEWTON_MAX_ITER = 40
 
 
 @dataclass
@@ -238,7 +243,7 @@ def concatenate(first: HamiltonianGerm, second: HamiltonianGerm) -> HamiltonianG
     )
 
 
-def orbit_action(germ: HamiltonianGerm, point: np.ndarray, closure_tol: float = 1e-6) -> float:
+def orbit_action(germ: HamiltonianGerm, point: np.ndarray) -> float:
     """Action of the closed orbit through a fixed point of the time-1 map."""
     dim = 2 * germ.n
     jvf = vectorfield_j(germ.n)
@@ -256,7 +261,7 @@ def orbit_action(germ: HamiltonianGerm, point: np.ndarray, closure_tol: float = 
     sol = _solve(rhs, y0)
     final = sol.y[:, -1]
     drift = float(np.linalg.norm(final[:dim] - z0))
-    if drift > closure_tol:
+    if drift > CLOSURE_TOL:
         raise NotClosed(f"orbit endpoint differs from start by {drift:.3e}")
     return float(final[dim])
 
@@ -347,7 +352,6 @@ def find_fixed_points(
     radius: float,
     seeds_per_axis: int = 9,
     newton_tol: float = 1e-11,
-    max_iter: int = 40,
 ) -> List[FixedPointRecord]:
     """Newton search for fixed points of the time-1 map inside a box.
 
@@ -358,11 +362,9 @@ def find_fixed_points(
     more points than half the seed count, which signals a positive-dimensional
     fixed set.
     """
-    dim = 2 * germ.n
-    axes = [np.linspace(-radius, radius, seeds_per_axis)] * dim
-    grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, dim)
+    grid = Box(center=(0.0,) * (2 * germ.n), radius=radius).nodes(seeds_per_axis)
     z, rnorm = _newton_search(
-        lambda pts: flow_jacobians(germ, pts), grid, newton_tol, max_iter, 3.0 * radius
+        lambda pts: flow_jacobians(germ, pts), grid, newton_tol, NEWTON_MAX_ITER, 3.0 * radius
     )
     converged = z[(rnorm <= newton_tol) & (np.linalg.norm(z, axis=1) <= 1.5 * radius)]
 

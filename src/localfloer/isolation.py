@@ -18,7 +18,7 @@ import numpy as np
 from .errors import LinearizationNotIdentity, NewtonDivergence
 from .fields import Box
 from .genfun import GermMap, _opnorms
-from .germs import _newton_search
+from .germs import NEWTON_MAX_ITER, _newton_search
 from .symplectic import admissible, validate_symplectic
 
 __all__ = [
@@ -31,6 +31,13 @@ __all__ = [
     "contraction_check",
     "splitting_ratio_report",
 ]
+
+# contraction_check: grid resolution of the C1 norm, largest |dphi(0) - id|
+CONTRACTION_RESOLUTION = 33
+ID_TOL = 1e-8
+# splitting_ratio_report: sample points in W, largest |lambda - 1| in W
+SPLIT_SAMPLES = 8
+ONE_TOL = 1e-6
 
 
 # ----------------------------------------------------------- discrete norms
@@ -146,7 +153,6 @@ def periodic_point_search(
     radii: Sequence[float],
     seeds_per_axis: int = 17,
     newton_tol: float = 1e-11,
-    max_iter: int = 40,
 ) -> SearchReport:
     """Newton-from-grid search for fixed points of phi^k in shrinking balls.
 
@@ -167,8 +173,7 @@ def periodic_point_search(
     adm = admissible(lin, k)
     phi_k = phi.iterate(k)
 
-    axes = [np.linspace(-1.0, 1.0, seeds_per_axis)] * d
-    grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d)
+    grid = Box(center=(0.0,) * d, radius=1.0).nodes(seeds_per_axis)
     grid = grid[np.linalg.norm(grid, axis=1) <= 1.0 + 1e-12]
 
     dedup_tol = max(10.0 * newton_tol, 1e-9)
@@ -176,7 +181,7 @@ def periodic_point_search(
     witnesses: List[dict] = []
     for radius in radii:
         z, rnorm = _newton_search(
-            phi_k.value_and_jac, radius * grid, newton_tol, max_iter, 3.0 * radii[0]
+            phi_k.value_and_jac, radius * grid, newton_tol, NEWTON_MAX_ITER, 3.0 * radii[0]
         )
         ok = rnorm <= 10.0 * newton_tol
         inside = np.linalg.norm(z, axis=1) <= radius * (1.0 + 1e-9)
@@ -244,14 +249,7 @@ def periodic_point_search(
 # --------------------------------------------------------- contraction test
 
 
-def contraction_check(
-    phi: GermMap,
-    k: int,
-    box: Box,
-    resolution: int = 33,
-    id_tol: float = 1e-8,
-    return_details: bool = False,
-):
+def contraction_check(phi: GermMap, k: int, box: Box, return_details: bool = False):
     """Certificate that every k-periodic orbit in the box is a fixed point.
 
     Requires dphi(0) = id; measures the C1 norm of phi - id on the box grid
@@ -260,11 +258,11 @@ def contraction_check(
     d = 2 * phi.n
     lin = phi.jac(np.zeros((1, d)))[0]
     defect = float(np.max(np.abs(lin - np.eye(d))))
-    if defect > id_tol:
+    if defect > ID_TOL:
         raise LinearizationNotIdentity(
             f"dphi(0) differs from the identity by {defect:.3e}"
         )
-    nodes = box.nodes(resolution)
+    nodes = box.nodes(CONTRACTION_RESOLUTION)
     inside = np.linalg.norm(nodes - np.asarray(box.center), axis=1) <= box.radius + 1e-12
     nodes = nodes[inside]
     img, jacs = phi.value_and_jac(nodes)
@@ -291,8 +289,6 @@ def splitting_ratio_report(
     phi: GermMap,
     k: int = 1,
     radius: float = 0.05,
-    samples: int = 8,
-    one_tol: float = 1e-6,
     newton_tol: float = 1e-11,
 ) -> dict:
     """Empirical Lipschitz ratio of the nondegenerate-direction graph.
@@ -307,7 +303,7 @@ def splitting_ratio_report(
     d = 2 * phi.n
     lin = phi.jac(np.zeros((1, d)))[0]
     vals, vecs = np.linalg.eig(lin)
-    w_cols = np.abs(vals - 1.0) <= one_tol
+    w_cols = np.abs(vals - 1.0) <= ONE_TOL
     basis = []
     for col, is_w in sorted(
         zip(vecs.T, w_cols), key=lambda t: not t[1]
@@ -335,9 +331,9 @@ def splitting_ratio_report(
     vb = np.array(basis[w_dim:])
     phi_k = phi.iterate(k)
 
-    t = np.linspace(0.0, 2.0 * np.pi, samples, endpoint=False)
+    t = np.linspace(0.0, 2.0 * np.pi, SPLIT_SAMPLES, endpoint=False)
     if w_dim == 1:
-        coeffs = np.linspace(-1.0, 1.0, samples)[:, None]
+        coeffs = np.linspace(-1.0, 1.0, SPLIT_SAMPLES)[:, None]
     else:
         coeffs = np.stack([np.cos(t), np.sin(t)], axis=1)[:, :w_dim]
     ws = radius * coeffs @ wb

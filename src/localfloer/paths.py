@@ -58,6 +58,10 @@ __all__ = [
 CIRCLE_TOL = 1e-6
 REAL_TOL = 1e-8
 KREIN_REL_TOL = 1e-7
+AGREE_TOL = 1e-10
+DEGENERACY_TOL = 1e-8
+LOOP_TOL = 1e-6
+ENDPOINT_TOL = 1e-7
 
 
 def _krein_form(n: int) -> np.ndarray:
@@ -65,7 +69,7 @@ def _krein_form(n: int) -> np.ndarray:
     return -0.5j * standard_j(n)
 
 
-def _elliptic_data(mat: np.ndarray, circ_tol: float, strict: bool):
+def _elliptic_data(mat: np.ndarray, strict: bool):
     """Eigenvalue classification shared by rho and the endpoint correction.
 
     Returns (sign_exponent, pairs) where pairs is a list of (theta, p, q)
@@ -75,7 +79,7 @@ def _elliptic_data(mat: np.ndarray, circ_tol: float, strict: bool):
     dim = mat.shape[0]
     n = dim // 2
     vals, vecs = np.linalg.eig(mat)
-    at_minus_one = np.abs(vals + 1.0) <= circ_tol
+    at_minus_one = np.abs(vals + 1.0) <= CIRCLE_TOL
     sign_exp = int(np.sum(at_minus_one)) // 2
     is_real = np.abs(vals.imag) <= REAL_TOL * (1.0 + np.abs(vals))
     for lam in vals[is_real & ~at_minus_one].real:
@@ -85,7 +89,7 @@ def _elliptic_data(mat: np.ndarray, circ_tol: float, strict: bool):
     cand = np.where(
         (~is_real)
         & (vals.imag > 0)
-        & (np.abs(np.abs(vals) - 1.0) <= circ_tol)
+        & (np.abs(np.abs(vals) - 1.0) <= CIRCLE_TOL)
         & (~at_minus_one)
     )[0]
     k_herm = _krein_form(n)
@@ -97,7 +101,7 @@ def _elliptic_data(mat: np.ndarray, circ_tol: float, strict: bool):
         group = [
             j
             for j in cand
-            if j not in used and abs(vals[j] - vals[i]) <= max(circ_tol, 1e-9)
+            if j not in used and abs(vals[j] - vals[i]) <= max(CIRCLE_TOL, 1e-9)
         ]
         used.update(group)
         v = vecs[:, group]
@@ -117,9 +121,9 @@ def _elliptic_data(mat: np.ndarray, circ_tol: float, strict: bool):
     return sign_exp, pairs
 
 
-def rho(mat: np.ndarray, circ_tol: float = CIRCLE_TOL) -> complex:
+def rho(mat: np.ndarray) -> complex:
     """Spectral circle map on Sp(2n); continuous, det_C on U(n), +-1 off circle."""
-    sign_exp, pairs = _elliptic_data(np.asarray(mat, dtype=float), circ_tol, strict=False)
+    sign_exp, pairs = _elliptic_data(np.asarray(mat, dtype=float), strict=False)
     phase = sum(theta * (p - q) for theta, p, q in pairs)
     return complex((-1.0) ** (sign_exp % 2) * np.exp(1j * phase))
 
@@ -141,19 +145,19 @@ class SymplecticPath:
     def __call__(self, t: float) -> np.ndarray:
         return np.asarray(self._evaluate(float(t)), dtype=float)
 
-    def rho(self, t: float, circ_tol: float = CIRCLE_TOL) -> complex:
-        key = (float(t), circ_tol)
+    def rho(self, t: float) -> complex:
+        key = float(t)
         out = self._rho_cache.get(key)
         if out is None:
-            out = rho(self(t), circ_tol=circ_tol)
+            out = rho(self(t))
             self._rho_cache[key] = out
         return out
 
     def start(self) -> np.ndarray:
         return self(0.0)
 
-    def endpoint(self, tol: float = 1e-7) -> SymplecticMatrix:
-        return validate_symplectic(self(self.span), tol=tol)
+    def endpoint(self) -> SymplecticMatrix:
+        return validate_symplectic(self(self.span), tol=ENDPOINT_TOL)
 
     def iterated(self, k: int) -> "SymplecticPath":
         """Path of the k-th iterate: on [j, j+1] it is t -> Psi(t - j) E^j.
@@ -213,13 +217,7 @@ def exponential_path(generator: np.ndarray, span: float = 1.0) -> SymplecticPath
     return SymplecticPath(n, span, lambda t: scipy.linalg.expm(t * gen))
 
 
-def winding(
-    path: SymplecticPath,
-    agree_tol: float = 1e-10,
-    start_samples: int = 64,
-    max_samples: int = 1 << 20,
-    circ_tol: float = CIRCLE_TOL,
-) -> float:
+def winding(path: SymplecticPath, start_samples: int = 64, max_samples: int = 1 << 20) -> float:
     """Total winding (radians) of rho along the path.
 
     Local bisection with principal-branch increments.  The span starts as
@@ -228,7 +226,7 @@ def winding(
     which can repeat, so a wider first interval can hide whole turns.
     Every open interval is bisected once per round.  An interval is settled
     when both halves turn by less than pi / 2 and their increments add up
-    to its own within agree_tol; only the halves of unsettled intervals are
+    to its own within AGREE_TOL; only the halves of unsettled intervals are
     bisected again, so samples gather where rho turns.  The settle test does
     not rule out aliasing: if rho turns by close to a whole number of turns
     over a first-round interval, both halves can look settled and the turns
@@ -238,7 +236,7 @@ def winding(
     all, or when an interval can no longer be split in floating point.
     """
     ts = np.linspace(0.0, path.span, max(int(start_samples), int(np.ceil(path.span))) + 1)
-    vals = np.array([path.rho(t, circ_tol) for t in ts])
+    vals = np.array([path.rho(t) for t in ts])
     samples = len(ts)
     # open intervals [a, b] with rho at both ends
     a, b, va, vb = ts[:-1], ts[1:], vals[:-1], vals[1:]
@@ -256,14 +254,14 @@ def winding(
                 f"rho does not settle at t = {a[stuck][0]} "
                 f"(interval below float resolution, {samples} samples)"
             )
-        vm = np.array([path.rho(t, circ_tol) for t in m])
+        vm = np.array([path.rho(t) for t in m])
         samples += len(m)
         left = np.angle(vm / va)
         right = np.angle(vb / vm)
         settled = (
             (np.abs(left) < 0.5 * np.pi)
             & (np.abs(right) < 0.5 * np.pi)
-            & (np.abs(left + right - np.angle(vb / va)) <= agree_tol)
+            & (np.abs(left + right - np.angle(vb / va)) <= AGREE_TOL)
         )
         done_t += [a[settled], m[settled]]
         done_incr += [left[settled], right[settled]]
@@ -279,21 +277,21 @@ def mean_index(path: SymplecticPath, **kwargs) -> float:
     return winding(path, **kwargs) / np.pi
 
 
-def _endpoint_correction(mat: np.ndarray, degeneracy_tol: float = 1e-8) -> float:
+def _endpoint_correction(mat: np.ndarray) -> float:
     """Sum of p (pi - theta) + q (theta - pi) over elliptic pairs of the endpoint."""
     vals = np.linalg.eigvals(mat)
     gap = float(np.min(np.abs(vals - 1.0)))
-    if gap <= degeneracy_tol:
+    if gap <= DEGENERACY_TOL:
         raise DegenerateEndpoint(
             f"eigenvalue at distance {gap:.3e} from 1; integer index undefined"
         )
-    _, pairs = _elliptic_data(mat, CIRCLE_TOL, strict=True)
+    _, pairs = _elliptic_data(mat, strict=True)
     return sum(p * (np.pi - theta) + q * (theta - np.pi) for theta, p, q in pairs)
 
 
-def _integer_index(w: float, endpoint: np.ndarray, degeneracy_tol: float) -> int:
+def _integer_index(w: float, endpoint: np.ndarray) -> int:
     """Winding plus endpoint correction, divided by pi, as an integer."""
-    raw = (w + _endpoint_correction(endpoint, degeneracy_tol=degeneracy_tol)) / np.pi
+    raw = (w + _endpoint_correction(endpoint)) / np.pi
     nearest = round(raw)
     if abs(raw - nearest) > 0.1:
         raise WindingUnresolved(
@@ -302,25 +300,21 @@ def _integer_index(w: float, endpoint: np.ndarray, degeneracy_tol: float) -> int
     return int(nearest)
 
 
-def conley_zehnder(
-    path: SymplecticPath,
-    degeneracy_tol: float = 1e-8,
-    **winding_kwargs,
-) -> int:
+def conley_zehnder(path: SymplecticPath, **winding_kwargs) -> int:
     """Integer index of a path from the identity with nondegenerate endpoint.
 
     winding plus endpoint correction, divided by pi; raises
-    DegenerateEndpoint when the endpoint has spectrum within degeneracy_tol
+    DegenerateEndpoint when the endpoint has spectrum within DEGENERACY_TOL
     of 1, and WindingUnresolved when the result is not close to an integer.
     """
     w = winding(path, **winding_kwargs)
-    return _integer_index(w, path(path.span), degeneracy_tol)
+    return _integer_index(w, path(path.span))
 
 
-def maslov_loop(path: SymplecticPath, loop_tol: float = 1e-6, **winding_kwargs) -> int:
+def maslov_loop(path: SymplecticPath, **winding_kwargs) -> int:
     """Winding number of a loop at the identity: winding / (2 pi)."""
     defect = float(np.max(np.abs(path(path.span) - path(0.0))))
-    if defect > loop_tol:
+    if defect > LOOP_TOL:
         raise NotALoop(f"endpoint differs from start by {defect:.3e}")
     w = winding(path, **winding_kwargs)
     raw = w / (2.0 * np.pi)
@@ -356,7 +350,7 @@ def index_report(path: SymplecticPath, **winding_kwargs) -> IndexReport:
     cz: Optional[int] = None
     degenerate = False
     try:
-        cz = _integer_index(w, path(path.span), degeneracy_tol=1e-8)
+        cz = _integer_index(w, path(path.span))
     except DegenerateEndpoint as exc:
         degenerate = True
         notes.append(str(exc))

@@ -1,8 +1,9 @@
 """Scenario files: parsing, task execution, report emission.
 
 A scenario is a JSON object with a versioned schema.  Unknown keys are
-rejected at every level so that files stay reproducible as the tool
-evolves.  Example:
+rejected at every level, and task settings are checked for type and range
+as the file is read, so that files stay reproducible as the tool evolves.
+Example:
 
     {
       "schema": 1,
@@ -85,13 +86,58 @@ FORMULAS: Dict[str, Callable[..., HamiltonianGerm]] = {
 _TOP_KEYS = {"schema", "name", "germ", "tasks", "k_range", "tolerances", "seed", "out"}
 _GERM_KEYS = {"formula", "parameters", "box"}
 _TOL_KEYS = {"sdm_delta_tol", "newton_tol"}
-_TASK_KEYS: Dict[str, set] = {
-    "spectrum": set(),
-    "persistence": {"gf_radius", "gf_resolution", "c1_gate", "exclude_fraction"},
-    "sdm": {"crosscheck", "gf_radius", "gf_resolution", "c1_gate"},
-    "isolation": {"radii", "seeds_per_axis", "newton_tol"},
-    "gaps": {"radius", "seeds_per_axis"},
-    "morse": {"field", "resolutions", "radius", "exclude_fraction"},
+_FLOAT_MAX = float(np.finfo(float).max)
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_num(v) -> bool:
+    # also false for nan, inf and integers too large for a float
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and abs(v) <= _FLOAT_MAX
+
+
+def _is_positive(v) -> bool:
+    return _is_num(v) and v > 0
+
+
+# (test, what a value must be) per task setting; README.md tabulates them
+_POSITIVE = (_is_positive, "a positive number")
+_FRACTION = (lambda v: _is_num(v) and 0 <= v < 1, "a number in [0, 1)")
+_SEEDS = (lambda v: _is_int(v) and v >= 2, "an integer >= 2")
+_GF = {
+    "gf_radius": _POSITIVE,
+    "gf_resolution": (lambda v: _is_int(v) and v >= 3 and v % 2 == 1, "an odd integer >= 3"),
+    "c1_gate": _POSITIVE,
+}
+_TASK_KEYS: Dict[str, Dict[str, tuple]] = {
+    "spectrum": {},
+    "persistence": {**_GF, "exclude_fraction": _FRACTION},
+    "sdm": {"crosscheck": (lambda v: isinstance(v, bool), "true or false"), **_GF},
+    "isolation": {
+        "radii": (
+            lambda v: isinstance(v, list) and v and all(map(_is_positive, v)),
+            "a list of positive numbers",
+        ),
+        "seeds_per_axis": _SEEDS,
+        "newton_tol": _POSITIVE,
+    },
+    "gaps": {"radius": _POSITIVE, "seeds_per_axis": _SEEDS},
+    "morse": {
+        "field": (
+            lambda v: isinstance(v, str) and v in FIELDS,
+            f"one of {', '.join(sorted(FIELDS))}",
+        ),
+        "resolutions": (
+            lambda v: isinstance(v, list)
+            and all(_is_int(r) and r >= 3 for r in v)
+            and len(set(v)) == len(v) >= 2,
+            "a list of at least two distinct integers >= 3",
+        ),
+        "radius": _POSITIVE,
+        "exclude_fraction": _FRACTION,
+    },
 }
 
 
@@ -125,14 +171,6 @@ def _require(cond: bool, msg: str):
         raise ScenarioError(msg)
 
 
-def _is_int(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
-
-
-def _is_num(v) -> bool:
-    return (isinstance(v, (int, float)) and not isinstance(v, bool)) and np.isfinite(v)
-
-
 def resolve_germ(spec: dict) -> Tuple[HamiltonianGerm, float, str]:
     """Build the germ named by a scenario germ block; returns (germ, box, id)."""
     _require(isinstance(spec, dict), "germ block must be an object")
@@ -158,7 +196,7 @@ def resolve_germ(spec: dict) -> Tuple[HamiltonianGerm, float, str]:
         raise UnknownFormula(f"no germ formula named {formula!r}")
 
     box = spec.get("box", default_box)
-    _require(_is_num(box) and box > 0, "germ.box must be a positive number")
+    _require(_is_positive(box), "germ.box must be a positive number")
     return germ, float(box), formula
 
 
@@ -182,7 +220,10 @@ def parse_scenario(obj: dict, source: str = "<memory>") -> Scenario:
         _require(isinstance(t, dict), "each task must be a name or an object")
         kind = t.get("kind")
         _require(kind in _TASK_KEYS, f"unknown task kind {kind!r}")
-        _reject_unknown(t, _TASK_KEYS[kind] | {"kind"}, f"task {kind!r}")
+        _reject_unknown(t, set(_TASK_KEYS[kind]) | {"kind"}, f"task {kind!r}")
+        _require(kind != "morse" or "field" in t, "morse task needs a field name")
+        for key, (ok, what) in _TASK_KEYS[kind].items():
+            _require(key not in t or ok(t[key]), f"{kind}.{key} must be {what}")
         tasks.append(dict(t))
 
     k_range = obj.get("k_range", [1, 6])
@@ -200,7 +241,7 @@ def parse_scenario(obj: dict, source: str = "<memory>") -> Scenario:
     _require(isinstance(tolerances, dict), "tolerances must be an object")
     _reject_unknown(tolerances, _TOL_KEYS, "tolerances")
     for key, val in tolerances.items():
-        _require(_is_num(val) and val > 0, f"tolerance {key!r} must be positive")
+        _require(_is_positive(val), f"tolerance {key!r} must be positive")
 
     seed = obj.get("seed", 0)
     _require(_is_int(seed) and seed >= 0, "seed must be a nonnegative integer")
@@ -327,7 +368,7 @@ def _run_sdm(sc: Scenario, task: dict, out: Path, prefix: str):
         sc.germ,
         sc.record,
         delta_tol=sc.tolerances.get("sdm_delta_tol", 1e-6),
-        crosscheck=bool(task.get("crosscheck", True)),
+        crosscheck=task.get("crosscheck", True),
         **_lf_kwargs(task),
     )
     payload = {"germ": sc.germ_name, **result}
@@ -357,10 +398,6 @@ def _default_radii(box_radius: float) -> List[float]:
 
 def _run_isolation(sc: Scenario, task: dict, out: Path, prefix: str):
     radii = task.get("radii", _default_radii(sc.box_radius))
-    _require(
-        isinstance(radii, list) and radii and all(_is_num(r) and r > 0 for r in radii),
-        "isolation.radii must be a list of positive numbers",
-    )
     seeds = int(task.get("seeds_per_axis", 17))
     ntol = float(task.get("newton_tol", sc.tolerances.get("newton_tol", 1e-11)))
     phi = OdeGermMap(sc.germ)
@@ -395,7 +432,8 @@ def _run_isolation(sc: Scenario, task: dict, out: Path, prefix: str):
 def _run_gaps(sc: Scenario, task: dict, out: Path, prefix: str):
     radius = float(task.get("radius", sc.box_radius))
     seeds = int(task.get("seeds_per_axis", 9))
-    records = find_fixed_points(sc.germ, radius, seeds_per_axis=seeds)
+    ntol = sc.tolerances.get("newton_tol", 1e-11)
+    records = find_fixed_points(sc.germ, radius, seeds_per_axis=seeds, newton_tol=ntol)
     eigen = [spectrum(r.endpoint) for r in records]
     tables = []
     skipped = []
@@ -431,10 +469,7 @@ def _run_gaps(sc: Scenario, task: dict, out: Path, prefix: str):
 
 
 def _run_morse(sc: Scenario, task: dict, out: Path, prefix: str):
-    fname = task.get("field")
-    _require(isinstance(fname, str) and fname, "morse task needs a field name")
-    if fname not in FIELDS:
-        raise UnknownFormula(f"no scalar field named {fname!r}")
+    fname = task["field"]
     entry = FIELDS[fname]
     radius = float(task.get("radius", 1.0))
     box = Box(center=(0.0,) * entry.m, radius=radius)

@@ -18,7 +18,7 @@ cluster data drives the iteration classes:
 * k is good when the count of eigenvalue pairs on the negative real axis has
   the same parity for M and M^k.
 
-Root-of-unity detection is bounded: orders are searched up to q_max only.
+Root-of-unity detection is bounded: orders are searched up to Q_MAX only.
 Floating point cannot distinguish an irrational angle from a high-order
 rational one, so the bound is part of the contract, not a shortcut.
 """
@@ -51,8 +51,11 @@ __all__ = [
 ]
 
 DEFAULT_TOL_SYMP = 1e-9
-DEFAULT_CLUSTER_TOL = 1e-8
-DEFAULT_Q_MAX = 64
+CLUSTER_TOL = 1e-8
+Q_MAX = 64
+SPLIT_TOL = 1e-6
+SPLIT_BOUNDARY_FACTOR = 10.0
+RANDOM_SCALE = 0.8
 
 
 def standard_j(n: int) -> np.ndarray:
@@ -264,25 +267,22 @@ def _snap(value: complex, tol: float, q_max: int):
     return v, on_circle, order
 
 
-def spectrum(
-    m: SymplecticMatrix,
-    cluster_tol: float = DEFAULT_CLUSTER_TOL,
-    q_max: int = DEFAULT_Q_MAX,
-) -> EigenData:
+def spectrum(m: SymplecticMatrix) -> EigenData:
     """Clustered eigenvalue data of a symplectic matrix.
 
-    Clusters within cluster_tol are merged; representatives are snapped to the
-    real axis, the unit circle, and exact roots of unity where the tolerance
-    allows.  Raises ClusterAmbiguous when two distinct clusters are within
-    2 * cluster_tol of one another, since the classification Boolean answers
-    (on circle or not, root of unity or not) would then be unreliable.
+    Clusters within CLUSTER_TOL are merged; representatives are snapped to the
+    real axis, the unit circle, and exact roots of unity of order up to Q_MAX
+    where the tolerance allows.  Raises ClusterAmbiguous when two distinct
+    clusters are within 2 * CLUSTER_TOL of one another, since the
+    classification Boolean answers (on circle or not, root of unity or not)
+    would then be unreliable.
     """
     vals = np.linalg.eigvals(m.entries)
-    groups = _cluster_values(vals, cluster_tol)
+    groups = _cluster_values(vals, CLUSTER_TOL)
     clusters = []
     for idx in groups:
         rep = complex(np.mean(vals[idx]))
-        snapped, on_circle, order = _snap(rep, cluster_tol, q_max)
+        snapped, on_circle, order = _snap(rep, CLUSTER_TOL, Q_MAX)
         clusters.append(
             EigenCluster(
                 value=snapped,
@@ -295,12 +295,12 @@ def spectrum(
     for i in range(len(clusters)):
         for j in range(i + 1, len(clusters)):
             d = abs(clusters[i].value - clusters[j].value)
-            if d < 2.0 * cluster_tol:
+            if d < 2.0 * CLUSTER_TOL:
                 raise ClusterAmbiguous(
                     f"clusters {clusters[i].value} and {clusters[j].value} separated by "
                     f"{d:.3e} < 2 * cluster_tol"
                 )
-    data = EigenData(clusters=tuple(clusters), cluster_tol=cluster_tol, q_max=q_max, n=m.n)
+    data = EigenData(clusters=tuple(clusters), cluster_tol=CLUSTER_TOL, q_max=Q_MAX, n=m.n)
     if data.total_multiplicity != 2 * m.n:
         raise ClusterAmbiguous("cluster multiplicities do not sum to matrix dimension")
     _check_symmetry(data)
@@ -323,45 +323,27 @@ def _check_symmetry(data: EigenData) -> None:
                 )
 
 
-def _eigen_of(m: SymplecticMatrix, eigen: Optional[EigenData], cluster_tol, q_max) -> EigenData:
-    if eigen is not None:
-        return eigen
-    return spectrum(m, cluster_tol=cluster_tol, q_max=q_max)
-
-
-def admissible(
-    m: SymplecticMatrix,
-    k: int,
-    eigen: Optional[EigenData] = None,
-    cluster_tol: float = DEFAULT_CLUSTER_TOL,
-    q_max: int = DEFAULT_Q_MAX,
-) -> bool:
+def admissible(m: SymplecticMatrix, k: int, eigen: Optional[EigenData] = None) -> bool:
     """True when no eigenvalue other than 1 satisfies lambda^k = 1.
 
     Only detected root-of-unity clusters can forbid k: a unit-circle eigenvalue
-    with no order below q_max is treated as never resonant.
+    with no order up to Q_MAX is treated as never resonant.
     """
     if k < 1:
         raise ValueError("iteration order must be >= 1")
-    data = _eigen_of(m, eigen, cluster_tol, q_max)
+    data = spectrum(m) if eigen is None else eigen
     for q in data.unit_root_orders():
         if k % q == 0:
             return False
     return True
 
 
-def good(
-    m: SymplecticMatrix,
-    k: int,
-    eigen: Optional[EigenData] = None,
-    cluster_tol: float = DEFAULT_CLUSTER_TOL,
-    q_max: int = DEFAULT_Q_MAX,
-) -> bool:
+def good(m: SymplecticMatrix, k: int, eigen: Optional[EigenData] = None) -> bool:
     """Parity test on negative-real eigenvalue pairs of M versus M^k.
 
     Requires k admissible; raises NotAdmissible otherwise.
     """
-    data = _eigen_of(m, eigen, cluster_tol, q_max)
+    data = spectrum(m) if eigen is None else eigen
     if not admissible(m, k, eigen=data):
         raise NotAdmissible(f"iteration order {k} is not admissible")
     return data.negative_real_pair_count(1) % 2 == data.negative_real_pair_count(k) % 2
@@ -387,12 +369,7 @@ class AdmissibleSet:
         }
 
 
-def admissible_set(
-    m: SymplecticMatrix,
-    q_max: int = DEFAULT_Q_MAX,
-    horizon: int = 1000,
-    cluster_tol: float = DEFAULT_CLUSTER_TOL,
-) -> AdmissibleSet:
+def admissible_set(m: SymplecticMatrix, horizon: int = 1000) -> AdmissibleSet:
     """Describe the admissible iteration orders of M up to a horizon.
 
     The admissible set is the complement of finitely many divisibility classes.
@@ -400,7 +377,7 @@ def admissible_set(
     forbidden divisors consists of admissible orders; for a matrix with no
     forbidden divisors every order is admissible and the progression is (1, 1).
     """
-    data = spectrum(m, cluster_tol=cluster_tol, q_max=q_max)
+    data = spectrum(m)
     forbidden = tuple(data.unit_root_orders())
     if not forbidden:
         described = AdmissibleSet((), 1, 1, horizon)
@@ -418,23 +395,24 @@ def admissible_set(
 # --------------------------------------------------------------------- splitting
 
 
-def split_spectral(m: SymplecticMatrix, tol: float = 1e-6, boundary_factor: float = 10.0):
+def split_spectral(m: SymplecticMatrix):
     """Projectors (P_V, P_W) onto the spectral subspaces away from / near 1.
 
-    W is the invariant subspace for eigenvalues within tol of 1, V the
+    W is the invariant subspace for eigenvalues within SPLIT_TOL of 1, V the
     complementary invariant subspace.  Raises SplitFailed when an eigenvalue
-    falls in the ambiguity annulus [tol, boundary_factor * tol).
+    falls in the ambiguity annulus [SPLIT_TOL, SPLIT_BOUNDARY_FACTOR * SPLIT_TOL).
     """
     a = np.asarray(m.entries)
     dim = a.shape[0]
     vals = np.linalg.eigvals(a)
     dist = np.abs(vals - 1.0)
-    near = dist <= tol
-    boundary = (dist > tol) & (dist < boundary_factor * tol)
+    near = dist <= SPLIT_TOL
+    boundary = (dist > SPLIT_TOL) & (dist < SPLIT_BOUNDARY_FACTOR * SPLIT_TOL)
     if np.any(boundary):
         raise SplitFailed(
             f"eigenvalue at distance {float(dist[boundary].min()):.3e} from 1 "
-            f"inside the ambiguity annulus [{tol:.1e}, {boundary_factor * tol:.1e})"
+            f"inside the ambiguity annulus "
+            f"[{SPLIT_TOL:.1e}, {SPLIT_BOUNDARY_FACTOR * SPLIT_TOL:.1e})"
         )
     w_dim = int(np.sum(near))
     if w_dim == 0:
@@ -444,7 +422,7 @@ def split_spectral(m: SymplecticMatrix, tol: float = 1e-6, boundary_factor: floa
 
     def invariant_basis(select_near: bool) -> np.ndarray:
         def want(re, im):
-            return bool(abs(complex(re, im) - 1.0) <= tol) == select_near
+            return bool(abs(complex(re, im) - 1.0) <= SPLIT_TOL) == select_near
 
         # sorted Schur moves the selected eigenvalues to the leading block
         _, z, sdim = scipy.linalg.schur(a, output="real", sort=want)
@@ -462,7 +440,7 @@ def split_spectral(m: SymplecticMatrix, tol: float = 1e-6, boundary_factor: floa
     # ranges must be invariant under M
     for p in (p_v, p_w):
         leak = np.max(np.abs((np.eye(dim) - _range_projector(p)) @ a @ p))
-        if leak > max(1e-7, 100 * tol * np.max(np.abs(a))):
+        if leak > max(1e-7, 100 * SPLIT_TOL * np.max(np.abs(a))):
             raise SplitFailed(f"invariance defect {leak:.3e} after splitting")
     return p_v, p_w
 
@@ -478,9 +456,9 @@ def _range_projector(p: np.ndarray) -> np.ndarray:
 # ------------------------------------------------------------------------- misc
 
 
-def random_symplectic(n: int, rng: np.random.Generator, scale: float = 0.8) -> SymplecticMatrix:
+def random_symplectic(n: int, rng: np.random.Generator) -> SymplecticMatrix:
     """Random symplectic matrix exp(J_vf S) with S symmetric; test helper."""
     s = rng.standard_normal((2 * n, 2 * n))
-    s = scale * (s + s.T) / 2.0
+    s = RANDOM_SCALE * (s + s.T) / 2.0
     gen = vectorfield_j(n) @ s
     return validate_symplectic(scipy.linalg.expm(gen), tol=1e-8)

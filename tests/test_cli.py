@@ -1,12 +1,15 @@
 """Command line interface: scenario parsing, exit codes, artifacts."""
 
 import json
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from localfloer.cli import main
+from localfloer.scenarios import _TASK_KEYS, parse_scenario
 
 
 def write_scenario(tmp_path, obj, name="scenario.json"):
@@ -117,6 +120,43 @@ def test_missing_out_directory(tmp_path, capsys):
     assert "output directory" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "task",
+    [
+        {"kind": "persistence", "gf_resolution": 64},
+        {"kind": "isolation", "seeds_per_axis": "x"},
+        {"kind": "gaps", "radius": "x"},
+        {"kind": "morse", "field": "neg-r2", "resolutions": [17]},
+        {"kind": "persistence", "gf_radius": -1},
+        {"kind": "isolation", "radii": [0.05, -0.01]},
+        {"kind": "morse", "field": "no-such-field"},
+        {"kind": "gaps", "radius": 10**400},
+    ],
+)
+def test_bad_task_setting(tmp_path, capsys, task):
+    sc = spectrum_scenario()
+    sc["tasks"] = [task]
+    err = run_expecting_parse_error(tmp_path, capsys, sc)
+    key = list(task)[-1]
+    assert f"{task['kind']}.{key} must be" in err
+
+
+def test_readme_scenarios_and_settings_table_match_the_parser():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"```json\n(.*?)```", readme, re.S)
+    assert len(blocks) >= 2
+    for block in blocks:
+        parse_scenario(json.loads(block), source="README.md")
+    rows = re.findall(r"^\| `(\w+)` \| `(\w+)` \| ([^|]+?) \|", readme, re.M)
+    table = {(kind, key): what for kind, key, what in rows}
+    assert len(table) == len(rows)
+    assert table == {
+        (kind, key): what
+        for kind, checks in _TASK_KEYS.items()
+        for key, (_, what) in checks.items()
+    }
+
+
 # ------------------------------------------------------------- happy path
 
 
@@ -202,6 +242,25 @@ def test_origin_record_is_built_once_per_scenario(tmp_path, capsys, monkeypatch)
     path = write_scenario(tmp_path, sc)
     assert main(["run", "--scenario", path, "--out", str(tmp_path / "out")]) == 0
     assert len(calls) == 1
+
+
+def test_gaps_task_reads_the_newton_tolerance(tmp_path, capsys, monkeypatch):
+    import localfloer.scenarios as scenarios
+
+    seen = []
+    real = scenarios.find_fixed_points
+
+    def spy(*args, **kwargs):
+        seen.append(kwargs.get("newton_tol"))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(scenarios, "find_fixed_points", spy)
+    sc = spectrum_scenario(formula="morse-triple", k_range=[1, 1])
+    sc["tasks"] = [{"kind": "gaps", "seeds_per_axis": 5}]
+    sc["tolerances"] = {"newton_tol": 1e-9}
+    path = write_scenario(tmp_path, sc)
+    assert main(["run", "--scenario", path, "--out", str(tmp_path / "out")]) == 0
+    assert seen == [1e-9]
 
 
 # ---------------------------------------------------------- failure paths

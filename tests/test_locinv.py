@@ -58,7 +58,7 @@ def test_first_order_reuses_the_record_winding(monkeypatch):
     calls = []
     real = paths.rho
     monkeypatch.setattr(
-        paths, "rho", lambda mat, circ_tol: calls.append(1) or real(mat, circ_tol)
+        paths, "rho", lambda mat: calls.append(1) or real(mat)
     )
     lf = local_floer(germ, rec, 1)
     assert lf.route == "nondegenerate" and lf.ranks.as_dict() == {1: 1}

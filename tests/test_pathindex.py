@@ -239,9 +239,9 @@ def rho_calls(monkeypatch):
     calls = []
     real = paths.rho
 
-    def counted(mat, circ_tol=paths.CIRCLE_TOL):
+    def counted(mat):
         calls.append(1)
-        return real(mat, circ_tol=circ_tol)
+        return real(mat)
 
     monkeypatch.setattr(paths, "rho", counted)
     return calls
