@@ -31,6 +31,7 @@ from .errors import (
     WindingUnresolved,
 )
 from .fields import SHELL, Box, SampledField, grid_gradient
+from .paths import WINDING_MAX, WINDING_START, _wind
 
 __all__ = [
     "GradedRanks",
@@ -41,11 +42,6 @@ __all__ = [
     "MorseReport",
     "gradient_degree",
 ]
-
-# gradient_degree: first and largest sample count on the probe circle
-DEGREE_SAMPLES = 512
-DEGREE_MAX_SAMPLES = 1 << 16
-
 
 # ------------------------------------------------------------- graded ranks
 
@@ -470,23 +466,19 @@ def local_morse_homology(
 
 
 def gradient_degree(grad: Callable[[np.ndarray], np.ndarray], radius: float) -> int:
-    """Brouwer degree of a plane vector field at 0 via boundary winding."""
-    n = DEGREE_SAMPLES
-    while True:
-        t = np.linspace(0.0, 2.0 * np.pi, n + 1)
-        pts = radius * np.stack([np.cos(t), np.sin(t)], axis=1)
-        v = np.asarray(grad(pts), dtype=float)
-        norms = np.linalg.norm(v, axis=1)
+    """Brouwer degree of a plane vector field at 0: the winding of its direction
+    around the probe circle, sampled by paths._wind with one grad call per round."""
+
+    def direction(t: np.ndarray) -> np.ndarray:
+        v = np.asarray(grad(radius * np.stack([np.cos(t), np.sin(t)], axis=1)), dtype=float)
+        c = v[:, 0] + 1j * v[:, 1]
+        norms = np.abs(c)
         if float(np.min(norms)) <= 0.0:
             raise WindingUnresolved("vector field vanishes on the probe circle")
-        ang = np.arctan2(v[:, 1], v[:, 0])
-        incr = np.angle(np.exp(1j * np.diff(ang)))
-        if float(np.max(np.abs(incr))) < 0.5 * np.pi:
-            total = float(np.sum(incr))
-            deg = round(total / (2.0 * np.pi))
-            if abs(total / (2.0 * np.pi) - deg) > 0.05:
-                raise WindingUnresolved(f"winding {total / (2*np.pi)} not near an integer")
-            return int(deg)
-        n *= 2
-        if n > DEGREE_MAX_SAMPLES:
-            raise WindingUnresolved("boundary winding did not resolve")
+        return c / norms
+
+    turns = _wind(direction, 2.0 * np.pi, WINDING_START, WINDING_MAX) / (2.0 * np.pi)
+    deg = round(turns)
+    if abs(turns - deg) > 0.05:
+        raise WindingUnresolved(f"winding {turns} not near an integer")
+    return int(deg)

@@ -280,6 +280,12 @@ class PsiMap:
             z = z - np.linalg.solve(j, res[..., None])[..., 0]
         raise NewtonDivergence(f"psi inversion stalled at residual {err:.3e}")
 
+    def gradient(self, w: np.ndarray) -> np.ndarray:
+        """grad F_k at w = psi_k(z): (-v, u) with (u, v) = phi^k(z) - z."""
+        z = self.invert(w)
+        disp = self.phi_k(z) - z
+        return np.concatenate([-disp[:, self.n :], disp[:, : self.n]], axis=1)
+
 
 def psi(phi: GermMap, k: int = 1, probe_box: Optional[Box] = None) -> PsiMap:
     """The vertical-complement projection of phi^k, with an invertibility radius.
@@ -431,9 +437,7 @@ def generating_function(
         raise NotInvertibleOnBox(
             f"xx Jacobian block determinant reaches {float(np.min(np.abs(dets))):.3e}"
         )
-    z = pm.invert(nodes)
-    disp = phi_k(z) - z
-    grad = np.concatenate([-disp[:, n:], disp[:, :n]], axis=1)
+    grad = pm.gradient(nodes)
     m = 2 * n
     grad_grid = grad.reshape((resolution,) * m + (m,))
     spacing = box.spacing(resolution)

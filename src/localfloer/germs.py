@@ -32,7 +32,6 @@ from .symplectic import SymplecticMatrix, admissible, vectorfield_j
 
 __all__ = [
     "HamiltonianGerm",
-    "flow_points",
     "flow_jacobians",
     "monodromy",
     "iterate",
@@ -84,27 +83,13 @@ def _solve(rhs, y0: np.ndarray, dense: bool = False):
     return sol
 
 
-def flow_points(germ: HamiltonianGerm, points: np.ndarray) -> np.ndarray:
-    """Time-1 flow applied to a batch of points, shape preserved."""
-    jvf = vectorfield_j(germ.n)
-    z0 = np.atleast_2d(np.asarray(points, dtype=float))
-    nbatch = z0.shape[0]
-
-    def rhs(t, y):
-        z = y.reshape(nbatch, 2 * germ.n)
-        return (germ.grad(t, z) @ jvf.T).reshape(-1)
-
-    sol = _solve(rhs, z0.reshape(-1))
-    out = sol.y[:, -1].reshape(nbatch, 2 * germ.n)
-    return out if np.asarray(points).ndim == 2 else out[0]
-
-
-def flow_jacobians(germ: HamiltonianGerm, points: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Flow and its space derivative for a batch: (phi(z), Dphi(z))."""
+def _variational_flow(germ: HamiltonianGerm, z0: np.ndarray, dense: bool):
+    """Time-1 flow of a batch z0 of shape (N, 2n) with its variational
+    equation M' = J_vf Hess_H M from M = I.  The state is one block (z, M)
+    per point."""
     jvf = vectorfield_j(germ.n)
     dim = 2 * germ.n
-    z0 = np.atleast_2d(np.asarray(points, dtype=float))
-    nbatch = z0.shape[0]
+    nbatch = len(z0)
     per = dim + dim * dim
     y0 = np.zeros((nbatch, per))
     y0[:, :dim] = z0
@@ -118,10 +103,17 @@ def flow_jacobians(germ: HamiltonianGerm, points: np.ndarray) -> Tuple[np.ndarra
         dm = jvf @ (germ.hess(t, z) @ m)
         return np.concatenate([dz, dm.reshape(nbatch, -1)], axis=1).reshape(-1)
 
-    sol = _solve(rhs, y0.reshape(-1))
-    final = sol.y[:, -1].reshape(nbatch, per)
+    return _solve(rhs, y0.reshape(-1), dense)
+
+
+def flow_jacobians(germ: HamiltonianGerm, points: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Flow and its space derivative for a batch: (phi(z), Dphi(z))."""
+    dim = 2 * germ.n
+    z0 = np.atleast_2d(np.asarray(points, dtype=float))
+    sol = _variational_flow(germ, z0, dense=False)
+    final = sol.y[:, -1].reshape(len(z0), dim + dim * dim)
     phi = final[:, :dim]
-    jac = final[:, dim:].reshape(nbatch, dim, dim)
+    jac = final[:, dim:].reshape(len(z0), dim, dim)
     if np.asarray(points).ndim == 2:
         return phi, jac
     return phi[0], jac[0]
@@ -130,18 +122,8 @@ def flow_jacobians(germ: HamiltonianGerm, points: np.ndarray) -> Tuple[np.ndarra
 def monodromy(germ: HamiltonianGerm, point: Optional[np.ndarray] = None) -> SymplecticPath:
     """Linearized flow along the trajectory of a point, as a path in Sp(2n)."""
     dim = 2 * germ.n
-    jvf = vectorfield_j(germ.n)
     z0 = np.zeros(dim) if point is None else np.asarray(point, dtype=float)
-    y0 = np.concatenate([z0, np.eye(dim).reshape(-1)])
-
-    def rhs(t, y):
-        z = y[:dim].reshape(1, dim)
-        m = y[dim:].reshape(dim, dim)
-        dz = (germ.grad(t, z) @ jvf.T)[0]
-        dm = jvf @ (germ.hess(t, z)[0] @ m)
-        return np.concatenate([dz, dm.reshape(-1)])
-
-    sol = _solve(rhs, y0, dense=True)
+    sol = _variational_flow(germ, z0.reshape(1, dim), dense=True)
 
     def ev(t: float) -> np.ndarray:
         tt = min(max(t, 0.0), 1.0)
@@ -347,6 +329,17 @@ def _newton_search(
     return z, rnorm
 
 
+def _distinct(points: np.ndarray, tol: float) -> np.ndarray:
+    """Points ordered by (norm, coordinates), less those within Euclidean
+    distance tol of a point kept before them: each cluster keeps its
+    least-norm point."""
+    keep: List[np.ndarray] = []
+    for p in sorted(points, key=lambda q: (float(np.linalg.norm(q)), tuple(q))):
+        if all(np.linalg.norm(p - q) > tol for q in keep):
+            keep.append(p)
+    return np.array(keep).reshape(-1, points.shape[1])
+
+
 def find_fixed_points(
     germ: HamiltonianGerm,
     radius: float,
@@ -368,11 +361,7 @@ def find_fixed_points(
     )
     converged = z[(rnorm <= newton_tol) & (np.linalg.norm(z, axis=1) <= 1.5 * radius)]
 
-    dedup_tol = max(10.0 * newton_tol, 1e-9)
-    points: List[np.ndarray] = []
-    for p in sorted(converged, key=lambda q: (float(np.linalg.norm(q)), tuple(q))):
-        if all(np.linalg.norm(p - q) > dedup_tol for q in points):
-            points.append(p)
+    points = _distinct(converged, max(10.0 * newton_tol, 1e-9))
     for i, p in enumerate(points):
         for q in points[i + 1 :]:
             if np.linalg.norm(p - q) < 100.0 * newton_tol:

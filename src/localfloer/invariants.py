@@ -41,12 +41,12 @@ from .germs import (
     FixedPointRecord,
     HamiltonianGerm,
     fixed_point_record,
-    flow_points,
+    flow_jacobians,
     iterate,
     translate,
 )
 from .paths import conley_zehnder
-from .symplectic import admissible, direct_sum_indices, good, spectrum, standard_j
+from .symplectic import admissible, direct_sum_indices, good, standard_j
 
 __all__ = [
     "LocalFloer",
@@ -131,7 +131,7 @@ class _IterateSweep:
 
     @cached_property
     def _route(self) -> str:
-        data = spectrum(self.record.endpoint)
+        data = self.record.endpoint.eigen
         route = self.route
         if route is None:
             if not data.has_eigenvalue_one():
@@ -202,13 +202,6 @@ class _IterateSweep:
         phi = self._phi
         box = phi.base_box
         gf = generating_function(phi, k, box, self.gf_resolution, c1_gate=self.c1_gate)
-        pm = gf.psi_k
-        phi_k = pm.phi_k
-
-        def grad_fn(pts: np.ndarray) -> np.ndarray:
-            z = pm.invert(np.asarray(pts, dtype=float))
-            disp = phi_k(z) - z
-            return np.concatenate([-disp[:, n:], disp[:, :n]], axis=1)
 
         # Hessian of F at 0 from the linearized return map M_k = A-block form:
         # d(grad F)(0) = J (M_k - I) S^{-1} with S the vertical-projection frame
@@ -228,7 +221,7 @@ class _IterateSweep:
                 gf.field,
                 box,
                 resolutions=HM_RESOLUTIONS,
-                grad=grad_fn,
+                grad=gf.psi_k.gradient,
                 exclude_fraction=self.exclude_fraction,
             )
         except NotIsolated as exc:
@@ -413,7 +406,7 @@ def detect_sdm(
     sweep = _IterateSweep(germ, record, **lf_kwargs)
     lf1 = sweep.at(1)
     hf_n = lf1.ranks.rank(n)
-    strongly = spectrum(record.endpoint).all_eigenvalues_one()
+    strongly = record.endpoint.eigen.all_eigenvalues_one()
     is_sdm = abs(record.mean_index) <= delta_tol and hf_n >= 1
     evidence = {
         "delta": record.mean_index,
@@ -462,8 +455,4 @@ def fixed_point_index(
         raise ValueError("index oracle implemented for plane germs only")
     base = germ if point is None else translate(germ, point)
     gk = iterate(base, k)
-
-    def displacement(pts: np.ndarray) -> np.ndarray:
-        return flow_points(gk, pts) - pts
-
-    return gradient_degree(displacement, radius)
+    return gradient_degree(lambda pts: flow_jacobians(gk, pts)[0] - pts, radius)

@@ -14,12 +14,13 @@ from fractions import Fraction
 from typing import List, Sequence, Tuple
 
 import numpy as np
+import scipy.linalg
 
 from .errors import LinearizationNotIdentity, NewtonDivergence
 from .fields import Box
 from .genfun import GermMap, _opnorms
-from .germs import NEWTON_MAX_ITER, _newton_search
-from .symplectic import admissible, validate_symplectic
+from .germs import NEWTON_MAX_ITER, _distinct, _newton_search
+from .symplectic import SymplecticMatrix, admissible, split_spectral, validate_symplectic
 
 __all__ = [
     "DiscreteOrbit",
@@ -35,9 +36,8 @@ __all__ = [
 # contraction_check: grid resolution of the C1 norm, largest |dphi(0) - id|
 CONTRACTION_RESOLUTION = 33
 ID_TOL = 1e-8
-# splitting_ratio_report: sample points in W, largest |lambda - 1| in W
+# splitting_ratio_report: sample points in W
 SPLIT_SAMPLES = 8
-ONE_TOL = 1e-6
 
 
 # ----------------------------------------------------------- discrete norms
@@ -84,14 +84,12 @@ def c_constant_exact(k: int) -> Fraction:
     return Fraction((k // 2) * ((k + 1) // 2), k)
 
 
-def c_constant(k: int, m: int = 1) -> float:
+def c_constant(k: int) -> float:
     """The constant in ||xi||_L1 <= c(k) ||xi-dot||_L1 for zero-mean xi.
 
-    Independent of the ambient dimension m: both L1 norms decouple across
+    Independent of the ambient dimension: both L1 norms decouple across
     coordinates, so the per-coordinate constant is the global one.
     """
-    if m < 1:
-        raise ValueError("need m >= 1")
     return float(c_constant_exact(k))
 
 
@@ -129,22 +127,6 @@ class SearchReport:
             "origin_resolution": self.origin_resolution,
             "conclusion": self.conclusion,
         }
-
-
-def _dedup_sorted(points: np.ndarray, tol: float) -> np.ndarray:
-    if len(points) == 0:
-        return points
-    order = np.lexsort(points.T[::-1])
-    pts = points[order]
-    keep = [pts[0]]
-    for p in pts[1:]:
-        if all(np.max(np.abs(p - q)) > tol for q in keep):
-            keep.append(p)
-    arr = np.array(keep)
-    norms = np.linalg.norm(arr, axis=1)
-    final = np.lexsort(arr.T[::-1])
-    final = final[np.argsort(norms[final], kind="stable")]
-    return arr[final]
 
 
 def periodic_point_search(
@@ -185,7 +167,7 @@ def periodic_point_search(
         )
         ok = rnorm <= 10.0 * newton_tol
         inside = np.linalg.norm(z, axis=1) <= radius * (1.0 + 1e-9)
-        found = _dedup_sorted(z[ok & inside], dedup_tol)
+        found = _distinct(z[ok & inside], dedup_tol)
         snapped = np.where(np.abs(found) <= dedup_tol, 0.0, found)
         entries = {
             "radius": radius,
@@ -293,31 +275,20 @@ def splitting_ratio_report(
 ) -> dict:
     """Empirical Lipschitz ratio of the nondegenerate-direction graph.
 
-    Splits the linearization into the eigenvalue-1 generalized eigenspace W
-    and its complement V.  For sampled w in W, solves the V-component fixed
-    point equation P_V(phi^k(v + w) - (v + w)) = 0 for v = v(w) by Newton,
-    and reports the largest ratio |v(w1) - v(w0)| / |w1 - w0| over
+    Splits the linearization with split_spectral into the eigenvalue-1
+    generalized eigenspace W and its complement V (SplitFailed when an
+    eigenvalue is too near 1 to place).  For sampled w in W, solves the
+    V-component fixed point equation P_V(phi^k(v + w) - (v + w)) = 0 for
+    v = v(w) by Newton, and reports the largest ratio |v(w1) - v(w0)| / |w1 - w0| over
     consecutive sample pairs.  Trivial splits report ratio 0.
     NewtonDivergence if a solve misses newton_tol after 60 steps.
     """
     d = 2 * phi.n
     lin = phi.jac(np.zeros((1, d)))[0]
-    vals, vecs = np.linalg.eig(lin)
-    w_cols = np.abs(vals - 1.0) <= ONE_TOL
-    basis = []
-    for col, is_w in sorted(
-        zip(vecs.T, w_cols), key=lambda t: not t[1]
-    ):
-        for cand in (col.real, col.imag):
-            if np.linalg.norm(cand) < 1e-12:
-                continue
-            v = cand.copy()
-            for b in basis:
-                v -= (v @ b) * b
-            if np.linalg.norm(v) > 1e-8:
-                basis.append(v / np.linalg.norm(v))
-    w_dim = int(np.sum(w_cols))
-    v_dim = d - w_dim
+    p_v, p_w = split_spectral(SymplecticMatrix(phi.n, lin))
+    # rows: orthonormal bases of the ranges of P_V and P_W
+    vb, wb = scipy.linalg.orth(p_v).T, scipy.linalg.orth(p_w).T
+    v_dim, w_dim = len(vb), len(wb)
     if w_dim == 0 or v_dim == 0:
         return {
             "v_dim": v_dim,
@@ -327,8 +298,6 @@ def splitting_ratio_report(
             "radius": radius,
             "note": "split is trivial; nothing to solve",
         }
-    wb = np.array(basis[:w_dim])
-    vb = np.array(basis[w_dim:])
     phi_k = phi.iterate(k)
 
     t = np.linspace(0.0, 2.0 * np.pi, SPLIT_SAMPLES, endpoint=False)
@@ -344,10 +313,10 @@ def splitting_ratio_report(
         for _ in range(60):
             z = (w + v @ vb)[None, :]
             img, jac = phi_k.value_and_jac(z)
-            res = vb @ (img - z)[0]
+            res = vb @ p_v @ (img - z)[0]
             if np.linalg.norm(res) <= newton_tol:
                 break
-            v = v - np.linalg.solve(vb @ (jac[0] - np.eye(d)) @ vb.T, res)
+            v = v - np.linalg.solve(vb @ p_v @ (jac[0] - np.eye(d)) @ vb.T, res)
         else:
             raise NewtonDivergence(
                 f"splitting graph solve stalled at residual {np.linalg.norm(res):.3e}"

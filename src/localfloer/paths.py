@@ -62,6 +62,9 @@ AGREE_TOL = 1e-10
 DEGENERACY_TOL = 1e-8
 LOOP_TOL = 1e-6
 ENDPOINT_TOL = 1e-7
+# winding: default first interval count and sample budget
+WINDING_START = 64
+WINDING_MAX = 1 << 20
 
 
 def _krein_form(n: int) -> np.ndarray:
@@ -217,28 +220,28 @@ def exponential_path(generator: np.ndarray, span: float = 1.0) -> SymplecticPath
     return SymplecticPath(n, span, lambda t: scipy.linalg.expm(t * gen))
 
 
-def winding(path: SymplecticPath, start_samples: int = 64, max_samples: int = 1 << 20) -> float:
-    """Total winding (radians) of rho along the path.
+def _wind(f: Callable, span: float, intervals: int, max_samples: int) -> float:
+    """Total winding (radians) of a map t -> unit complex over [0, span].
 
-    Local bisection with principal-branch increments.  The span starts as
-    start_samples equal intervals, and at least one per unit of span: on an
-    iterated path rho at t = j is rho of the j-th power of the endpoint,
-    which can repeat, so a wider first interval can hide whole turns.
-    Every open interval is bisected once per round.  An interval is settled
-    when both halves turn by less than pi / 2 and their increments add up
-    to its own within AGREE_TOL; only the halves of unsettled intervals are
-    bisected again, so samples gather where rho turns.  The settle test does
-    not rule out aliasing: if rho turns by close to a whole number of turns
-    over a first-round interval, both halves can look settled and the turns
-    are lost, so start_samples must be fine enough for the path.  The total is the sum
-    of the settled half increments in t order.  Raises WindingUnresolved
-    when the next round would take more than max_samples rho samples in
-    all, or when an interval can no longer be split in floating point.
+    f takes an array of t and returns the values at all of them, and is
+    called once per round.  Local bisection with principal-branch
+    increments: the span starts as `intervals` equal intervals, and every
+    open interval is bisected once per round.  An interval is settled when
+    both halves turn by less than pi / 2 and their increments add up to
+    its own within AGREE_TOL; only the halves of unsettled intervals are
+    bisected again, so samples gather where f turns.  The settle test does
+    not rule out aliasing: if f turns by close to a whole number of turns
+    over a first-round interval, both halves can look settled and the
+    turns are lost, so the first intervals must be fine enough for f.  The
+    total is the sum of the settled half increments in t order.  Raises
+    WindingUnresolved when the next round would take more than max_samples
+    samples in all, or when an interval can no longer be split in floating
+    point.
     """
-    ts = np.linspace(0.0, path.span, max(int(start_samples), int(np.ceil(path.span))) + 1)
-    vals = np.array([path.rho(t) for t in ts])
+    ts = np.linspace(0.0, span, intervals + 1)
+    vals = f(ts)
     samples = len(ts)
-    # open intervals [a, b] with rho at both ends
+    # open intervals [a, b] with f at both ends
     a, b, va, vb = ts[:-1], ts[1:], vals[:-1], vals[1:]
     done_t, done_incr = [], []
     while len(a):
@@ -251,10 +254,10 @@ def winding(path: SymplecticPath, start_samples: int = 64, max_samples: int = 1 
         stuck = (m <= a) | (m >= b)
         if np.any(stuck):
             raise WindingUnresolved(
-                f"rho does not settle at t = {a[stuck][0]} "
+                f"winding does not settle at t = {a[stuck][0]} "
                 f"(interval below float resolution, {samples} samples)"
             )
-        vm = np.array([path.rho(t) for t in m])
+        vm = f(m)
         samples += len(m)
         left = np.angle(vm / va)
         right = np.angle(vb / vm)
@@ -270,6 +273,21 @@ def winding(path: SymplecticPath, start_samples: int = 64, max_samples: int = 1 
         va, vb = np.r_[va[keep], vm[keep]], np.r_[vm[keep], vb[keep]]
     order = np.argsort(np.concatenate(done_t))
     return float(np.sum(np.concatenate(done_incr)[order]))
+
+
+def winding(
+    path: SymplecticPath, start_samples: int = WINDING_START, max_samples: int = WINDING_MAX
+) -> float:
+    """Total winding (radians) of rho along the path, sampled by _wind.
+
+    There are start_samples first intervals, and at least one per unit of
+    span: on an iterated path rho at t = j is rho of the j-th power of the
+    endpoint, which can repeat, so a wider first interval can hide turns.
+    """
+    intervals = max(int(start_samples), int(np.ceil(path.span)))
+    return _wind(
+        lambda ts: np.array([path.rho(t) for t in ts]), path.span, intervals, max_samples
+    )
 
 
 def mean_index(path: SymplecticPath, **kwargs) -> float:

@@ -325,8 +325,8 @@ def _run_spectrum(sc: Scenario, task: dict, out: Path, prefix: str):
     eigen = spectrum(record.endpoint)
     orders = []
     for k in sc.ks:
-        adm = admissible(record.endpoint, k, eigen=eigen)
-        good_k = good(record.endpoint, k, eigen=eigen) if adm else None
+        adm = admissible(record.endpoint, k)
+        good_k = good(record.endpoint, k) if adm else None
         orders.append({"k": k, "admissible": adm, "good": good_k})
     payload = {
         "germ": sc.germ_name,
@@ -344,8 +344,7 @@ def _run_spectrum(sc: Scenario, task: dict, out: Path, prefix: str):
 
 def _run_persistence(sc: Scenario, task: dict, out: Path, prefix: str):
     record = sc.record
-    eigen = spectrum(record.endpoint)
-    ks = [k for k in sc.ks if admissible(record.endpoint, k, eigen=eigen)]
+    ks = [k for k in sc.ks if admissible(record.endpoint, k)]
     skipped = [k for k in sc.ks if k not in ks]
     report = verify_persistence(sc.germ, record, ks, **_lf_kwargs(task))
     payload = {
@@ -434,11 +433,10 @@ def _run_gaps(sc: Scenario, task: dict, out: Path, prefix: str):
     seeds = int(task.get("seeds_per_axis", 9))
     ntol = sc.tolerances.get("newton_tol", 1e-11)
     records = find_fixed_points(sc.germ, radius, seeds_per_axis=seeds, newton_tol=ntol)
-    eigen = [spectrum(r.endpoint) for r in records]
     tables = []
     skipped = []
     for k in sc.ks:
-        if all(admissible(r.endpoint, k, eigen=e) for r, e in zip(records, eigen)):
+        if all(admissible(r.endpoint, k) for r in records):
             tables.append(gap_table(records, k).to_json())
         else:
             skipped.append(k)

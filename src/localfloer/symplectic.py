@@ -25,6 +25,7 @@ rational one, so the bound is part of the contract, not a shortcut.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import gcd
 from typing import Optional
 
@@ -102,6 +103,11 @@ class SymplecticMatrix:
 
     def power(self, k: int) -> np.ndarray:
         return np.linalg.matrix_power(self.entries, k)
+
+    @cached_property
+    def eigen(self) -> "EigenData":
+        """spectrum(self), computed on first use and kept."""
+        return spectrum(self)
 
     def to_json(self) -> dict:
         return {
@@ -323,7 +329,7 @@ def _check_symmetry(data: EigenData) -> None:
                 )
 
 
-def admissible(m: SymplecticMatrix, k: int, eigen: Optional[EigenData] = None) -> bool:
+def admissible(m: SymplecticMatrix, k: int) -> bool:
     """True when no eigenvalue other than 1 satisfies lambda^k = 1.
 
     Only detected root-of-unity clusters can forbid k: a unit-circle eigenvalue
@@ -331,21 +337,20 @@ def admissible(m: SymplecticMatrix, k: int, eigen: Optional[EigenData] = None) -
     """
     if k < 1:
         raise ValueError("iteration order must be >= 1")
-    data = spectrum(m) if eigen is None else eigen
-    for q in data.unit_root_orders():
+    for q in m.eigen.unit_root_orders():
         if k % q == 0:
             return False
     return True
 
 
-def good(m: SymplecticMatrix, k: int, eigen: Optional[EigenData] = None) -> bool:
+def good(m: SymplecticMatrix, k: int) -> bool:
     """Parity test on negative-real eigenvalue pairs of M versus M^k.
 
     Requires k admissible; raises NotAdmissible otherwise.
     """
-    data = spectrum(m) if eigen is None else eigen
-    if not admissible(m, k, eigen=data):
+    if not admissible(m, k):
         raise NotAdmissible(f"iteration order {k} is not admissible")
+    data = m.eigen
     return data.negative_real_pair_count(1) % 2 == data.negative_real_pair_count(k) % 2
 
 
@@ -377,8 +382,7 @@ def admissible_set(m: SymplecticMatrix, horizon: int = 1000) -> AdmissibleSet:
     forbidden divisors consists of admissible orders; for a matrix with no
     forbidden divisors every order is admissible and the progression is (1, 1).
     """
-    data = spectrum(m)
-    forbidden = tuple(data.unit_root_orders())
+    forbidden = tuple(m.eigen.unit_root_orders())
     if not forbidden:
         described = AdmissibleSet((), 1, 1, horizon)
     else:
@@ -387,7 +391,7 @@ def admissible_set(m: SymplecticMatrix, horizon: int = 1000) -> AdmissibleSet:
             prod *= q
         described = AdmissibleSet(forbidden, 1 + prod, prod, horizon)
     for member in described.members():
-        if not admissible(m, member, eigen=data):
+        if not admissible(m, member):
             raise ClusterAmbiguous(f"witness progression member {member} is not admissible")
     return described
 

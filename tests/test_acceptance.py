@@ -161,7 +161,7 @@ def test_criterion_05_discrete_constant():
     failures = []
     check(failures, c_constant_exact(2) == Fraction(1, 2), "c(2) != 1/2")
     for k in range(2, 13):
-        c = c_constant(k, 2)
+        c = c_constant(k)
         rng = np.random.default_rng(k)
         pts = rng.standard_normal((10_000, k, 2))
         pts -= pts.mean(axis=1, keepdims=True)

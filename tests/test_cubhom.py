@@ -374,12 +374,20 @@ def test_gradient_degree_of_corpus(name, expected):
     assert gradient_degree(FIELDS[name].grad, 0.5) == expected
 
 
-def test_degree_of_squared_rotation_field():
-    def square(p):
-        x, y = p[:, 0], p[:, 1]
-        return np.stack([x**2 - y**2, 2.0 * x * y], axis=1)
+@pytest.mark.parametrize(
+    "m,sign",
+    [(m, s) for m in (2, 5, 20, 40) for s in (1, -1)],
+    ids=[f"{z}^{m}" for m in (2, 5, 20, 40) for z in ("z", "zbar")],
+)
+def test_degree_of_squared_rotation_field(m, sign):
+    # z^m has degree m and its conjugate -m; at m = 20 and 40 the direction
+    # turns by more than pi / 2 over each of the 64 first intervals, and at
+    # m = 40 over their halves too, so the sampler bisects a second time
+    def power(p):
+        w = (p[:, 0] + 1j * sign * p[:, 1]) ** m
+        return np.stack([w.real, w.imag], axis=1)
 
-    assert gradient_degree(square, 0.3) == 2
+    assert gradient_degree(power, 0.3) == sign * m
 
 
 def test_euler_characteristic_matches_degree():

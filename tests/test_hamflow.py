@@ -15,12 +15,12 @@ from localfloer.corpus import (
 )
 from localfloer.errors import NonIsolated, NotAdmissible
 from localfloer.germs import (
+    _distinct,
     _newton_search,
     concatenate,
     find_fixed_points,
     fixed_point_record,
     flow_jacobians,
-    flow_points,
     gap_table,
     iterate,
     monodromy,
@@ -40,13 +40,13 @@ def rot(theta):
 def test_rotation_flow_turns_counterclockwise():
     germ = linear_rotation(0.3183)
     start = np.array([[0.7, 0.0], [0.1, -0.2]])
-    end = flow_points(germ, start)
+    end = flow_jacobians(germ, start)[0]
     expected = start @ rot(2.0 * np.pi * 0.3183).T
     assert np.allclose(end, expected, atol=1e-8)
 
 
 def test_hyperbolic_flow_squeezes():
-    end = flow_points(hyperbolic(2.0), np.array([[1.0, 1.0]]))
+    end = flow_jacobians(hyperbolic(2.0), np.array([[1.0, 1.0]]))[0]
     assert np.allclose(end, [[2.0, 0.5]], atol=1e-8)
 
 
@@ -231,6 +231,21 @@ def test_newton_search_on_an_affine_map():
     assert calls == [3, 3]
     np.testing.assert_array_equal(rnorm, residual(z))
     assert np.all(rnorm <= 1e-11)
+
+
+def test_distinct_keeps_least_norm_point_and_orders_by_norm():
+    tol = 1e-9
+    # a cluster keeps its least-norm point, not its lexicographically first
+    kept = _distinct(np.array([[-5e-10, 0.0], [0.0, 0.0]]), tol)
+    assert np.array_equal(kept, [[0.0, 0.0]])
+    # Euclidean distance 1.2e-9 > tol, although each coordinate moves by less
+    kept = _distinct(np.array([[8.5e-10, 8.5e-10], [0.0, 0.0]]), tol)
+    assert np.array_equal(kept, [[0.0, 0.0], [8.5e-10, 8.5e-10]])
+    # ordered by norm, ties by coordinates
+    pts = np.array([[0.0, 2.0], [1.0, 0.0], [0.0, -1.0], [-3.0, 0.0], [2.0, 0.0]])
+    kept = _distinct(pts, tol)
+    assert np.array_equal(kept, [[0.0, -1.0], [1.0, 0.0], [0.0, 2.0], [2.0, 0.0], [-3.0, 0.0]])
+    assert _distinct(np.zeros((0, 2)), tol).shape == (0, 2)
 
 
 # --- gap tables

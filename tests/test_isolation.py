@@ -24,6 +24,7 @@ from localfloer.corpus import (
     linear_rotation,
     quartic,
     resonant_rotation,
+    shear,
     zero_germ,
 )
 
@@ -84,10 +85,7 @@ def test_c_constant_rejects_k_below_two():
 
 def test_c_constant_independent_of_dimension():
     for k in (2, 3, 7, 12):
-        base = c_constant(k, 1)
-        assert base == float(c_constant_exact(k))
-        for m in (2, 3, 8):
-            assert c_constant(k, m) == base
+        assert c_constant(k) == float(c_constant_exact(k))
 
 
 def test_c_constant_nondecreasing():
@@ -110,7 +108,7 @@ def test_random_zero_mean_orbits_satisfy_bound():
     # the inequality must hold for arbitrary zero-mean sequences in R^2
     rng = np.random.default_rng(0)
     for k in range(2, 13):
-        c = c_constant(k, 2)
+        c = c_constant(k)
         for _ in range(200):
             pts = rng.standard_normal((k, 2))
             pts -= pts.mean(axis=0)
@@ -312,8 +310,10 @@ def test_contraction_certificate_matches_search(quartic_map):
 # ------------------------------------------------------- splitting ratios
 
 
-def test_splitting_ratio_rotation_plus_quartic():
-    phi = OdeGermMap(direct_sum_germ(linear_rotation(0.05), quartic(-1)))
+@pytest.mark.parametrize("second", [quartic(-1), shear()], ids=["quartic", "shear"])
+def test_splitting_ratio_rotation_plus_quartic(second):
+    # the shear's eigenvalue 1 is a Jordan block: W needs both directions
+    phi = OdeGermMap(direct_sum_germ(linear_rotation(0.05), second))
     rep = splitting_ratio_report(phi, k=1, radius=0.02)
     assert rep["v_dim"] == 2
     assert rep["w_dim"] == 2
