@@ -142,6 +142,13 @@ def periodic_point_search(
     radius contains only the origin.  Points of phi^k that move under phi
     itself are listed as non-fixed k-periodic witnesses.
 
+    All radii share one Newton batch: the scaled seed grids of every radius
+    are stacked into one ``_newton_search`` (same tolerance, iteration cap
+    and escape ball 3 * max(radii)) and its points sliced back per radius,
+    so a Newton step costs k flows however many radii there are.  The two
+    origin probe rings go through one phi^k call, and the witnesses of
+    every radius through one phi call.
+
     Degenerate maps stall the residual early: when the displacement of
     phi^k vanishes to order d at 0, points inside r (tol / D(r))^(1/d)
     cannot be told apart from the origin at the achievable residual and
@@ -159,15 +166,15 @@ def periodic_point_search(
     grid = grid[np.linalg.norm(grid, axis=1) <= 1.0 + 1e-12]
 
     dedup_tol = max(10.0 * newton_tol, 1e-9)
+    seeds = np.concatenate([radius * grid for radius in radii])
+    z, rnorm = _newton_search(
+        phi_k.value_and_jac, seeds, newton_tol, NEWTON_MAX_ITER, 3.0 * radii[0]
+    )
     per_radius: List[dict] = []
-    witnesses: List[dict] = []
-    for radius in radii:
-        z, rnorm = _newton_search(
-            phi_k.value_and_jac, radius * grid, newton_tol, NEWTON_MAX_ITER, 3.0 * radii[0]
-        )
-        ok = rnorm <= 10.0 * newton_tol
-        inside = np.linalg.norm(z, axis=1) <= radius * (1.0 + 1e-9)
-        found = _distinct(z[ok & inside], dedup_tol)
+    for radius, zr, rr in zip(radii, np.split(z, len(radii)), np.split(rnorm, len(radii))):
+        ok = rr <= 10.0 * newton_tol
+        inside = np.linalg.norm(zr, axis=1) <= radius * (1.0 + 1e-9)
+        found = _distinct(zr[ok & inside], dedup_tol)
         snapped = np.where(np.abs(found) <= dedup_tol, 0.0, found)
         entries = {
             "radius": radius,
@@ -176,12 +183,10 @@ def periodic_point_search(
         }
         per_radius.append(entries)
     r_min = radii[-1]
-    dirs = np.zeros((2 * d, d))
-    for i in range(d):
-        dirs[2 * i, i] = 1.0
-        dirs[2 * i + 1, i] = -1.0
-    d1 = float(np.max(np.linalg.norm(phi_k(r_min * dirs) - r_min * dirs, axis=1)))
-    d2 = float(np.max(np.linalg.norm(phi_k(0.5 * r_min * dirs) - 0.5 * r_min * dirs, axis=1)))
+    dirs = np.concatenate([np.eye(d), -np.eye(d)])
+    rings = np.concatenate([r_min * dirs, 0.5 * r_min * dirs])
+    moved = np.linalg.norm(phi_k(rings) - rings, axis=1)
+    d1, d2 = float(np.max(moved[: 2 * d])), float(np.max(moved[2 * d :]))
     ok_tol = 10.0 * newton_tol
     if d1 <= ok_tol:
         origin_tol = 0.0  # displacement below tolerance everywhere: no resolution at all
@@ -190,21 +195,20 @@ def periodic_point_search(
         origin_tol = min(3.0 * r_min * (ok_tol / d1) ** (1.0 / order), 0.5 * r_min)
     origin_tol = max(origin_tol, dedup_tol)
 
-    for entries in per_radius:
-        pts = np.array(entries["points"]).reshape(-1, d)
-        outside = [p for p, nrm in zip(pts, entries["norms"]) if nrm > origin_tol]
-        if not outside:
-            continue
-        arr = np.array(outside)
+    outside = [
+        (entries["radius"], p)
+        for entries in per_radius
+        for p, nrm in zip(entries["points"], entries["norms"])
+        if nrm > origin_tol
+    ]
+    witnesses: List[dict] = []
+    if outside:
+        arr = np.array([p for _, p in outside])
         move = np.linalg.norm(phi(arr) - arr, axis=1)
-        for p, mv in zip(arr, move):
+        for (radius, p), mv in zip(outside, move):
             if mv > 100.0 * newton_tol:
                 witnesses.append(
-                    {
-                        "radius": entries["radius"],
-                        "point": [float(v) for v in p],
-                        "step_displacement": float(mv),
-                    }
+                    {"radius": radius, "point": list(p), "step_displacement": float(mv)}
                 )
 
     smallest = per_radius[-1]
@@ -277,8 +281,9 @@ def splitting_ratio_report(
 
     Splits the linearization with split_spectral into the eigenvalue-1
     generalized eigenspace W and its complement V (SplitFailed when an
-    eigenvalue is too near 1 to place).  For sampled w in W, solves the
-    V-component fixed point equation P_V(phi^k(v + w) - (v + w)) = 0 for
+    eigenvalue is too near 1 to place).  For w sampled on a closed curve of
+    radius ``radius`` through every direction of W, solves the V-component
+    fixed point equation P_V(phi^k(v + w) - (v + w)) = 0 for
     v = v(w) by Newton, and reports the largest ratio |v(w1) - v(w0)| / |w1 - w0| over
     consecutive sample pairs.  Trivial splits report ratio 0.
     NewtonDivergence if a solve misses newton_tol after 60 steps.
@@ -300,11 +305,15 @@ def splitting_ratio_report(
         }
     phi_k = phi.iterate(k)
 
-    t = np.linspace(0.0, 2.0 * np.pi, SPLIT_SAMPLES, endpoint=False)
     if w_dim == 1:
         coeffs = np.linspace(-1.0, 1.0, SPLIT_SAMPLES)[:, None]
     else:
-        coeffs = np.stack([np.cos(t), np.sin(t)], axis=1)[:, :w_dim]
+        # a closed unit curve through every direction of W: the column pairs
+        # (cos jt, sin jt), j = 1, 2, ..., with each row normalized
+        t = np.linspace(0.0, 2.0 * np.pi, SPLIT_SAMPLES, endpoint=False)[:, None]
+        j = np.arange(1, (w_dim + 1) // 2 + 1)
+        coeffs = np.stack([np.cos(j * t), np.sin(j * t)], axis=2).reshape(len(t), -1)[:, :w_dim]
+        coeffs /= np.linalg.norm(coeffs, axis=1, keepdims=True)
     ws = radius * coeffs @ wb
 
     sols = []

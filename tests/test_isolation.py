@@ -17,6 +17,8 @@ from localfloer import (
     periodic_point_search,
     splitting_ratio_report,
 )
+from localfloer.genfun import GermMap
+from localfloer.germs import NEWTON_MAX_ITER
 from localfloer.errors import LinearizationNotIdentity, NewtonDivergence
 from localfloer.corpus import (
     direct_sum_germ,
@@ -243,6 +245,97 @@ def test_search_does_not_flow_retired_seeds():
     assert retired_early > 0
 
 
+LADDER = [0.2, 0.05, 0.01, 0.001]
+
+
+def _same_points(a, b, tol, origin_tol):
+    """Same points up to tol, in any order (equal-norm ring points may
+    swap).  Points within origin_tol are where the residual of a degenerate
+    origin stalls; their place follows the flow's step sequence, amplified
+    by the near-singular Jacobian, so only their count is compared."""
+    a, b = np.array(a).reshape(-1, 2), np.array(b).reshape(-1, 2)
+    near_a = np.linalg.norm(a, axis=1) <= origin_tol
+    near_b = np.linalg.norm(b, axis=1) <= origin_tol
+    if len(a) != len(b) or np.sum(near_a) != np.sum(near_b):
+        return False
+    a, b = a[~near_a], b[~near_b]
+    return all(np.min(np.linalg.norm(b - p, axis=1)) <= tol for p in a)
+
+
+@pytest.mark.parametrize(
+    "germ, k, radii",
+    [("resonant", k, LADDER) for k in (1, 2, 3, 4)]
+    + [("quartic", k, [0.05, 0.01]) for k in (2, 3)],
+)
+def test_batched_search_matches_one_search_per_radius(
+    resonant_map, quartic_map, germ, k, radii
+):
+    phi = resonant_map if germ == "resonant" else quartic_map
+    batched = periodic_point_search(phi, k, radii, seeds_per_axis=9)
+    for entry in batched.per_radius:
+        single = periodic_point_search(phi, k, [entry["radius"]], seeds_per_axis=9)
+        alone = single.per_radius[0]
+        assert alone["radius"] == entry["radius"]
+        assert len(alone["points"]) == len(entry["points"])
+        assert _same_points(alone["points"], entry["points"], 1e-7, batched.origin_resolution)
+
+
+class CountingTwist(GermMap):
+    """The twist map z -> R(2 pi k (alpha + beta |z|^2)) z and its iterates,
+    in closed form, counting the calls each iterate receives."""
+
+    def __init__(self, calls, k=1, alpha=0.3, beta=1.0):
+        self.n, self.name = 1, f"twist^{k}"
+        self.calls, self.k, self.alpha, self.beta = calls, k, alpha, beta
+
+    def _eval(self, pts):
+        z = np.atleast_2d(np.asarray(pts, dtype=float))
+        a = 2.0 * np.pi * self.k * (self.alpha + self.beta * np.sum(z * z, axis=1))
+        c, s = np.cos(a), np.sin(a)
+        rot = np.stack([np.stack([c, -s], 1), np.stack([s, c], 1)], 1)
+        img = (rot @ z[..., None])[..., 0]
+        # d/da (R(a) z) = J R(a) z with J the quarter turn; da/dz = 4 pi k beta z
+        turned = np.stack([-img[:, 1], img[:, 0]], 1)
+        grad = 4.0 * np.pi * self.k * self.beta * z
+        return img, rot + turned[:, :, None] * grad[:, None, :]
+
+    def _count(self, what):
+        self.calls[(self.k, what)] = self.calls.get((self.k, what), 0) + 1
+
+    def __call__(self, pts):
+        self._count("value")
+        return self._eval(pts)[0]
+
+    def jac(self, pts):
+        self._count("jac")
+        return self._eval(pts)[1]
+
+    def value_and_jac(self, pts):
+        self._count("value_and_jac")
+        return self._eval(pts)
+
+    def iterate(self, k):
+        return CountingTwist(self.calls, self.k * k, self.alpha, self.beta)
+
+
+def test_search_work_does_not_grow_with_the_radii():
+    # at k = 3 the twist has a ring of 3-periodic points at |z|^2 = 1/30,
+    # inside the two largest radii, so there are witnesses to check
+    radii = [0.3, 0.2, 0.1, 0.05]
+    newton = []
+    for ladder in [[r] for r in radii] + [radii]:
+        calls = {}
+        rep = periodic_point_search(CountingTwist(calls), 3, ladder, seeds_per_axis=9)
+        newton.append(calls[(3, "value_and_jac")])
+    assert rep.conclusion == "ISOLATION_HOLDS"
+    assert {w["radius"] for w in rep.witnesses} == {0.3, 0.2}
+    # one Newton batch: as many evaluations as the slowest radius alone needs
+    assert newton[-1] <= NEWTON_MAX_ITER + 1
+    assert newton[-1] <= max(newton[:-1])
+    # one jac at the origin, one probe of phi^3, one witness call of phi
+    assert calls == {(1, "jac"): 1, (3, "value_and_jac"): newton[-1], (3, "value"): 1, (1, "value"): 1}
+
+
 def test_search_identity_fails_without_witnesses():
     # every point is fixed, so nothing moves and nothing can be a witness,
     # yet the origin is certainly not isolated
@@ -319,6 +412,16 @@ def test_splitting_ratio_rotation_plus_quartic(second):
     assert rep["w_dim"] == 2
     assert rep["pairs"] > 0
     # graph over the degenerate directions is flat to leading order
+    assert rep["max_ratio"] <= 1e-6
+
+
+def test_splitting_ratio_samples_every_direction_of_a_large_w():
+    # W = quartic + shear, four directions; the sampled curve must span them
+    germ = direct_sum_germ(direct_sum_germ(quartic(-1), shear()), linear_rotation(0.05))
+    rep = splitting_ratio_report(OdeGermMap(germ), k=1, radius=0.02)
+    assert rep["v_dim"] == 2
+    assert rep["w_dim"] == 4
+    assert rep["pairs"] > 0
     assert rep["max_ratio"] <= 1e-6
 
 
