@@ -19,6 +19,7 @@ integrated as an extra component of the same ODE system.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
@@ -125,9 +126,8 @@ def monodromy(germ: HamiltonianGerm, point: Optional[np.ndarray] = None) -> Symp
     z0 = np.zeros(dim) if point is None else np.asarray(point, dtype=float)
     sol = _variational_flow(germ, z0.reshape(1, dim), dense=True)
 
-    def ev(t: float) -> np.ndarray:
-        tt = min(max(t, 0.0), 1.0)
-        return sol.sol(tt)[dim:].reshape(dim, dim)
+    def ev(ts: np.ndarray) -> np.ndarray:
+        return sol.sol(np.clip(ts, 0.0, 1.0))[dim:].T.reshape(-1, dim, dim)
 
     return SymplecticPath(germ.n, 1.0, ev)
 
@@ -178,22 +178,23 @@ def translate(germ: HamiltonianGerm, point: np.ndarray) -> HamiltonianGerm:
     )
 
 
-def _bump(s):
-    return np.where(s > 1e-12, np.exp(-1.0 / np.maximum(s, 1e-12)), 0.0)
+def _reparam(t: float) -> Tuple[int, float, float]:
+    """Piece (0 or 1) of a concatenation at time t, with sigma(s) and
+    2 sigma'(s) at s = 2 t - piece.
 
-
-def _sigma(s):
-    g, h = _bump(s), _bump(1.0 - s)
-    return g / (g + h)
-
-
-def _sigma_prime(s):
-    # g'(s) = g(s)/s^2; flat to infinite order at both endpoints
-    s = np.clip(s, 0.0, 1.0)
-    g, h = _bump(s), _bump(1.0 - s)
-    gp = np.where(s > 1e-12, g / np.maximum(s, 1e-12) ** 2, 0.0)
-    hp = np.where(1.0 - s > 1e-12, h / np.maximum(1.0 - s, 1e-12) ** 2, 0.0)
-    return (gp * h + g * hp) / (g + h) ** 2
+    sigma(s) = g(s) / (g(s) + g(1 - s)) with g(s) = exp(-1/s), so sigma'
+    is flat to infinite order at both endpoints.  Plain floats: the flow
+    calls this once per right-hand side.
+    """
+    piece = 0 if t < 0.5 else 1
+    s = min(max(2.0 * t - piece, 0.0), 1.0)
+    r = 1.0 - s
+    g = math.exp(-1.0 / s) if s > 1e-12 else 0.0
+    h = math.exp(-1.0 / r) if r > 1e-12 else 0.0
+    # g'(s) = g(s) / s^2
+    gp = g / (s * s) if s > 1e-12 else 0.0
+    hp = h / (r * r) if r > 1e-12 else 0.0
+    return piece, g / (g + h), 2.0 * (gp * h + g * hp) / (g + h) ** 2
 
 
 def concatenate(first: HamiltonianGerm, second: HamiltonianGerm) -> HamiltonianGerm:
@@ -207,11 +208,8 @@ def concatenate(first: HamiltonianGerm, second: HamiltonianGerm) -> HamiltonianG
 
     def wrap(f1, f2):
         def wrapped(t, z):
-            if t < 0.5:
-                s = 2.0 * t
-                return 2.0 * float(_sigma_prime(s)) * f1(float(_sigma(s)), z)
-            s = 2.0 * t - 1.0
-            return 2.0 * float(_sigma_prime(s)) * f2(float(_sigma(s)), z)
+            piece, sig, dsig = _reparam(t)
+            return dsig * (f2 if piece else f1)(sig, z)
 
         return wrapped
 

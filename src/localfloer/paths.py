@@ -23,10 +23,11 @@ to, so the quotient by pi is an integer up to discretization noise.
 
 The winding is sampled by local bisection: an interval of the sample grid
 is split until both halves turn by less than pi / 2 and agree with it, so
-samples gather where rho turns.  Along an iterated hyperbolic path rho
-turns only inside elliptic windows of width about 2^-j on leg j; each
-window costs samples in proportion to the logarithm of its width, not to
-its inverse.
+samples gather where rho turns.  Each round's new times are sampled as one
+stack, through one batched eigendecomposition.  Along an iterated
+hyperbolic path rho turns only inside elliptic windows of width about 2^-j
+on leg j; each window costs samples in proportion to the logarithm of its
+width, not to its inverse.
 """
 from __future__ import annotations
 
@@ -45,7 +46,6 @@ from .symplectic import SymplecticMatrix, direct_sum_indices, standard_j, valida
 
 __all__ = [
     "SymplecticPath",
-    "exponential_path",
     "rho",
     "winding",
     "mean_index",
@@ -72,89 +72,97 @@ def _krein_form(n: int) -> np.ndarray:
     return -0.5j * standard_j(n)
 
 
-def _elliptic_data(mat: np.ndarray, strict: bool):
+def _elliptic_data(vals: np.ndarray, vecs: np.ndarray, strict: bool):
     """Eigenvalue classification shared by rho and the endpoint correction.
 
-    Returns (sign_exponent, pairs) where pairs is a list of (theta, p, q)
-    over elliptic pairs.  With strict=True a numerically indefinite Krein
-    block raises instead of being dropped.
+    Takes the eigenpairs of a stack of matrices, vals (m, 2n) and vecs
+    (m, 2n, 2n), and returns (sign_exponents, pairs): an integer array (m,)
+    and, per matrix, a list of (theta, p, q) over elliptic pairs.  With
+    strict=True a numerically indefinite Krein block raises instead of
+    being dropped.
     """
-    dim = mat.shape[0]
-    n = dim // 2
-    vals, vecs = np.linalg.eig(mat)
     at_minus_one = np.abs(vals + 1.0) <= CIRCLE_TOL
-    sign_exp = int(np.sum(at_minus_one)) // 2
     is_real = np.abs(vals.imag) <= REAL_TOL * (1.0 + np.abs(vals))
-    for lam in vals[is_real & ~at_minus_one].real:
-        if lam < 0.0 and abs(lam) > 1.0:
-            sign_exp += 1
-
-    cand = np.where(
+    sign_exp = np.sum(at_minus_one, axis=1) // 2 + np.sum(
+        is_real & ~at_minus_one & (vals.real < -1.0), axis=1
+    )
+    cand = (
         (~is_real)
         & (vals.imag > 0)
         & (np.abs(np.abs(vals) - 1.0) <= CIRCLE_TOL)
         & (~at_minus_one)
-    )[0]
-    k_herm = _krein_form(n)
-    pairs = []
-    used: set = set()
-    for i in cand:
-        if i in used:
-            continue
-        group = [
-            j
-            for j in cand
-            if j not in used and abs(vals[j] - vals[i]) <= max(CIRCLE_TOL, 1e-9)
-        ]
-        used.update(group)
-        v = vecs[:, group]
-        gram = v.conj().T @ k_herm @ v
-        gram = 0.5 * (gram + gram.conj().T)
-        geigs = np.linalg.eigvalsh(gram)
-        cut = KREIN_REL_TOL * max(1.0, float(np.max(np.abs(geigs))))
-        p = int(np.sum(geigs > cut))
-        q = int(np.sum(geigs < -cut))
-        if strict and p + q != len(group):
-            raise KreinDegenerate(
-                f"Krein form nearly degenerate on eigenspace at angle "
-                f"{float(np.angle(vals[i])):.6f}: eigenvalues {geigs}"
-            )
-        theta = float(np.angle(np.mean(vals[group])))
-        pairs.append((theta, p, q))
+    )
+    k_herm = _krein_form(vals.shape[1] // 2)
+    pairs: list = [[] for _ in range(len(vals))]
+    for r in np.flatnonzero(np.any(cand, axis=1)):
+        val, idx = vals[r], np.flatnonzero(cand[r])
+        used: set = set()
+        for i in idx:
+            if i in used:
+                continue
+            group = [
+                j
+                for j in idx
+                if j not in used and abs(val[j] - val[i]) <= max(CIRCLE_TOL, 1e-9)
+            ]
+            used.update(group)
+            v = vecs[r][:, group]
+            gram = v.conj().T @ k_herm @ v
+            gram = 0.5 * (gram + gram.conj().T)
+            geigs = np.linalg.eigvalsh(gram)
+            cut = KREIN_REL_TOL * max(1.0, float(np.max(np.abs(geigs))))
+            p = int(np.sum(geigs > cut))
+            q = int(np.sum(geigs < -cut))
+            if strict and p + q != len(group):
+                raise KreinDegenerate(
+                    f"Krein form nearly degenerate on eigenspace at angle "
+                    f"{float(np.angle(val[i])):.6f}: eigenvalues {geigs}"
+                )
+            theta = float(np.angle(np.mean(val[group])))
+            pairs[r].append((theta, p, q))
     return sign_exp, pairs
+
+
+def _rho_values(vals: np.ndarray, vecs: np.ndarray) -> np.ndarray:
+    """rho of a stack of matrices from their eigenpairs, as an array (m,)."""
+    sign_exp, pairs = _elliptic_data(vals, vecs, strict=False)
+    phase = np.array([sum(theta * (p - q) for theta, p, q in pr) for pr in pairs])
+    return np.where(sign_exp % 2, -1.0, 1.0) * np.exp(1j * phase)
 
 
 def rho(mat: np.ndarray) -> complex:
     """Spectral circle map on Sp(2n); continuous, det_C on U(n), +-1 off circle."""
-    sign_exp, pairs = _elliptic_data(np.asarray(mat, dtype=float), strict=False)
-    phase = sum(theta * (p - q) for theta, p, q in pairs)
-    return complex((-1.0) ** (sign_exp % 2) * np.exp(1j * phase))
+    return complex(_rho_values(*np.linalg.eig(np.asarray(mat, dtype=float)[None]))[0])
 
 
 class SymplecticPath:
-    """Path [0, span] -> Sp(2n) given by a callable, starting anywhere.
+    """Path [0, span] -> Sp(2n), starting anywhere.
 
-    Index computations assume the path starts at the identity; nothing
-    enforces it because intermediate constructions (iteration legs) reuse
-    the same type.
+    `evaluate` maps an array of times (m,) to the stack of matrices
+    (m, 2n, 2n); calling the path at one time returns one matrix.  Index
+    computations assume the path starts at the identity; nothing enforces
+    it because intermediate constructions (iteration legs) reuse the same
+    type.
     """
 
-    def __init__(self, n: int, span: float, evaluate: Callable[[float], np.ndarray]):
+    def __init__(self, n: int, span: float, evaluate: Callable[[np.ndarray], np.ndarray]):
         self.n = int(n)
         self.span = float(span)
-        self._evaluate = evaluate
+        self.evaluate = evaluate
         self._rho_cache: dict = {}
 
     def __call__(self, t: float) -> np.ndarray:
-        return np.asarray(self._evaluate(float(t)), dtype=float)
+        return self.evaluate(np.array([float(t)]))[0]
 
-    def rho(self, t: float) -> complex:
-        key = float(t)
-        out = self._rho_cache.get(key)
-        if out is None:
-            out = rho(self(t))
-            self._rho_cache[key] = out
-        return out
+    def rho(self, ts: np.ndarray) -> np.ndarray:
+        """rho at an array of times.  Times not sampled before are
+        evaluated as one stack and go through one batched eig."""
+        keys = np.asarray(ts, dtype=float).tolist()
+        new = [t for t in keys if t not in self._rho_cache]
+        if new:
+            vals, vecs = np.linalg.eig(self.evaluate(np.array(new)))
+            self._rho_cache.update(zip(new, _rho_values(vals, vecs)))
+        return np.array([self._rho_cache[t] for t in keys])
 
     def start(self) -> np.ndarray:
         return self(0.0)
@@ -178,10 +186,13 @@ class SymplecticPath:
         for _ in range(k - 1):
             powers.append(e @ powers[-1])
 
-        def ev(t: float) -> np.ndarray:
-            j = min(int(np.floor(t)), k - 1)
-            j = max(j, 0)
-            return self(t - j) @ powers[j]
+        def ev(ts: np.ndarray) -> np.ndarray:
+            legs = np.clip(np.floor(ts).astype(int), 0, k - 1)
+            out = np.empty((len(ts), 2 * self.n, 2 * self.n))
+            for j in np.unique(legs):
+                on_leg = legs == j
+                out[on_leg] = self.evaluate(ts[on_leg] - j) @ powers[j]
+            return out
 
         return SymplecticPath(self.n, float(k), ev)
 
@@ -189,7 +200,9 @@ class SymplecticPath:
         """Pointwise product path; same span required."""
         if abs(self.span - other.span) > 1e-12 or self.n != other.n:
             raise ValueError("product requires matching span and dimension")
-        return SymplecticPath(self.n, self.span, lambda t: self(t) @ other(t))
+        return SymplecticPath(
+            self.n, self.span, lambda ts: self.evaluate(ts) @ other.evaluate(ts)
+        )
 
     def direct_sum(self, other: "SymplecticPath") -> "SymplecticPath":
         """Block path in split coordinates (x1, x2, y1, y2)."""
@@ -198,26 +211,13 @@ class SymplecticPath:
         n = self.n + other.n
         i1, i2 = direct_sum_indices(self.n, other.n)
 
-        def ev(t: float) -> np.ndarray:
-            out = np.zeros((2 * n, 2 * n))
-            out[np.ix_(i1, i1)] = self(t)
-            out[np.ix_(i2, i2)] = other(t)
+        def ev(ts: np.ndarray) -> np.ndarray:
+            out = np.zeros((len(ts), 2 * n, 2 * n))
+            out[:, i1[:, None], i1] = self.evaluate(ts)
+            out[:, i2[:, None], i2] = other.evaluate(ts)
             return out
 
         return SymplecticPath(n, self.span, ev)
-
-
-def exponential_path(generator: np.ndarray, span: float = 1.0) -> SymplecticPath:
-    """t -> exp(t B) for B in the symplectic Lie algebra (J B symmetric)."""
-    import scipy.linalg
-
-    gen = np.asarray(generator, dtype=float)
-    n = gen.shape[0] // 2
-    j = standard_j(n)
-    sym_defect = float(np.max(np.abs(j @ gen + gen.T @ j)))
-    if sym_defect > 1e-9 * max(1.0, float(np.max(np.abs(gen)))):
-        raise ValueError(f"generator not in sp(2n): defect {sym_defect:.3e}")
-    return SymplecticPath(n, span, lambda t: scipy.linalg.expm(t * gen))
 
 
 def _wind(f: Callable, span: float, intervals: int, max_samples: int) -> float:
@@ -285,9 +285,7 @@ def winding(
     endpoint, which can repeat, so a wider first interval can hide turns.
     """
     intervals = max(int(start_samples), int(np.ceil(path.span)))
-    return _wind(
-        lambda ts: np.array([path.rho(t) for t in ts]), path.span, intervals, max_samples
-    )
+    return _wind(path.rho, path.span, intervals, max_samples)
 
 
 def mean_index(path: SymplecticPath, **kwargs) -> float:
@@ -297,13 +295,13 @@ def mean_index(path: SymplecticPath, **kwargs) -> float:
 
 def _endpoint_correction(mat: np.ndarray) -> float:
     """Sum of p (pi - theta) + q (theta - pi) over elliptic pairs of the endpoint."""
-    vals = np.linalg.eigvals(mat)
+    vals, vecs = np.linalg.eig(np.asarray(mat, dtype=float)[None])
     gap = float(np.min(np.abs(vals - 1.0)))
     if gap <= DEGENERACY_TOL:
         raise DegenerateEndpoint(
             f"eigenvalue at distance {gap:.3e} from 1; integer index undefined"
         )
-    _, pairs = _elliptic_data(mat, strict=True)
+    _, (pairs,) = _elliptic_data(vals, vecs, strict=True)
     return sum(p * (np.pi - theta) + q * (theta - np.pi) for theta, p, q in pairs)
 
 

@@ -17,7 +17,6 @@ from localfloer import (
     c_constant_exact,
     conley_zehnder,
     detect_sdm,
-    exponential_path,
     fixed_point_record,
     generating_function,
     gf_property_report,
@@ -36,6 +35,7 @@ from localfloer.corpus import FIELDS, GERMS, resonant_rotation
 from localfloer.errors import LocalFloerError
 from localfloer.germs import iterate, monodromy
 from localfloer.symplectic import admissible, spectrum, standard_j
+from pathhelpers import exponential_path
 
 _RECORDS = {}
 

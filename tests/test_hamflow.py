@@ -17,6 +17,7 @@ from localfloer.errors import NonIsolated, NotAdmissible
 from localfloer.germs import (
     _distinct,
     _newton_search,
+    _reparam,
     concatenate,
     find_fixed_points,
     fixed_point_record,
@@ -52,7 +53,7 @@ def test_hyperbolic_flow_squeezes():
 
 def test_negative_hyperbolic_monodromy():
     path = monodromy(negative_hyperbolic(2.0), np.zeros(2))
-    assert np.allclose(path.endpoint().entries, np.diag([-2.0, -0.5]), atol=1e-6)
+    assert np.allclose(path.endpoint().entries, np.diag([-2.0, -0.5]), rtol=0, atol=1e-9)
 
 
 def test_flow_jacobian_is_symplectic():
@@ -87,6 +88,41 @@ def test_iterate_endpoint_is_matrix_power():
 def test_reflected_saddle_iterated_index_equals_order(k):
     path = monodromy(negative_hyperbolic(2.0), np.zeros(2))
     assert index_report(path.iterated(k)).conley_zehnder == k
+
+
+# --- the flat reparametrization of a concatenation, against numpy oracles
+
+
+def _bump(s):
+    return np.where(s > 1e-12, np.exp(-1.0 / np.maximum(s, 1e-12)), 0.0)
+
+
+def _sigma(s):
+    g, h = _bump(s), _bump(1.0 - s)
+    return g / (g + h)
+
+
+def _sigma_prime(s):
+    s = np.clip(s, 0.0, 1.0)
+    g, h = _bump(s), _bump(1.0 - s)
+    gp = np.where(s > 1e-12, g / np.maximum(s, 1e-12) ** 2, 0.0)
+    hp = np.where(1.0 - s > 1e-12, h / np.maximum(1.0 - s, 1e-12) ** 2, 0.0)
+    return (gp * h + g * hp) / (g + h) ** 2
+
+
+def test_reparam_matches_numpy_oracle():
+    # 2 sigma' reaches about 4, where one ulp is 4.4e-16, and numpy's exp
+    # differs from libm's by an ulp on some arguments: compare relatively
+    ts = np.concatenate(
+        [[0.0, 1e-13, 0.5 - 1e-13, 0.5, 0.5 + 1e-13, 1.0 - 1e-13, 1.0], np.linspace(0, 1, 1001)]
+    )
+    for t in ts:
+        piece, sig, dsig = _reparam(float(t))
+        s = 2.0 * t - piece
+        oracle = 2.0 * float(_sigma_prime(s))
+        assert piece == (0 if t < 0.5 else 1)
+        assert abs(sig - float(_sigma(s))) <= 1e-15
+        assert abs(dsig - oracle) <= 1e-15 * max(1.0, oracle)
 
 
 def test_concatenation_composes_rotations():

@@ -56,9 +56,9 @@ def test_first_order_reuses_the_record_winding(monkeypatch):
     germ = negative_hyperbolic(2.0)
     rec = record_of(germ)
     calls = []
-    real = paths.rho
+    real = paths._rho_values
     monkeypatch.setattr(
-        paths, "rho", lambda mat: calls.append(1) or real(mat)
+        paths, "_rho_values", lambda vals, vecs: calls.append(len(vals)) or real(vals, vecs)
     )
     lf = local_floer(germ, rec, 1)
     assert lf.route == "nondegenerate" and lf.ranks.as_dict() == {1: 1}

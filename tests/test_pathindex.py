@@ -21,14 +21,14 @@ from localfloer.germs import monodromy
 from localfloer.paths import (
     SymplecticPath,
     conley_zehnder,
-    exponential_path,
     index_report,
     maslov_loop,
     mean_index,
     rho,
     winding,
 )
-from localfloer.symplectic import standard_j, vectorfield_j
+from localfloer.symplectic import direct_sum_indices, random_symplectic, standard_j, vectorfield_j
+from pathhelpers import exponential_path
 
 
 def rotation_path(a, span=1.0):
@@ -207,7 +207,7 @@ def uniform_winding(path, agree_tol=1e-10, start_samples=64, max_samples=1 << 20
     increment is below pi / 2."""
     nsamp = int(start_samples)
     ts = np.linspace(0.0, path.span, nsamp + 1)
-    vals = np.array([path.rho(t) for t in ts])
+    vals = path.rho(ts)
     prev_total = None
     while True:
         incr = np.angle(vals[1:] / vals[:-1])
@@ -219,7 +219,7 @@ def uniform_winding(path, agree_tol=1e-10, start_samples=64, max_samples=1 << 20
             raise WindingUnresolved(f"no convergence with {nsamp} samples")
         prev_total = total
         mid_ts = 0.5 * (ts[:-1] + ts[1:])
-        mid_vals = np.array([path.rho(t) for t in mid_ts])
+        mid_vals = path.rho(mid_ts)
         merged_t = np.empty(2 * nsamp + 1)
         merged_v = np.empty(2 * nsamp + 1, dtype=complex)
         merged_t[0::2], merged_t[1::2] = ts, mid_ts
@@ -235,15 +235,15 @@ def reflected_saddle_path():
 
 @pytest.fixture
 def rho_calls(monkeypatch):
-    """Counts evaluations of the spectral rho (cached samples do not count)."""
+    """Counts matrices whose rho is computed (cached samples do not count)."""
     calls = []
-    real = paths.rho
+    real = paths._rho_values
 
-    def counted(mat):
-        calls.append(1)
-        return real(mat)
+    def counted(vals, vecs):
+        calls.extend([1] * len(vals))
+        return real(vals, vecs)
 
-    monkeypatch.setattr(paths, "rho", counted)
+    monkeypatch.setattr(paths, "_rho_values", counted)
     return calls
 
 
@@ -289,10 +289,89 @@ def test_high_iterates_of_reflected_saddle_follow_iteration_formula(k):
 
 def test_genuine_rho_jump_is_refused_promptly(rho_calls):
     # rho jumps by pi at t = 0.5: no grid resolves it
-    step = SymplecticPath(1, 1.0, lambda t: np.eye(2) if t < 0.5 else -np.eye(2))
+    step = SymplecticPath(
+        1, 1.0, lambda ts: np.where((ts < 0.5)[:, None, None], np.eye(2), -np.eye(2))
+    )
     with pytest.raises(WindingUnresolved):
         winding(step)
     assert len(rho_calls) < 10**4
+
+
+# --- batched sampling: one stack of matrices per call
+
+
+def planar_matrices():
+    """Elliptic, hyperbolic, negative hyperbolic and -1 spectra in Sp(2)."""
+    return st.one_of(
+        st.builds(lambda a: rotation_path(a)(1.0), st.floats(-np.pi, np.pi)),
+        st.builds(lambda c: np.diag([c, 1.0 / c]), st.floats(0.2, 5.0)),
+        st.builds(lambda c: -np.diag([c, 1.0 / c]), st.floats(0.2, 5.0)),
+        st.just(-np.eye(2)),
+    )
+
+
+def direct_sum_matrix(a, b):
+    out = np.zeros((4, 4))
+    i1, i2 = direct_sum_indices(1, 1)
+    out[np.ix_(i1, i1)], out[np.ix_(i2, i2)] = a, b
+    return out
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.one_of(
+        st.lists(planar_matrices(), min_size=1, max_size=8),
+        st.lists(
+            st.builds(direct_sum_matrix, planar_matrices(), planar_matrices()),
+            min_size=1,
+            max_size=8,
+        ),
+    ),
+    st.integers(0, 10**6),
+)
+def test_batched_rho_matches_rho_per_matrix(mats, seed):
+    mats = np.array(mats)
+    n = mats.shape[1] // 2
+    c = random_symplectic(n, np.random.default_rng(seed)).entries
+    mats = c @ mats @ np.linalg.inv(c)
+    # the path's value at the integer time i is mats[i]
+    path = SymplecticPath(n, float(len(mats) - 1), lambda ts: mats[ts.astype(int)])
+    batched = path.rho(np.arange(len(mats)))
+    assert np.allclose(batched, [rho(m) for m in mats], rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: reflected_saddle_path(),
+        lambda: reflected_saddle_path().iterated(3),
+        lambda: full_loop(1).product(reflected_saddle_path()),
+        lambda: reflected_saddle_path().direct_sum(rotation_path(0.7)),
+    ],
+)
+def test_batched_evaluation_matches_pointwise(make):
+    path = make()
+    ts = np.concatenate(
+        [np.arange(path.span + 1.0), np.random.default_rng(0).uniform(0.0, path.span, 40)]
+    )
+    stack = path.evaluate(ts)
+    assert stack.shape == (len(ts), 2 * path.n, 2 * path.n)
+    np.testing.assert_allclose(stack, [path(t) for t in ts], rtol=1e-14, atol=1e-15)
+
+
+def test_winding_samples_rho_once_per_bisection_round():
+    path = reflected_saddle_path().iterated(5)
+    calls = []
+    sample = path.rho
+    path.rho = lambda ts: calls.append(np.asarray(ts)) or sample(ts)
+    winding(path, start_samples=8)
+    h = path.span / 8
+    assert np.array_equal(calls[0], np.linspace(0.0, path.span, 9))
+    # call r holds exactly the midpoints of round r: odd multiples of h / 2^r
+    for r, ts in enumerate(calls[1:], start=1):
+        q = ts * 2.0**r / h
+        assert np.array_equal(q, np.round(q)) and np.all(q % 2 == 1)
+    assert len(calls) > 2 and sum(map(len, calls)) > 5 * len(calls)
 
 
 def test_winding_refuses_past_sample_budget():
