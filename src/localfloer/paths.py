@@ -189,7 +189,7 @@ class SymplecticPath:
         def ev(ts: np.ndarray) -> np.ndarray:
             legs = np.clip(np.floor(ts).astype(int), 0, k - 1)
             out = np.empty((len(ts), 2 * self.n, 2 * self.n))
-            for j in np.unique(legs):
+            for j in set(legs.tolist()):
                 on_leg = legs == j
                 out[on_leg] = self.evaluate(ts[on_leg] - j) @ powers[j]
             return out
