@@ -65,6 +65,19 @@ SCAN_MARGIN = 3.0
 
 
 def _opnorms(mats: np.ndarray) -> np.ndarray:
+    """Largest singular value of each matrix of a stack of square matrices.
+
+    1 x 1 and 2 x 2 in closed form; for [[a, b], [c, d]] the singular values
+    are (p +- q) / 2 with p = |(a + d, c - b)| and q = |(a - d, b + c)|.
+    Larger matrices go through the SVD.
+    """
+    size = mats.shape[-1]
+    if size == 1:
+        return np.abs(mats[..., 0, 0])
+    if size == 2:
+        a, b = mats[..., 0, 0], mats[..., 0, 1]
+        c, d = mats[..., 1, 0], mats[..., 1, 1]
+        return 0.5 * (np.hypot(a + d, c - b) + np.hypot(a - d, b + c))
     return np.linalg.svd(mats, compute_uv=False)[..., 0]
 
 
@@ -84,6 +97,13 @@ class GermMap:
         """(self(pts), self.jac(pts)); maps that get both from one pass override it."""
         return self(pts), self.jac(pts)
 
+    def _value_and_x_rows(self, pts: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """(self(pts), self.jac(pts)[:, :n]): the value and the n Jacobian
+        rows of the x-components, all that psi reads.  Maps that can skip
+        the other rows override it."""
+        img, d = self.value_and_jac(pts)
+        return img, d[:, : self.n]
+
     def iterate(self, k: int) -> "GermMap":
         raise NotImplementedError
 
@@ -102,7 +122,9 @@ class OdeGermMap(GermMap):
 
     Value and Jacobian come from one pass: each flow integrates the points
     together with their variational equations, so asking for both costs
-    the same k flows as asking for either."""
+    the same k flows as asking for either, and the psi hook
+    (``_value_and_x_rows``, the inherited default) costs k flows too.
+    ``__call__`` and ``jac`` are that pass with one half dropped."""
 
     def __init__(self, germ: HamiltonianGerm, k: int = 1, check: bool = True):
         self.germ = germ
@@ -218,9 +240,15 @@ class SplineGermMap(GermMap):
         return np.stack([s(z[:, 0], z[:, 1], grid=False) for s in self._phi_spl], axis=1)
 
     def jac(self, pts: np.ndarray) -> np.ndarray:
+        return self._jac_rows(np.atleast_2d(np.asarray(pts, dtype=float)), 2)
+
+    def _value_and_x_rows(self, pts: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         z = np.atleast_2d(np.asarray(pts, dtype=float))
-        out = np.empty((len(z), 2, 2))
-        for i in range(2):
+        return self(z), self._jac_rows(z, 1)
+
+    def _jac_rows(self, z: np.ndarray, rows: int) -> np.ndarray:
+        out = np.empty((len(z), rows, 2))
+        for i in range(rows):
             for j in range(2):
                 out[:, i, j] = self._jac_spl[i][j](z[:, 0], z[:, 1], grid=False)
         return out
@@ -260,30 +288,38 @@ class PsiMap:
         out[:, : self.n] = img[:, : self.n]
         return out
 
-    def jac(self, pts: np.ndarray) -> np.ndarray:
-        z = np.atleast_2d(np.asarray(pts, dtype=float))
-        d = self.phi_k.jac(z)
-        out = np.broadcast_to(np.eye(2 * self.n), d.shape).copy()
-        out[:, : self.n, :] = d[:, : self.n, :]
-        return out
+    def invert(self, w: np.ndarray, _image: bool = False):
+        """Solve psi(z) = w per row by Newton, seeded at z = w.
 
-    def invert(self, w: np.ndarray) -> np.ndarray:
-        """Solve psi(z) = w per row by Newton, seeded at z = w."""
+        Each step evaluates phi^k once, through ``_value_and_x_rows``: the
+        image gives the residual and, since D psi is (D phi^k)_x over the
+        identity y block, the n x-rows give the Newton matrix.  With
+        ``_image`` the result is (z, phi^k(z)), the image of the last step.
+        """
+        n = self.n
         w = np.atleast_2d(np.asarray(w, dtype=float))
         z = w.copy()
+        # D psi: its y rows stay the identity, its x rows are set per step
+        j = np.broadcast_to(np.eye(2 * n), (len(w), 2 * n, 2 * n)).copy()
         for _ in range(NEWTON_MAX_ITER):
-            res = self(z) - w
+            img, rows = self.phi_k._value_and_x_rows(z)
+            j[:, :n, :] = rows
+            res = z.copy()
+            res[:, :n] = img[:, :n]
+            res -= w
             err = float(np.max(np.abs(res)))
             if err <= INVERT_TOL:
-                return z
-            j = self.jac(z)
+                return (z, img) if _image else z
             z = z - np.linalg.solve(j, res[..., None])[..., 0]
         raise NewtonDivergence(f"psi inversion stalled at residual {err:.3e}")
 
     def gradient(self, w: np.ndarray) -> np.ndarray:
-        """grad F_k at w = psi_k(z): (-v, u) with (u, v) = phi^k(z) - z."""
-        z = self.invert(w)
-        disp = self.phi_k(z) - z
+        """grad F_k at w = psi_k(z): (-v, u) with (u, v) = phi^k(z) - z.
+
+        phi^k(z) is the image ``invert`` computed at its last step, so no
+        evaluation follows the inversion."""
+        z, img = self.invert(w, _image=True)
+        disp = img - z
         return np.concatenate([-disp[:, self.n :], disp[:, : self.n]], axis=1)
 
 

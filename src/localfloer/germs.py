@@ -86,23 +86,38 @@ def _solve(rhs, y0: np.ndarray, dense: bool = False):
 
 def _variational_flow(germ: HamiltonianGerm, z0: np.ndarray, dense: bool):
     """Time-1 flow of a batch z0 of shape (N, 2n) with its variational
-    equation M' = J_vf Hess_H M from M = I.  The state is one block (z, M)
-    per point."""
+    equation M' = J_vf Hess_H M from M = I.
+
+    The state is component-major, a (2n + 4n^2, N) array flattened: row c
+    holds component c of every point, first z_0 .. z_{2n-1} and then the
+    entries of M row by row, so every product below runs along contiguous
+    rows of length N.  For N = 1 it is the single vector (z, M)."""
     jvf = vectorfield_j(germ.n)
     dim = 2 * germ.n
     nbatch = len(z0)
     per = dim + dim * dim
-    y0 = np.zeros((nbatch, per))
-    y0[:, :dim] = z0
-    y0[:, dim:] = np.eye(dim).reshape(-1)
+    y0 = np.zeros((per, nbatch))
+    y0[:dim] = z0.T
+    y0[dim:] = np.eye(dim).reshape(-1, 1)
+    # Hess_H M, component-major, rewritten by every call
+    hm = np.empty((dim, dim * nbatch))
 
     def rhs(t, y):
-        blocks = y.reshape(nbatch, per)
-        z = blocks[:, :dim]
-        m = blocks[:, dim:].reshape(nbatch, dim, dim)
-        dz = germ.grad(t, z) @ jvf.T
-        dm = jvf @ (germ.hess(t, z) @ m)
-        return np.concatenate([dz, dm.reshape(nbatch, -1)], axis=1).reshape(-1)
+        state = y.reshape(per, nbatch)
+        z = state[:dim].T
+        m = state[dim:].reshape(dim, dim, nbatch)
+        out = np.empty_like(state)
+        # J_vf is a signed permutation: both products by it copy rows exactly
+        np.matmul(jvf, germ.grad(t, z).T, out=out[:dim])
+        hess = germ.hess(t, z)
+        if nbatch == 1:
+            # one point: a single matrix product sets up faster than einsum
+            np.matmul(hess[0], m[..., 0], out=hm)
+        else:
+            hess = np.ascontiguousarray(hess.transpose(1, 2, 0))
+            np.einsum("ikn,kjn->ijn", hess, m, out=hm.reshape(dim, dim, nbatch))
+        np.matmul(jvf, hm, out=out[dim:].reshape(dim, -1))
+        return out.reshape(-1)
 
     return _solve(rhs, y0.reshape(-1), dense)
 
@@ -112,16 +127,19 @@ def flow_jacobians(germ: HamiltonianGerm, points: np.ndarray) -> Tuple[np.ndarra
     dim = 2 * germ.n
     z0 = np.atleast_2d(np.asarray(points, dtype=float))
     sol = _variational_flow(germ, z0, dense=False)
-    final = sol.y[:, -1].reshape(len(z0), dim + dim * dim)
-    phi = final[:, :dim]
-    jac = final[:, dim:].reshape(len(z0), dim, dim)
+    final = sol.y[:, -1].reshape(dim + dim * dim, len(z0))
+    phi = final[:dim].T
+    jac = final[dim:].reshape(dim, dim, len(z0)).transpose(2, 0, 1)
     if np.asarray(points).ndim == 2:
         return phi, jac
     return phi[0], jac[0]
 
 
 def monodromy(germ: HamiltonianGerm, point: Optional[np.ndarray] = None) -> SymplecticPath:
-    """Linearized flow along the trajectory of a point, as a path in Sp(2n)."""
+    """Linearized flow along the trajectory of a point, as a path in Sp(2n).
+
+    The dense output of a one-point flow is the vector (z, M), so its rows
+    from 2n on are the entries of M row by row."""
     dim = 2 * germ.n
     z0 = np.zeros(dim) if point is None else np.asarray(point, dtype=float)
     sol = _variational_flow(germ, z0.reshape(1, dim), dense=True)

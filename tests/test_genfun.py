@@ -6,8 +6,11 @@ from localfloer.corpus import linear_rotation, morse_triple, quartic, shear
 from localfloer.errors import NotC1Small, NotInvertibleOnBox
 from localfloer.fields import Box, SampledField
 from localfloer.genfun import (
+    GermMap,
     OdeGermMap,
+    PsiMap,
     SplineGermMap,
+    _opnorms,
     conjugated_map,
     generating_function,
     gf_property_report,
@@ -170,3 +173,79 @@ def test_ode_value_and_jac_is_one_pass(monkeypatch):
     phi.value_and_jac(p)
     assert batches == [12, 12, 12]
 
+
+
+def _svd_norms(mats):
+    return np.linalg.svd(mats, compute_uv=False)[..., 0]
+
+
+def _hard_stacks(size, rng):
+    """Random, singular, zero and equal-singular-value stacks of size x size."""
+    rand = rng.standard_normal((200, size, size)) * rng.uniform(1e-3, 1e3, (200, 1, 1))
+    u = rng.standard_normal((200, size, 1))
+    singular = u * rng.standard_normal((200, 1, size))  # rank one
+    q, _ = np.linalg.qr(rng.standard_normal((200, size, size)))
+    equal = q * rng.uniform(0.1, 10.0, (200, 1, 1))  # all singular values equal
+    return [rand, singular, np.zeros((5, size, size)), equal, np.eye(size)[None] * 3.0]
+
+
+@pytest.mark.parametrize("size", [1, 2])
+def test_opnorms_closed_form_matches_svd(size):
+    rng = np.random.default_rng(size)
+    for mats in _hard_stacks(size, rng):
+        got, ref = _opnorms(mats), _svd_norms(mats)
+        assert got.shape == ref.shape
+        np.testing.assert_allclose(got, ref, rtol=1e-13, atol=0.0)
+    # a grid-shaped stack keeps its leading axes
+    grid = rng.standard_normal((3, 4, size, size))
+    np.testing.assert_allclose(_opnorms(grid), _svd_norms(grid), rtol=1e-13, atol=0.0)
+
+
+def test_opnorms_of_larger_stacks_is_the_svd():
+    rng = np.random.default_rng(4)
+    for mats in _hard_stacks(4, rng):
+        assert np.array_equal(_opnorms(mats), _svd_norms(mats))
+
+
+def test_psi_gradient_flows_once_per_newton_step(monkeypatch):
+    import localfloer.genfun as genfun
+
+    phi = OdeGermMap(quartic(-1))
+    pm = PsiMap(phi, 0.0)
+    w = np.random.default_rng(19).uniform(-0.05, 0.05, (12, 2))
+    steps, flows = [], []
+    flow, step = genfun.flow_jacobians, GermMap._value_and_x_rows
+
+    def counting_flow(germ, points):
+        flows.append(len(points))
+        return flow(germ, points)
+
+    def counting_step(self, pts):
+        steps.append(len(pts))
+        return step(self, pts)
+
+    monkeypatch.setattr(genfun, "flow_jacobians", counting_flow)
+    monkeypatch.setattr(OdeGermMap, "_value_and_x_rows", counting_step)
+    grad = pm.gradient(w)
+    # a Newton update happened, and each step was one flow of the batch
+    assert len(steps) >= 2
+    assert flows == steps
+    gradient_flows = list(flows)
+    flows.clear()
+    z = pm.invert(w)
+    # the gradient flowed exactly what the inversion flows: nothing after it
+    assert flows == gradient_flows
+    disp = phi(z) - z
+    assert np.array_equal(grad, np.concatenate([-disp[:, 1:], disp[:, :1]], axis=1))
+
+
+def test_spline_psi_gradient_equals_the_two_pass_form():
+    pm = psi(SplineGermMap(quartic(-1), BOX2, resolution=33), 2)
+    w = BOX2.nodes(17)
+    z = pm.invert(w)
+    disp = pm.phi_k(z) - z
+    two_pass = np.concatenate([-disp[:, 1:], disp[:, :1]], axis=1)
+    assert np.array_equal(pm.gradient(w), two_pass)
+    img, rows = pm.phi_k._value_and_x_rows(z)
+    assert np.array_equal(img, pm.phi_k(z))
+    assert np.array_equal(rows, pm.phi_k.jac(z)[:, :1])

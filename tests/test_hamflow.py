@@ -1,8 +1,10 @@
 """Hamiltonian germs: flows, monodromy, iteration, actions, gap tables."""
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
 from localfloer.corpus import (
+    GERMS,
     direct_sum_germ,
     hyperbolic,
     linear_rotation,
@@ -15,6 +17,8 @@ from localfloer.corpus import (
 )
 from localfloer.errors import NonIsolated, NotAdmissible
 from localfloer.germs import (
+    ATOL,
+    RTOL,
     _distinct,
     _newton_search,
     _reparam,
@@ -28,7 +32,7 @@ from localfloer.germs import (
     translate,
 )
 from localfloer.paths import index_report
-from localfloer.symplectic import validate_symplectic
+from localfloer.symplectic import validate_symplectic, vectorfield_j
 
 EPS = 0.05  # morse_triple default scale; H(+-1, 0) = -EPS / 4
 
@@ -123,6 +127,61 @@ def test_reparam_matches_numpy_oracle():
         assert piece == (0 if t < 0.5 else 1)
         assert abs(sig - float(_sigma(s))) <= 1e-15
         assert abs(dsig - oracle) <= 1e-15 * max(1.0, oracle)
+
+
+def _row_major_flow(germ, z0):
+    """Oracle for the component-major variational flow: the same equations
+    with one (z, M) block per point, products as stacked matmuls.
+    Returns (phi(z0), Dphi(z0)) of the batch z0 of shape (N, 2n)."""
+    jvf = vectorfield_j(germ.n)
+    dim = 2 * germ.n
+    nbatch = len(z0)
+    per = dim + dim * dim
+    y0 = np.zeros((nbatch, per))
+    y0[:, :dim] = z0
+    y0[:, dim:] = np.eye(dim).reshape(-1)
+
+    def rhs(t, y):
+        blocks = y.reshape(nbatch, per)
+        z = blocks[:, :dim]
+        m = blocks[:, dim:].reshape(nbatch, dim, dim)
+        dz = germ.grad(t, z) @ jvf.T
+        dm = jvf @ (germ.hess(t, z) @ m)
+        return np.concatenate([dz, dm.reshape(nbatch, -1)], axis=1).reshape(-1)
+
+    sol = solve_ivp(rhs, (0.0, 1.0), y0.reshape(-1), method="DOP853", rtol=RTOL, atol=ATOL)
+    final = sol.y[:, -1].reshape(nbatch, per)
+    return final[:, :dim], final[:, dim:].reshape(nbatch, dim, dim)
+
+
+ORACLE_GERMS = {
+    **{
+        name: GERMS[name].factory
+        for name in (
+            "quartic-max",
+            "resonant-rotation",
+            "negative-hyperbolic-2",
+            "product-rot-quartic",
+        )
+    },
+    # time-dependent and nonlinear in both pieces
+    "resonant#quartic": lambda: concatenate(resonant_rotation(), quartic(1)),
+}
+
+
+@pytest.mark.parametrize("nbatch", [1, 7, 300])
+@pytest.mark.parametrize("name", sorted(ORACLE_GERMS))
+def test_variational_flow_matches_row_major_oracle(name, nbatch):
+    germ = ORACLE_GERMS[name]()
+    z0 = np.random.default_rng(nbatch).uniform(-0.2, 0.2, (nbatch, 2 * germ.n))
+    phi, jac = flow_jacobians(germ, z0)
+    ref_phi, ref_jac = _row_major_flow(germ, z0)
+    assert phi.shape == ref_phi.shape and jac.shape == ref_jac.shape
+    np.testing.assert_allclose(phi, ref_phi, rtol=0.0, atol=1e-12)
+    np.testing.assert_allclose(jac, ref_jac, rtol=0.0, atol=1e-12)
+    if nbatch == 1:
+        end = monodromy(germ, z0[0]).endpoint().entries
+        np.testing.assert_allclose(end, ref_jac[0], rtol=0.0, atol=1e-12)
 
 
 def test_concatenation_composes_rotations():
