@@ -181,7 +181,7 @@ def _svd_norms(mats):
 
 def _hard_stacks(size, rng):
     """Random, singular, zero and equal-singular-value stacks of size x size."""
-    rand = rng.standard_normal((200, size, size)) * rng.uniform(1e-3, 1e3, (200, 1, 1))
+    rand = rng.standard_normal((200, size, size)) * 10.0 ** rng.uniform(-3.0, 3.0, (200, 1, 1))
     u = rng.standard_normal((200, size, 1))
     singular = u * rng.standard_normal((200, 1, size))  # rank one
     q, _ = np.linalg.qr(rng.standard_normal((200, size, size)))
