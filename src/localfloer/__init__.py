@@ -20,10 +20,7 @@ from .symplectic import (
     spectrum,
     admissible,
     good,
-    AdmissibleSet,
-    admissible_set,
     split_spectral,
-    random_symplectic,
 )
 from .paths import (
     SymplecticPath,
@@ -31,7 +28,6 @@ from .paths import (
     winding,
     mean_index,
     conley_zehnder,
-    maslov_loop,
     IndexReport,
     index_report,
 )
@@ -39,7 +35,6 @@ from .germs import (
     HamiltonianGerm,
     flow_jacobians,
     monodromy,
-    iterate,
     translate,
     concatenate,
     orbit_action,
@@ -61,8 +56,6 @@ from .genfun import (
     gf_property_report,
     ScanReport,
     homotopy_isolation_scan,
-    conjugated_map,
-    scaling_conjugation,
 )
 from .cubical import (
     GradedRanks,
@@ -80,15 +73,12 @@ from .invariants import (
     PersistenceReport,
     verify_persistence,
     detect_sdm,
-    kunneth,
     total_ranks,
     fixed_point_index,
 )
 from .isolation import (
-    DiscreteOrbit,
     c_constant,
     c_constant_exact,
-    maximizing_orbit,
     periodic_point_search,
     SearchReport,
     contraction_check,
@@ -110,22 +100,17 @@ __all__ = [
     "spectrum",
     "admissible",
     "good",
-    "AdmissibleSet",
-    "admissible_set",
     "split_spectral",
-    "random_symplectic",
     "SymplecticPath",
     "rho",
     "winding",
     "mean_index",
     "conley_zehnder",
-    "maslov_loop",
     "IndexReport",
     "index_report",
     "HamiltonianGerm",
     "flow_jacobians",
     "monodromy",
-    "iterate",
     "translate",
     "concatenate",
     "orbit_action",
@@ -146,8 +131,6 @@ __all__ = [
     "gf_property_report",
     "ScanReport",
     "homotopy_isolation_scan",
-    "conjugated_map",
-    "scaling_conjugation",
     "GradedRanks",
     "CubicalPair",
     "sublevel_pair",
@@ -161,13 +144,10 @@ __all__ = [
     "PersistenceReport",
     "verify_persistence",
     "detect_sdm",
-    "kunneth",
     "total_ranks",
     "fixed_point_index",
-    "DiscreteOrbit",
     "c_constant",
     "c_constant_exact",
-    "maximizing_orbit",
     "periodic_point_search",
     "SearchReport",
     "contraction_check",

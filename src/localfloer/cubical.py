@@ -398,11 +398,9 @@ def local_morse_homology(
     f: FieldLike,
     box: Box,
     resolutions: Sequence[int] = (17, 25, 33),
-    delta: Optional[float] = None,
     grad: Optional[Callable] = None,
     exclude_fraction: float = 0.5,
-    return_report: bool = False,
-):
+) -> MorseReport:
     """Local Morse homology of f at the origin over Z2.
 
     Computes sublevel-pair homology at each resolution and requires the
@@ -410,10 +408,10 @@ def local_morse_homology(
     The critical point must be isolated: the gradient may not vanish on the
     SHELL annulus (NotIsolated).
 
-    The default delta at each resolution is h times the median gradient
-    norm over the box: wide enough that the gap between the sub-c and
-    sub-(c - delta) sets resolves on the grid, narrow enough that the
-    collar stays inside the box; pass an explicit delta to override.
+    The delta at each resolution is h times the median gradient norm over
+    the box: wide enough that the gap between the sub-c and sub-(c - delta)
+    sets resolves on the grid, narrow enough that the collar stays inside
+    the box.
     """
     if box.m == 4 and max(resolutions) > 33:
         raise ValueError("dimension 4 restricted to resolutions <= 33")
@@ -440,11 +438,8 @@ def local_morse_homology(
     deltas = []
     for res in res_sorted:
         values, g = (values_fine, g_fine) if res == fine else _sample(fn, grad, box, res)
-        if delta is not None:
-            d = delta
-        else:
-            gn = np.linalg.norm(g, axis=-1)
-            d = box.spacing(res) * max(float(np.median(gn)), 0.05 * float(np.max(gn)))
+        gn = np.linalg.norm(g, axis=-1)
+        d = box.spacing(res) * max(float(np.median(gn)), 0.05 * float(np.max(gn)))
         pair = sublevel_pair(values, g, c, d, box, exclude_fraction=exclude_fraction)
         results.append(relative_homology_z2(pair))
         deltas.append(d)
@@ -453,13 +448,12 @@ def local_morse_homology(
             f"ranks {results[-2].as_dict()} at {res_sorted[-2]} vs "
             f"{results[-1].as_dict()} at {res_sorted[-1]}"
         )
-    report = MorseReport(
+    return MorseReport(
         ranks=results[-1],
         resolutions=tuple(res_sorted),
         deltas=tuple(deltas),
         per_resolution=tuple(results),
     )
-    return report if return_report else results[-1]
 
 
 # ------------------------------------------------------------ degree oracle

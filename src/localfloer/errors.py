@@ -47,10 +47,6 @@ class DegenerateEndpoint(LocalFloerError):
     """Endpoint has an eigenvalue too close to 1 for an integer index."""
 
 
-class NotALoop(LocalFloerError):
-    """Loop operation applied to a path whose endpoint is not the identity."""
-
-
 class KreinDegenerate(LocalFloerError):
     """The invariant Hermitian form is numerically degenerate on an eigenspace."""
 

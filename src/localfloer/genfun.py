@@ -20,7 +20,7 @@ grad F = (0, y) and F = y^2 / 2 with dF vanishing exactly on the fixed line
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -45,9 +45,6 @@ __all__ = [
     "gf_property_report",
     "ScanReport",
     "homotopy_isolation_scan",
-    "conjugated_map",
-    "scaling_conjugation",
-    "reconstruction_residual",
 ]
 
 FIX_TOL = 1e-8
@@ -276,10 +273,9 @@ class SplineGermMap(GermMap):
 class PsiMap:
     """psi_k(z) = (x-component of phi^k(z), y) with Newton inversion."""
 
-    def __init__(self, phi_k: GermMap, invertibility_radius: float):
+    def __init__(self, phi_k: GermMap):
         self.phi_k = phi_k
         self.n = phi_k.n
-        self.invertibility_radius = invertibility_radius
 
     def __call__(self, pts: np.ndarray) -> np.ndarray:
         z = np.atleast_2d(np.asarray(pts, dtype=float))
@@ -323,36 +319,26 @@ class PsiMap:
         return np.concatenate([-disp[:, self.n :], disp[:, : self.n]], axis=1)
 
 
-def psi(phi: GermMap, k: int = 1, probe_box: Optional[Box] = None) -> PsiMap:
-    """The vertical-complement projection of phi^k, with an invertibility radius.
+def psi(phi: GermMap, k: int, probe_box: Box) -> PsiMap:
+    """The vertical-complement projection of phi^k, probed for invertibility.
 
     D psi is block triangular with identity y block, so injectivity reduces
-    to the xx Jacobian block: the reported radius is the largest probed box
-    fraction on which ||(D phi^k)_xx - id|| stays below 0.9, which makes
-    x -> (phi^k)_x(x, y) injective for each frozen y.  NotInvertibleOnBox
-    if even the smallest probe fails.
+    to the xx Jacobian block: ||(D phi^k)_xx - id|| below 0.9 makes
+    x -> (phi^k)_x(x, y) injective for each frozen y.  The probe tries
+    shrinking fractions of probe_box; NotInvertibleOnBox if even the
+    smallest fails.
     """
     phi_k = phi.iterate(k)
     n = phi.n
-    if probe_box is None:
-        base = getattr(phi_k, "base_box", None)
-        probe_box = base if base is not None else Box(center=(0.0,) * (2 * n), radius=0.5)
-    pm = PsiMap(phi_k, invertibility_radius=0.0)
-    radius = None
     for frac in (1.0, 0.75, 0.5, 0.25, 0.1):
-        r = probe_box.radius * frac
-        nodes = Box(center=probe_box.center, radius=r).nodes(PROBE_RES)
+        nodes = Box(center=probe_box.center, radius=probe_box.radius * frac).nodes(PROBE_RES)
         xx = phi_k.jac(nodes)[:, :n, :n]
         dev = float(np.max(_opnorms(xx - np.eye(n))))
         if dev < 0.9:
-            radius = r
-            break
-    if radius is None:
-        raise NotInvertibleOnBox(
-            f"xx Jacobian block deviates from identity by {dev:.3f} even at 10% of the box"
-        )
-    pm.invertibility_radius = radius
-    return pm
+            return PsiMap(phi_k)
+    raise NotInvertibleOnBox(
+        f"xx Jacobian block deviates from identity by {dev:.3f} even at 10% of the box"
+    )
 
 
 # ------------------------------------------------------- assembly of F
@@ -422,22 +408,8 @@ class GeneratingFunction:
     field: SampledField
     order: int
     c1_norm: float
-    min_det_xx: float
     closedness_defect: float
     psi_k: PsiMap
-
-    @property
-    def invertibility_radius(self) -> float:
-        return self.psi_k.invertibility_radius
-
-    def report(self) -> dict:
-        return {
-            "order": self.order,
-            "c1_norm": self.c1_norm,
-            "min_det_xx": self.min_det_xx,
-            "closedness_defect": self.closedness_defect,
-            "invertibility_radius": self.invertibility_radius,
-        }
 
 
 def generating_function(
@@ -468,11 +440,9 @@ def generating_function(
     c1 = float(np.max(_opnorms(jacs - np.eye(2 * n))))
     if c1 > c1_gate:
         raise NotC1Small(f"||Dphi^k - id|| = {c1:.3f} exceeds gate {c1_gate}")
-    dets = np.linalg.det(jacs[:, :n, :n])
-    if float(np.min(np.abs(dets))) < DET_MIN:
-        raise NotInvertibleOnBox(
-            f"xx Jacobian block determinant reaches {float(np.min(np.abs(dets))):.3e}"
-        )
+    min_det = float(np.min(np.abs(np.linalg.det(jacs[:, :n, :n]))))
+    if min_det < DET_MIN:
+        raise NotInvertibleOnBox(f"xx Jacobian block determinant reaches {min_det:.3e}")
     grad = pm.gradient(nodes)
     m = 2 * n
     grad_grid = grad.reshape((resolution,) * m + (m,))
@@ -489,33 +459,9 @@ def generating_function(
         field=SampledField(box=box, values=values),
         order=k,
         c1_norm=c1,
-        min_det_xx=float(np.min(np.abs(dets))),
         closedness_defect=defect,
         psi_k=pm,
     )
-
-
-# ------------------------------------------------------------ derived checks
-
-
-def reconstruction_residual(phi: GermMap, k: int, gf: GeneratingFunction, probe: np.ndarray) -> float:
-    """Max norm of (phi^k - id) - X_F o psi_k at probe points, F from the grid."""
-    from scipy.interpolate import RegularGridInterpolator
-
-    phi_k = phi.iterate(k)
-    pm = PsiMap(phi_k, 0.0)
-    n = phi.n
-    g = grid_gradient(gf.field.values, gf.field.box)
-    axes = tuple(gf.field.box.axes(gf.field.resolution))
-    interps = [
-        RegularGridInterpolator(axes, g[..., i], method="linear", bounds_error=False, fill_value=None)
-        for i in range(2 * n)
-    ]
-    w = pm(probe)
-    df = np.stack([it(w) for it in interps], axis=1)
-    x_f = np.concatenate([df[:, n:], -df[:, :n]], axis=1)
-    disp = phi_k(probe) - np.atleast_2d(probe)
-    return float(np.max(np.linalg.norm(disp - x_f, axis=1)))
 
 
 def _sign_change_cells(comp_grid: np.ndarray) -> np.ndarray:
@@ -677,43 +623,3 @@ def homotopy_isolation_scan(f: SampledField, f_k: SampledField, k: int) -> ScanR
     note = "" if passed else "gradient of the homotopy nearly vanishes on the shell"
     return ScanReport(passed=passed, min_grad_norm=best, margin=margin, note=note)
 
-
-# ---------------------------------------------------------------- conjugation
-
-
-class _ConjugatedMap(GermMap):
-    def __init__(self, inner: GermMap, s: np.ndarray, s_inv: np.ndarray):
-        self.inner = inner
-        self.s = s
-        self.s_inv = s_inv
-        self.n = inner.n
-        self.name = f"conj({inner.name})"
-
-    def __call__(self, pts: np.ndarray) -> np.ndarray:
-        z = np.atleast_2d(np.asarray(pts, dtype=float))
-        return self.inner(z @ self.s.T) @ self.s_inv.T
-
-    def jac(self, pts: np.ndarray) -> np.ndarray:
-        z = np.atleast_2d(np.asarray(pts, dtype=float))
-        return self.s_inv @ self.inner.jac(z @ self.s.T) @ self.s
-
-    def iterate(self, k: int) -> "GermMap":
-        if k == 1:
-            return self
-        return _ConjugatedMap(self.inner.iterate(k), self.s, self.s_inv)
-
-
-def scaling_conjugation(n: int, s: float) -> np.ndarray:
-    """The symplectic block scaling diag(s I, I / s)."""
-    return np.diag([s] * n + [1.0 / s] * n)
-
-
-def conjugated_map(phi: GermMap, s: np.ndarray) -> GermMap:
-    """S^{-1} phi S for symplectic S.
-
-    For the block scaling S = diag(s I, I/s) the generating functions relate
-    by composition: F_{S^{-1} phi S} = F_phi o S, so a unipotent germ whose
-    Jacobian violates the C1 gate can be treated after shrinking by S."""
-    s = np.asarray(s, dtype=float)
-    validate_symplectic(s, tol=1e-9)
-    return _ConjugatedMap(phi, s, np.linalg.inv(s))

@@ -35,7 +35,6 @@ __all__ = [
     "HamiltonianGerm",
     "flow_jacobians",
     "monodromy",
-    "iterate",
     "translate",
     "concatenate",
     "orbit_action",
@@ -148,31 +147,6 @@ def monodromy(germ: HamiltonianGerm, point: Optional[np.ndarray] = None) -> Symp
         return sol.sol(np.clip(ts, 0.0, 1.0))[dim:].T.reshape(-1, dim, dim)
 
     return SymplecticPath(germ.n, 1.0, ev)
-
-
-def iterate(germ: HamiltonianGerm, k: int) -> HamiltonianGerm:
-    """Germ whose unit-time flow is the k-th iterate: k H(k t mod 1, z)."""
-    if k < 1:
-        raise ValueError("iteration order must be >= 1")
-    if k == 1:
-        return germ
-
-    def wrap(f):
-        def wrapped(t, z):
-            s = (k * t) % 1.0
-            return k * f(s, z)
-
-        return wrapped
-
-    return HamiltonianGerm(
-        n=germ.n,
-        value=wrap(germ.value),
-        grad=wrap(germ.grad),
-        hess=wrap(germ.hess),
-        name=f"{germ.name}^'{k}" if germ.name else "",
-        autonomous=germ.autonomous,
-        factors=tuple(iterate(f, k) for f in germ.factors) if germ.factors else None,
-    )
 
 
 def translate(germ: HamiltonianGerm, point: np.ndarray) -> HamiltonianGerm:

@@ -36,15 +36,8 @@ from .errors import (
     ShiftAmbiguous,
 )
 from .fields import Box
-from .genfun import SplineGermMap, generating_function
-from .germs import (
-    FixedPointRecord,
-    HamiltonianGerm,
-    fixed_point_record,
-    flow_jacobians,
-    iterate,
-    translate,
-)
+from .genfun import OdeGermMap, SplineGermMap, generating_function
+from .germs import FixedPointRecord, HamiltonianGerm, fixed_point_record, translate
 from .paths import conley_zehnder
 from .symplectic import admissible, direct_sum_indices, good, standard_j
 
@@ -55,7 +48,6 @@ __all__ = [
     "PersistenceReport",
     "verify_persistence",
     "detect_sdm",
-    "kunneth",
     "total_ranks",
     "fixed_point_index",
 ]
@@ -99,11 +91,6 @@ class LocalFloer:
         return out
 
 
-def kunneth(a: GradedRanks, b: GradedRanks) -> GradedRanks:
-    """Graded convolution: ranks multiply, degrees add."""
-    return a.convolve(b)
-
-
 def _check_window(ranks: GradedRanks, delta: float, n: int):
     for l in ranks.support:
         if l < delta - n - WINDOW_TOL or l > delta + n + WINDOW_TOL:
@@ -120,7 +107,6 @@ class _IterateSweep:
 
     germ: HamiltonianGerm
     record: FixedPointRecord
-    route: Optional[str] = None
     gf_radius: float = 0.1
     gf_resolution: int = 65
     c1_gate: float = 0.2
@@ -132,33 +118,23 @@ class _IterateSweep:
     @cached_property
     def _route(self) -> str:
         data = self.record.endpoint.eigen
-        route = self.route
-        if route is None:
-            if not data.has_eigenvalue_one():
-                route = "nondegenerate"
-            elif self.germ.factors is not None:
-                route = "split"
-            elif data.all_eigenvalues_one():
-                route = "strongly_degenerate"
-            else:
-                raise RouteUnavailable(
-                    "monodromy mixes eigenvalue-1 and other spectrum and the germ "
-                    "does not split; no computation route applies"
-                )
-        if route not in _CONVENTIONS:
-            raise ValueError(f"unknown route {route!r}")
-        if route == "nondegenerate" and data.has_eigenvalue_one():
-            raise RouteUnavailable("monodromy has eigenvalue 1; not nondegenerate")
-        if route == "strongly_degenerate" and not data.all_eigenvalues_one():
-            raise RouteUnavailable("monodromy is not unipotent")
-        if route == "strongly_degenerate" and self.germ.n != 1:
+        if not data.has_eigenvalue_one():
+            return "nondegenerate"
+        if self.germ.factors is not None:
+            if len(self.germ.factors) != 2:
+                raise RouteUnavailable("germ does not expose two direct-sum factors")
+            return "split"
+        if not data.all_eigenvalues_one():
+            raise RouteUnavailable(
+                "monodromy mixes eigenvalue-1 and other spectrum and the germ "
+                "does not split; no computation route applies"
+            )
+        if self.germ.n != 1:
             raise RouteUnavailable(
                 "generating functions are assembled for plane germs only, and "
                 f"this germ of dimension {2 * self.germ.n} exposes no direct-sum factors"
             )
-        if route == "split" and (self.germ.factors is None or len(self.germ.factors) != 2):
-            raise RouteUnavailable("germ does not expose two direct-sum factors")
-        return route
+        return "strongly_degenerate"
 
     @cached_property
     def _phi(self) -> SplineGermMap:
@@ -173,7 +149,7 @@ class _IterateSweep:
         g1, g2 = self.germ.factors
         point = np.asarray(self.record.point, dtype=float)
         return tuple(
-            replace(self, germ=g, record=fixed_point_record(g, point[idx]), route=None)
+            replace(self, germ=g, record=fixed_point_record(g, point[idx]))
             for g, idx in zip((g1, g2), direct_sum_indices(g1.n, g2.n))
         )
 
@@ -191,7 +167,7 @@ class _IterateSweep:
                 ranks, hypothesis = self._degenerate(k)
             else:
                 parts = [factor.at(k) for factor in self._factors]
-                ranks = kunneth(parts[0].ranks, parts[1].ranks)
+                ranks = parts[0].ranks.convolve(parts[1].ranks)
                 delta = parts[0].delta + parts[1].delta
             _check_window(ranks, delta, self.germ.n)
             self._answers[k] = LocalFloer(ranks, _CONVENTIONS[route], delta, route, k, hypothesis)
@@ -234,27 +210,20 @@ class _IterateSweep:
             "hm_resolutions": list(HM_RESOLUTIONS),
             "kk_side_bounds_checked": False,
         }
-        return hm.shift(-n), hypothesis
+        return hm.ranks.shift(-n), hypothesis
 
 
 def local_floer(
-    germ: HamiltonianGerm,
-    record: FixedPointRecord,
-    k: int = 1,
-    route: Optional[str] = None,
-    gf_radius: float = 0.1,
-    gf_resolution: int = 65,
-    c1_gate: float = 0.2,
-    exclude_fraction: float = 0.5,
+    germ: HamiltonianGerm, record: FixedPointRecord, k: int = 1, **settings
 ) -> LocalFloer:
     """Local Floer homology of the k-th iterate at the recorded fixed point.
 
-    The route is auto-detected from the monodromy spectrum unless forced:
-    nondegenerate when no eigenvalue satisfies lambda^k = 1, split for
-    direct-sum germs, strongly_degenerate when the monodromy is unipotent.
+    The route is read from the monodromy spectrum: nondegenerate when 1 is
+    not an eigenvalue, split for direct-sum germs, strongly_degenerate when
+    the monodromy is unipotent.  ``settings`` are the grid settings of
+    ``_IterateSweep`` (gf_radius, gf_resolution, c1_gate, exclude_fraction).
     """
-    sweep = _IterateSweep(germ, record, route, gf_radius, gf_resolution, c1_gate, exclude_fraction)
-    return sweep.at(k)
+    return _IterateSweep(germ, record, **settings).at(k)
 
 
 # ------------------------------------------------------------- persistence
@@ -454,5 +423,5 @@ def fixed_point_index(
     if germ.n != 1:
         raise ValueError("index oracle implemented for plane germs only")
     base = germ if point is None else translate(germ, point)
-    gk = iterate(base, k)
-    return gradient_degree(lambda pts: flow_jacobians(gk, pts)[0] - pts, radius)
+    phi_k = OdeGermMap(base).iterate(k)
+    return gradient_degree(lambda pts: phi_k(pts) - pts, radius)

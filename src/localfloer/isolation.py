@@ -23,10 +23,8 @@ from .germs import NEWTON_MAX_ITER, _distinct, _newton_search
 from .symplectic import SymplecticMatrix, admissible, split_spectral, validate_symplectic
 
 __all__ = [
-    "DiscreteOrbit",
     "c_constant",
     "c_constant_exact",
-    "maximizing_orbit",
     "periodic_point_search",
     "SearchReport",
     "contraction_check",
@@ -41,32 +39,6 @@ SPLIT_SAMPLES = 8
 
 
 # ----------------------------------------------------------- discrete norms
-
-
-@dataclass(frozen=True)
-class DiscreteOrbit:
-    """Cyclic sequence z_1..z_k in R^m with its difference sequence."""
-
-    points: np.ndarray
-
-    def __post_init__(self):
-        pts = np.asarray(self.points, dtype=float)
-        if pts.ndim != 2 or len(pts) < 1:
-            raise ValueError("points must have shape (k, m)")
-        object.__setattr__(self, "points", pts)
-
-    @property
-    def k(self) -> int:
-        return len(self.points)
-
-    def differences(self) -> np.ndarray:
-        return np.roll(self.points, -1, axis=0) - self.points
-
-    def l1_norm(self) -> float:
-        return float(np.sum(np.linalg.norm(self.points, ord=1, axis=1)))
-
-    def difference_l1_norm(self) -> float:
-        return float(np.sum(np.linalg.norm(self.differences(), ord=1, axis=1)))
 
 
 def c_constant_exact(k: int) -> Fraction:
@@ -91,17 +63,6 @@ def c_constant(k: int) -> float:
     coordinates, so the per-coordinate constant is the global one.
     """
     return float(c_constant_exact(k))
-
-
-def maximizing_orbit(k: int) -> np.ndarray:
-    """A zero-mean sequence achieving equality in the c(k) bound (m = 1):
-    1/2 on positions 1..floor(k/2), minus its mean."""
-    if k < 2:
-        raise ValueError("need k >= 2")
-    h = k // 2
-    mean = Fraction(h, 2 * k)
-    xi = [Fraction(1, 2) if 1 <= l <= h else Fraction(0) for l in range(k)]
-    return np.array([float(v - mean) for v in xi])[:, None]
 
 
 # ------------------------------------------------------------ point search

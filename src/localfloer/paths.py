@@ -36,13 +36,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import (
-    DegenerateEndpoint,
-    KreinDegenerate,
-    NotALoop,
-    WindingUnresolved,
-)
-from .symplectic import SymplecticMatrix, direct_sum_indices, standard_j, validate_symplectic
+from .errors import DegenerateEndpoint, KreinDegenerate, WindingUnresolved
+from .symplectic import SymplecticMatrix, standard_j, validate_symplectic
 
 __all__ = [
     "SymplecticPath",
@@ -50,7 +45,6 @@ __all__ = [
     "winding",
     "mean_index",
     "conley_zehnder",
-    "maslov_loop",
     "IndexReport",
     "index_report",
 ]
@@ -60,7 +54,6 @@ REAL_TOL = 1e-8
 KREIN_REL_TOL = 1e-7
 AGREE_TOL = 1e-10
 DEGENERACY_TOL = 1e-8
-LOOP_TOL = 1e-6
 ENDPOINT_TOL = 1e-7
 # winding: default first interval count and sample budget
 WINDING_START = 64
@@ -164,9 +157,6 @@ class SymplecticPath:
             self._rho_cache.update(zip(new, _rho_values(vals, vecs)))
         return np.array([self._rho_cache[t] for t in keys])
 
-    def start(self) -> np.ndarray:
-        return self(0.0)
-
     def endpoint(self) -> SymplecticMatrix:
         return validate_symplectic(self(self.span), tol=ENDPOINT_TOL)
 
@@ -195,29 +185,6 @@ class SymplecticPath:
             return out
 
         return SymplecticPath(self.n, float(k), ev)
-
-    def product(self, other: "SymplecticPath") -> "SymplecticPath":
-        """Pointwise product path; same span required."""
-        if abs(self.span - other.span) > 1e-12 or self.n != other.n:
-            raise ValueError("product requires matching span and dimension")
-        return SymplecticPath(
-            self.n, self.span, lambda ts: self.evaluate(ts) @ other.evaluate(ts)
-        )
-
-    def direct_sum(self, other: "SymplecticPath") -> "SymplecticPath":
-        """Block path in split coordinates (x1, x2, y1, y2)."""
-        if abs(self.span - other.span) > 1e-12:
-            raise ValueError("direct sum requires matching span")
-        n = self.n + other.n
-        i1, i2 = direct_sum_indices(self.n, other.n)
-
-        def ev(ts: np.ndarray) -> np.ndarray:
-            out = np.zeros((len(ts), 2 * n, 2 * n))
-            out[:, i1[:, None], i1] = self.evaluate(ts)
-            out[:, i2[:, None], i2] = other.evaluate(ts)
-            return out
-
-        return SymplecticPath(n, self.span, ev)
 
 
 def _wind(f: Callable, span: float, intervals: int, max_samples: int) -> float:
@@ -327,37 +294,14 @@ def conley_zehnder(path: SymplecticPath, **winding_kwargs) -> int:
     return _integer_index(w, path(path.span))
 
 
-def maslov_loop(path: SymplecticPath, **winding_kwargs) -> int:
-    """Winding number of a loop at the identity: winding / (2 pi)."""
-    defect = float(np.max(np.abs(path(path.span) - path(0.0))))
-    if defect > LOOP_TOL:
-        raise NotALoop(f"endpoint differs from start by {defect:.3e}")
-    w = winding(path, **winding_kwargs)
-    raw = w / (2.0 * np.pi)
-    nearest = round(raw)
-    if abs(raw - nearest) > 0.1:
-        raise WindingUnresolved(f"loop winding {raw} not close to an integer")
-    return int(nearest)
-
-
 @dataclass(frozen=True)
 class IndexReport:
     """Bundle of path indices; integer fields are None when undefined."""
 
-    winding: float
     mean_index: float
     conley_zehnder: Optional[int]
     degenerate: bool
     notes: tuple = field(default_factory=tuple)
-
-    def to_json(self) -> dict:
-        return {
-            "winding": self.winding,
-            "mean_index": self.mean_index,
-            "conley_zehnder": self.conley_zehnder,
-            "degenerate": self.degenerate,
-            "notes": list(self.notes),
-        }
 
 
 def index_report(path: SymplecticPath, **winding_kwargs) -> IndexReport:
@@ -371,7 +315,6 @@ def index_report(path: SymplecticPath, **winding_kwargs) -> IndexReport:
         degenerate = True
         notes.append(str(exc))
     return IndexReport(
-        winding=w,
         mean_index=w / np.pi,
         conley_zehnder=cz,
         degenerate=degenerate,

@@ -25,9 +25,10 @@ across iterates), ``sdm`` (degenerate-maximum detection), ``isolation``
 (periodic-point search in shrinking balls), ``gaps`` (pairwise
 action/index gaps of the fixed points in the box), ``morse`` (local
 Morse homology of a named scalar field).  Each task writes JSON (and
-CSV where tabular) into the output directory and contributes pass/fail
-gates to ``summary.json``.  Outputs carry no timestamps and use sorted
-keys: identical scenario and seed give byte-identical files.
+CSV where tabular) into the output directory; ``persistence``, ``sdm``,
+``isolation`` and ``morse`` also contribute pass/fail gates to
+``summary.json``.  Outputs carry no timestamps and use sorted keys:
+identical scenario and seed give byte-identical files.
 """
 from __future__ import annotations
 
@@ -448,22 +449,7 @@ def _run_gaps(sc: Scenario, task: dict, out: Path, prefix: str):
     }
     fn = f"{prefix}.json"
     _write_json(out / fn, payload)
-    neg = [
-        row
-        for tab in tables
-        for row in tab["rows"]
-        if row["action_gap"] < 0 or row["index_gap"] < 0 or row["gamma"] < 0
-    ]
-    sums = all(
-        row["gamma"] == row["action_gap"] + row["index_gap"]
-        for tab in tables
-        for row in tab["rows"]
-    )
-    gates = [
-        _gate("gaps.entries-nonnegative", not neg, f"{len(records)} points"),
-        _gate("gaps.gamma-is-sum", sums, "exact additivity"),
-    ]
-    return [fn], gates
+    return [fn], []
 
 
 def _run_morse(sc: Scenario, task: dict, out: Path, prefix: str):
@@ -477,18 +463,9 @@ def _run_morse(sc: Scenario, task: dict, out: Path, prefix: str):
         kwargs["exclude_fraction"] = float(task["exclude_fraction"])
     gates = []
     try:
-        report = local_morse_homology(
-            entry.value, box, resolutions, grad=entry.grad, return_report=True, **kwargs
-        )
+        report = local_morse_homology(entry.value, box, resolutions, grad=entry.grad, **kwargs)
         ranks = report.ranks
-        payload = {
-            "field": fname,
-            "box": box.to_json(),
-            "resolutions": list(report.resolutions),
-            "deltas": list(report.deltas),
-            "ranks": ranks.to_json(),
-            "per_resolution": [r.to_json() for r in report.per_resolution],
-        }
+        payload = {"field": fname, "box": box.to_json(), **report.to_json()}
         gates.append(_gate("morse.stabilized", True, f"resolutions {list(resolutions)}"))
         if entry.m == 2:
             deg = gradient_degree(entry.grad, 0.5 * radius)

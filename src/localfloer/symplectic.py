@@ -45,10 +45,7 @@ __all__ = [
     "spectrum",
     "admissible",
     "good",
-    "AdmissibleSet",
-    "admissible_set",
     "split_spectral",
-    "random_symplectic",
 ]
 
 DEFAULT_TOL_SYMP = 1e-9
@@ -56,7 +53,6 @@ CLUSTER_TOL = 1e-8
 Q_MAX = 64
 SPLIT_TOL = 1e-6
 SPLIT_BOUNDARY_FACTOR = 10.0
-RANDOM_SCALE = 0.8
 
 
 def standard_j(n: int) -> np.ndarray:
@@ -96,14 +92,6 @@ class SymplecticMatrix:
         arr.setflags(write=False)
         object.__setattr__(self, "entries", arr)
 
-    @property
-    def defect(self) -> float:
-        j = standard_j(self.n)
-        return float(np.max(np.abs(self.entries.T @ j @ self.entries - j)))
-
-    def power(self, k: int) -> np.ndarray:
-        return np.linalg.matrix_power(self.entries, k)
-
     @cached_property
     def eigen(self) -> "EigenData":
         """spectrum(self), computed on first use and kept."""
@@ -115,13 +103,6 @@ class SymplecticMatrix:
             "tol_symp": self.tol_symp,
             "entries": [[float(v) for v in row] for row in self.entries],
         }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "SymplecticMatrix":
-        return validate_symplectic(
-            np.array(data["entries"], dtype=float),
-            tol=float(data.get("tol_symp", DEFAULT_TOL_SYMP)),
-        )
 
 
 def validate_symplectic(entries: np.ndarray, tol: float = DEFAULT_TOL_SYMP) -> SymplecticMatrix:
@@ -354,48 +335,6 @@ def good(m: SymplecticMatrix, k: int) -> bool:
     return data.negative_real_pair_count(1) % 2 == data.negative_real_pair_count(k) % 2
 
 
-@dataclass(frozen=True)
-class AdmissibleSet:
-    """Forbidden divisors plus a quasi-arithmetic witness progression."""
-
-    forbidden_divisors: tuple
-    progression_start: int
-    progression_step: int
-    horizon: int
-
-    def members(self) -> list:
-        return list(range(self.progression_start, self.horizon + 1, self.progression_step))
-
-    def to_json(self) -> dict:
-        return {
-            "forbidden_divisors": list(self.forbidden_divisors),
-            "progression": [self.progression_start, self.progression_step],
-            "horizon": self.horizon,
-        }
-
-
-def admissible_set(m: SymplecticMatrix, horizon: int = 1000) -> AdmissibleSet:
-    """Describe the admissible iteration orders of M up to a horizon.
-
-    The admissible set is the complement of finitely many divisibility classes.
-    The witness progression (1 + P, P) with P the product of the distinct
-    forbidden divisors consists of admissible orders; for a matrix with no
-    forbidden divisors every order is admissible and the progression is (1, 1).
-    """
-    forbidden = tuple(m.eigen.unit_root_orders())
-    if not forbidden:
-        described = AdmissibleSet((), 1, 1, horizon)
-    else:
-        prod = 1
-        for q in forbidden:
-            prod *= q
-        described = AdmissibleSet(forbidden, 1 + prod, prod, horizon)
-    for member in described.members():
-        if not admissible(m, member):
-            raise ClusterAmbiguous(f"witness progression member {member} is not admissible")
-    return described
-
-
 # --------------------------------------------------------------------- splitting
 
 
@@ -455,14 +394,3 @@ def _range_projector(p: np.ndarray) -> np.ndarray:
     rank = int(np.sum(s > 1e-9 * max(1.0, s[0] if len(s) else 1.0)))
     basis = u[:, :rank]
     return basis @ basis.T
-
-
-# ------------------------------------------------------------------------- misc
-
-
-def random_symplectic(n: int, rng: np.random.Generator) -> SymplecticMatrix:
-    """Random symplectic matrix exp(J_vf S) with S symmetric; test helper."""
-    s = rng.standard_normal((2 * n, 2 * n))
-    s = RANDOM_SCALE * (s + s.T) / 2.0
-    gen = vectorfield_j(n) @ s
-    return validate_symplectic(scipy.linalg.expm(gen), tol=1e-8)

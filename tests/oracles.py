@@ -1,0 +1,191 @@
+"""Reference implementations and helpers that only the tests use.
+
+Each one is an independent route to a quantity that localfloer computes
+another way, or a construction the tests need to probe it:
+
+* ``iterate``: phi^k as the single flow of k H(k t mod 1, z), against
+  which ``fixed_point_index`` (k flows of phi through ``OdeGermMap``) is
+  checked, and the iterated germs of the index and detection tests;
+* ``DiscreteOrbit`` and ``maximizing_orbit``: the L1 norms of a cyclic
+  sequence and an orbit attaining the c(k) bound, for the closed form of
+  ``c_constant``;
+* ``admissible_set``: the admissible orders as the complement of the
+  forbidden divisibility classes, for ``admissible``;
+* ``conjugated_map``: S^{-1} phi S for symplectic S;
+* ``reconstruction_residual``: how far X_F o psi_k misses phi^k - id.
+"""
+from dataclasses import dataclass
+from fractions import Fraction
+
+import numpy as np
+from scipy.interpolate import RegularGridInterpolator
+
+from localfloer.errors import ClusterAmbiguous
+from localfloer.fields import grid_gradient
+from localfloer.genfun import GeneratingFunction, GermMap, PsiMap
+from localfloer.germs import HamiltonianGerm
+from localfloer.symplectic import SymplecticMatrix, admissible, validate_symplectic
+
+# ---------------------------------------------------------------- iterates
+
+
+def iterate(germ: HamiltonianGerm, k: int) -> HamiltonianGerm:
+    """Germ whose unit-time flow is the k-th iterate: k H(k t mod 1, z)."""
+    if k < 1:
+        raise ValueError("iteration order must be >= 1")
+    if k == 1:
+        return germ
+
+    def wrap(f):
+        def wrapped(t, z):
+            s = (k * t) % 1.0
+            return k * f(s, z)
+
+        return wrapped
+
+    return HamiltonianGerm(
+        n=germ.n,
+        value=wrap(germ.value),
+        grad=wrap(germ.grad),
+        hess=wrap(germ.hess),
+        name=f"{germ.name}^'{k}" if germ.name else "",
+        autonomous=germ.autonomous,
+        factors=tuple(iterate(f, k) for f in germ.factors) if germ.factors else None,
+    )
+
+
+# ----------------------------------------------------------- discrete norms
+
+
+@dataclass(frozen=True)
+class DiscreteOrbit:
+    """Cyclic sequence z_1..z_k in R^m with its difference sequence."""
+
+    points: np.ndarray
+
+    def __post_init__(self):
+        pts = np.asarray(self.points, dtype=float)
+        if pts.ndim != 2 or len(pts) < 1:
+            raise ValueError("points must have shape (k, m)")
+        object.__setattr__(self, "points", pts)
+
+    @property
+    def k(self) -> int:
+        return len(self.points)
+
+    def differences(self) -> np.ndarray:
+        return np.roll(self.points, -1, axis=0) - self.points
+
+    def l1_norm(self) -> float:
+        return float(np.sum(np.linalg.norm(self.points, ord=1, axis=1)))
+
+    def difference_l1_norm(self) -> float:
+        return float(np.sum(np.linalg.norm(self.differences(), ord=1, axis=1)))
+
+
+def maximizing_orbit(k: int) -> np.ndarray:
+    """A zero-mean sequence achieving equality in the c(k) bound (m = 1):
+    1/2 on positions 1..floor(k/2), minus its mean."""
+    if k < 2:
+        raise ValueError("need k >= 2")
+    h = k // 2
+    mean = Fraction(h, 2 * k)
+    xi = [Fraction(1, 2) if 1 <= l <= h else Fraction(0) for l in range(k)]
+    return np.array([float(v - mean) for v in xi])[:, None]
+
+
+# ------------------------------------------------------- admissible orders
+
+
+@dataclass(frozen=True)
+class AdmissibleSet:
+    """Forbidden divisors plus a quasi-arithmetic witness progression."""
+
+    forbidden_divisors: tuple
+    progression_start: int
+    progression_step: int
+    horizon: int
+
+    def members(self) -> list:
+        return list(range(self.progression_start, self.horizon + 1, self.progression_step))
+
+
+def admissible_set(m: SymplecticMatrix, horizon: int = 1000) -> AdmissibleSet:
+    """Describe the admissible iteration orders of M up to a horizon.
+
+    The admissible set is the complement of finitely many divisibility classes.
+    The witness progression (1 + P, P) with P the product of the distinct
+    forbidden divisors consists of admissible orders; for a matrix with no
+    forbidden divisors every order is admissible and the progression is (1, 1).
+    """
+    forbidden = tuple(m.eigen.unit_root_orders())
+    if not forbidden:
+        described = AdmissibleSet((), 1, 1, horizon)
+    else:
+        prod = 1
+        for q in forbidden:
+            prod *= q
+        described = AdmissibleSet(forbidden, 1 + prod, prod, horizon)
+    for member in described.members():
+        if not admissible(m, member):
+            raise ClusterAmbiguous(f"witness progression member {member} is not admissible")
+    return described
+
+
+# ------------------------------------------------------------- germ maps
+
+
+class _ConjugatedMap(GermMap):
+    def __init__(self, inner: GermMap, s: np.ndarray, s_inv: np.ndarray):
+        self.inner = inner
+        self.s = s
+        self.s_inv = s_inv
+        self.n = inner.n
+        self.name = f"conj({inner.name})"
+
+    def __call__(self, pts: np.ndarray) -> np.ndarray:
+        z = np.atleast_2d(np.asarray(pts, dtype=float))
+        return self.inner(z @ self.s.T) @ self.s_inv.T
+
+    def jac(self, pts: np.ndarray) -> np.ndarray:
+        z = np.atleast_2d(np.asarray(pts, dtype=float))
+        return self.s_inv @ self.inner.jac(z @ self.s.T) @ self.s
+
+    def iterate(self, k: int) -> "GermMap":
+        if k == 1:
+            return self
+        return _ConjugatedMap(self.inner.iterate(k), self.s, self.s_inv)
+
+
+def scaling_conjugation(n: int, s: float) -> np.ndarray:
+    """The symplectic block scaling diag(s I, I / s)."""
+    return np.diag([s] * n + [1.0 / s] * n)
+
+
+def conjugated_map(phi: GermMap, s: np.ndarray) -> GermMap:
+    """S^{-1} phi S for symplectic S.
+
+    For the block scaling S = diag(s I, I/s) the generating functions relate
+    by composition: F_{S^{-1} phi S} = F_phi o S, so a unipotent germ whose
+    Jacobian violates the C1 gate can be treated after shrinking by S."""
+    s = np.asarray(s, dtype=float)
+    validate_symplectic(s, tol=1e-9)
+    return _ConjugatedMap(phi, s, np.linalg.inv(s))
+
+
+def reconstruction_residual(phi: GermMap, k: int, gf: GeneratingFunction, probe: np.ndarray) -> float:
+    """Max norm of (phi^k - id) - X_F o psi_k at probe points, F from the grid."""
+    phi_k = phi.iterate(k)
+    pm = PsiMap(phi_k)
+    n = phi.n
+    g = grid_gradient(gf.field.values, gf.field.box)
+    axes = tuple(gf.field.box.axes(gf.field.resolution))
+    interps = [
+        RegularGridInterpolator(axes, g[..., i], method="linear", bounds_error=False, fill_value=None)
+        for i in range(2 * n)
+    ]
+    w = pm(probe)
+    df = np.stack([it(w) for it in interps], axis=1)
+    x_f = np.concatenate([df[:, n:], -df[:, :n]], axis=1)
+    disp = phi_k(probe) - np.atleast_2d(probe)
+    return float(np.max(np.linalg.norm(disp - x_f, axis=1)))

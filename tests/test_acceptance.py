@@ -11,7 +11,6 @@ import numpy as np
 
 from localfloer import (
     Box,
-    DiscreteOrbit,
     OdeGermMap,
     c_constant,
     c_constant_exact,
@@ -24,8 +23,6 @@ from localfloer import (
     index_report,
     local_floer,
     local_morse_homology,
-    maslov_loop,
-    maximizing_orbit,
     mean_index,
     periodic_point_search,
     total_ranks,
@@ -33,9 +30,10 @@ from localfloer import (
 )
 from localfloer.corpus import FIELDS, GERMS, resonant_rotation
 from localfloer.errors import LocalFloerError
-from localfloer.germs import iterate, monodromy
+from localfloer.germs import monodromy
 from localfloer.symplectic import admissible, spectrum, standard_j
-from pathhelpers import exponential_path
+from oracles import DiscreteOrbit, iterate, maximizing_orbit
+from pathhelpers import exponential_path, maslov_loop, path_direct_sum, path_product
 
 _RECORDS = {}
 
@@ -206,7 +204,7 @@ def test_criterion_06_mean_index_suite():
 
     plane = [(name, p, rep) for name, n, p, rep in nondeg if n == 1]
     for (na, pa, ra), (nb, pb, rb) in zip(plane, plane[1:]):
-        summed = pa.direct_sum(pb)
+        summed = path_direct_sum(pa, pb)
         drift = abs(mean_index(summed) - ra.mean_index - rb.mean_index)
         check(failures, drift <= 1e-6,
               f"{na}+{nb}: additivity off by {drift:.2e}")
@@ -220,7 +218,7 @@ def test_criterion_06_mean_index_suite():
         for name, n, p, rep in nondeg:
             loop = exponential_path(2.0 * np.pi * m * standard_j(n))
             shift = maslov_loop(loop)
-            cz = conley_zehnder(loop.product(p))
+            cz = conley_zehnder(path_product(loop, p))
             check(failures, cz == rep.conley_zehnder + 2 * shift,
                   f"{name}: loop of winding {shift} shifted index by "
                   f"{cz - rep.conley_zehnder}, expected {2 * shift}")
@@ -283,9 +281,7 @@ def test_criterion_07_local_morse_homology():
     for name, want in expected.items():
         entry = FIELDS[name]
         box = Box((0.0,) * entry.m, 1.0)
-        report = local_morse_homology(
-            entry.value, box, grad=entry.grad, return_report=True
-        )
+        report = local_morse_homology(entry.value, box, grad=entry.grad)
         got = report.ranks.as_dict()
         check(failures, got == want, f"{name}: ranks {got} != {want}")
         check(failures, report.per_resolution[-1] == report.per_resolution[-2],

@@ -4,6 +4,7 @@ import json
 import re
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -346,3 +347,19 @@ def test_every_export_resolves():
 
     missing = [name for name in localfloer.__all__ if not hasattr(localfloer, name)]
     assert missing == []
+    assert len(set(localfloer.__all__)) == len(localfloer.__all__)
+    # each export is the same object in a submodule that exports it; a
+    # module without __all__ (errors) exports its public names
+    modules = [
+        m for m in vars(localfloer).values()
+        if isinstance(m, types.ModuleType) and m.__name__.startswith("localfloer.")
+    ]
+    for name in localfloer.__all__:
+        if name == "__version__":
+            continue
+        homes = [
+            m.__name__ for m in modules
+            if name in getattr(m, "__all__", [n for n in vars(m) if not n.startswith("_")])
+            and getattr(m, name) is getattr(localfloer, name)
+        ]
+        assert homes, f"{name} is in no submodule's __all__"

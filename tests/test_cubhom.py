@@ -21,9 +21,10 @@ from localfloer.cubical import (
     gradient_degree,
     local_morse_homology,
     relative_homology_z2,
+    sublevel_pair,
 )
 from localfloer.errors import CriticalValueInWindow, NotIsolated
-from localfloer.fields import Box
+from localfloer.fields import Box, grid_gradient
 
 BOX1 = Box(center=(0.0,), radius=1.0)
 BOX2 = Box(center=(0.0, 0.0), radius=1.0)
@@ -210,7 +211,7 @@ CORPUS_RANKS = {
 def test_field_corpus_ranks(name, expected):
     e = FIELDS[name]
     box = BOX1 if e.m == 1 else BOX2
-    ranks = local_morse_homology(e.value, box, grad=e.grad)
+    ranks = local_morse_homology(e.value, box, grad=e.grad).ranks
     assert ranks.as_dict() == expected
 
 
@@ -238,18 +239,18 @@ def test_fine_corpus_pairs_match_elimination(monkeypatch, name):
 
 def test_monkey_saddle_without_supplied_gradient():
     e = FIELDS["monkey"]
-    ranks = local_morse_homology(e.value, BOX2)
+    ranks = local_morse_homology(e.value, BOX2).ranks
     assert ranks.as_dict() == {1: 2}
 
 
 def test_negative_quartic_on_the_line():
-    ranks = local_morse_homology(lambda p: -p[:, 0] ** 4, BOX1)
+    ranks = local_morse_homology(lambda p: -p[:, 0] ** 4, BOX1).ranks
     assert ranks.as_dict() == {1: 1}
 
 
 def test_report_shows_stabilized_refinements():
     e = FIELDS["saddle"]
-    report = local_morse_homology(e.value, BOX2, grad=e.grad, return_report=True)
+    report = local_morse_homology(e.value, BOX2, grad=e.grad)
     assert report.resolutions == (17, 25, 33)
     assert report.per_resolution[-1] == report.per_resolution[-2]
     assert report.ranks.as_dict() == {1: 1}
@@ -275,14 +276,14 @@ def test_invariance_under_scaling_and_rotation():
         q = np.stack([c * p[:, 0] - s * p[:, 1], s * p[:, 0] + c * p[:, 1]], axis=1)
         return 2.5 * e.value(q)
 
-    assert local_morse_homology(rotated, BOX2).as_dict() == {1: 1}
+    assert local_morse_homology(rotated, BOX2).ranks.as_dict() == {1: 1}
 
 
 def test_four_dimensional_maximum():
     def f(p):
         return -np.sum(p**2, axis=1)
 
-    ranks = local_morse_homology(f, BOX4, resolutions=(7, 9))
+    ranks = local_morse_homology(f, BOX4, resolutions=(7, 9)).ranks
     assert ranks.as_dict() == {4: 1}
 
 
@@ -291,7 +292,7 @@ def test_product_ranks_convolve():
     def f(p):
         return (p[:, 0] ** 2 - p[:, 1] ** 2) - p[:, 2] ** 2 - p[:, 3] ** 2
 
-    ranks = local_morse_homology(f, BOX4, resolutions=(7, 9), exclude_fraction=0.75)
+    ranks = local_morse_homology(f, BOX4, resolutions=(7, 9), exclude_fraction=0.75).ranks
     assert ranks.as_dict() == {3: 1}
     a = GradedRanks.from_dict({1: 1})
     b = GradedRanks.from_dict({2: 1})
@@ -311,8 +312,10 @@ def test_nearby_critical_value_in_window_is_rejected():
     def f(p):
         return (p[:, 0] ** 2 - 0.49) ** 2 + p[:, 1] ** 2
 
+    values = f(BOX2.nodes(17)).reshape(17, 17)
+    g = grid_gradient(values, BOX2)
     with pytest.raises(CriticalValueInWindow):
-        local_morse_homology(f, BOX2, resolutions=(17, 25), delta=0.25)
+        sublevel_pair(values, g, float(f(np.zeros((1, 2)))[0]), 0.25, BOX2)
 
 
 def test_requires_two_resolutions():
@@ -360,7 +363,7 @@ def test_monkey_saddle_splits_into_two_ordinary_saddles():
     for p in uniq:
         hxx, hxy, hyy = 6.0 * p[0], -6.0 * p[1], -6.0 * p[0]
         assert hxx * hyy - hxy**2 < 0  # both are saddles: index 1 each
-    assert local_morse_homology(e.value, BOX2, grad=e.grad).as_dict() == {1: 2}
+    assert local_morse_homology(e.value, BOX2, grad=e.grad).ranks.as_dict() == {1: 2}
 
 
 # --- degree oracle
@@ -393,7 +396,7 @@ def test_degree_of_squared_rotation_field(m, sign):
 def test_euler_characteristic_matches_degree():
     for name in ("neg-r2", "r2", "saddle", "monkey", "quartic-neg"):
         e = FIELDS[name]
-        ranks = local_morse_homology(e.value, BOX2, grad=e.grad)
+        ranks = local_morse_homology(e.value, BOX2, grad=e.grad).ranks
         assert ranks.euler() == gradient_degree(e.grad, 0.5)
 
 

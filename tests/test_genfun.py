@@ -11,14 +11,12 @@ from localfloer.genfun import (
     PsiMap,
     SplineGermMap,
     _opnorms,
-    conjugated_map,
     generating_function,
     gf_property_report,
     homotopy_isolation_scan,
     psi,
-    reconstruction_residual,
-    scaling_conjugation,
 )
+from oracles import conjugated_map, reconstruction_residual, scaling_conjugation
 
 BOX2 = Box(center=(0.0, 0.0), radius=0.1)
 
@@ -211,7 +209,7 @@ def test_psi_gradient_flows_once_per_newton_step(monkeypatch):
     import localfloer.genfun as genfun
 
     phi = OdeGermMap(quartic(-1))
-    pm = PsiMap(phi, 0.0)
+    pm = PsiMap(phi)
     w = np.random.default_rng(19).uniform(-0.05, 0.05, (12, 2))
     steps, flows = [], []
     flow, step = genfun.flow_jacobians, GermMap._value_and_x_rows
@@ -240,7 +238,7 @@ def test_psi_gradient_flows_once_per_newton_step(monkeypatch):
 
 
 def test_spline_psi_gradient_equals_the_two_pass_form():
-    pm = psi(SplineGermMap(quartic(-1), BOX2, resolution=33), 2)
+    pm = psi(SplineGermMap(quartic(-1), BOX2, resolution=33), 2, BOX2)
     w = BOX2.nodes(17)
     z = pm.invert(w)
     disp = pm.phi_k(z) - z

@@ -27,12 +27,12 @@ from localfloer.germs import (
     fixed_point_record,
     flow_jacobians,
     gap_table,
-    iterate,
     monodromy,
     translate,
 )
 from localfloer.paths import index_report
 from localfloer.symplectic import validate_symplectic, vectorfield_j
+from oracles import iterate
 
 EPS = 0.05  # morse_triple default scale; H(+-1, 0) = -EPS / 4
 

@@ -8,12 +8,10 @@ import pytest
 
 from localfloer import (
     Box,
-    DiscreteOrbit,
     OdeGermMap,
     c_constant,
     c_constant_exact,
     contraction_check,
-    maximizing_orbit,
     periodic_point_search,
     splitting_ratio_report,
 )
@@ -29,6 +27,7 @@ from localfloer.corpus import (
     shear,
     zero_germ,
 )
+from oracles import DiscreteOrbit, maximizing_orbit
 
 
 # ----------------------------------------------------------- the constant

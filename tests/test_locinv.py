@@ -13,22 +13,22 @@ from localfloer.corpus import (
     quartic,
     shear,
 )
-from localfloer.cubical import GradedRanks
+from localfloer.cubical import GradedRanks, gradient_degree
 from localfloer.errors import (
     HypothesisFailed,
     NotAdmissible,
     RouteUnavailable,
     ShiftAmbiguous,
 )
-from localfloer.germs import HamiltonianGerm, fixed_point_record
+from localfloer.germs import HamiltonianGerm, fixed_point_record, flow_jacobians
 from localfloer.invariants import (
     detect_sdm,
     fixed_point_index,
-    kunneth,
     local_floer,
     total_ranks,
     verify_persistence,
 )
+from oracles import iterate
 
 
 def record_of(germ):
@@ -99,14 +99,6 @@ def test_degenerate_route_flows_the_padded_grid_once_per_order(monkeypatch):
     assert sizes == [97**2, 97**2]
 
 
-def test_forced_route_matches_detected_route():
-    germ = quartic(-1)
-    rec = record_of(germ)
-    auto = local_floer(germ, rec)
-    forced = local_floer(germ, rec, route="strongly_degenerate")
-    assert auto.ranks == forced.ranks
-
-
 def test_split_route_convolves_factors():
     germ = direct_sum_germ(linear_rotation(0.3183), quartic(-1))
     lf = local_floer(germ, record_of(germ))
@@ -139,12 +131,6 @@ def test_degenerate_germ_off_the_plane_without_factors_is_refused(monkeypatch):
     assert sizes == []
 
 
-def test_nondegenerate_route_refused_on_unipotent_monodromy():
-    germ = quartic(-1)
-    with pytest.raises(RouteUnavailable):
-        local_floer(germ, record_of(germ), route="nondegenerate")
-
-
 def test_inadmissible_order_refused():
     germ = linear_rotation(1.0 / 3.0)
     with pytest.raises(NotAdmissible):
@@ -154,7 +140,7 @@ def test_inadmissible_order_refused():
 def test_kunneth_is_rank_convolution():
     a = GradedRanks.from_dict({1: 1, 2: 3})
     b = GradedRanks.from_dict({0: 2, 1: 1})
-    assert kunneth(a, b).as_dict() == {1: 2, 2: 7, 3: 3}
+    assert a.convolve(b).as_dict() == {1: 2, 2: 7, 3: 3}
 
 
 def test_report_serializes():
@@ -338,6 +324,26 @@ def test_fixed_point_index_oracle():
     assert fixed_point_index(quartic_max) == 1
     assert fixed_point_index(rotation) == 1
     assert fixed_point_index(hyperbolic(2.0)) == -1
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: quartic(-1),
+        lambda: linear_rotation(0.05),
+        lambda: hyperbolic(2.0),
+        # eigenvalues -2 and -1/2: the index alternates, +1 at odd k, -1 at even
+        lambda: negative_hyperbolic(2.0),
+    ],
+    ids=["quartic-max", "rotation-0.05", "hyperbolic-2", "negative-hyperbolic-2"],
+)
+def test_fixed_point_index_matches_the_time_rescaled_flow(make, k):
+    # fixed_point_index flows phi k times; the oracle flows k H(kt, z) once
+    germ = make()
+    gk = iterate(germ, k)
+    oracle = gradient_degree(lambda pts: flow_jacobians(gk, pts)[0] - pts, 0.05)
+    assert fixed_point_index(germ, k) == oracle
 
 
 def test_euler_characteristic_is_signed_index():

@@ -16,19 +16,25 @@ from hypothesis import strategies as st
 
 from localfloer import paths
 from localfloer.corpus import negative_hyperbolic
-from localfloer.errors import DegenerateEndpoint, NotALoop, WindingUnresolved
+from localfloer.errors import DegenerateEndpoint, WindingUnresolved
 from localfloer.germs import monodromy
 from localfloer.paths import (
     SymplecticPath,
     conley_zehnder,
     index_report,
-    maslov_loop,
     mean_index,
     rho,
     winding,
 )
-from localfloer.symplectic import direct_sum_indices, random_symplectic, standard_j, vectorfield_j
-from pathhelpers import exponential_path
+from localfloer.symplectic import direct_sum_indices, standard_j, vectorfield_j
+from pathhelpers import (
+    NotALoop,
+    exponential_path,
+    maslov_loop,
+    path_direct_sum,
+    path_product,
+    random_symplectic,
+)
 
 
 def rotation_path(a, span=1.0):
@@ -141,7 +147,7 @@ def test_rotation_index_pinch_is_strict():
 def test_mean_index_adds_over_direct_sum():
     p = rotation_path(2.0 * np.pi * 0.3183)
     q = hyperbolic_path(np.log(2.0))
-    s = p.direct_sum(q)
+    s = path_direct_sum(p, q)
     assert abs(mean_index(s) - (mean_index(p) + mean_index(q))) < 1e-6
 
 
@@ -149,7 +155,7 @@ def test_mean_index_adds_over_direct_sum():
 @given(st.integers(0, 10**6), st.integers(0, 10**6))
 def test_mean_index_adds_for_random_pairs(seed_a, seed_b):
     p, q = random_path(seed_a), random_path(seed_b)
-    assert abs(mean_index(p.direct_sum(q)) - mean_index(p) - mean_index(q)) < 1e-6
+    assert abs(mean_index(path_direct_sum(p, q)) - mean_index(p) - mean_index(q)) < 1e-6
 
 
 # --- loops shift by twice their winding
@@ -172,7 +178,7 @@ def test_not_a_loop_refused():
 @pytest.mark.parametrize("m", [1, 2])
 def test_loop_shifts_rotation_index_by_twice_winding(m):
     p = rotation_path(2.0 * np.pi * 0.3183)
-    shifted = full_loop(m).product(p)
+    shifted = path_product(full_loop(m), p)
     assert conley_zehnder(shifted) == conley_zehnder(p) + 2 * m
     assert abs(mean_index(shifted) - mean_index(p) - 2.0 * m) < 1e-6
 
@@ -180,7 +186,7 @@ def test_loop_shifts_rotation_index_by_twice_winding(m):
 def test_loop_shifts_hyperbolic_index_by_twice_winding():
     # the loop and the path do not commute here; the shift law must survive
     p = hyperbolic_path(np.log(2.0))
-    shifted = full_loop(1).product(p)
+    shifted = path_product(full_loop(1), p)
     assert conley_zehnder(shifted) == conley_zehnder(p) + 2
     assert abs(mean_index(shifted) - mean_index(p) - 2.0) < 1e-6
 
@@ -345,8 +351,8 @@ def test_batched_rho_matches_rho_per_matrix(mats, seed):
     [
         lambda: reflected_saddle_path(),
         lambda: reflected_saddle_path().iterated(3),
-        lambda: full_loop(1).product(reflected_saddle_path()),
-        lambda: reflected_saddle_path().direct_sum(rotation_path(0.7)),
+        lambda: path_product(full_loop(1), reflected_saddle_path()),
+        lambda: path_direct_sum(reflected_saddle_path(), rotation_path(0.7)),
     ],
 )
 def test_batched_evaluation_matches_pointwise(make):

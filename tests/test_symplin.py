@@ -7,15 +7,15 @@ from hypothesis import strategies as st
 from localfloer.errors import NotAdmissible, NotSymplectic
 from localfloer.symplectic import (
     admissible,
-    admissible_set,
     good,
-    random_symplectic,
     spectrum,
     split_spectral,
     standard_j,
     validate_symplectic,
     vectorfield_j,
 )
+from oracles import admissible_set
+from pathhelpers import random_symplectic
 
 
 def rot(theta):
