@@ -281,42 +281,73 @@ def _newton_search(
     newton_tol: float,
     max_iter: int,
     escape: float,
+    k: int,
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Batched Newton iteration on f(z) - z, with value_and_jac(z) = (f(z), Df(z)).
+    """Batched multiple-shooting Newton search for k-periodic points of f,
+    with value_and_jac(z) = (f(z), Df(z)).
 
-    A seed retires at residual <= newton_tol, or when its step is not finite
-    or leaves the ball of radius escape (that step is not taken).  Seeds
-    still moving after max_iter steps are evaluated once more.  Returns the
-    points and each one's residual at its last evaluation.
+    The unknowns of a seed are the nodes z_0 .. z_{k-1} of its cycle and the
+    residual is the stack of defects F_i = f(z_i) - z_{i+1 mod k}.  The
+    Newton matrix is block-cyclic, Df(z_i) on the diagonal and -I at block
+    (i, i+1 mod k).  The nodes start on the seed's orbit, z_i = f^i(seed):
+    the k calls that place them give the first step, which is the Newton
+    step on f^k(z) - z.  Every later step is one call on the nodes of all
+    active seeds.  At k = 1 this is Newton's method on f(z) - z.
+
+    A seed retires at residual (the norm of its stacked defects) <=
+    newton_tol, or when its step makes a node non-finite or moves one out of
+    the ball of radius escape (that step is not taken).  Seeds still moving
+    after max_iter steps are evaluated once more.  Returns each seed's z_0
+    and its residual at its last evaluation.
     """
-    z = np.array(seeds, dtype=float)
-    eye = np.eye(z.shape[1])
-    rnorm = np.full(len(z), np.inf)
-    active = np.ones(len(z), dtype=bool)
-    for _ in range(max_iter):
-        idx = np.nonzero(active)[0]
-        if len(idx) == 0:
-            break
-        img, jac = value_and_jac(z[idx])
-        res = img - z[idx]
+    seeds = np.asarray(seeds, dtype=float)
+    nseeds, dim = seeds.shape
+    z = np.empty((nseeds, k, dim))
+    img = np.empty_like(z)
+    jac = np.empty((nseeds, k, dim, dim))
+    z[:, 0] = seeds
+    for i in range(k):
+        img[:, i], jac[:, i] = value_and_jac(z[:, i])
+        if i + 1 < k:
+            z[:, i + 1] = img[:, i]
+    eye = np.eye(dim)
+    rnorm = np.full(nseeds, np.inf)
+    active = np.ones(nseeds, dtype=bool)
+    idx = np.arange(nseeds)
+    for it in range(max_iter):
+        if it > 0:
+            idx = np.nonzero(active)[0]
+            if len(idx) == 0:
+                break
+            img, jac = value_and_jac(z[idx].reshape(-1, dim))
+            img = img.reshape(len(idx), k, dim)
+            jac = jac.reshape(len(idx), k, dim, dim)
+        res = (img - np.roll(z[idx], -1, axis=1)).reshape(len(idx), k * dim)
         rnorm[idx] = np.linalg.norm(res, axis=1)
         moving = rnorm[idx] > newton_tol
         active[idx[~moving]] = False
         if not np.any(moving):
             break
         idx = idx[moving]
+        mat = np.zeros((len(idx), k, dim, k, dim))
+        for i in range(k):
+            mat[:, i, :, i, :] = jac[moving, i]
+            mat[:, i, :, (i + 1) % k, :] -= eye
         # pinv tolerates the singular Jacobians of resonant iterates
-        step = (np.linalg.pinv(jac[moving] - eye) @ res[moving][..., None])[..., 0]
-        znew = z[idx] - step
+        step = np.linalg.pinv(mat.reshape(len(idx), k * dim, k * dim)) @ res[moving][..., None]
+        znew = z[idx] - step.reshape(len(idx), k, dim)
         diverged = (
-            ~np.all(np.isfinite(znew), axis=1)
-            | (np.linalg.norm(znew, axis=1) > escape)
+            ~np.all(np.isfinite(znew), axis=(1, 2))
+            | np.any(np.linalg.norm(znew, axis=2) > escape, axis=1)
         )
         z[idx[~diverged]] = znew[~diverged]
         active[idx[diverged]] = False
     if np.any(active):
-        rnorm[active] = np.linalg.norm(value_and_jac(z[active])[0] - z[active], axis=1)
-    return z, rnorm
+        last = z[active]
+        img = value_and_jac(last.reshape(-1, dim))[0].reshape(last.shape)
+        res = (img - np.roll(last, -1, axis=1)).reshape(len(last), -1)
+        rnorm[active] = np.linalg.norm(res, axis=1)
+    return z[:, 0], rnorm
 
 
 def _distinct(points: np.ndarray, tol: float) -> np.ndarray:
@@ -347,7 +378,7 @@ def find_fixed_points(
     """
     grid = Box(center=(0.0,) * (2 * germ.n), radius=radius).nodes(seeds_per_axis)
     z, rnorm = _newton_search(
-        lambda pts: flow_jacobians(germ, pts), grid, newton_tol, NEWTON_MAX_ITER, 3.0 * radius
+        lambda pts: flow_jacobians(germ, pts), grid, newton_tol, NEWTON_MAX_ITER, 3.0 * radius, 1
     )
     converged = z[(rnorm <= newton_tol) & (np.linalg.norm(z, axis=1) <= 1.5 * radius)]
 

@@ -2,10 +2,10 @@
 
 Three tools: the discrete Wirtinger-type constant c(k) relating the L1 norm
 of a zero-mean cyclic sequence to that of its difference sequence, in
-closed form; a grid-seeded Newton search for k-periodic points in
-shrinking balls; and a contraction certificate in the style of the Yorke
-period bound, where a C1 bound on phi - id rules out non-fixed k-periodic
-orbits.
+closed form; a grid-seeded multiple-shooting Newton search for k-periodic
+points in shrinking balls; and a contraction certificate in the style of
+the Yorke period bound, where a C1 bound on phi - id rules out non-fixed
+k-periodic orbits.
 """
 from __future__ import annotations
 
@@ -105,10 +105,14 @@ def periodic_point_search(
 
     All radii share one Newton batch: the scaled seed grids of every radius
     are stacked into one ``_newton_search`` (same tolerance, iteration cap
-    and escape ball 3 * max(radii)) and its points sliced back per radius,
-    so a Newton step costs k flows however many radii there are.  The two
-    origin probe rings go through one phi^k call, and the witnesses of
-    every radius through one phi call.
+    and escape ball 3 * max(radii)) and its points sliced back per radius.
+    That search shoots the whole k-cycle z_0 -> z_1 -> ... -> z_0 on phi
+    itself: k calls of phi place the nodes on the seeds' orbits, and every
+    later Newton step is one call of phi on the k nodes of every active
+    seed, however many radii there are.  A residual is the norm of a seed's
+    stacked defects phi(z_i) - z_{i+1 mod k}.  The two origin probe rings
+    go through one phi^k call, and the witnesses of every radius through
+    one phi call.
 
     Degenerate maps stall the residual early: when the displacement of
     phi^k vanishes to order d at 0, points inside r (tol / D(r))^(1/d)
@@ -129,7 +133,7 @@ def periodic_point_search(
     dedup_tol = max(10.0 * newton_tol, 1e-9)
     seeds = np.concatenate([radius * grid for radius in radii])
     z, rnorm = _newton_search(
-        phi_k.value_and_jac, seeds, newton_tol, NEWTON_MAX_ITER, 3.0 * radii[0]
+        phi.value_and_jac, seeds, newton_tol, NEWTON_MAX_ITER, 3.0 * radii[0], k
     )
     per_radius: List[dict] = []
     for radius, zr, rr in zip(radii, np.split(z, len(radii)), np.split(rnorm, len(radii))):

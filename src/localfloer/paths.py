@@ -255,9 +255,9 @@ def winding(
     return _wind(path.rho, path.span, intervals, max_samples)
 
 
-def mean_index(path: SymplecticPath, **kwargs) -> float:
+def mean_index(path: SymplecticPath) -> float:
     """Winding of rho divided by pi.  Homogeneous under iteration."""
-    return winding(path, **kwargs) / np.pi
+    return winding(path) / np.pi
 
 
 def _endpoint_correction(mat: np.ndarray) -> float:
@@ -304,8 +304,8 @@ class IndexReport:
     notes: tuple = field(default_factory=tuple)
 
 
-def index_report(path: SymplecticPath, **winding_kwargs) -> IndexReport:
-    w = winding(path, **winding_kwargs)
+def index_report(path: SymplecticPath) -> IndexReport:
+    w = winding(path)
     notes = []
     cz: Optional[int] = None
     degenerate = False

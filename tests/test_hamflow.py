@@ -306,7 +306,7 @@ def test_newton_search_on_an_affine_map():
 
     # converged: every seed ends at the fixed point within newton_tol
     calls = []
-    z, rnorm = _newton_search(_affine(a, b, calls), seeds, 1e-11, 40, 100.0)
+    z, rnorm = _newton_search(_affine(a, b, calls), seeds, 1e-11, 40, 100.0, 1)
     assert np.all(rnorm <= 1e-11)
     np.testing.assert_allclose(rnorm, residual(z), rtol=0.0, atol=1e-15)
     assert np.max(np.abs(z - fixed)) <= 1e-12
@@ -315,17 +315,47 @@ def test_newton_search_on_an_affine_map():
     # escaping: a step past the escape radius is not taken and retires the seed
     calls = []
     far = np.linalg.norm(fixed) / 2.0
-    z, rnorm = _newton_search(_affine(a, b, calls), seeds[:3], 1e-11, 40, far)
+    z, rnorm = _newton_search(_affine(a, b, calls), seeds[:3], 1e-11, 40, far, 1)
     assert np.array_equal(z, seeds[:3])
     np.testing.assert_array_equal(rnorm, residual(seeds[:3]))
     assert calls == [3]
 
     # still moving after max_iter: one more evaluation gives the final residual
     calls = []
-    z, rnorm = _newton_search(_affine(a, b, calls), seeds[:3], 1e-11, 1, 100.0)
+    z, rnorm = _newton_search(_affine(a, b, calls), seeds[:3], 1e-11, 1, 100.0, 1)
     assert calls == [3, 3]
     np.testing.assert_array_equal(rnorm, residual(z))
     assert np.all(rnorm <= 1e-11)
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_newton_search_solves_an_affine_k_cycle_in_one_step(k):
+    # no eigenvalue of a is a root of unity, so the only k-periodic point of
+    # z -> a z + b is its fixed point; the shooting system is linear
+    a = np.array([[2.0, 1.0], [0.5, 3.0]])
+    b = np.array([1.0, -2.0])
+    fixed = np.linalg.solve(np.eye(2) - a, b)
+    seeds = np.array([[0.0, 0.0], [1.0, -1.0], [-2.0, 0.5]])
+    power = np.linalg.matrix_power(a, k)
+    shift = sum(np.linalg.matrix_power(a, i) for i in range(k)) @ b
+    orbit_residual = np.linalg.norm(seeds @ power.T + shift - seeds, axis=1)
+
+    # k calls place the nodes on each seed's orbit; after the one step, a
+    # single call on all k nodes of every seed finds the cycle closed
+    calls = []
+    z, rnorm = _newton_search(_affine(a, b, calls), seeds, 1e-11, 40, 1e3, k)
+    assert calls == [3] * k + [3 * k]
+    assert np.all(rnorm <= 1e-11)
+    assert np.max(np.abs(z - fixed)) <= 1e-12
+
+    # the step moves every node to the fixed point, out of this escape ball:
+    # it is not taken, and the residual is that of the seed's orbit
+    calls = []
+    far = np.linalg.norm(fixed) / 2.0
+    z, rnorm = _newton_search(_affine(a, b, calls), seeds, 1e-11, 40, far, k)
+    assert calls == [3] * k
+    assert np.array_equal(z, seeds)
+    np.testing.assert_allclose(rnorm, orbit_residual, rtol=1e-12)
 
 
 def test_distinct_keeps_least_norm_point_and_orders_by_norm():

@@ -16,7 +16,7 @@ from localfloer import (
     splitting_ratio_report,
 )
 from localfloer.genfun import GermMap
-from localfloer.germs import NEWTON_MAX_ITER
+from localfloer.germs import NEWTON_MAX_ITER, _distinct, _newton_search
 from localfloer.errors import LinearizationNotIdentity, NewtonDivergence
 from localfloer.corpus import (
     direct_sum_germ,
@@ -325,14 +325,91 @@ def test_search_work_does_not_grow_with_the_radii():
     for ladder in [[r] for r in radii] + [radii]:
         calls = {}
         rep = periodic_point_search(CountingTwist(calls), 3, ladder, seeds_per_axis=9)
-        newton.append(calls[(3, "value_and_jac")])
+        assert (3, "value_and_jac") not in calls
+        newton.append(calls[(1, "value_and_jac")])
     assert rep.conclusion == "ISOLATION_HOLDS"
     assert {w["radius"] for w in rep.witnesses} == {0.3, 0.2}
-    # one Newton batch: as many evaluations as the slowest radius alone needs
-    assert newton[-1] <= NEWTON_MAX_ITER + 1
+    # the shooting search calls phi itself: 3 calls place the nodes on the
+    # seeds' orbits, then one per Newton step and one final evaluation
+    assert newton[-1] <= 3 - 1 + NEWTON_MAX_ITER + 1
+    # one Newton batch: as many calls as the slowest radius alone needs
     assert newton[-1] <= max(newton[:-1])
     # one jac at the origin, one probe of phi^3, one witness call of phi
-    assert calls == {(1, "jac"): 1, (3, "value_and_jac"): newton[-1], (3, "value"): 1, (1, "value"): 1}
+    assert calls == {(1, "jac"): 1, (1, "value_and_jac"): newton[-1], (3, "value"): 1, (1, "value"): 1}
+
+
+def _seed_disk(radius):
+    grid = Box((0.0, 0.0), radius).nodes(9)
+    return grid[np.linalg.norm(grid, axis=1) <= radius + 1e-12]
+
+
+@pytest.mark.parametrize("germ", ["twist", "resonant"])
+@pytest.mark.parametrize("k", [2, 4, 5])
+def test_shooting_search_matches_newton_on_phi_k(resonant_map, germ, k):
+    # the oracle is the same search at k = 1 on phi^k: with one node it is
+    # Newton's method on phi^k(z) - z.  The escape ball stops short of the
+    # twist's circles of k-periodic points (radius 0.316 and more), where
+    # the point a seed lands on follows its Newton path
+    phi = resonant_map if germ == "resonant" else CountingTwist({})
+    seeds, tol, escape = _seed_disk(0.2), 1e-11, 0.3
+    z, rnorm = _newton_search(phi.value_and_jac, seeds, tol, NEWTON_MAX_ITER, escape, k)
+    zo, ro = _newton_search(phi.iterate(k).value_and_jac, seeds, tol, NEWTON_MAX_ITER, escape, 1)
+    ok, ok_oracle = rnorm <= tol, ro <= tol
+    # shooting keeps every seed the oracle converges, and here a few more
+    assert np.sum(ok) >= np.sum(ok_oracle) > 0
+    both = ok & ok_oracle
+    assert np.max(np.linalg.norm(z[both] - zo[both], axis=1)) <= 1e-7
+    found, oracle = _distinct(z[ok], 1e-7), _distinct(zo[ok_oracle], 1e-7)
+    assert _same_points(found, oracle, 1e-7, 0.0)
+
+
+@pytest.mark.parametrize("germ, ring", [("twist", np.sqrt(1.0 / 30.0)), ("resonant", 0.15)])
+def test_shooting_search_lands_on_the_ring_of_3_periodic_points(resonant_map, germ, ring):
+    # a circle of 3-periodic points: where on it a seed lands follows its
+    # Newton path, so ring points are compared by norm and by period
+    phi = resonant_map if germ == "resonant" else CountingTwist({})
+    seeds, tol, escape = _seed_disk(0.2), 1e-11, 0.6
+    z, rnorm = _newton_search(phi.value_and_jac, seeds, tol, NEWTON_MAX_ITER, escape, 3)
+    zo, ro = _newton_search(phi.iterate(3).value_and_jac, seeds, tol, NEWTON_MAX_ITER, escape, 1)
+
+    def on_ring(pts):
+        return pts[np.abs(np.linalg.norm(pts, axis=1) - ring) <= 1e-2]
+
+    found, oracle = on_ring(z[rnorm <= tol]), on_ring(zo[ro <= tol])
+    assert len(found) == len(oracle) > 0
+    np.testing.assert_allclose(np.linalg.norm(found, axis=1), ring, rtol=0.0, atol=1e-7)
+    assert np.all(np.linalg.norm(phi.iterate(3)(found) - found, axis=1) <= 10.0 * tol)
+    assert np.all(np.linalg.norm(phi(found) - found, axis=1) > 1e-3)
+
+
+@pytest.mark.parametrize("germ, k", [("twist", 2), ("twist", 3), ("resonant", 2), ("resonant", 4)])
+def test_shooting_calls_take_the_k_nodes_of_every_active_seed(resonant_map, germ, k):
+    phi = resonant_map if germ == "resonant" else CountingTwist({})
+    seeds, tol = _seed_disk(0.05), 1e-11
+    calls = []
+
+    def recording(pts):
+        img, jac = phi.value_and_jac(pts)
+        calls.append((np.array(pts, copy=True), img))
+        return img, jac
+
+    z, rnorm = _newton_search(recording, seeds, tol, NEWTON_MAX_ITER, 0.15, k)
+    # every seed converges, so none retires by escaping
+    assert np.all(rnorm <= tol)
+    # the first k calls walk the seeds' orbits
+    assert np.array_equal(calls[0][0], seeds)
+    for (_, img), (pts, _) in zip(calls[: k - 1], calls[1:k]):
+        assert np.array_equal(pts, img)
+    moving = int(np.sum(np.linalg.norm(calls[k - 1][1] - seeds, axis=1) > tol))
+    # each later call takes the k nodes of every seed that the call before
+    # left above tolerance
+    assert len(calls) > k
+    for pts, img in calls[k:]:
+        assert len(pts) == k * moving
+        nodes, images = pts.reshape(moving, k, 2), img.reshape(moving, k, 2)
+        defects = (images - np.roll(nodes, -1, axis=1)).reshape(moving, -1)
+        moving = int(np.sum(np.linalg.norm(defects, axis=1) > tol))
+    assert moving == 0
 
 
 def test_search_identity_fails_without_witnesses():
