@@ -291,8 +291,9 @@ def _newton_search(
     Newton matrix is block-cyclic, Df(z_i) on the diagonal and -I at block
     (i, i+1 mod k).  The nodes start on the seed's orbit, z_i = f^i(seed):
     the k calls that place them give the first step, which is the Newton
-    step on f^k(z) - z.  Every later step is one call on the nodes of all
-    active seeds.  At k = 1 this is Newton's method on f(z) - z.
+    step on f^k(z) - z wherever Df^k(seed) - I is invertible.  Every later
+    step is one call on the nodes of all active seeds.  At k = 1 this is
+    Newton's method on f(z) - z.
 
     A seed retires at residual (the norm of its stacked defects) <=
     newton_tol, or when its step makes a node non-finite or moves one out of
