@@ -89,10 +89,6 @@ class GradedRanks:
     def to_json(self) -> Dict[str, int]:
         return {str(d): r for d, r in self.items}
 
-    @classmethod
-    def from_json(cls, data: Dict[str, int]) -> "GradedRanks":
-        return cls.from_dict({int(k): int(v) for k, v in data.items()})
-
 
 # ------------------------------------------------------- complexes and rank
 

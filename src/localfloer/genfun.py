@@ -277,13 +277,6 @@ class PsiMap:
         self.phi_k = phi_k
         self.n = phi_k.n
 
-    def __call__(self, pts: np.ndarray) -> np.ndarray:
-        z = np.atleast_2d(np.asarray(pts, dtype=float))
-        img = self.phi_k(z)
-        out = z.copy()
-        out[:, : self.n] = img[:, : self.n]
-        return out
-
     def invert(self, w: np.ndarray, _image: bool = False):
         """Solve psi(z) = w per row by Newton, seeded at z = w.
 

@@ -244,7 +244,6 @@ class FixedPointRecord:
 
     point: np.ndarray
     action: float
-    path: SymplecticPath
     endpoint: SymplecticMatrix
     mean_index: float
     conley_zehnder: Optional[int]
@@ -267,7 +266,6 @@ def fixed_point_record(germ: HamiltonianGerm, point: np.ndarray) -> FixedPointRe
     return FixedPointRecord(
         point=np.asarray(point, dtype=float),
         action=orbit_action(germ, point),
-        path=path,
         endpoint=path.endpoint(),
         mean_index=report.mean_index,
         conley_zehnder=report.conley_zehnder,

@@ -3,7 +3,9 @@
 Three computation routes, each with its shift convention recorded:
 
   nondegenerate        rank 1 in the Conley-Zehnder degree of the iterated
-                       linearized path ("cz_anchor");
+                       linearized path ("cz_anchor"), read from the fixed
+                       point's own index and monodromy by the iteration
+                       formula, so no order winds rho again;
   strongly_degenerate  all monodromy eigenvalues equal 1: the homology is
                        local Morse homology of the generating function of
                        the iterate, shifted down by n ("genfun_N0");
@@ -14,7 +16,10 @@ Mixed germs that fit none of these, and strongly degenerate germs off the
 plane that do not split, get RouteUnavailable rather than an approximate
 answer.  All orders of one fixed point are read from one sweep: the route
 is decided, phi splined (one iterate tower) and the factor records built
-once, and each order's answer is kept.  On top sit the persistence laws:
+once, and each order's answer is kept.  Each answer passes a run-time
+check: the support window |l - k delta| <= n, or on the nondegenerate
+route, where that window holds identically, the parity
+(-1)^(CZ - n) = sign det(I - M^k).  On top sit the persistence laws:
 shift alignment s_k, evenness at good orders, the support window, and
 detection of symplectically degenerate maxima.
 """
@@ -28,6 +33,7 @@ import numpy as np
 
 from .cubical import GradedRanks, gradient_degree, local_morse_homology
 from .errors import (
+    DegenerateEndpoint,
     HypothesisFailed,
     LocalFloerError,
     NotAdmissible,
@@ -38,7 +44,7 @@ from .errors import (
 from .fields import Box
 from .genfun import OdeGermMap, SplineGermMap, generating_function
 from .germs import FixedPointRecord, HamiltonianGerm, fixed_point_record, translate
-from .paths import conley_zehnder
+from .paths import _iterate_index
 from .symplectic import admissible, direct_sum_indices, good, standard_j
 
 __all__ = [
@@ -77,18 +83,6 @@ class LocalFloer:
     @property
     def total(self) -> int:
         return self.ranks.total
-
-    def to_json(self) -> dict:
-        out = {
-            "ranks": self.ranks.to_json(),
-            "shift_convention": self.shift_convention,
-            "delta": self.delta,
-            "route": self.route,
-            "order": self.order,
-        }
-        if self.hypothesis is not None:
-            out["hypothesis"] = self.hypothesis
-        return out
 
 
 def _check_window(ranks: GradedRanks, delta: float, n: int):
@@ -162,16 +156,32 @@ class _IterateSweep:
             route = self._route
             delta, hypothesis = k * self.record.mean_index, None
             if route == "nondegenerate":
-                ranks = GradedRanks.from_dict({conley_zehnder(self.record.path.iterated(k)): 1})
+                ranks = GradedRanks.from_dict({self._nondegenerate(k): 1})
             elif route == "strongly_degenerate":
                 ranks, hypothesis = self._degenerate(k)
+                _check_window(ranks, delta, self.germ.n)
             else:
                 parts = [factor.at(k) for factor in self._factors]
                 ranks = parts[0].ranks.convolve(parts[1].ranks)
                 delta = parts[0].delta + parts[1].delta
-            _check_window(ranks, delta, self.germ.n)
+                _check_window(ranks, delta, self.germ.n)
             self._answers[k] = LocalFloer(ranks, _CONVENTIONS[route], delta, route, k, hypothesis)
         return self._answers[k]
+
+    def _nondegenerate(self, k: int) -> int:
+        """Index of the k-th iterate by the iteration formula; its parity
+        (-1)^(CZ - n) must be the sign of det(I - M^k)."""
+        cz, mono, n = self.record.conley_zehnder, self.record.endpoint.entries, self.germ.n
+        if cz is None:
+            raise DegenerateEndpoint("the fixed point has no integer index; neither has an iterate")
+        cz_k = _iterate_index(cz, mono, k)
+        det = float(np.linalg.det(np.eye(2 * n) - np.linalg.matrix_power(mono, k)))
+        if (1 - 2 * ((cz_k - n) % 2)) * det <= 0.0:
+            raise RouteUnavailable(
+                f"index {cz_k} has the wrong parity for det(I - M^k) = {det:.3e}; "
+                "the computation is unreliable"
+            )
+        return cz_k
 
     def _degenerate(self, k: int) -> Tuple[GradedRanks, dict]:
         n = 1

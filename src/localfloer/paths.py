@@ -21,16 +21,21 @@ eigenvalue type contributes zero.  The correction is what the winding of an
 explicit normalizing extension inside the nondegenerate stratum evaluates
 to, so the quotient by pi is an integer up to discretization noise.
 
+The index of an iterate needs no winding along the k-fold path.  A
+Bott-type iteration formula (Long, Index Theory for Symplectic Paths with
+Applications, 2002, ch. 9) gives it from the base path's index and its
+endpoint E alone: an elliptic pair (theta, p, q) of E adds
+(q - p)(k - 1 - 2 floor(k theta / 2 pi)) to k times the index, and every
+other eigenvalue type is homogeneous under iteration.
+
 The winding is sampled by local bisection: an interval of the sample grid
 is split until both halves turn by less than pi / 2 and agree with it, so
 samples gather where rho turns.  Each round's new times are sampled as one
-stack, through one batched eigendecomposition.  Along an iterated
-hyperbolic path rho turns only inside elliptic windows of width about 2^-j
-on leg j; each window costs samples in proportion to the logarithm of its
-width, not to its inverse.
+stack, through one batched eigendecomposition.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -134,57 +139,24 @@ class SymplecticPath:
     `evaluate` maps an array of times (m,) to the stack of matrices
     (m, 2n, 2n); calling the path at one time returns one matrix.  Index
     computations assume the path starts at the identity; nothing enforces
-    it because intermediate constructions (iteration legs) reuse the same
-    type.
+    it.
     """
 
     def __init__(self, n: int, span: float, evaluate: Callable[[np.ndarray], np.ndarray]):
         self.n = int(n)
         self.span = float(span)
         self.evaluate = evaluate
-        self._rho_cache: dict = {}
 
     def __call__(self, t: float) -> np.ndarray:
         return self.evaluate(np.array([float(t)]))[0]
 
     def rho(self, ts: np.ndarray) -> np.ndarray:
-        """rho at an array of times.  Times not sampled before are
-        evaluated as one stack and go through one batched eig."""
-        keys = np.asarray(ts, dtype=float).tolist()
-        new = [t for t in keys if t not in self._rho_cache]
-        if new:
-            vals, vecs = np.linalg.eig(self.evaluate(np.array(new)))
-            self._rho_cache.update(zip(new, _rho_values(vals, vecs)))
-        return np.array([self._rho_cache[t] for t in keys])
+        """rho at an array of times, through one batched eig."""
+        vals, vecs = np.linalg.eig(self.evaluate(np.asarray(ts, dtype=float)))
+        return _rho_values(vals, vecs)
 
     def endpoint(self) -> SymplecticMatrix:
         return validate_symplectic(self(self.span), tol=ENDPOINT_TOL)
-
-    def iterated(self, k: int) -> "SymplecticPath":
-        """Path of the k-th iterate: on [j, j+1] it is t -> Psi(t - j) E^j.
-
-        The first iterate is the path itself, with its cached rho samples.
-        """
-        if k < 1:
-            raise ValueError("iteration order must be >= 1")
-        if abs(self.span - 1.0) > 1e-12:
-            raise ValueError("iteration requires a unit-span path")
-        if k == 1:
-            return self
-        e = self(1.0)
-        powers = [np.eye(2 * self.n)]
-        for _ in range(k - 1):
-            powers.append(e @ powers[-1])
-
-        def ev(ts: np.ndarray) -> np.ndarray:
-            legs = np.clip(np.floor(ts).astype(int), 0, k - 1)
-            out = np.empty((len(ts), 2 * self.n, 2 * self.n))
-            for j in set(legs.tolist()):
-                on_leg = legs == j
-                out[on_leg] = self.evaluate(ts[on_leg] - j) @ powers[j]
-            return out
-
-        return SymplecticPath(self.n, float(k), ev)
 
 
 def _wind(f: Callable, span: float, intervals: int, max_samples: int) -> float:
@@ -260,16 +232,38 @@ def mean_index(path: SymplecticPath) -> float:
     return winding(path) / np.pi
 
 
-def _endpoint_correction(mat: np.ndarray) -> float:
-    """Sum of p (pi - theta) + q (theta - pi) over elliptic pairs of the endpoint."""
-    vals, vecs = np.linalg.eig(np.asarray(mat, dtype=float)[None])
+def _check_nondegenerate(vals: np.ndarray):
     gap = float(np.min(np.abs(vals - 1.0)))
     if gap <= DEGENERACY_TOL:
         raise DegenerateEndpoint(
             f"eigenvalue at distance {gap:.3e} from 1; integer index undefined"
         )
+
+
+def _endpoint_correction(mat: np.ndarray) -> float:
+    """Sum of p (pi - theta) + q (theta - pi) over elliptic pairs of the endpoint."""
+    vals, vecs = np.linalg.eig(np.asarray(mat, dtype=float)[None])
+    _check_nondegenerate(vals)
     _, (pairs,) = _elliptic_data(vals, vecs, strict=True)
     return sum(p * (np.pi - theta) + q * (theta - np.pi) for theta, p, q in pairs)
+
+
+def _iterate_index(cz: int, endpoint: np.ndarray, k: int) -> int:
+    """Integer index of the k-th iterate of a path with index cz and endpoint E.
+
+    k cz plus (q - p)(k - 1 - 2 floor(k theta / 2 pi)) per elliptic pair
+    (theta, p, q) of E.  Raises DegenerateEndpoint when E^k has spectrum
+    within DEGENERACY_TOL of 1, which also catches resonances of order
+    above the root-of-unity search, and KreinDegenerate when the Krein
+    form of E is numerically indefinite on an eigenspace.
+    """
+    e = np.asarray(endpoint, dtype=float)
+    _check_nondegenerate(np.linalg.eigvals(np.linalg.matrix_power(e, k)))
+    vals, vecs = np.linalg.eig(e[None])
+    _, (pairs,) = _elliptic_data(vals, vecs, strict=True)
+    return k * cz + sum(
+        (q - p) * (k - 1 - 2 * math.floor(k * theta / (2.0 * np.pi))) for theta, p, q in pairs
+    )
 
 
 def _integer_index(w: float, endpoint: np.ndarray) -> int:

@@ -166,7 +166,9 @@ class EigenData:
         count = 0
         for c in self.clusters:
             v = c.power(k)
-            if abs(v.imag) <= tol * max(1.0, abs(v)) and v.real < -tol:
+            # relative to |v|: the partner 1/lambda of a large lambda has a
+            # power far below tol and must still be counted
+            if abs(v.imag) <= tol * abs(v) and v.real < -tol * abs(v):
                 count += c.multiplicity
         # -1 always carries even multiplicity; other negatives pair across inversion
         if count % 2:

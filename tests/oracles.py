@@ -22,7 +22,7 @@ from scipy.interpolate import RegularGridInterpolator
 
 from localfloer.errors import ClusterAmbiguous
 from localfloer.fields import grid_gradient
-from localfloer.genfun import GeneratingFunction, GermMap, PsiMap
+from localfloer.genfun import GeneratingFunction, GermMap
 from localfloer.germs import HamiltonianGerm
 from localfloer.symplectic import SymplecticMatrix, admissible, validate_symplectic
 
@@ -176,7 +176,6 @@ def conjugated_map(phi: GermMap, s: np.ndarray) -> GermMap:
 def reconstruction_residual(phi: GermMap, k: int, gf: GeneratingFunction, probe: np.ndarray) -> float:
     """Max norm of (phi^k - id) - X_F o psi_k at probe points, F from the grid."""
     phi_k = phi.iterate(k)
-    pm = PsiMap(phi_k)
     n = phi.n
     g = grid_gradient(gf.field.values, gf.field.box)
     axes = tuple(gf.field.box.axes(gf.field.resolution))
@@ -184,8 +183,11 @@ def reconstruction_residual(phi: GermMap, k: int, gf: GeneratingFunction, probe:
         RegularGridInterpolator(axes, g[..., i], method="linear", bounds_error=False, fill_value=None)
         for i in range(2 * n)
     ]
-    w = pm(probe)
+    z = np.atleast_2d(probe)
+    img = phi_k(z)
+    # w = psi_k(z): the x-rows of phi^k(z) over the y-rows of z
+    w = np.concatenate([img[:, :n], z[:, n:]], axis=1)
     df = np.stack([it(w) for it in interps], axis=1)
     x_f = np.concatenate([df[:, n:], -df[:, :n]], axis=1)
-    disp = phi_k(probe) - np.atleast_2d(probe)
+    disp = img - z
     return float(np.max(np.linalg.norm(disp - x_f, axis=1)))

@@ -1,6 +1,6 @@
 """Symplectic paths and matrices for the tests: closed-form paths
-t -> exp(t B), random symplectic matrices, pointwise products and direct
-sums of paths, and the Maslov index of a loop."""
+t -> exp(t B), random symplectic matrices, pointwise products, direct sums
+and iterates of paths, and the Maslov index of a loop."""
 import numpy as np
 import scipy.linalg
 
@@ -65,6 +65,31 @@ def path_direct_sum(first: SymplecticPath, second: SymplecticPath) -> Symplectic
         return out
 
     return SymplecticPath(n, first.span, ev)
+
+
+def iterated(path: SymplecticPath, k: int) -> SymplecticPath:
+    """Path of the k-th iterate: on [j, j+1] it is t -> Psi(t - j) E^j.
+
+    The winding of rho along it is the oracle of the iteration formula
+    (`paths._iterate_index`).  The first iterate is the path itself.
+    """
+    if k < 1:
+        raise ValueError("iteration order must be >= 1")
+    if abs(path.span - 1.0) > 1e-12:
+        raise ValueError("iteration requires a unit-span path")
+    if k == 1:
+        return path
+    e = path(1.0)
+    powers = [np.eye(2 * path.n)]
+    for _ in range(k - 1):
+        powers.append(e @ powers[-1])
+    powers = np.array(powers)
+
+    def ev(ts: np.ndarray) -> np.ndarray:
+        legs = np.clip(np.floor(ts).astype(int), 0, k - 1)
+        return path.evaluate(ts - legs) @ powers[legs]
+
+    return SymplecticPath(path.n, float(k), ev)
 
 
 def maslov_loop(path: SymplecticPath, **winding_kwargs) -> int:

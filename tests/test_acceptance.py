@@ -33,7 +33,13 @@ from localfloer.errors import LocalFloerError
 from localfloer.germs import monodromy
 from localfloer.symplectic import admissible, spectrum, standard_j
 from oracles import DiscreteOrbit, iterate, maximizing_orbit
-from pathhelpers import exponential_path, maslov_loop, path_direct_sum, path_product
+from pathhelpers import (
+    exponential_path,
+    iterated,
+    maslov_loop,
+    path_direct_sum,
+    path_product,
+)
 
 _RECORDS = {}
 
@@ -104,8 +110,9 @@ def test_criterion_02_nondegenerate_route_window():
                 bound = (n + abs(window_l)) / row.k
                 check(failures, abs(row.s_k / row.k - delta) <= bound + 1e-12,
                       f"{name} k={row.k}: |s_k/k - delta| exceeds {bound:.3f}")
+        path = monodromy(germ, rec.point)
         for k in range(1, 21):
-            cz = conley_zehnder(rec.path.iterated(k))
+            cz = conley_zehnder(iterated(path, k))
             expect = 2 * int(np.floor(k * alpha)) + 1
             check(failures, cz == expect,
                   f"{name} k={k}: index {cz} != winding value {expect}")
@@ -184,7 +191,7 @@ def test_criterion_06_mean_index_suite():
     for name, (n, p) in paths.items():
         d0 = mean_index(p)
         for k in (2, 3, 5):
-            drift = abs(mean_index(p.iterated(k)) - k * d0)
+            drift = abs(mean_index(iterated(p, k)) - k * d0)
             check(failures, drift <= 1e-6,
                   f"{name}: iteration formula off by {drift:.2e} at k={k}")
 

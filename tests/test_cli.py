@@ -1,5 +1,6 @@
 """Command line interface: scenario parsing, exit codes, artifacts."""
 
+import importlib.util
 import json
 import re
 import subprocess
@@ -9,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+import localfloer
 from localfloer.cli import main
 from localfloer.scenarios import _TASK_KEYS, parse_scenario
 
@@ -363,3 +365,66 @@ def test_every_export_resolves():
             and getattr(m, name) is getattr(localfloer, name)
         ]
         assert homes, f"{name} is in no submodule's __all__"
+
+
+# ------------------------------------------------------- benchmark tracing
+
+
+def load_benchmark_tracer():
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("benchmark_spans", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_benchmark_tracer_reaches_every_wrapped_layer(tmp_path):
+    """perfbench/spans.py wraps functions and methods of the package by
+    name and binds their parameters; renaming one must fail here.  The
+    scenario's answers are not checked."""
+    import numpy as np
+
+    from localfloer import germs, scenarios
+    from localfloer.corpus import linear_rotation
+
+    spans = load_benchmark_tracer()
+    sc = parse_scenario(
+        {
+            "schema": 1,
+            "name": "every traced layer",
+            "germ": {"formula": "quartic-max"},
+            "tasks": [
+                "spectrum",
+                {"kind": "persistence", "gf_resolution": 17},
+                {"kind": "isolation", "radii": [0.05], "seeds_per_axis": 2},
+                {"kind": "gaps", "radius": 0.05, "seeds_per_axis": 2},
+            ],
+            "k_range": [1, 1],
+        }
+    )
+    original = germs.flow_jacobians
+    tracer = spans.Tracer("guard")
+    tracer.install(germ=sc.germ)
+    try:
+        scenarios.run_scenario(sc, str(tmp_path / "out"))
+        # no task kind calls these two; call them through the patched names
+        rotation = linear_rotation(0.3183)
+        localfloer.local_floer(rotation, localfloer.fixed_point_record(rotation, np.zeros(2)), 2)
+        localfloer.conley_zehnder(germs.monodromy(rotation))
+    finally:
+        tracer.uninstall()
+    assert germs.flow_jacobians is original
+    assert {span[0] for span in tracer.spans} == spans.span_names()
+    metrics = tracer.metrics()
+    counted = [
+        "germs.flow_jacobians.points",
+        "germs.flow_jacobians.rhs_evals",
+        "genfun.SplineGermMap.grid_flows",
+        "genfun.OdeGermMap.evals",
+        "genfun.PsiMap.invert.points",
+        "cubical.relative_homology_z2.cells",
+        "paths.SymplecticPath.rho.calls",
+        "invariants.local_floer.orders",
+        "corpus.callbacks.calls",
+    ]
+    assert [name for name in counted if not metrics[name]] == []

@@ -423,7 +423,8 @@ def test_shift_adds_and_roundtrips(d, s, t):
     a = GradedRanks.from_dict(d)
     assert a.shift(s).shift(t) == a.shift(s + t)
     assert a.shift(s).shift(-s) == a
-    assert GradedRanks.from_json(a.to_json()) == a
+    # artifacts key the ranks by the decimal degree and drop zero ranks
+    assert a.to_json() == {str(k): v for k, v in d.items() if v}
 
 
 def test_negative_ranks_rejected():

@@ -33,6 +33,7 @@ from localfloer.germs import (
 from localfloer.paths import index_report
 from localfloer.symplectic import validate_symplectic, vectorfield_j
 from oracles import iterate
+from pathhelpers import iterated
 
 EPS = 0.05  # morse_triple default scale; H(+-1, 0) = -EPS / 4
 
@@ -91,7 +92,7 @@ def test_iterate_endpoint_is_matrix_power():
 @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
 def test_reflected_saddle_iterated_index_equals_order(k):
     path = monodromy(negative_hyperbolic(2.0), np.zeros(2))
-    assert index_report(path.iterated(k)).conley_zehnder == k
+    assert index_report(iterated(path, k)).conley_zehnder == k
 
 
 # --- the flat reparametrization of a concatenation, against numpy oracles

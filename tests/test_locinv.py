@@ -15,6 +15,7 @@ from localfloer.corpus import (
 )
 from localfloer.cubical import GradedRanks, gradient_degree
 from localfloer.errors import (
+    DegenerateEndpoint,
     HypothesisFailed,
     NotAdmissible,
     RouteUnavailable,
@@ -63,6 +64,48 @@ def test_first_order_reuses_the_record_winding(monkeypatch):
     lf = local_floer(germ, rec, 1)
     assert lf.route == "nondegenerate" and lf.ranks.as_dict() == {1: 1}
     assert calls == []
+
+
+def test_reflected_saddle_answers_every_order_to_100():
+    # the winding along the k-fold path was refused from k = 25 on
+    germ = negative_hyperbolic(2.0)
+    report = verify_persistence(germ, record_of(germ), range(25, 101))
+    assert [row.ranks.as_dict() for row in report.rows] == [{k: 1} for k in range(25, 101)]
+    assert [row.s_k for row in report.rows] == [k - 1 for k in range(25, 101)]
+
+
+def test_resonance_beyond_the_root_of_unity_search_is_refused():
+    # 97 exceeds Q_MAX, so k = 97 is admissible, but E^97 is the identity
+    germ = linear_rotation(1.0 / 97.0)
+    rec = record_of(germ)
+    with pytest.raises(DegenerateEndpoint):
+        local_floer(germ, rec, 97)
+    assert local_floer(germ, rec, 96).ranks.as_dict() == {1: 1}
+    assert local_floer(germ, rec, 98).ranks.as_dict() == {3: 1}
+
+
+def test_sweep_winds_no_order(monkeypatch):
+    germ = negative_hyperbolic(2.0)
+    rec = record_of(germ)
+    calls = []
+    real = paths.winding
+    monkeypatch.setattr(paths, "winding", lambda *a, **kw: calls.append(a) or real(*a, **kw))
+    report = verify_persistence(germ, rec, range(1, 10))
+    assert [row.s_k for row in report.rows] == list(range(9))
+    assert calls == []
+
+
+def test_parity_check_refuses_a_wrong_iteration_formula(monkeypatch):
+    germ = linear_rotation(0.3183)
+    rec = record_of(germ)
+    real = paths._elliptic_data
+
+    def without_pairs(vals, vecs, strict):
+        return real(vals, vecs, strict)[0], [[] for _ in vals]
+
+    monkeypatch.setattr(paths, "_elliptic_data", without_pairs)
+    with pytest.raises(RouteUnavailable, match="parity"):
+        local_floer(germ, rec, 2)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
@@ -141,13 +184,6 @@ def test_kunneth_is_rank_convolution():
     a = GradedRanks.from_dict({1: 1, 2: 3})
     b = GradedRanks.from_dict({0: 2, 1: 1})
     assert a.convolve(b).as_dict() == {1: 2, 2: 7, 3: 3}
-
-
-def test_report_serializes():
-    germ = linear_rotation(0.05)
-    data = local_floer(germ, record_of(germ)).to_json()
-    assert data["route"] == "nondegenerate"
-    assert data["ranks"] == {"1": 1}
 
 
 # --- persistence of ranks across iteration

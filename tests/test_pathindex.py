@@ -6,6 +6,8 @@ by total angle a has mean index a/pi and, when a is not a multiple of
 checked against uniform doubling of the whole grid (uniform_winding), and
 iterates of the reflected saddle against Long's iteration formula for
 hyperbolic paths: the index of the k-th iterate is k times the index 1.
+The closed-form index of an iterate (paths._iterate_index) is checked
+against the winding along the k-fold path (pathhelpers.iterated).
 """
 import functools
 
@@ -15,9 +17,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from localfloer import paths
-from localfloer.corpus import negative_hyperbolic
-from localfloer.errors import DegenerateEndpoint, WindingUnresolved
-from localfloer.germs import monodromy
+from localfloer.corpus import (
+    GERMS,
+    direct_sum_germ,
+    hyperbolic,
+    linear_rotation,
+    negative_hyperbolic,
+    shear,
+)
+from localfloer.errors import DegenerateEndpoint, LocalFloerError, WindingUnresolved
+from localfloer.germs import concatenate, monodromy
 from localfloer.paths import (
     SymplecticPath,
     conley_zehnder,
@@ -26,10 +35,11 @@ from localfloer.paths import (
     rho,
     winding,
 )
-from localfloer.symplectic import direct_sum_indices, standard_j, vectorfield_j
+from localfloer.symplectic import admissible, direct_sum_indices, standard_j, vectorfield_j
 from pathhelpers import (
     NotALoop,
     exponential_path,
+    iterated,
     maslov_loop,
     path_direct_sum,
     path_product,
@@ -103,20 +113,20 @@ def test_index_report_flags_degenerate_endpoint():
 @pytest.mark.parametrize("k", [2, 3, 5])
 def test_iteration_formula_for_rotation(k):
     p = rotation_path(2.0 * np.pi * 0.3183)
-    assert abs(mean_index(p.iterated(k)) - k * mean_index(p)) < 1e-6
+    assert abs(mean_index(iterated(p, k)) - k * mean_index(p)) < 1e-6
 
 
 @pytest.mark.parametrize("k", [2, 5])
 def test_iteration_formula_for_hyperbolic(k):
     p = hyperbolic_path(np.log(3.0))
-    assert abs(mean_index(p.iterated(k)) - k * mean_index(p)) < 1e-6
+    assert abs(mean_index(iterated(p, k)) - k * mean_index(p)) < 1e-6
 
 
 @settings(max_examples=20, deadline=None)
 @given(st.integers(0, 10**6), st.integers(2, 4))
 def test_iteration_formula_for_random_paths(seed, k):
     p = random_path(seed)
-    assert abs(mean_index(p.iterated(k)) - k * mean_index(p)) < 1e-6
+    assert abs(mean_index(iterated(p, k)) - k * mean_index(p)) < 1e-6
 
 
 # --- nondegenerate index pinches the mean index
@@ -241,7 +251,7 @@ def reflected_saddle_path():
 
 @pytest.fixture
 def rho_calls(monkeypatch):
-    """Counts matrices whose rho is computed (cached samples do not count)."""
+    """Counts matrices whose rho is computed."""
     calls = []
     real = paths._rho_values
 
@@ -271,26 +281,26 @@ def test_winding_matches_uniform_oracle(make):
 
 @pytest.mark.parametrize("k", range(1, 10))
 def test_winding_of_reflected_saddle_iterates_matches_oracle(k):
-    path = reflected_saddle_path().iterated(k)
+    path = iterated(reflected_saddle_path(), k)
     assert abs(winding(path) - uniform_winding(path)) < 1e-9
 
 
 def test_iterated_once_is_the_path_itself():
     p = rotation_path(0.4)
-    assert p.iterated(1) is p
+    assert iterated(p, 1) is p
     with pytest.raises(ValueError):
-        rotation_path(0.4, span=2.0).iterated(1)
+        iterated(rotation_path(0.4, span=2.0), 1)
 
 
 def test_reflected_saddle_iterate_samples_grow_slowly(rho_calls):
-    winding(reflected_saddle_path().iterated(12))
+    winding(iterated(reflected_saddle_path(), 12))
     # uniform doubling takes 262,145 samples here
     assert len(rho_calls) < 1000
 
 
 @pytest.mark.parametrize("k", [15, 20])
 def test_high_iterates_of_reflected_saddle_follow_iteration_formula(k):
-    assert conley_zehnder(reflected_saddle_path().iterated(k)) == k
+    assert conley_zehnder(iterated(reflected_saddle_path(), k)) == k
 
 
 def test_genuine_rho_jump_is_refused_promptly(rho_calls):
@@ -350,7 +360,7 @@ def test_batched_rho_matches_rho_per_matrix(mats, seed):
     "make",
     [
         lambda: reflected_saddle_path(),
-        lambda: reflected_saddle_path().iterated(3),
+        lambda: iterated(reflected_saddle_path(), 3),
         lambda: path_product(full_loop(1), reflected_saddle_path()),
         lambda: path_direct_sum(reflected_saddle_path(), rotation_path(0.7)),
     ],
@@ -366,7 +376,7 @@ def test_batched_evaluation_matches_pointwise(make):
 
 
 def test_winding_samples_rho_once_per_bisection_round():
-    path = reflected_saddle_path().iterated(5)
+    path = iterated(reflected_saddle_path(), 5)
     calls = []
     sample = path.rho
     path.rho = lambda ts: calls.append(np.asarray(ts)) or sample(ts)
@@ -390,7 +400,7 @@ def test_winding_refuses_past_sample_budget():
     st.one_of(
         st.builds(random_path, st.integers(0, 10**6)),
         st.builds(rotation_path, st.floats(-20.0, 20.0)),
-        st.builds(lambda k: reflected_saddle_path().iterated(k), st.integers(1, 20)),
+        st.builds(lambda k: iterated(reflected_saddle_path(), k), st.integers(1, 20)),
     )
 )
 def test_indices_do_not_depend_on_start_samples(path):
@@ -403,3 +413,111 @@ def test_indices_do_not_depend_on_start_samples(path):
         assert abs(winding(path, start_samples=start) - ref) < 1e-9
         if cz is not None:
             assert conley_zehnder(path, start_samples=start) == cz
+
+
+# --- closed-form index of iterates against the winding along the k-fold path
+
+
+def _outcome(compute):
+    """The index, or the type of the refusal."""
+    try:
+        return compute()
+    except LocalFloerError as exc:
+        return type(exc)
+
+
+def _closed_form_matches_oracle(path, kmax):
+    """Closed-form outcome per order k <= kmax, each checked against the
+    winding oracle; None at inadmissible orders."""
+    cz, endpoint = conley_zehnder(path), path.endpoint()
+    out = []
+    for k in range(1, kmax + 1):
+        closed = None
+        if admissible(endpoint, k):
+            closed = _outcome(lambda: paths._iterate_index(cz, endpoint.entries, k))
+            assert closed == _outcome(lambda: conley_zehnder(iterated(path, k))), k
+        out.append(closed)
+    return out
+
+
+def _rotation(alpha):
+    return lambda: linear_rotation(alpha)
+
+
+ITERATION_GERMS = {
+    # every corpus germ whose fixed point is nondegenerate
+    **{
+        name: GERMS[name].factory
+        for name in (
+            "rotation-a",
+            "rotation-b",
+            "hyperbolic-2",
+            "negative-hyperbolic-2",
+            "resonant-rotation",
+            "twisted-rotation",
+            "morse-triple",
+            "product-rot-rot",
+        )
+    },
+    **{f"rotation({a})": _rotation(a) for a in (0.05, 0.5, 0.75, 1.3, 1.5, -0.2, -1.37)},
+    "negative-hyperbolic(1.3)": lambda: negative_hyperbolic(1.3),
+    # E = -[[1, 1], [0, 1]]: a Jordan block at -1
+    "half-turn-then-shear": lambda: concatenate(linear_rotation(0.5), shear()),
+    "rot+rot": lambda: direct_sum_germ(linear_rotation(0.3183), linear_rotation(0.4142)),
+    "rot+rot(-0.2)": lambda: direct_sum_germ(linear_rotation(0.3183), linear_rotation(-0.2)),
+    "rot+hyperbolic": lambda: direct_sum_germ(linear_rotation(0.3183), hyperbolic(2.0)),
+    "rot(0.5)+rot(0.3)": lambda: direct_sum_germ(linear_rotation(0.5), linear_rotation(0.3)),
+    "negative-hyperbolic+rot": lambda: direct_sum_germ(
+        negative_hyperbolic(2.0), linear_rotation(0.3183)
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(ITERATION_GERMS))
+def test_iteration_formula_matches_the_winding_oracle(name):
+    _closed_form_matches_oracle(monodromy(ITERATION_GERMS[name]()), 24)
+
+
+def negative_hyperbolic_path(c):
+    """A half turn, then a stretch: through -I at t = 1/2 to -diag(e^c, e^-c)."""
+    turn, stretch = rotation_path(np.pi), hyperbolic_path(c)
+    return SymplecticPath(
+        1,
+        1.0,
+        lambda ts: turn.evaluate(np.minimum(2.0 * ts, 1.0))
+        @ stretch.evaluate(np.maximum(2.0 * ts - 1.0, 0.0)),
+    )
+
+
+def planar_paths(negative_hyperbolic=True):
+    """Rotation, hyperbolic and negative hyperbolic paths in Sp(2)."""
+    angle = st.floats(0.1, 6.2) | st.floats(-6.2, -0.1)
+    # at e^(12 c) near 1e5 a conjugated 12-fold path can leave the oracle's
+    # range: its winding is refused after 2^20 samples
+    stretch = st.floats(0.2, 0.6)
+    kinds = [st.builds(rotation_path, angle), st.builds(hyperbolic_path, stretch)]
+    if negative_hyperbolic:
+        kinds.append(st.builds(negative_hyperbolic_path, stretch))
+    return st.one_of(kinds)
+
+
+def conjugated(path, c):
+    c_inv = np.linalg.inv(c)
+    return SymplecticPath(path.n, path.span, lambda ts: c @ path.evaluate(ts) @ c_inv)
+
+
+# two negative hyperbolic factors can turn rho by a whole turn inside one
+# first-round interval of the oracle's winding, which it cannot see
+@settings(max_examples=10, deadline=None)
+@given(planar_paths(), st.none() | planar_paths(negative_hyperbolic=False), st.integers(0, 10**6))
+def test_iteration_formula_does_not_depend_on_symplectic_conjugation(first, second, seed):
+    path = first if second is None else path_direct_sum(first, second)
+    c = random_symplectic(path.n, np.random.default_rng(seed)).entries
+    closed = _closed_form_matches_oracle(conjugated(path, c), 12)
+    cz, endpoint = conley_zehnder(path), path.endpoint()
+    assert closed == [
+        _outcome(lambda: paths._iterate_index(cz, endpoint.entries, k))
+        if admissible(endpoint, k)
+        else None
+        for k in range(1, 13)
+    ]

@@ -106,6 +106,13 @@ def test_good_parity_of_negative_hyperbolic():
     assert good(m, 5)
 
 
+def test_good_counts_the_small_partner_at_high_powers():
+    # from k = 27 on, (-1/2)^k is within cluster_tol of 0; it still pairs
+    # with (-2)^k on the negative axis
+    m = validate_symplectic(np.diag([-2.0, -0.5]))
+    assert [good(m, k) for k in range(1, 101)] == [k % 2 == 1 for k in range(1, 101)]
+
+
 def test_good_requires_admissible():
     m = validate_symplectic(rot(2.0 * np.pi / 3.0))
     with pytest.raises(NotAdmissible):
