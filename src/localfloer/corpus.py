@@ -276,7 +276,6 @@ def direct_sum_germ(g1: HamiltonianGerm, g2: HamiltonianGerm) -> HamiltonianGerm
         grad=grad,
         hess=hess,
         name=f"{g1.name}(+){g2.name}",
-        autonomous=g1.autonomous and g2.autonomous,
         factors=(g1, g2),
     )
 

@@ -31,7 +31,7 @@ from .errors import (
     NotInvertibleOnBox,
 )
 from .fields import SHELL, Box, SampledField, grid_gradient
-from .germs import NEWTON_MAX_ITER, HamiltonianGerm, flow_jacobians
+from .germs import NEWTON_MAX_ITER, HamiltonianGerm, flow_jacobians, flow_points
 from .symplectic import validate_symplectic
 
 __all__ = [
@@ -114,8 +114,8 @@ class GermMap:
 
 
 class OdeGermMap(GermMap):
-    """phi^k realized by k sequential unit-time flow integrations.  Exact but
-    slow; the spline variant below is preferred for dense grids.
+    """phi^k realized by k sequential unit-time flow integrations: exact
+    anywhere, but each evaluation runs k flows (SplineGermMap tabulates once).
 
     Value and Jacobian come from one pass: each flow integrates the points
     together with their variational equations, so asking for both costs
@@ -152,23 +152,21 @@ class OdeGermMap(GermMap):
 
 
 class _IterateTower:
-    """Images and Jacobians of phi^j at the padded grid nodes, j = 0, 1, ...
+    """Images of the padded grid nodes under phi^j, j = 0, 1, ...
 
-    Level j + 1 is one flow of level j, so every order costs one grid flow
-    however it is reached.  The spline map built for each order is kept in
-    ``maps`` so that all iterates of one map share a single object per order.
+    Level j + 1 is one value-only flow of level j, so every order costs one
+    grid flow however it is reached.  The spline map built for each order is
+    kept in ``maps`` so that all iterates of one map share one object per order.
     """
 
     def __init__(self, germ: HamiltonianGerm, nodes: np.ndarray):
         self.germ = germ
-        self.levels = [(nodes, np.broadcast_to(np.eye(2), (len(nodes), 2, 2)).copy())]
+        self.levels = [nodes]
         self.maps: dict = {}
 
-    def level(self, k: int):
+    def level(self, k: int) -> np.ndarray:
         while len(self.levels) <= k:
-            pts, total = self.levels[-1]
-            pts, d = flow_jacobians(self.germ, pts)
-            self.levels.append((pts, d @ total))
+            self.levels.append(flow_points(self.germ, self.levels[-1]))
         return self.levels[k]
 
 
@@ -177,8 +175,11 @@ class SplineGermMap(GermMap):
 
     The grid for phi^{j+1} is obtained by flowing the images of phi^j, so
     iteration composes exactly at nodes with no interpolation error; only
-    off-node evaluation interpolates.  All iterates of a map share one
-    iterate tower (passed on as ``_data``).  Two dimensional germs only.
+    off-node evaluation interpolates.  Each order fits one spline per
+    component; the Jacobian is their derivative, so psi's Newton steps
+    invert the map they evaluate.  Every evaluator refuses points outside
+    the padded box.  All iterates of a map share one iterate tower (passed
+    on as ``_data``).  Two dimensional germs only.
     """
 
     def __init__(
@@ -190,6 +191,8 @@ class SplineGermMap(GermMap):
         padding: float = 1.6,
         _data=None,
     ):
+        from scipy.interpolate import RectBivariateSpline
+
         if germ.n != 1:
             raise ValueError("spline-backed maps are two dimensional only")
         self.germ = germ
@@ -203,52 +206,41 @@ class SplineGermMap(GermMap):
         if _data is None:
             _data = _IterateTower(germ, self.padded.nodes(self.resolution))
         self._tower = _data
-        self._fit(_data.level(self.k))
+        images, res = _data.level(self.k), self.resolution
+        ax, deg = self.padded.axes(res), min(5, res - 1)
+        self._phi_spl = [
+            RectBivariateSpline(ax[0], ax[1], images[:, i].reshape(res, res), kx=deg, ky=deg)
+            for i in range(2)
+        ]
         self._validate_origin()
 
-    def _fit(self, data):
-        from scipy.interpolate import RectBivariateSpline
-
-        pts, jacs = data
-        res = self.resolution
-        ax = self.padded.axes(res)
-        deg = min(5, res - 1)
-        self._phi_spl = [
-            RectBivariateSpline(ax[0], ax[1], pts[:, i].reshape(res, res), kx=deg, ky=deg)
-            for i in range(2)
-        ]
-        self._jac_spl = [
-            [
-                RectBivariateSpline(
-                    ax[0], ax[1], jacs[:, i, j].reshape(res, res), kx=deg, ky=deg
-                )
-                for j in range(2)
-            ]
-            for i in range(2)
-        ]
-
-    def __call__(self, pts: np.ndarray) -> np.ndarray:
+    def _tabulated(self, pts: np.ndarray) -> np.ndarray:
         z = np.atleast_2d(np.asarray(pts, dtype=float))
         if not np.all(self.padded.contains(z, slack=1e-9)):
             raise NotInvertibleOnBox(
                 "evaluation outside the tabulated padded box; rebuild the map "
                 "with a larger padding for this displacement size"
             )
-        return np.stack([s(z[:, 0], z[:, 1], grid=False) for s in self._phi_spl], axis=1)
+        return z
+
+    def __call__(self, pts: np.ndarray) -> np.ndarray:
+        return self._rows(self._tabulated(pts), 2)
 
     def jac(self, pts: np.ndarray) -> np.ndarray:
-        return self._jac_rows(np.atleast_2d(np.asarray(pts, dtype=float)), 2)
+        return self._jac_rows(self._tabulated(pts), 2)
 
     def _value_and_x_rows(self, pts: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        z = np.atleast_2d(np.asarray(pts, dtype=float))
-        return self(z), self._jac_rows(z, 1)
+        z = self._tabulated(pts)
+        return self._rows(z, 2), self._jac_rows(z, 1)
+
+    def _rows(self, z: np.ndarray, rows: int, **deriv) -> np.ndarray:
+        """First ``rows`` components of phi^k (their partials with dx=1 or dy=1)."""
+        return np.stack(
+            [s(z[:, 0], z[:, 1], grid=False, **deriv) for s in self._phi_spl[:rows]], axis=1
+        )
 
     def _jac_rows(self, z: np.ndarray, rows: int) -> np.ndarray:
-        out = np.empty((len(z), rows, 2))
-        for i in range(rows):
-            for j in range(2):
-                out[:, i, j] = self._jac_spl[i][j](z[:, 0], z[:, 1], grid=False)
-        return out
+        return np.stack([self._rows(z, rows, dx=1), self._rows(z, rows, dy=1)], axis=2)
 
     def iterate(self, k: int) -> "SplineGermMap":
         if k == 1:

@@ -63,7 +63,6 @@ class HamiltonianGerm:
     grad: Callable[[float, np.ndarray], np.ndarray]
     hess: Callable[[float, np.ndarray], np.ndarray]
     name: str = ""
-    autonomous: bool = True
     # set for germs built as direct sums; consumers may split along it
     factors: Optional[tuple] = None
 
@@ -121,6 +120,15 @@ def _variational_flow(germ: HamiltonianGerm, z0: np.ndarray, dense: bool):
     return _solve(rhs, y0.reshape(-1), dense)
 
 
+def flow_points(germ: HamiltonianGerm, points: np.ndarray) -> np.ndarray:
+    """Time-1 flow of a batch of shape (N, 2n), values only: the first 2n rows
+    of the state of ``_variational_flow``, so only ``grad`` is called."""
+    jvf, z0 = vectorfield_j(germ.n), np.atleast_2d(np.asarray(points, dtype=float))
+    shape = z0.T.shape
+    sol = _solve(lambda t, y: (jvf @ germ.grad(t, y.reshape(shape).T).T).ravel(), z0.T.ravel())
+    return sol.y[:, -1].reshape(shape).T
+
+
 def flow_jacobians(germ: HamiltonianGerm, points: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Flow and its space derivative for a batch: (phi(z), Dphi(z))."""
     dim = 2 * germ.n
@@ -166,7 +174,6 @@ def translate(germ: HamiltonianGerm, point: np.ndarray) -> HamiltonianGerm:
         grad=shift(germ.grad),
         hess=shift(germ.hess),
         name=f"{germ.name}@shifted" if germ.name else "",
-        autonomous=germ.autonomous,
     )
 
 
@@ -211,7 +218,6 @@ def concatenate(first: HamiltonianGerm, second: HamiltonianGerm) -> HamiltonianG
         grad=wrap(first.grad, second.grad),
         hess=wrap(first.hess, second.hess),
         name=f"{first.name}#{second.name}",
-        autonomous=False,
     )
 
 

@@ -28,7 +28,8 @@ Morse homology of a named scalar field).  Each task writes JSON (and
 CSV where tabular) into the output directory; ``persistence``, ``sdm``,
 ``isolation`` and ``morse`` also contribute pass/fail gates to
 ``summary.json``.  Outputs carry no timestamps and use sorted keys:
-identical scenario and seed give byte-identical files.
+identical scenarios give byte-identical files.  ``seed`` is only echoed
+into ``summary.json``; nothing in the package draws random numbers.
 """
 from __future__ import annotations
 

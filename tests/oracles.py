@@ -49,7 +49,6 @@ def iterate(germ: HamiltonianGerm, k: int) -> HamiltonianGerm:
         grad=wrap(germ.grad),
         hess=wrap(germ.hess),
         name=f"{germ.name}^'{k}" if germ.name else "",
-        autonomous=germ.autonomous,
         factors=tuple(iterate(f, k) for f in germ.factors) if germ.factors else None,
     )
 

@@ -112,6 +112,22 @@ def test_spline_map_agrees_with_integrated_flow():
     rng = np.random.default_rng(11)
     z = 0.05 * rng.standard_normal((50, 2))
     assert np.max(np.abs(spline(z) - ode(z))) < 1e-7
+    # the Jacobian is the derivative of the value splines, and close to Dphi^3
+    jac, h = spline.jac(z), 1e-5
+    central = np.stack(
+        [(spline(z + step) - spline(z - step)) / (2.0 * h) for step in h * np.eye(2)], axis=2
+    )
+    assert np.max(np.abs(jac - central)) < 1e-8
+    assert np.max(np.abs(jac - ode.jac(z))) < 1e-7
+
+
+def test_spline_evaluators_refuse_points_off_the_table():
+    # the padded box has radius 0.16; (0.5, 0) lies outside it
+    spline = SplineGermMap(quartic(-1), BOX2, resolution=17)
+    far = np.array([[0.5, 0.0]])
+    for evaluate in (spline, spline.jac, spline.value_and_jac, spline._value_and_x_rows):
+        with pytest.raises(NotInvertibleOnBox, match="outside the tabulated padded box"):
+            evaluate(far)
 
 
 def test_conjugated_map_is_coordinate_change():

@@ -16,6 +16,7 @@ from localfloer.corpus import (
     zero_germ,
 )
 from localfloer.errors import NonIsolated, NotAdmissible
+from localfloer.fields import Box
 from localfloer.germs import (
     ATOL,
     RTOL,
@@ -26,6 +27,7 @@ from localfloer.germs import (
     find_fixed_points,
     fixed_point_record,
     flow_jacobians,
+    flow_points,
     gap_table,
     monodromy,
     translate,
@@ -183,6 +185,20 @@ def test_variational_flow_matches_row_major_oracle(name, nbatch):
     if nbatch == 1:
         end = monodromy(germ, z0[0]).endpoint().entries
         np.testing.assert_allclose(end, ref_jac[0], rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "name", ["quartic-max", "quartic-min", "monkey-saddle", "shear", "zero"]
+)
+def test_value_only_flow_matches_variational_flow(name):
+    # the germs of the degenerate route, on the padded box of its iterate
+    # tower; on fast-turning germs the two flows take different steps and
+    # differ at the integrator tolerance instead
+    germ = GERMS[name].factory()
+    z0 = Box(center=(0.0, 0.0), radius=0.16).nodes(33)
+    values = flow_points(germ, z0)
+    assert values.shape == z0.shape
+    np.testing.assert_allclose(values, flow_jacobians(germ, z0)[0], rtol=0.0, atol=1e-12)
 
 
 def test_concatenation_composes_rotations():

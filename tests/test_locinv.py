@@ -120,17 +120,17 @@ def test_degenerate_maximum_rank_is_stable(k):
 
 
 def flow_sizes(monkeypatch):
-    """Sizes of the flow_jacobians batches the map classes run from now on."""
+    """Sizes of the value-only flow batches the iterate tower runs from now on."""
     import localfloer.genfun as genfun
 
     sizes = []
-    original = genfun.flow_jacobians
+    original = genfun.flow_points
 
     def counting(germ, points, *args, **kwargs):
         sizes.append(len(points))
         return original(germ, points, *args, **kwargs)
 
-    monkeypatch.setattr(genfun, "flow_jacobians", counting)
+    monkeypatch.setattr(genfun, "flow_points", counting)
     return sizes
 
 
