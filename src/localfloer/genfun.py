@@ -20,6 +20,7 @@ grad F = (0, y) and F = y^2 / 2 with dF vanishing exactly on the fixed line
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import List, Tuple
 
 import numpy as np
@@ -104,6 +105,12 @@ class GermMap:
     def iterate(self, k: int) -> "GermMap":
         raise NotImplementedError
 
+    @cached_property
+    def origin_jacobian(self) -> np.ndarray:
+        """Dphi(0), evaluated once per map; ``_validate_origin`` keeps the
+        one it computes."""
+        return self.jac(np.zeros((1, 2 * self.n)))[0]
+
     def _validate_origin(self):
         z0 = np.zeros((1, 2 * self.n))
         img, d = self.value_and_jac(z0)
@@ -111,17 +118,21 @@ class GermMap:
         if drift > FIX_TOL:
             raise ValueError(f"map does not fix the origin: |phi(0)| = {drift:.3e}")
         validate_symplectic(d[0], tol=1e-6)
+        self.origin_jacobian = d[0]
 
 
 class OdeGermMap(GermMap):
     """phi^k realized by k sequential unit-time flow integrations: exact
     anywhere, but each evaluation runs k flows (SplineGermMap tabulates once).
 
-    Value and Jacobian come from one pass: each flow integrates the points
-    together with their variational equations, so asking for both costs
-    the same k flows as asking for either, and the psi hook
-    (``_value_and_x_rows``, the inherited default) costs k flows too.
-    ``__call__`` and ``jac`` are that pass with one half dropped."""
+    ``__call__`` flows the points alone (``germs.flow_points``, which reads
+    ``grad`` and never ``hess``).  Value and Jacobian come from one pass:
+    each flow integrates the points together with their variational
+    equations, so ``value_and_jac`` costs the same k flows as ``jac``, and
+    the psi hook (``_value_and_x_rows``, the inherited default) costs k
+    flows too.  The value-only flow takes its own steps, so its values
+    agree with those of ``value_and_jac`` to about the integrator
+    tolerance, not bit for bit."""
 
     def __init__(self, germ: HamiltonianGerm, k: int = 1, check: bool = True):
         self.germ = germ
@@ -132,7 +143,10 @@ class OdeGermMap(GermMap):
             self._validate_origin()
 
     def __call__(self, pts: np.ndarray) -> np.ndarray:
-        return self.value_and_jac(pts)[0]
+        z = np.atleast_2d(np.asarray(pts, dtype=float))
+        for _ in range(self.k):
+            z = flow_points(self.germ, z)
+        return z
 
     def jac(self, pts: np.ndarray) -> np.ndarray:
         return self.value_and_jac(pts)[1]

@@ -279,32 +279,16 @@ def fixed_point_record(germ: HamiltonianGerm, point: np.ndarray) -> FixedPointRe
     )
 
 
-def _newton_search(
+def _seed_orbit(
     value_and_jac: Callable[[np.ndarray], Tuple[np.ndarray, np.ndarray]],
     seeds: np.ndarray,
-    newton_tol: float,
-    max_iter: int,
-    escape: float,
     k: int,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Batched multiple-shooting Newton search for k-periodic points of f,
-    with value_and_jac(z) = (f(z), Df(z)).
-
-    The unknowns of a seed are the nodes z_0 .. z_{k-1} of its cycle and the
-    residual is the stack of defects F_i = f(z_i) - z_{i+1 mod k}.  The
-    Newton matrix is block-cyclic, Df(z_i) on the diagonal and -I at block
-    (i, i+1 mod k).  The nodes start on the seed's orbit, z_i = f^i(seed):
-    the k calls that place them give the first step, which is the Newton
-    step on f^k(z) - z wherever Df^k(seed) - I is invertible.  Every later
-    step is one call on the nodes of all active seeds.  At k = 1 this is
-    Newton's method on f(z) - z.
-
-    A seed retires at residual (the norm of its stacked defects) <=
-    newton_tol, or when its step makes a node non-finite or moves one out of
-    the ball of radius escape (that step is not taken).  Seeds still moving
-    after max_iter steps are evaluated once more.  Returns each seed's z_0
-    and its residual at its last evaluation.
-    """
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The nodes z_i = f^i(seed), i < k, of every seed's orbit with their
+    images f(z_i) and Jacobians Df(z_i), from k calls of value_and_jac(z) =
+    (f(z), Df(z)), one per node.  Shapes (N, k, 2n), (N, k, 2n) and
+    (N, k, 2n, 2n); the first j nodes are the start of the order-j search,
+    so one orbit serves every order up to k."""
     seeds = np.asarray(seeds, dtype=float)
     nseeds, dim = seeds.shape
     z = np.empty((nseeds, k, dim))
@@ -315,6 +299,40 @@ def _newton_search(
         img[:, i], jac[:, i] = value_and_jac(z[:, i])
         if i + 1 < k:
             z[:, i + 1] = img[:, i]
+    return z, img, jac
+
+
+def _newton_search(
+    f: Callable[[np.ndarray], np.ndarray],
+    value_and_jac: Callable[[np.ndarray], Tuple[np.ndarray, np.ndarray]],
+    start: Tuple[np.ndarray, np.ndarray, np.ndarray],
+    newton_tol: float,
+    max_iter: int,
+    escape: float,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Batched multiple-shooting Newton search for k-periodic points of f,
+    with value_and_jac(z) = (f(z), Df(z)).
+
+    The unknowns of a seed are the nodes z_0 .. z_{k-1} of its cycle and the
+    residual is the stack of defects F_i = f(z_i) - z_{i+1 mod k}.  The
+    Newton matrix is block-cyclic, Df(z_i) on the diagonal and -I at block
+    (i, i+1 mod k).  ``start`` holds the nodes, images and Jacobians of the
+    first k points of each seed's orbit (``_seed_orbit``; k is its second
+    axis): they give the first step, which is the Newton step on
+    f^k(z) - z wherever Df^k(seed) - I is invertible.  Every later step is
+    one call of value_and_jac on the nodes of all active seeds.  At k = 1
+    this is Newton's method on f(z) - z.
+
+    A seed retires at residual (the norm of its stacked defects) <=
+    newton_tol, or when its step makes a node non-finite or moves one out of
+    the ball of radius escape (that step is not taken).  Seeds still moving
+    after max_iter steps are evaluated once more, values only, by f.
+    Returns each seed's z_0 and its residual at its last evaluation.
+    """
+    # copies: the search moves its nodes, and the caller's orbit may serve
+    # other orders
+    z, img, jac = (np.array(a, dtype=float) for a in start)
+    nseeds, k, dim = z.shape
     eye = np.eye(dim)
     rnorm = np.full(nseeds, np.inf)
     active = np.ones(nseeds, dtype=bool)
@@ -349,7 +367,7 @@ def _newton_search(
         active[idx[diverged]] = False
     if np.any(active):
         last = z[active]
-        img = value_and_jac(last.reshape(-1, dim))[0].reshape(last.shape)
+        img = f(last.reshape(-1, dim)).reshape(last.shape)
         res = (img - np.roll(last, -1, axis=1)).reshape(len(last), -1)
         rnorm[active] = np.linalg.norm(res, axis=1)
     return z[:, 0], rnorm
@@ -358,12 +376,22 @@ def _newton_search(
 def _distinct(points: np.ndarray, tol: float) -> np.ndarray:
     """Points ordered by (norm, coordinates), less those within Euclidean
     distance tol of a point kept before them: each cluster keeps its
-    least-norm point."""
-    keep: List[np.ndarray] = []
-    for p in sorted(points, key=lambda q: (float(np.linalg.norm(q)), tuple(q))):
-        if all(np.linalg.norm(p - q) > tol for q in keep):
-            keep.append(p)
-    return np.array(keep).reshape(-1, points.shape[1])
+    least-norm point.  Each candidate meets the kept points in one row.
+
+    A row norm may round its last bit apart from the norm of one pair, so
+    distances within a few ulps of tol are measured pair by pair: the
+    decisions are those of a loop over pairs."""
+    ranked = sorted(points, key=lambda q: (float(np.linalg.norm(q)), tuple(q)))
+    keep = np.empty((len(ranked), points.shape[1]))
+    count = 0
+    for p in ranked:
+        dist = np.linalg.norm(keep[:count] - p, axis=1)
+        near = np.abs(dist - tol) <= 4.0 * np.spacing(tol)
+        dist[near] = [np.linalg.norm(p - q) for q in keep[:count][near]]
+        if np.all(dist > tol):
+            keep[count] = p
+            count += 1
+    return keep[:count]
 
 
 def find_fixed_points(
@@ -382,8 +410,17 @@ def find_fixed_points(
     fixed set.
     """
     grid = Box(center=(0.0,) * (2 * germ.n), radius=radius).nodes(seeds_per_axis)
+
+    def flow(pts):
+        return flow_jacobians(germ, pts)
+
     z, rnorm = _newton_search(
-        lambda pts: flow_jacobians(germ, pts), grid, newton_tol, NEWTON_MAX_ITER, 3.0 * radius, 1
+        lambda pts: flow_points(germ, pts),
+        flow,
+        _seed_orbit(flow, grid, 1),
+        newton_tol,
+        NEWTON_MAX_ITER,
+        3.0 * radius,
     )
     converged = z[(rnorm <= newton_tol) & (np.linalg.norm(z, axis=1) <= 1.5 * radius)]
 

@@ -2,10 +2,13 @@
 
 Three tools: the discrete Wirtinger-type constant c(k) relating the L1 norm
 of a zero-mean cyclic sequence to that of its difference sequence, in
-closed form; a grid-seeded multiple-shooting Newton search for k-periodic
-points in shrinking balls; and a contraction certificate in the style of
-the Yorke period bound, where a C1 bound on phi - id rules out non-fixed
-k-periodic orbits.
+closed form; a grid-seeded multiple-shooting Newton search for j-periodic
+points in shrinking balls, for every order j up to k in one call, the
+orders sharing one flow of each object that does not depend on j (the
+origin's linearization, the seeds' orbit, the probe rings' orbit and the
+witness check); and a contraction certificate in the style of the Yorke
+period bound, where a C1 bound on phi - id rules out non-fixed k-periodic
+orbits.
 """
 from __future__ import annotations
 
@@ -19,7 +22,7 @@ import scipy.linalg
 from .errors import LinearizationNotIdentity, NewtonDivergence
 from .fields import Box
 from .genfun import GermMap, _opnorms
-from .germs import NEWTON_MAX_ITER, _distinct, _newton_search
+from .germs import NEWTON_MAX_ITER, _distinct, _newton_search, _seed_orbit
 from .symplectic import SymplecticMatrix, admissible, split_spectral, validate_symplectic
 
 __all__ = [
@@ -96,105 +99,154 @@ def periodic_point_search(
     radii: Sequence[float],
     seeds_per_axis: int = 17,
     newton_tol: float = 1e-11,
-) -> SearchReport:
-    """Newton-from-grid search for fixed points of phi^k in shrinking balls.
+) -> Tuple[SearchReport, ...]:
+    """Newton-from-grid search for fixed points of phi^j in shrinking balls,
+    for every order j = 1 .. k: one report per order, order j at index j - 1.
 
     Every finding is reported; isolation holds exactly when the smallest
-    radius contains only the origin.  Points of phi^k that move under phi
-    itself are listed as non-fixed k-periodic witnesses.
+    radius contains only the origin.  Points of phi^j that move under phi
+    itself are listed as non-fixed j-periodic witnesses.
 
-    All radii share one Newton batch: the scaled seed grids of every radius
-    are stacked into one ``_newton_search`` (same tolerance, iteration cap
-    and escape ball 3 * max(radii)) and its points sliced back per radius.
-    That search shoots the whole k-cycle z_0 -> z_1 -> ... -> z_0 on phi
-    itself: k calls of phi place the nodes on the seeds' orbits, and every
-    later Newton step is one call of phi on the k nodes of every active
-    seed, however many radii there are.  A residual is the norm of a seed's
-    stacked defects phi(z_i) - z_{i+1 mod k}.  The two origin probe rings
-    go through one phi^k call, and the witnesses of every radius through
-    one phi call.
+    All radii share one Newton batch per order: the scaled seed grids of
+    every radius are stacked into one ``_newton_search`` (same tolerance,
+    iteration cap and escape ball 3 * max(radii)) and its points sliced back
+    per radius.  That search shoots the whole j-cycle z_0 -> z_1 -> ... ->
+    z_0 on phi itself, and every Newton step is one call of phi on the j
+    nodes of every active seed, however many radii there are.  A residual
+    is the norm of a seed's stacked defects phi(z_i) - z_{i+1 mod j}.
+
+    The orders share what does not depend on j, each computed once: the
+    origin's linearization (``phi.origin_jacobian``); the seeds' orbit
+    under phi, k calls that place the nodes of every order (order j starts
+    from its first j); the orbit of the two origin probe rings, k value-only
+    calls, of which order j reads the j-th image; and one value-only call
+    of phi on the witness candidates of every order and radius.  Each order
+    keeps its own Newton loop and flow batches, so its report does not
+    depend on k.
 
     Degenerate maps stall the residual early: when the displacement of
-    phi^k vanishes to order d at 0, points inside r (tol / D(r))^(1/d)
+    phi^j vanishes to order d at 0, points inside r (tol / D(r))^(1/d)
     cannot be told apart from the origin at the achievable residual and
     are attributed to it in the conclusion (the raw findings keep them).
     """
     radii = sorted(set(float(r) for r in radii), reverse=True)
     if not radii:
         raise ValueError("need at least one radius")
+    if k < 1:
+        raise ValueError("iteration order must be >= 1")
     d = 2 * phi.n
-    lin = validate_symplectic(phi.jac(np.zeros((1, d)))[0])
-    adm = admissible(lin, k)
-    phi_k = phi.iterate(k)
+    lin = validate_symplectic(phi.origin_jacobian)
 
     grid = Box(center=(0.0,) * d, radius=1.0).nodes(seeds_per_axis)
     grid = grid[np.linalg.norm(grid, axis=1) <= 1.0 + 1e-12]
+    seeds = np.concatenate([radius * grid for radius in radii])
+    orbit = _seed_orbit(phi.value_and_jac, seeds, k)
+
+    r_min = radii[-1]
+    dirs = np.concatenate([np.eye(d), -np.eye(d)])
+    rings = [np.concatenate([r_min * dirs, 0.5 * r_min * dirs])]
+    for _ in range(k):
+        rings.append(phi(rings[-1]))
 
     dedup_tol = max(10.0 * newton_tol, 1e-9)
-    seeds = np.concatenate([radius * grid for radius in radii])
-    z, rnorm = _newton_search(
-        phi.value_and_jac, seeds, newton_tol, NEWTON_MAX_ITER, 3.0 * radii[0], k
-    )
-    per_radius: List[dict] = []
+    ok_tol = 10.0 * newton_tol
+    found, origin_tols, outside = [], [], []
+    for j in range(1, k + 1):
+        z, rnorm = _newton_search(
+            phi,
+            phi.value_and_jac,
+            tuple(a[:, :j] for a in orbit),
+            newton_tol,
+            NEWTON_MAX_ITER,
+            3.0 * radii[0],
+        )
+        per_radius = _per_radius(radii, z, rnorm, ok_tol, dedup_tol)
+        origin_tol = _origin_resolution(rings[j] - rings[0], r_min, ok_tol, dedup_tol)
+        found.append(per_radius)
+        origin_tols.append(origin_tol)
+        outside.append(
+            [
+                (entries["radius"], p)
+                for entries in per_radius
+                for p, nrm in zip(entries["points"], entries["norms"])
+                if nrm > origin_tol
+            ]
+        )
+
+    # one value-only flow of phi checks the candidates of every order
+    candidates = np.array([p for cands in outside for _, p in cands]).reshape(-1, d)
+    moves = np.linalg.norm(phi(candidates) - candidates, axis=1) if len(candidates) else np.zeros(0)
+    moves = np.split(moves, np.cumsum([len(cands) for cands in outside])[:-1])
+
+    reports = []
+    for j, per_radius, origin_tol, cands, move in zip(
+        range(1, k + 1), found, origin_tols, outside, moves
+    ):
+        witnesses = [
+            {"radius": radius, "point": list(p), "step_displacement": float(mv)}
+            for (radius, p), mv in zip(cands, move)
+            if mv > 100.0 * newton_tol
+        ]
+        smallest = per_radius[-1]
+        only_origin = (
+            len(smallest["points"]) >= 1
+            and all(nrm <= origin_tol for nrm in smallest["norms"])
+        )
+        conclusion = "ISOLATION_HOLDS" if only_origin else "ISOLATION_FAILS"
+        if len(smallest["points"]) == 0:
+            # the origin itself must always be found; losing it means the seeds
+            # all diverged, which deserves a loud answer rather than a pass
+            conclusion = "SEARCH_INCONCLUSIVE"
+        reports.append(
+            SearchReport(
+                k=j,
+                admissible=admissible(lin, j),
+                radii=tuple(radii),
+                per_radius=tuple(per_radius),
+                witnesses=tuple(witnesses),
+                origin_resolution=float(origin_tol),
+                conclusion=conclusion,
+            )
+        )
+    return tuple(reports)
+
+
+def _per_radius(
+    radii: List[float], z: np.ndarray, rnorm: np.ndarray, ok_tol: float, dedup_tol: float
+) -> List[dict]:
+    """The distinct converged points inside each radius, from the search
+    points of the stacked seed grids (one grid per radius, in order)."""
+    per_radius = []
     for radius, zr, rr in zip(radii, np.split(z, len(radii)), np.split(rnorm, len(radii))):
-        ok = rr <= 10.0 * newton_tol
+        ok = rr <= ok_tol
         inside = np.linalg.norm(zr, axis=1) <= radius * (1.0 + 1e-9)
         found = _distinct(zr[ok & inside], dedup_tol)
         snapped = np.where(np.abs(found) <= dedup_tol, 0.0, found)
-        entries = {
-            "radius": radius,
-            "points": [[float(v) for v in p] for p in snapped],
-            "norms": [float(np.linalg.norm(p)) for p in snapped],
-        }
-        per_radius.append(entries)
-    r_min = radii[-1]
-    dirs = np.concatenate([np.eye(d), -np.eye(d)])
-    rings = np.concatenate([r_min * dirs, 0.5 * r_min * dirs])
-    moved = np.linalg.norm(phi_k(rings) - rings, axis=1)
-    d1, d2 = float(np.max(moved[: 2 * d])), float(np.max(moved[2 * d :]))
-    ok_tol = 10.0 * newton_tol
+        per_radius.append(
+            {
+                "radius": radius,
+                "points": [[float(v) for v in p] for p in snapped],
+                "norms": [float(np.linalg.norm(p)) for p in snapped],
+            }
+        )
+    return per_radius
+
+
+def _origin_resolution(
+    displacement: np.ndarray, r_min: float, ok_tol: float, dedup_tol: float
+) -> float:
+    """Radius within which a converged point is attributed to the origin,
+    from the displacement of the probe rings at r_min and r_min / 2 (the
+    first and second halves of the rows)."""
+    moved = np.linalg.norm(displacement, axis=1)
+    half = len(moved) // 2
+    d1, d2 = float(np.max(moved[:half])), float(np.max(moved[half:]))
     if d1 <= ok_tol:
         origin_tol = 0.0  # displacement below tolerance everywhere: no resolution at all
     else:
         order = min(max(np.log2(d1 / max(d2, 1e-300)), 1.0), 6.0)
         origin_tol = min(3.0 * r_min * (ok_tol / d1) ** (1.0 / order), 0.5 * r_min)
-    origin_tol = max(origin_tol, dedup_tol)
-
-    outside = [
-        (entries["radius"], p)
-        for entries in per_radius
-        for p, nrm in zip(entries["points"], entries["norms"])
-        if nrm > origin_tol
-    ]
-    witnesses: List[dict] = []
-    if outside:
-        arr = np.array([p for _, p in outside])
-        move = np.linalg.norm(phi(arr) - arr, axis=1)
-        for (radius, p), mv in zip(outside, move):
-            if mv > 100.0 * newton_tol:
-                witnesses.append(
-                    {"radius": radius, "point": list(p), "step_displacement": float(mv)}
-                )
-
-    smallest = per_radius[-1]
-    only_origin = (
-        len(smallest["points"]) >= 1
-        and all(nrm <= origin_tol for nrm in smallest["norms"])
-    )
-    conclusion = "ISOLATION_HOLDS" if only_origin else "ISOLATION_FAILS"
-    if len(smallest["points"]) == 0:
-        # the origin itself must always be found; losing it means the seeds
-        # all diverged, which deserves a loud answer rather than a pass
-        conclusion = "SEARCH_INCONCLUSIVE"
-    return SearchReport(
-        k=k,
-        admissible=adm,
-        radii=tuple(radii),
-        per_radius=tuple(per_radius),
-        witnesses=tuple(witnesses),
-        origin_resolution=float(origin_tol),
-        conclusion=conclusion,
-    )
+    return max(origin_tol, dedup_tol)
 
 
 # --------------------------------------------------------- contraction test
@@ -207,7 +259,7 @@ def contraction_check(phi: GermMap, k: int, box: Box, return_details: bool = Fal
     and compares against 1/c(k).  True certifies; False makes no claim.
     """
     d = 2 * phi.n
-    lin = phi.jac(np.zeros((1, d)))[0]
+    lin = phi.origin_jacobian
     defect = float(np.max(np.abs(lin - np.eye(d))))
     if defect > ID_TOL:
         raise LinearizationNotIdentity(
@@ -254,8 +306,7 @@ def splitting_ratio_report(
     NewtonDivergence if a solve misses newton_tol after 60 steps.
     """
     d = 2 * phi.n
-    lin = phi.jac(np.zeros((1, d)))[0]
-    p_v, p_w = split_spectral(SymplecticMatrix(phi.n, lin))
+    p_v, p_w = split_spectral(SymplecticMatrix(phi.n, phi.origin_jacobian))
     # rows: orthonormal bases of the ranges of P_V and P_W
     vb, wb = scipy.linalg.orth(p_v).T, scipy.linalg.orth(p_w).T
     v_dim, w_dim = len(vb), len(wb)

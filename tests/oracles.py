@@ -12,7 +12,9 @@ another way, or a construction the tests need to probe it:
 * ``admissible_set``: the admissible orders as the complement of the
   forbidden divisibility classes, for ``admissible``;
 * ``conjugated_map``: S^{-1} phi S for symplectic S;
-* ``reconstruction_residual``: how far X_F o psi_k misses phi^k - id.
+* ``reconstruction_residual``: how far X_F o psi_k misses phi^k - id;
+* ``distinct_pairwise``: the deduplication of ``germs._distinct`` as a
+  loop over pairs of points.
 """
 from dataclasses import dataclass
 from fractions import Fraction
@@ -129,6 +131,19 @@ def admissible_set(m: SymplecticMatrix, horizon: int = 1000) -> AdmissibleSet:
         if not admissible(m, member):
             raise ClusterAmbiguous(f"witness progression member {member} is not admissible")
     return described
+
+
+# --------------------------------------------------------- deduplication
+
+
+def distinct_pairwise(points: np.ndarray, tol: float) -> np.ndarray:
+    """Points ordered by (norm, coordinates), less those within Euclidean
+    distance tol of a point kept before them, one pair at a time."""
+    keep = []
+    for p in sorted(points, key=lambda q: (float(np.linalg.norm(q)), tuple(q))):
+        if all(np.linalg.norm(p - q) > tol for q in keep):
+            keep.append(p)
+    return np.array(keep).reshape(-1, points.shape[1])
 
 
 # ------------------------------------------------------------- germ maps

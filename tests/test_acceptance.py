@@ -140,14 +140,17 @@ def test_criterion_04_isolation_of_resonant_germ():
     failures = []
     phi = OdeGermMap(resonant_rotation())
     ladder = [0.2, 0.05, 0.01, 0.001]
+    # one search answers every order up to 5
+    reports = periodic_point_search(phi, 5, ladder, seeds_per_axis=9)
+    check(failures, [r.k for r in reports] == [1, 2, 3, 4, 5], "orders 1..5 not all reported")
     for k in (1, 2, 4, 5):
-        rep = periodic_point_search(phi, k, ladder, seeds_per_axis=9)
+        rep = reports[k - 1]
         check(failures, rep.admissible, f"k={k} unexpectedly inadmissible")
         check(failures, rep.conclusion == "ISOLATION_HOLDS",
               f"k={k}: {rep.conclusion}")
         check(failures, rep.witnesses == (), f"k={k}: spurious witnesses")
-    r3a = periodic_point_search(phi, 3, ladder, seeds_per_axis=9)
-    r3b = periodic_point_search(phi, 3, ladder, seeds_per_axis=9)
+    r3a = reports[2]
+    r3b = periodic_point_search(phi, 3, ladder, seeds_per_axis=9)[-1]
     check(failures, not r3a.admissible, "k=3 should be inadmissible")
     check(failures, len(r3a.witnesses) > 0, "k=3 found no periodic witnesses")
     phi3 = phi.iterate(3)
@@ -157,7 +160,8 @@ def test_criterion_04_isolation_of_resonant_germ():
               "witness is not 3-periodic")
         check(failures, np.linalg.norm(phi(p) - p) > 1e-3,
               "witness is a plain fixed point")
-    check(failures, r3a.to_json() == r3b.to_json(), "search is not deterministic")
+    check(failures, r3a.to_json() == r3b.to_json(),
+          "search is not deterministic, or order 3 depends on the largest order")
     conclude(4, "resonant germ isolated at k=1,2,4,5; 3-periodic ring found",
              failures)
 

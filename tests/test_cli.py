@@ -428,3 +428,26 @@ def test_benchmark_tracer_reaches_every_wrapped_layer(tmp_path):
         "corpus.callbacks.calls",
     ]
     assert [name for name in counted if not metrics[name]] == []
+
+
+def test_isolation_search_workload_gives_the_expected_answers(tmp_path, monkeypatch):
+    """The benchmark's isolation-search workload (seed 0), run in process
+    through run_scenario and checked by perfbench/answers.py against
+    perfbench/expected.json: a wrong conclusion fails here before the
+    benchmark runs."""
+    from localfloer import scenarios
+
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    try:
+        answers = importlib.import_module("answers")
+        workloads = importlib.import_module("workloads")
+    finally:
+        # answers.py imports workloads by its bare name; leave neither behind
+        for name in ("answers", "workloads"):
+            sys.modules.pop(name, None)
+    raw = workloads.scenario("isolation-search", 0)
+    code, summary = scenarios.run_scenario(parse_scenario(raw), str(tmp_path))
+    got = answers.extract(raw, summary, tmp_path)
+    assert code == 0
+    assert got["isolation"]["error"] is None
+    assert answers.check(got, answers.load_expected("isolation-search")) == {"isolation": []}

@@ -172,10 +172,10 @@ def test_spline_iterate_equals_map_built_from_scratch(k):
 def test_ode_value_and_jac_is_one_pass(monkeypatch):
     import localfloer.genfun as genfun
 
-    phi = OdeGermMap(quartic(-1), 3)
+    germ = quartic(-1)
+    phi = OdeGermMap(germ, 3)
     p = np.random.default_rng(17).uniform(-0.05, 0.05, (12, 2))
     value, jac = phi.value_and_jac(p)
-    assert np.array_equal(value, phi(p))
     assert np.array_equal(jac, phi.jac(p))
     batches = []
     original = genfun.flow_jacobians
@@ -187,6 +187,13 @@ def test_ode_value_and_jac_is_one_pass(monkeypatch):
     monkeypatch.setattr(genfun, "flow_jacobians", counting)
     phi.value_and_jac(p)
     assert batches == [12, 12, 12]
+    # __call__ flows the points alone, on a step sequence of its own: it
+    # never reads hess, and agrees with the one-pass value to about the
+    # integrator tolerance
+    batches.clear()
+    monkeypatch.setattr(germ, "hess", None)
+    assert np.max(np.abs(phi(p) - value)) <= 1e-12
+    assert batches == []
 
 
 
@@ -250,7 +257,7 @@ def test_psi_gradient_flows_once_per_newton_step(monkeypatch):
     z = pm.invert(w)
     # the gradient flowed exactly what the inversion flows: nothing after it
     assert flows == gradient_flows
-    disp = phi(z) - z
+    disp = phi.value_and_jac(z)[0] - z
     assert np.array_equal(grad, np.concatenate([-disp[:, 1:], disp[:, :1]], axis=1))
 
 

@@ -23,6 +23,7 @@ from localfloer.germs import (
     _distinct,
     _newton_search,
     _reparam,
+    _seed_orbit,
     concatenate,
     find_fixed_points,
     fixed_point_record,
@@ -304,14 +305,21 @@ def test_find_fixed_points_matches_row_solve_oracle(shift):
         assert np.max(np.abs(p - q)) <= 1e-12
 
 
-def _affine(a, b, calls):
-    """value_and_jac of z -> a z + b, recording the size of every batch."""
+def _affine_search(a, b, calls, seeds, newton_tol, max_iter, escape, k):
+    """_newton_search for k-periodic points of z -> a z + b from the seeds'
+    orbit, recording the size of every batch; a value-only batch of n
+    points as ("value", n)."""
+
+    def value(z):
+        calls.append(("value", len(z)))
+        return z @ a.T + b
 
     def value_and_jac(z):
         calls.append(len(z))
         return z @ a.T + b, np.broadcast_to(a, (len(z),) + a.shape).copy()
 
-    return value_and_jac
+    start = _seed_orbit(value_and_jac, seeds, k)
+    return _newton_search(value, value_and_jac, start, newton_tol, max_iter, escape)
 
 
 def test_newton_search_on_an_affine_map():
@@ -323,7 +331,7 @@ def test_newton_search_on_an_affine_map():
 
     # converged: every seed ends at the fixed point within newton_tol
     calls = []
-    z, rnorm = _newton_search(_affine(a, b, calls), seeds, 1e-11, 40, 100.0, 1)
+    z, rnorm = _affine_search(a, b, calls, seeds, 1e-11, 40, 100.0, 1)
     assert np.all(rnorm <= 1e-11)
     np.testing.assert_allclose(rnorm, residual(z), rtol=0.0, atol=1e-15)
     assert np.max(np.abs(z - fixed)) <= 1e-12
@@ -332,15 +340,16 @@ def test_newton_search_on_an_affine_map():
     # escaping: a step past the escape radius is not taken and retires the seed
     calls = []
     far = np.linalg.norm(fixed) / 2.0
-    z, rnorm = _newton_search(_affine(a, b, calls), seeds[:3], 1e-11, 40, far, 1)
+    z, rnorm = _affine_search(a, b, calls, seeds[:3], 1e-11, 40, far, 1)
     assert np.array_equal(z, seeds[:3])
     np.testing.assert_array_equal(rnorm, residual(seeds[:3]))
     assert calls == [3]
 
-    # still moving after max_iter: one more evaluation gives the final residual
+    # still moving after max_iter: one more evaluation, values only, gives
+    # the final residual
     calls = []
-    z, rnorm = _newton_search(_affine(a, b, calls), seeds[:3], 1e-11, 1, 100.0, 1)
-    assert calls == [3, 3]
+    z, rnorm = _affine_search(a, b, calls, seeds[:3], 1e-11, 1, 100.0, 1)
+    assert calls == [3, ("value", 3)]
     np.testing.assert_array_equal(rnorm, residual(z))
     assert np.all(rnorm <= 1e-11)
 
@@ -360,7 +369,7 @@ def test_newton_search_solves_an_affine_k_cycle_in_one_step(k):
     # k calls place the nodes on each seed's orbit; after the one step, a
     # single call on all k nodes of every seed finds the cycle closed
     calls = []
-    z, rnorm = _newton_search(_affine(a, b, calls), seeds, 1e-11, 40, 1e3, k)
+    z, rnorm = _affine_search(a, b, calls, seeds, 1e-11, 40, 1e3, k)
     assert calls == [3] * k + [3 * k]
     assert np.all(rnorm <= 1e-11)
     assert np.max(np.abs(z - fixed)) <= 1e-12
@@ -369,7 +378,7 @@ def test_newton_search_solves_an_affine_k_cycle_in_one_step(k):
     # it is not taken, and the residual is that of the seed's orbit
     calls = []
     far = np.linalg.norm(fixed) / 2.0
-    z, rnorm = _newton_search(_affine(a, b, calls), seeds, 1e-11, 40, far, k)
+    z, rnorm = _affine_search(a, b, calls, seeds, 1e-11, 40, far, k)
     assert calls == [3] * k
     assert np.array_equal(z, seeds)
     np.testing.assert_allclose(rnorm, orbit_residual, rtol=1e-12)

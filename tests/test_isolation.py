@@ -16,7 +16,7 @@ from localfloer import (
     splitting_ratio_report,
 )
 from localfloer.genfun import GermMap
-from localfloer.germs import NEWTON_MAX_ITER, _distinct, _newton_search
+from localfloer.germs import NEWTON_MAX_ITER, _distinct, _newton_search, _seed_orbit
 from localfloer.errors import LinearizationNotIdentity, NewtonDivergence
 from localfloer.corpus import (
     direct_sum_germ,
@@ -27,7 +27,7 @@ from localfloer.corpus import (
     shear,
     zero_germ,
 )
-from oracles import DiscreteOrbit, maximizing_orbit
+from oracles import DiscreteOrbit, distinct_pairwise, maximizing_orbit
 
 
 # ----------------------------------------------------------- the constant
@@ -153,7 +153,7 @@ def resonant_map():
 
 @pytest.mark.parametrize("k", [2, 3])
 def test_search_quartic_isolated(quartic_map, k):
-    rep = periodic_point_search(quartic_map, k, [0.05, 0.01], seeds_per_axis=9)
+    rep = periodic_point_search(quartic_map, k, [0.05, 0.01], seeds_per_axis=9)[-1]
     assert rep.conclusion == "ISOLATION_HOLDS"
     assert rep.admissible
     assert rep.witnesses == ()
@@ -167,7 +167,7 @@ def test_search_quartic_isolated(quartic_map, k):
 
 def test_search_rotation_third_fails_with_witnesses():
     phi = OdeGermMap(linear_rotation(1.0 / 3.0))
-    rep = periodic_point_search(phi, 3, [0.1], seeds_per_axis=9)
+    rep = periodic_point_search(phi, 3, [0.1], seeds_per_axis=9)[-1]
     assert not rep.admissible
     assert rep.conclusion == "ISOLATION_FAILS"
     assert len(rep.witnesses) > 0
@@ -178,7 +178,7 @@ def test_search_rotation_third_fails_with_witnesses():
 
 
 def test_search_resonant_ring_outside_small_ball(resonant_map):
-    rep = periodic_point_search(resonant_map, 3, [0.2, 0.001], seeds_per_axis=9)
+    rep = periodic_point_search(resonant_map, 3, [0.2, 0.001], seeds_per_axis=9)[-1]
     # the 3-periodic ring sits near radius 0.15: outside the final ball,
     # so isolation holds there while the witnesses record the ring
     assert rep.conclusion == "ISOLATION_HOLDS"
@@ -189,13 +189,13 @@ def test_search_resonant_ring_outside_small_ball(resonant_map):
 
 
 def test_search_resonant_ring_inside_large_ball(resonant_map):
-    rep = periodic_point_search(resonant_map, 3, [0.2], seeds_per_axis=9)
+    rep = periodic_point_search(resonant_map, 3, [0.2], seeds_per_axis=9)[-1]
     assert rep.conclusion == "ISOLATION_FAILS"
     assert len(rep.witnesses) > 0
 
 
 def test_search_resonant_clean_order(resonant_map):
-    rep = periodic_point_search(resonant_map, 4, [0.2, 0.001], seeds_per_axis=9)
+    rep = periodic_point_search(resonant_map, 4, [0.2, 0.001], seeds_per_axis=9)[-1]
     assert rep.admissible
     assert rep.conclusion == "ISOLATION_HOLDS"
     assert rep.witnesses == ()
@@ -214,7 +214,7 @@ def test_search_flows_each_newton_step_once(monkeypatch):
 
     monkeypatch.setattr(genfun, "flow_jacobians", recording)
     # an even seed count leaves the origin out of the seeds, so every seed moves
-    rep = periodic_point_search(phi, 1, [0.05], seeds_per_axis=8)
+    (rep,) = periodic_point_search(phi, 1, [0.05], seeds_per_axis=8)
     assert rep.conclusion == "ISOLATION_HOLDS"
     for i, later in enumerate(batches):
         for earlier in batches[:i]:
@@ -270,9 +270,9 @@ def test_batched_search_matches_one_search_per_radius(
     resonant_map, quartic_map, germ, k, radii
 ):
     phi = resonant_map if germ == "resonant" else quartic_map
-    batched = periodic_point_search(phi, k, radii, seeds_per_axis=9)
+    batched = periodic_point_search(phi, k, radii, seeds_per_axis=9)[-1]
     for entry in batched.per_radius:
-        single = periodic_point_search(phi, k, [entry["radius"]], seeds_per_axis=9)
+        single = periodic_point_search(phi, k, [entry["radius"]], seeds_per_axis=9)[-1]
         alone = single.per_radius[0]
         assert alone["radius"] == entry["radius"]
         assert len(alone["points"]) == len(entry["points"])
@@ -281,11 +281,13 @@ def test_batched_search_matches_one_search_per_radius(
 
 class CountingTwist(GermMap):
     """The twist map z -> R(2 pi k (alpha + beta |z|^2)) z and its iterates,
-    in closed form, counting the calls each iterate receives."""
+    in closed form, counting the calls each iterate receives and, with a
+    ``log`` list, recording the points of each (what, points) call."""
 
-    def __init__(self, calls, k=1, alpha=0.3, beta=1.0):
+    def __init__(self, calls, k=1, alpha=0.3, beta=1.0, log=None):
         self.n, self.name = 1, f"twist^{k}"
         self.calls, self.k, self.alpha, self.beta = calls, k, alpha, beta
+        self.log = log
 
     def _eval(self, pts):
         z = np.atleast_2d(np.asarray(pts, dtype=float))
@@ -298,23 +300,26 @@ class CountingTwist(GermMap):
         grad = 4.0 * np.pi * self.k * self.beta * z
         return img, rot + turned[:, :, None] * grad[:, None, :]
 
-    def _count(self, what):
+    def _count(self, what, pts):
         self.calls[(self.k, what)] = self.calls.get((self.k, what), 0) + 1
+        if self.log is not None:
+            self.log.append((what, np.array(pts, copy=True)))
 
     def __call__(self, pts):
-        self._count("value")
+        self._count("value", pts)
         return self._eval(pts)[0]
 
     def jac(self, pts):
-        self._count("jac")
+        self._count("jac", pts)
         return self._eval(pts)[1]
 
     def value_and_jac(self, pts):
-        self._count("value_and_jac")
+        self._count("value_and_jac", pts)
         return self._eval(pts)
 
     def iterate(self, k):
-        return CountingTwist(self.calls, self.k * k, self.alpha, self.beta)
+        self._count("iterate", [])
+        return CountingTwist(self.calls, self.k * k, self.alpha, self.beta, self.log)
 
 
 def test_search_work_does_not_grow_with_the_radii():
@@ -323,24 +328,77 @@ def test_search_work_does_not_grow_with_the_radii():
     radii = [0.3, 0.2, 0.1, 0.05]
     newton = []
     for ladder in [[r] for r in radii] + [radii]:
-        calls = {}
-        rep = periodic_point_search(CountingTwist(calls), 3, ladder, seeds_per_axis=9)
-        assert (3, "value_and_jac") not in calls
+        calls, log = {}, []
+        reports = periodic_point_search(CountingTwist(calls, log=log), 3, ladder, seeds_per_axis=9)
+        # only phi itself is called, never an iterate
+        assert {order for order, _ in calls} == {1} and (1, "iterate") not in calls
         newton.append(calls[(1, "value_and_jac")])
+    assert [r.k for r in reports] == [1, 2, 3]
+    rep = reports[-1]
     assert rep.conclusion == "ISOLATION_HOLDS"
     assert {w["radius"] for w in rep.witnesses} == {0.3, 0.2}
-    # the shooting search calls phi itself: 3 calls place the nodes on the
-    # seeds' orbits, then one per Newton step and one final evaluation
-    assert newton[-1] <= 3 - 1 + NEWTON_MAX_ITER + 1
-    # one Newton batch: as many calls as the slowest radius alone needs
+    # one jac at the origin, the Newton calls, and values only for the 3
+    # steps of the probe rings' orbit and the one witness call of every order
+    assert calls == {(1, "jac"): 1, (1, "value_and_jac"): newton[-1], (1, "value"): 3 + 1}
+    # the first 3 value_and_jac calls walk the seeds' orbit, and no later
+    # call takes a node of it again: 3 placement calls serve orders 1, 2, 3
+    steps = [pts for what, pts in log if what == "value_and_jac"]
+    orbit = steps[:3]
+    assert len(orbit[0]) == len(radii) * len(_seed_disk(1.0))
+    for earlier, later in zip(orbit, orbit[1:]):
+        assert np.array_equal(later, CountingTwist({})(earlier))
+    assert not any(np.array_equal(pts, node) for node in orbit for pts in steps[3:])
+    # then each order runs its own Newton loop, one call per step
+    assert newton[-1] <= 3 + 3 * NEWTON_MAX_ITER
+    # one Newton batch per order: as many calls as the slowest radius alone needs
     assert newton[-1] <= max(newton[:-1])
-    # one jac at the origin, one probe of phi^3, one witness call of phi
-    assert calls == {(1, "jac"): 1, (1, "value_and_jac"): newton[-1], (3, "value"): 1, (1, "value"): 1}
+    # the probe rings, 4 directions at r_min and at r_min / 2, and their images
+    rings = [pts for what, pts in log if what == "value"][:3]
+    assert all(len(r) == 8 for r in rings)
+    np.testing.assert_allclose(np.abs(rings[0]).max(axis=1), [0.05] * 4 + [0.025] * 4)
+
+
+def _same_report(got, want):
+    """Equal up to the witness flow: points, norms, conclusions and witness
+    points exactly, step displacements to 1e-9 relative."""
+    assert (got.k, got.admissible, got.radii) == (want.k, want.admissible, want.radii)
+    assert got.per_radius == want.per_radius
+    assert got.conclusion == want.conclusion
+    assert got.origin_resolution == pytest.approx(want.origin_resolution, rel=1e-9, abs=0.0)
+    assert [(w["radius"], w["point"]) for w in got.witnesses] == [
+        (w["radius"], w["point"]) for w in want.witnesses
+    ]
+    np.testing.assert_allclose(
+        [w["step_displacement"] for w in got.witnesses],
+        [w["step_displacement"] for w in want.witnesses],
+        rtol=1e-9,
+        atol=0.0,
+    )
+
+
+@pytest.mark.parametrize(
+    "germ, k, radii", [("twist", 4, [0.3, 0.2, 0.1, 0.05]), ("resonant", 3, LADDER)]
+)
+def test_every_order_of_one_search_equals_its_own_search(resonant_map, germ, k, radii):
+    # order j's report must not depend on the largest order searched with it
+    phi = resonant_map if germ == "resonant" else CountingTwist({})
+    every = periodic_point_search(phi, k, radii, seeds_per_axis=9)
+    assert [r.k for r in every] == list(range(1, k + 1))
+    # both germs have 3-periodic rings inside the largest radius
+    assert every[2].witnesses
+    for j, rep in enumerate(every, start=1):
+        _same_report(rep, periodic_point_search(phi, j, radii, seeds_per_axis=9)[-1])
 
 
 def _seed_disk(radius):
     grid = Box((0.0, 0.0), radius).nodes(9)
     return grid[np.linalg.norm(grid, axis=1) <= radius + 1e-12]
+
+
+def _shoot(phi, seeds, k, escape, tol=1e-11):
+    """The shooting search for k-periodic points of phi from the seeds."""
+    start = _seed_orbit(phi.value_and_jac, seeds, k)
+    return _newton_search(phi, phi.value_and_jac, start, tol, NEWTON_MAX_ITER, escape)
 
 
 @pytest.mark.parametrize("germ", ["twist", "resonant"])
@@ -352,8 +410,8 @@ def test_shooting_search_matches_newton_on_phi_k(resonant_map, germ, k):
     # the point a seed lands on follows its Newton path
     phi = resonant_map if germ == "resonant" else CountingTwist({})
     seeds, tol, escape = _seed_disk(0.2), 1e-11, 0.3
-    z, rnorm = _newton_search(phi.value_and_jac, seeds, tol, NEWTON_MAX_ITER, escape, k)
-    zo, ro = _newton_search(phi.iterate(k).value_and_jac, seeds, tol, NEWTON_MAX_ITER, escape, 1)
+    z, rnorm = _shoot(phi, seeds, k, escape, tol)
+    zo, ro = _shoot(phi.iterate(k), seeds, 1, escape, tol)
     ok, ok_oracle = rnorm <= tol, ro <= tol
     # shooting keeps every seed the oracle converges, and here a few more
     assert np.sum(ok) >= np.sum(ok_oracle) > 0
@@ -369,8 +427,8 @@ def test_shooting_search_lands_on_the_ring_of_3_periodic_points(resonant_map, ge
     # Newton path, so ring points are compared by norm and by period
     phi = resonant_map if germ == "resonant" else CountingTwist({})
     seeds, tol, escape = _seed_disk(0.2), 1e-11, 0.6
-    z, rnorm = _newton_search(phi.value_and_jac, seeds, tol, NEWTON_MAX_ITER, escape, 3)
-    zo, ro = _newton_search(phi.iterate(3).value_and_jac, seeds, tol, NEWTON_MAX_ITER, escape, 1)
+    z, rnorm = _shoot(phi, seeds, 3, escape, tol)
+    zo, ro = _shoot(phi.iterate(3), seeds, 1, escape, tol)
 
     def on_ring(pts):
         return pts[np.abs(np.linalg.norm(pts, axis=1) - ring) <= 1e-2]
@@ -393,7 +451,8 @@ def test_shooting_calls_take_the_k_nodes_of_every_active_seed(resonant_map, germ
         calls.append((np.array(pts, copy=True), img))
         return img, jac
 
-    z, rnorm = _newton_search(recording, seeds, tol, NEWTON_MAX_ITER, 0.15, k)
+    start = _seed_orbit(recording, seeds, k)
+    z, rnorm = _newton_search(phi, recording, start, tol, NEWTON_MAX_ITER, 0.15)
     # every seed converges, so none retires by escaping
     assert np.all(rnorm <= tol)
     # the first k calls walk the seeds' orbits
@@ -412,10 +471,62 @@ def test_shooting_calls_take_the_k_nodes_of_every_active_seed(resonant_map, germ
     assert moving == 0
 
 
+# ---------------------------------------------------------- deduplication
+
+
+def _tie_cloud():
+    """Dyadic points with equal norms, exact duplicates, and neighbours at
+    exactly the tolerance (2^-20), just inside it and just outside it."""
+    tol = 2.0**-20
+    base = np.array([[0.0, 0.0], [0.25, 0.0], [0.0, 0.25], [-0.25, 0.0], [0.0, -0.25]])
+    offsets = tol * np.array(
+        [[1.0, 0.0], [0.0, -1.0], [0.5, 0.5], [0.75, -0.5], [1.0, 1.0], [-0.6, 0.8]]
+    )
+    offsets = np.concatenate([offsets, np.nextafter(offsets, 0.0), np.nextafter(offsets, 1.0)])
+    cloud = np.concatenate([base, base, (base[:, None, :] + offsets[None]).reshape(-1, 2)])
+    return cloud, tol
+
+
+def _rounding_cloud(rng):
+    """A pair of points whose distance, as the norm of one pair, differs in
+    the last bit from the same distance as a row norm, with tol at the
+    smaller of the two, among points far apart."""
+    for v in rng.normal(0.0, 1e-3, (1000, 2)):
+        one, row = np.linalg.norm(v), np.linalg.norm(v[None, :], axis=1)[0]
+        if one != row:
+            far = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]])
+            return np.concatenate([np.zeros((1, 2)), v[None, :], far]), min(one, row)
+    pytest.skip("row and pair norms agree to the last bit on this platform")
+
+
+@pytest.mark.parametrize("case", ["ties", "rounding", "random", "clusters", "empty"])
+def test_distinct_matches_the_pairwise_loop(case):
+    rng = np.random.default_rng(23)
+    if case == "ties":
+        points, tol = _tie_cloud()
+        points = points[rng.permutation(len(points))]
+    elif case == "rounding":
+        points, tol = _rounding_cloud(rng)
+    elif case == "random":
+        points, tol = rng.uniform(-1.0, 1.0, (300, 4)), 0.3
+    elif case == "clusters":
+        centres = rng.uniform(-0.2, 0.2, (12, 2))
+        points = np.repeat(centres, 20, axis=0) + rng.normal(0.0, 1e-10, (240, 2))
+        tol = 1e-9
+    else:
+        points, tol = np.empty((0, 2)), 1e-9
+    got, want = _distinct(points, tol), distinct_pairwise(points, tol)
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)
+    if case in ("ties", "random", "clusters"):
+        # something was merged and something was kept apart
+        assert 1 < len(got) < len(points)
+
+
 def test_search_identity_fails_without_witnesses():
     # every point is fixed, so nothing moves and nothing can be a witness,
     # yet the origin is certainly not isolated
-    rep = periodic_point_search(OdeGermMap(zero_germ()), 2, [0.05], seeds_per_axis=7)
+    rep = periodic_point_search(OdeGermMap(zero_germ()), 2, [0.05], seeds_per_axis=7)[-1]
     assert rep.conclusion == "ISOLATION_FAILS"
     assert rep.witnesses == ()
     assert len(rep.per_radius[-1]["points"]) > 1
@@ -432,7 +543,9 @@ def test_search_requires_a_positive_order(quartic_map):
 
 
 def test_search_report_round_trips_to_json(quartic_map):
-    rep = periodic_point_search(quartic_map, 2, [0.02], seeds_per_axis=5)
+    reports = periodic_point_search(quartic_map, 2, [0.02], seeds_per_axis=5)
+    assert [r.k for r in reports] == [1, 2]
+    rep = reports[-1]
     data = rep.to_json()
     assert data["k"] == 2
     assert data["conclusion"] == rep.conclusion
@@ -472,7 +585,7 @@ def test_contraction_certificate_matches_search(quartic_map):
     # periodic orbit, and the direct search indeed finds only the origin
     box = Box((0.0, 0.0), 0.05)
     assert contraction_check(quartic_map, 3, box)
-    rep = periodic_point_search(quartic_map, 3, [0.05, 0.01], seeds_per_axis=9)
+    rep = periodic_point_search(quartic_map, 3, [0.05, 0.01], seeds_per_axis=9)[-1]
     assert rep.conclusion == "ISOLATION_HOLDS"
 
 
