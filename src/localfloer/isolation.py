@@ -12,7 +12,7 @@ orbits.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import List, Sequence, Tuple
 
@@ -150,7 +150,7 @@ def periodic_point_search(
 
     dedup_tol = max(10.0 * newton_tol, 1e-9)
     ok_tol = 10.0 * newton_tol
-    found, origin_tols, outside = [], [], []
+    reports = []
     for j in range(1, k + 1):
         z, rnorm = _newton_search(
             phi,
@@ -162,31 +162,6 @@ def periodic_point_search(
         )
         per_radius = _per_radius(radii, z, rnorm, ok_tol, dedup_tol)
         origin_tol = _origin_resolution(rings[j] - rings[0], r_min, ok_tol, dedup_tol)
-        found.append(per_radius)
-        origin_tols.append(origin_tol)
-        outside.append(
-            [
-                (entries["radius"], p)
-                for entries in per_radius
-                for p, nrm in zip(entries["points"], entries["norms"])
-                if nrm > origin_tol
-            ]
-        )
-
-    # one value-only flow of phi checks the candidates of every order
-    candidates = np.array([p for cands in outside for _, p in cands]).reshape(-1, d)
-    moves = np.linalg.norm(phi(candidates) - candidates, axis=1) if len(candidates) else np.zeros(0)
-    moves = np.split(moves, np.cumsum([len(cands) for cands in outside])[:-1])
-
-    reports = []
-    for j, per_radius, origin_tol, cands, move in zip(
-        range(1, k + 1), found, origin_tols, outside, moves
-    ):
-        witnesses = [
-            {"radius": radius, "point": list(p), "step_displacement": float(mv)}
-            for (radius, p), mv in zip(cands, move)
-            if mv > 100.0 * newton_tol
-        ]
         smallest = per_radius[-1]
         only_origin = (
             len(smallest["points"]) >= 1
@@ -203,12 +178,37 @@ def periodic_point_search(
                 admissible=admissible(lin, j),
                 radii=tuple(radii),
                 per_radius=tuple(per_radius),
-                witnesses=tuple(witnesses),
+                witnesses=(),
                 origin_resolution=float(origin_tol),
                 conclusion=conclusion,
             )
         )
-    return tuple(reports)
+
+    # witnesses: the points of every order off the origin that phi moves,
+    # checked by one value-only flow of phi
+    outside = [
+        [
+            (entries["radius"], p)
+            for entries in rep.per_radius
+            for p, nrm in zip(entries["points"], entries["norms"])
+            if nrm > rep.origin_resolution
+        ]
+        for rep in reports
+    ]
+    candidates = np.array([p for cands in outside for _, p in cands]).reshape(-1, d)
+    moves = np.linalg.norm(phi(candidates) - candidates, axis=1) if len(candidates) else np.zeros(0)
+    moves = np.split(moves, np.cumsum([len(cands) for cands in outside])[:-1])
+    return tuple(
+        replace(
+            rep,
+            witnesses=tuple(
+                {"radius": radius, "point": list(p), "step_displacement": float(mv)}
+                for (radius, p), mv in zip(cands, move)
+                if mv > 100.0 * newton_tol
+            ),
+        )
+        for rep, cands, move in zip(reports, outside, moves)
+    )
 
 
 def _per_radius(
