@@ -5,14 +5,13 @@ of a zero-mean cyclic sequence to that of its difference sequence, in
 closed form; a grid-seeded multiple-shooting Newton search for j-periodic
 points in shrinking balls, for every order j up to k in one call, the
 orders sharing one flow of each object that does not depend on j (the
-origin's linearization, the seeds' orbit, the probe rings' orbit and the
-witness check); and a contraction certificate in the style of the Yorke
+origin's linearization, the seeds' orbit and the probe rings' orbit); and a contraction certificate in the style of the Yorke
 period bound, where a C1 bound on phi - id rules out non-fixed k-periodic
 orbits.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Sequence, Tuple
 
@@ -99,9 +98,10 @@ def periodic_point_search(
     radii: Sequence[float],
     seeds_per_axis: int = 17,
     newton_tol: float = 1e-11,
+    first: int = 1,
 ) -> Tuple[SearchReport, ...]:
     """Newton-from-grid search for fixed points of phi^j in shrinking balls,
-    for every order j = 1 .. k: one report per order, order j at index j - 1.
+    for every order j = first .. k: one report per order, in that order.
 
     Every finding is reported; isolation holds exactly when the smallest
     radius contains only the origin.  Points of phi^j that move under phi
@@ -118,11 +118,11 @@ def periodic_point_search(
     The orders share what does not depend on j, each computed once: the
     origin's linearization (``phi.origin_jacobian``); the seeds' orbit
     under phi, k calls that place the nodes of every order (order j starts
-    from its first j); the orbit of the two origin probe rings, k value-only
-    calls, of which order j reads the j-th image; and one value-only call
-    of phi on the witness candidates of every order and radius.  Each order
-    keeps its own Newton loop and flow batches, so its report does not
-    depend on k.
+    from its first j); and the orbit of the two origin probe rings, k
+    value-only calls, of which order j reads the j-th image.  Each order
+    runs its own Newton loop and its own value-only call of phi on its
+    witness candidates, and no order below ``first`` is searched, so the
+    report of order j is the same whatever k and ``first`` are.
 
     Degenerate maps stall the residual early: when the displacement of
     phi^j vanishes to order d at 0, points inside r (tol / D(r))^(1/d)
@@ -134,6 +134,8 @@ def periodic_point_search(
         raise ValueError("need at least one radius")
     if k < 1:
         raise ValueError("iteration order must be >= 1")
+    if not 1 <= first <= k:
+        raise ValueError("first order must be in 1 .. k")
     d = 2 * phi.n
     lin = validate_symplectic(phi.origin_jacobian)
 
@@ -151,7 +153,7 @@ def periodic_point_search(
     dedup_tol = max(10.0 * newton_tol, 1e-9)
     ok_tol = 10.0 * newton_tol
     reports = []
-    for j in range(1, k + 1):
+    for j in range(first, k + 1):
         z, rnorm = _newton_search(
             phi,
             phi.value_and_jac,
@@ -178,36 +180,33 @@ def periodic_point_search(
                 admissible=admissible(lin, j),
                 radii=tuple(radii),
                 per_radius=tuple(per_radius),
-                witnesses=(),
+                witnesses=_witnesses(phi, per_radius, origin_tol, newton_tol),
                 origin_resolution=float(origin_tol),
                 conclusion=conclusion,
             )
         )
+    return tuple(reports)
 
-    # witnesses: the points of every order off the origin that phi moves,
-    # checked by one value-only flow of phi
+
+def _witnesses(
+    phi: GermMap, per_radius: List[dict], origin_tol: float, newton_tol: float
+) -> Tuple[dict, ...]:
+    """The points found off the origin that phi itself moves, checked by one
+    value-only call of phi (none when every point is at the origin)."""
     outside = [
-        [
-            (entries["radius"], p)
-            for entries in rep.per_radius
-            for p, nrm in zip(entries["points"], entries["norms"])
-            if nrm > rep.origin_resolution
-        ]
-        for rep in reports
+        (entries["radius"], p)
+        for entries in per_radius
+        for p, nrm in zip(entries["points"], entries["norms"])
+        if nrm > origin_tol
     ]
-    candidates = np.array([p for cands in outside for _, p in cands]).reshape(-1, d)
-    moves = np.linalg.norm(phi(candidates) - candidates, axis=1) if len(candidates) else np.zeros(0)
-    moves = np.split(moves, np.cumsum([len(cands) for cands in outside])[:-1])
+    if not outside:
+        return ()
+    pts = np.array([p for _, p in outside])
+    moves = np.linalg.norm(phi(pts) - pts, axis=1)
     return tuple(
-        replace(
-            rep,
-            witnesses=tuple(
-                {"radius": radius, "point": list(p), "step_displacement": float(mv)}
-                for (radius, p), mv in zip(cands, move)
-                if mv > 100.0 * newton_tol
-            ),
-        )
-        for rep, cands, move in zip(reports, outside, moves)
+        {"radius": radius, "point": list(p), "step_displacement": float(mv)}
+        for (radius, p), mv in zip(outside, moves)
+        if mv > 100.0 * newton_tol
     )
 
 

@@ -402,9 +402,10 @@ def _run_isolation(sc: Scenario, task: dict, out: Path, prefix: str):
     seeds = int(task.get("seeds_per_axis", 17))
     ntol = float(task.get("newton_tol", sc.tolerances.get("newton_tol", 1e-11)))
     phi = OdeGermMap(sc.germ)
-    # one search serves every order up to the largest
-    every = periodic_point_search(phi, max(sc.ks), radii, seeds_per_axis=seeds, newton_tol=ntol)
-    reports = [every[k - 1] for k in sc.ks]
+    # one search serves every order of the range
+    reports = periodic_point_search(
+        phi, sc.ks[-1], radii, seeds_per_axis=seeds, newton_tol=ntol, first=sc.ks[0]
+    )
     payload = {
         "germ": sc.germ_name,
         "radii": [float(r) for r in radii],

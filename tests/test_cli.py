@@ -226,6 +226,9 @@ def test_isolation_task_writes_constant_table(tmp_path, capsys):
     path = write_scenario(tmp_path, sc)
     out = tmp_path / "out"
     assert main(["run", "--scenario", path, "--out", str(out)]) == 0
+    # only the orders of k_range are searched and reported
+    reports = json.loads((out / "00-isolation.json").read_text())["reports"]
+    assert [r["k"] for r in reports] == [2]
     table = (out / "00-isolation-c-constant.csv").read_text().splitlines()
     assert table[0] == "k,c_exact,c_float"
     assert table[1] == "2,1/2,0.5"

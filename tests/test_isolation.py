@@ -338,7 +338,8 @@ def test_search_work_does_not_grow_with_the_radii():
     assert rep.conclusion == "ISOLATION_HOLDS"
     assert {w["radius"] for w in rep.witnesses} == {0.3, 0.2}
     # one jac at the origin, the Newton calls, and values only for the 3
-    # steps of the probe rings' orbit and the one witness call of every order
+    # steps of the probe rings' orbit and one witness call of order 3, the
+    # only order with points off the origin
     assert calls == {(1, "jac"): 1, (1, "value_and_jac"): newton[-1], (1, "value"): 3 + 1}
     # the first 3 value_and_jac calls walk the seeds' orbit, and no later
     # call takes a node of it again: 3 placement calls serve orders 1, 2, 3
@@ -358,36 +359,42 @@ def test_search_work_does_not_grow_with_the_radii():
     np.testing.assert_allclose(np.abs(rings[0]).max(axis=1), [0.05] * 4 + [0.025] * 4)
 
 
-def _same_report(got, want):
-    """Equal up to the witness flow: points, norms, conclusions and witness
-    points exactly, step displacements to 1e-9 relative."""
-    assert (got.k, got.admissible, got.radii) == (want.k, want.admissible, want.radii)
-    assert got.per_radius == want.per_radius
-    assert got.conclusion == want.conclusion
-    assert got.origin_resolution == pytest.approx(want.origin_resolution, rel=1e-9, abs=0.0)
-    assert [(w["radius"], w["point"]) for w in got.witnesses] == [
-        (w["radius"], w["point"]) for w in want.witnesses
-    ]
-    np.testing.assert_allclose(
-        [w["step_displacement"] for w in got.witnesses],
-        [w["step_displacement"] for w in want.witnesses],
-        rtol=1e-9,
-        atol=0.0,
-    )
-
-
 @pytest.mark.parametrize(
     "germ, k, radii", [("twist", 4, [0.3, 0.2, 0.1, 0.05]), ("resonant", 3, LADDER)]
 )
 def test_every_order_of_one_search_equals_its_own_search(resonant_map, germ, k, radii):
-    # order j's report must not depend on the largest order searched with it
+    # order j's report must not depend on the other orders searched with it:
+    # not on the largest, and not on the first
     phi = resonant_map if germ == "resonant" else CountingTwist({})
     every = periodic_point_search(phi, k, radii, seeds_per_axis=9)
     assert [r.k for r in every] == list(range(1, k + 1))
     # both germs have 3-periodic rings inside the largest radius
     assert every[2].witnesses
     for j, rep in enumerate(every, start=1):
-        _same_report(rep, periodic_point_search(phi, j, radii, seeds_per_axis=9)[-1])
+        alone = periodic_point_search(phi, j, radii, seeds_per_axis=9)[-1]
+        assert rep.to_json() == alone.to_json()
+    (third,) = periodic_point_search(phi, 3, radii, seeds_per_axis=9, first=3)
+    assert third.to_json() == every[2].to_json()
+
+
+def test_search_runs_no_order_below_the_first():
+    radii = [0.3, 0.2, 0.1, 0.05]
+
+    def newton_calls(k, first=1):
+        calls = {}
+        reports = periodic_point_search(
+            CountingTwist(calls), k, radii, seeds_per_axis=9, first=first
+        )
+        assert [r.k for r in reports] == list(range(first, k + 1))
+        return calls[(1, "value_and_jac")]
+
+    # k placement calls of the seeds' orbit, then only order 3's Newton loop:
+    # orders 1 and 2 took all calls of the search up to 2 but its 2 placements
+    assert newton_calls(3, first=3) == newton_calls(3) - (newton_calls(2) - 2)
+    with pytest.raises(ValueError, match="first order"):
+        periodic_point_search(CountingTwist({}), 3, radii, first=4)
+    with pytest.raises(ValueError, match="first order"):
+        periodic_point_search(CountingTwist({}), 3, radii, first=0)
 
 
 def _seed_disk(radius):
