@@ -44,7 +44,7 @@ def zero_germ() -> HamiltonianGerm:
         n=1,
         value=lambda t, z: np.zeros(len(z)),
         grad=lambda t, z: np.zeros_like(z),
-        hess=lambda t, z: np.zeros((len(z), 2, 2)),
+        jet=lambda t, z: (np.zeros_like(z), np.zeros((len(z), 2, 2))),
         name="zero",
     )
 
@@ -53,14 +53,17 @@ def linear_rotation(alpha: float) -> HamiltonianGerm:
     """H = -pi alpha (x^2 + y^2); time-1 flow rotates by 2 pi alpha, mean index 2 alpha."""
     a = np.pi * alpha
 
-    def hess(t, z):
-        return np.broadcast_to(-2.0 * a * np.eye(2), (len(z), 2, 2)).copy()
+    def grad(t, z):
+        return -2.0 * a * z
+
+    def jet(t, z):
+        return grad(t, z), np.broadcast_to(-2.0 * a * np.eye(2), (len(z), 2, 2)).copy()
 
     return HamiltonianGerm(
         n=1,
         value=lambda t, z: -a * (z[:, 0] ** 2 + z[:, 1] ** 2),
-        grad=lambda t, z: -2.0 * a * z,
-        hess=hess,
+        grad=grad,
+        jet=jet,
         name=f"rotation({alpha})",
     )
 
@@ -78,7 +81,7 @@ def hyperbolic(lam: float) -> HamiltonianGerm:
         n=1,
         value=lambda t, z: c * z[:, 0] * z[:, 1],
         grad=grad,
-        hess=lambda t, z: np.broadcast_to(h, (len(z), 2, 2)).copy(),
+        jet=lambda t, z: (grad(t, z), np.broadcast_to(h, (len(z), 2, 2)).copy()),
         name=f"hyperbolic({lam})",
     )
 
@@ -93,16 +96,19 @@ def negative_hyperbolic(lam: float) -> HamiltonianGerm:
 def shear() -> HamiltonianGerm:
     """H = y^2 / 2; time-1 flow is the unipotent map (x, y) -> (x + y, y)."""
 
-    def hess(t, z):
+    def grad(t, z):
+        return np.stack([np.zeros(len(z)), z[:, 1]], axis=1)
+
+    def jet(t, z):
         out = np.zeros((len(z), 2, 2))
         out[:, 1, 1] = 1.0
-        return out
+        return grad(t, z), out
 
     return HamiltonianGerm(
         n=1,
         value=lambda t, z: 0.5 * z[:, 1] ** 2,
-        grad=lambda t, z: np.stack([np.zeros(len(z)), z[:, 1]], axis=1),
-        hess=hess,
+        grad=grad,
+        jet=jet,
         name="shear",
     )
 
@@ -111,17 +117,19 @@ def quartic(sign: int) -> HamiltonianGerm:
     """H = sign (x^4 + y^4) / 4; totally degenerate extremum at the origin."""
     s = float(sign)
 
-    def hess(t, z):
+    def grad(t, z):
+        return s * z * z * z
+
+    def jet(t, z):
         out = np.zeros((len(z), 2, 2))
-        out[:, 0, 0] = 3.0 * s * z[:, 0] ** 2
-        out[:, 1, 1] = 3.0 * s * z[:, 1] ** 2
-        return out
+        out[:, [0, 1], [0, 1]] = 3.0 * s * z**2
+        return grad(t, z), out
 
     return HamiltonianGerm(
         n=1,
         value=lambda t, z: s * (z[:, 0] ** 4 + z[:, 1] ** 4) / 4.0,
-        grad=lambda t, z: s * z * z * z,
-        hess=hess,
+        grad=grad,
+        jet=jet,
         name=f"quartic({sign:+d})",
     )
 
@@ -135,25 +143,25 @@ def _monkey_parts(eps: float):
         x, y = _split(z)
         return eps * np.stack([3.0 * x**2 - 3.0 * y**2, -6.0 * x * y], axis=1)
 
-    def hess(z):
+    def jet(z):
         x, y = _split(z)
         out = np.empty((len(z), 2, 2))
         out[:, 0, 0] = 6.0 * eps * x
         out[:, 0, 1] = out[:, 1, 0] = -6.0 * eps * y
         out[:, 1, 1] = -6.0 * eps * x
-        return out
+        return grad(z), out
 
-    return value, grad, hess
+    return value, grad, jet
 
 
 def monkey_saddle(eps: float = 0.2) -> HamiltonianGerm:
     """H = eps (x^3 - 3 x y^2); degenerate saddle with identity linearization."""
-    v, g, h = _monkey_parts(eps)
+    v, g, j = _monkey_parts(eps)
     return HamiltonianGerm(
         n=1,
         value=lambda t, z: v(z),
         grad=lambda t, z: g(z),
-        hess=lambda t, z: h(z),
+        jet=lambda t, z: j(z),
         name=f"monkey-saddle({eps})",
     )
 
@@ -185,18 +193,16 @@ def resonant_rotation(twist: float = 40.0, ring_radius: float = 0.15) -> Hamilto
         s = (z[:, 0] ** 2 + z[:, 1] ** 2)[:, None]
         return 2.0 * rho_terms(s) * z
 
-    def hess(t, z):
+    def jet(t, z):
         s = z[:, 0] ** 2 + z[:, 1] ** 2
         d2 = -np.pi * twist * (2.0 * s - s_star)
         out = 4.0 * d2[:, None, None] * (z[:, :, None] * z[:, None, :])
         radial = 2.0 * rho_terms(s)
         out[:, 0, 0] += radial
         out[:, 1, 1] += radial
-        return out
+        return radial[:, None] * z, out
 
-    return HamiltonianGerm(
-        n=1, value=value, grad=grad, hess=hess, name="resonant-rotation"
-    )
+    return HamiltonianGerm(n=1, value=value, grad=grad, jet=jet, name="resonant-rotation")
 
 
 def twisted_rotation(alpha: float = 0.3, beta: float = 2.0 * np.pi) -> HamiltonianGerm:
@@ -219,15 +225,15 @@ def twisted_rotation(alpha: float = 0.3, beta: float = 2.0 * np.pi) -> Hamiltoni
         rho = 0.5 * (z[:, 0] ** 2 + z[:, 1] ** 2)
         return h_prime(rho)[:, None] * z
 
-    def hess(t, z):
+    def jet(t, z):
         rho = 0.5 * (z[:, 0] ** 2 + z[:, 1] ** 2)
         out = -beta * (z[:, :, None] * z[:, None, :])
         radial = h_prime(rho)
         out[:, 0, 0] += radial
         out[:, 1, 1] += radial
-        return out
+        return radial[:, None] * z, out
 
-    return HamiltonianGerm(n=1, value=value, grad=grad, hess=hess, name="twisted-rotation")
+    return HamiltonianGerm(n=1, value=value, grad=grad, jet=jet, name="twisted-rotation")
 
 
 def morse_triple(eps: float = 0.05) -> HamiltonianGerm:
@@ -241,13 +247,13 @@ def morse_triple(eps: float = 0.05) -> HamiltonianGerm:
         x, y = _split(z)
         return eps * np.stack([x**3 - x, y], axis=1)
 
-    def hess(t, z):
+    def jet(t, z):
         out = np.zeros((len(z), 2, 2))
         out[:, 0, 0] = eps * (3.0 * z[:, 0] ** 2 - 1.0)
         out[:, 1, 1] = eps
-        return out
+        return grad(t, z), out
 
-    return HamiltonianGerm(n=1, value=value, grad=grad, hess=hess, name=f"morse-triple({eps})")
+    return HamiltonianGerm(n=1, value=value, grad=grad, jet=jet, name=f"morse-triple({eps})")
 
 
 def direct_sum_germ(g1: HamiltonianGerm, g2: HamiltonianGerm) -> HamiltonianGerm:
@@ -264,17 +270,18 @@ def direct_sum_germ(g1: HamiltonianGerm, g2: HamiltonianGerm) -> HamiltonianGerm
         out[:, i2] = g2.grad(t, z[:, i2])
         return out
 
-    def hess(t, z):
-        out = np.zeros((len(z), 2 * n, 2 * n))
-        out[:, i1[:, None], i1[None, :]] = g1.hess(t, z[:, i1])
-        out[:, i2[:, None], i2[None, :]] = g2.hess(t, z[:, i2])
-        return out
+    def jet(t, z):
+        grad = np.zeros_like(z)
+        hess = np.zeros((len(z), 2 * n, 2 * n))
+        grad[:, i1], hess[:, i1[:, None], i1[None, :]] = g1.jet(t, z[:, i1])
+        grad[:, i2], hess[:, i2[:, None], i2[None, :]] = g2.jet(t, z[:, i2])
+        return grad, hess
 
     return HamiltonianGerm(
         n=n,
         value=value,
         grad=grad,
-        hess=hess,
+        jet=jet,
         name=f"{g1.name}(+){g2.name}",
         factors=(g1, g2),
     )

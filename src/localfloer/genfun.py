@@ -126,7 +126,7 @@ class OdeGermMap(GermMap):
     anywhere, but each evaluation runs k flows (SplineGermMap tabulates once).
 
     ``__call__`` flows the points alone (``germs.flow_points``, which reads
-    ``grad`` and never ``hess``).  Value and Jacobian come from one pass:
+    ``grad`` and never the jet).  Value and Jacobian come from one pass:
     each flow integrates the points together with their variational
     equations, so ``value_and_jac`` costs the same k flows as ``jac``, and
     the psi hook (``_value_and_x_rows``, the inherited default) costs k

@@ -1,9 +1,11 @@
 """Hamiltonian germs near a fixed point of R^{2n} and their flows.
 
-A germ packages callbacks for H, grad H, and Hess H, all vectorized over a
-batch of points of shape (N, 2n).  Coordinates are z = (x, y); the flow
-solves z' = X_H(t, z) with X_H = (H_y, -H_x), and linearizations solve the
-variational equation M' = J_vf Hess_H M alongside.
+A germ packages callbacks for H, for grad H, and for the jet (grad H,
+Hess H), all vectorized over a batch of points of shape (N, 2n).
+Coordinates are z = (x, y); the flow solves z' = X_H(t, z) with
+X_H = (H_y, -H_x), and linearizations solve the variational equation
+M' = J_vf Hess_H M alongside, reading both derivatives from one call of the
+jet per right-hand side.  Value-only flows call grad alone.
 
 Time-dependent germs arise from smooth concatenation: two unit-time germs
 are run back to back through a reparametrization whose derivative vanishes
@@ -19,8 +21,9 @@ integrated as an extra component of the same ODE system.
 """
 from __future__ import annotations
 
+import gc
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -56,15 +59,23 @@ NEWTON_MAX_ITER = 40
 @dataclass
 class HamiltonianGerm:
     """Callbacks are vectorized: z has shape (N, 2n); value (N,), grad (N, 2n),
-    hess (N, 2n, 2n).  The time argument is a scalar."""
+    and jet the pair (grad, Hess) of shapes (N, 2n) and (N, 2n, 2n) from one
+    call, so terms the two share are computed once.  The time argument is a
+    scalar.  jet's first half equals grad bit for bit; ``hess``, its second
+    half, is derived and kept for callers that want the Hessian alone."""
 
     n: int
     value: Callable[[float, np.ndarray], np.ndarray]
     grad: Callable[[float, np.ndarray], np.ndarray]
-    hess: Callable[[float, np.ndarray], np.ndarray]
+    jet: Callable[[float, np.ndarray], Tuple[np.ndarray, np.ndarray]]
     name: str = ""
     # set for germs built as direct sums; consumers may split along it
     factors: Optional[tuple] = None
+    hess: Callable[[float, np.ndarray], np.ndarray] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        jet = self.jet
+        self.hess = lambda t, z: jet(t, z)[1]
 
 
 def _solve(rhs, y0: np.ndarray, dense: bool = False):
@@ -77,6 +88,10 @@ def _solve(rhs, y0: np.ndarray, dense: bool = False):
         atol=ATOL,
         dense_output=dense,
     )
+    # the integrator refers to itself through its right-hand side wrapper;
+    # collect it now, or its stage arrays live until the cyclic collector
+    # next runs and peak memory follows that timing
+    gc.collect(0)
     if not sol.success:
         raise StepFailure(f"integrator failed: {sol.message}")
     return sol
@@ -84,7 +99,8 @@ def _solve(rhs, y0: np.ndarray, dense: bool = False):
 
 def _variational_flow(germ: HamiltonianGerm, z0: np.ndarray, dense: bool):
     """Time-1 flow of a batch z0 of shape (N, 2n) with its variational
-    equation M' = J_vf Hess_H M from M = I.
+    equation M' = J_vf Hess_H M from M = I; one call of ``germ.jet`` per
+    right-hand side.
 
     The state is component-major, a (2n + 4n^2, N) array flattened: row c
     holds component c of every point, first z_0 .. z_{2n-1} and then the
@@ -105,9 +121,9 @@ def _variational_flow(germ: HamiltonianGerm, z0: np.ndarray, dense: bool):
         z = state[:dim].T
         m = state[dim:].reshape(dim, dim, nbatch)
         out = np.empty_like(state)
+        grad, hess = germ.jet(t, z)
         # J_vf is a signed permutation: both products by it copy rows exactly
-        np.matmul(jvf, germ.grad(t, z).T, out=out[:dim])
-        hess = germ.hess(t, z)
+        np.matmul(jvf, grad.T, out=out[:dim])
         if nbatch == 1:
             # one point: a single matrix product sets up faster than einsum
             np.matmul(hess[0], m[..., 0], out=hm)
@@ -172,7 +188,7 @@ def translate(germ: HamiltonianGerm, point: np.ndarray) -> HamiltonianGerm:
         n=germ.n,
         value=shift(germ.value),
         grad=shift(germ.grad),
-        hess=shift(germ.hess),
+        jet=shift(germ.jet),
         name=f"{germ.name}@shifted" if germ.name else "",
     )
 
@@ -212,11 +228,18 @@ def concatenate(first: HamiltonianGerm, second: HamiltonianGerm) -> HamiltonianG
 
         return wrapped
 
+    jets = (first.jet, second.jet)
+
+    def jet(t, z):
+        piece, sig, dsig = _reparam(t)
+        grad, hess = jets[piece](sig, z)
+        return dsig * grad, dsig * hess
+
     return HamiltonianGerm(
         n=first.n,
         value=wrap(first.value, second.value),
         grad=wrap(first.grad, second.grad),
-        hess=wrap(first.hess, second.hess),
+        jet=jet,
         name=f"{first.name}#{second.name}",
     )
 

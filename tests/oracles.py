@@ -45,11 +45,15 @@ def iterate(germ: HamiltonianGerm, k: int) -> HamiltonianGerm:
 
         return wrapped
 
+    def jet(t, z):
+        grad, hess = germ.jet((k * t) % 1.0, z)
+        return k * grad, k * hess
+
     return HamiltonianGerm(
         n=germ.n,
         value=wrap(germ.value),
         grad=wrap(germ.grad),
-        hess=wrap(germ.hess),
+        jet=jet,
         name=f"{germ.name}^'{k}" if germ.name else "",
         factors=tuple(iterate(f, k) for f in germ.factors) if germ.factors else None,
     )

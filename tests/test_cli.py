@@ -433,10 +433,14 @@ def test_benchmark_tracer_reaches_every_wrapped_layer(tmp_path):
     assert [name for name in counted if not metrics[name]] == []
 
 
-def test_isolation_search_workload_gives_the_expected_answers(tmp_path, monkeypatch):
-    """The benchmark's isolation-search workload (seed 0), run in process
-    through run_scenario and checked by perfbench/answers.py against
-    perfbench/expected.json: a wrong conclusion fails here before the
+BENCHMARK_WORKLOADS = ["degenerate-persistence", "index-iterates", "isolation-search", "morse-fine"]
+
+
+@pytest.mark.parametrize("workload", BENCHMARK_WORKLOADS)
+def test_benchmark_workload_gives_the_expected_answers(workload, tmp_path, monkeypatch):
+    """Each benchmark workload (seed 0), run in process through
+    run_scenario and checked by perfbench/answers.py against
+    perfbench/expected.json: a wrong answer fails here before the
     benchmark runs."""
     from localfloer import scenarios
 
@@ -448,9 +452,11 @@ def test_isolation_search_workload_gives_the_expected_answers(tmp_path, monkeypa
         # answers.py imports workloads by its bare name; leave neither behind
         for name in ("answers", "workloads"):
             sys.modules.pop(name, None)
-    raw = workloads.scenario("isolation-search", 0)
+    assert sorted(workloads.WORKLOADS) == BENCHMARK_WORKLOADS
+    raw = workloads.scenario(workload, 0)
     code, summary = scenarios.run_scenario(parse_scenario(raw), str(tmp_path))
     got = answers.extract(raw, summary, tmp_path)
     assert code == 0
-    assert got["isolation"]["error"] is None
-    assert answers.check(got, answers.load_expected("isolation-search")) == {"isolation": []}
+    assert {key: entry["error"] for key, entry in got.items()} == dict.fromkeys(got)
+    expected = answers.load_expected(workload)
+    assert answers.check(got, expected) == {key: [] for key in expected}

@@ -188,9 +188,10 @@ def test_ode_value_and_jac_is_one_pass(monkeypatch):
     phi.value_and_jac(p)
     assert batches == [12, 12, 12]
     # __call__ flows the points alone, on a step sequence of its own: it
-    # never reads hess, and agrees with the one-pass value to about the
-    # integrator tolerance
+    # never reads the jet or hess, and agrees with the one-pass value to
+    # about the integrator tolerance
     batches.clear()
+    monkeypatch.setattr(germ, "jet", None)
     monkeypatch.setattr(germ, "hess", None)
     assert np.max(np.abs(phi(p) - value)) <= 1e-12
     assert batches == []

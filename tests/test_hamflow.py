@@ -1,7 +1,9 @@
 """Hamiltonian germs: flows, monodromy, iteration, actions, gap tables."""
+import gc
+
 import numpy as np
 import pytest
-from scipy.integrate import solve_ivp
+from scipy.integrate import OdeSolver, solve_ivp
 
 from localfloer.corpus import (
     GERMS,
@@ -24,6 +26,7 @@ from localfloer.germs import (
     _newton_search,
     _reparam,
     _seed_orbit,
+    _variational_flow,
     concatenate,
     find_fixed_points,
     fixed_point_record,
@@ -31,6 +34,7 @@ from localfloer.germs import (
     flow_points,
     gap_table,
     monodromy,
+    orbit_action,
     translate,
 )
 from localfloer.paths import index_report
@@ -463,3 +467,72 @@ def test_radial_corpus_hessians(name):
         axis=2,
     )
     np.testing.assert_allclose(hess, fd, rtol=0.0, atol=1e-7)
+
+
+JET_GERMS = {
+    **{name: entry.factory for name, entry in GERMS.items()},
+    "translate": lambda: translate(resonant_rotation(), np.array([0.1, -0.05])),
+    "concatenate": lambda: concatenate(resonant_rotation(), quartic(1)),
+    "direct-sum": lambda: direct_sum_germ(resonant_rotation(), twisted_rotation()),
+    "iterate": lambda: iterate(concatenate(twisted_rotation(), quartic(-1)), 3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(JET_GERMS))
+def test_jet_equals_grad_and_hess(name):
+    # times on both halves of a concatenation and at its junctions
+    germ = JET_GERMS[name]()
+    rng = np.random.default_rng(5)
+    for t in (0.0, 0.2, 0.5, 0.7, 1.0):
+        for nbatch in (1, 9, 200):
+            z = rng.uniform(-0.4, 0.4, (nbatch, 2 * germ.n))
+            grad, hess = germ.jet(t, z)
+            assert grad.shape == z.shape and hess.shape == (nbatch, 2 * germ.n, 2 * germ.n)
+            assert np.array_equal(grad, germ.grad(t, z))
+            assert np.array_equal(hess, germ.hess(t, z))
+
+
+def _refuse(*args):
+    raise AssertionError("a callback the flow must not call")
+
+
+@pytest.mark.parametrize("name", ["resonant-rotation", "concatenate", "direct-sum"])
+def test_variational_flow_calls_the_jet_once_per_right_hand_side(name):
+    germ = JET_GERMS[name]()
+    jet, calls = germ.jet, []
+
+    def counting(t, z):
+        calls.append(len(z))
+        return jet(t, z)
+
+    germ.jet, germ.grad, germ.hess = counting, _refuse, _refuse
+    z0 = np.random.default_rng(2).uniform(-0.2, 0.2, (7, 2 * germ.n))
+    sol = _variational_flow(germ, z0, dense=False)
+    assert len(calls) == sol.nfev and set(calls) == {7}
+    # value-only flows call grad alone
+    germ = JET_GERMS[name]()
+    germ.jet, germ.hess = _refuse, _refuse
+    flow_points(germ, z0)
+    orbit_action(germ, np.zeros(2 * germ.n))
+
+
+def _integrators():
+    return sum(isinstance(obj, OdeSolver) for obj in gc.get_objects())
+
+
+def test_flows_leave_no_integrator_behind():
+    # the integrator refers to itself through its right-hand side, so only
+    # the cyclic collector frees it; every flow collects it before it returns
+    germ = resonant_rotation()
+    gc.collect()
+    assert _integrators() == 0
+    # a long flow: the twist turns fast at |z| = 0.5
+    far = np.array([[0.5, 0.0]])
+    assert _variational_flow(germ, far, dense=False).nfev > 1000
+    assert _integrators() == 0
+    flow_points(germ, far)
+    assert _integrators() == 0
+    flow_jacobians(germ, np.vstack([far, np.random.default_rng(3).uniform(-0.3, 0.3, (50, 2))]))
+    assert _integrators() == 0
+    monodromy(germ, far[0]).endpoint()
+    assert _integrators() == 0

@@ -241,13 +241,13 @@ def test_vanishing_ranks_cannot_be_aligned():
     def grad(t, z):
         return np.stack([3.0 * a * z[:, 0] ** 2, 2.0 * eps * z[:, 1]], axis=1)
 
-    def hess(t, z):
+    def jet(t, z):
         out = np.zeros((len(z), 2, 2))
         out[:, 0, 0] = 6.0 * a * z[:, 0]
         out[:, 1, 1] = 2.0 * eps
-        return out
+        return grad(t, z), out
 
-    germ = HamiltonianGerm(n=1, value=value, grad=grad, hess=hess, name="inflection")
+    germ = HamiltonianGerm(n=1, value=value, grad=grad, jet=jet, name="inflection")
     with pytest.raises(ShiftAmbiguous):
         verify_persistence(germ, record_of(germ), [1, 2])
 
