@@ -7,7 +7,11 @@ homology of the pair is computed over GF(2) from relative cell counts and
 boundary ranks.  The ranks of d_1 and d_m come from component counts
 (H_0 and H_m, found with scipy's connected_components), so a line or plane
 field needs no elimination; only d_2 .. d_{m-1} of a field in three or more
-variables are ranked by bit-packed Gaussian elimination.
+variables are ranked by bit-packed Gaussian elimination.  The component
+graphs hold the relative cells of X minus A only, so their cost follows
+the collar, not the box.  Each grid's nodes and gradient norms are
+computed once, and the window check of sublevel_pair reads only the nodes
+in its value window.
 
 The sampling is an approximation; the correctness gate is stabilization of
 the graded ranks across the two finest grid resolutions, plus an Euler
@@ -17,6 +21,7 @@ computed independently by boundary winding (plane fields only).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from itertools import combinations
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
@@ -172,21 +177,37 @@ def _free_components(sink: np.ndarray, joined: Sequence[np.ndarray]) -> int:
 
     The cells are the entries of the grid-shaped boolean array sink;
     joined[ax] (one entry shorter along ax) joins each cell to its
-    neighbour one step up along ax.
+    neighbour one step up along ax.  The graph is built on the free cells
+    (those not in sink) only, so its size follows the relative cells, not
+    the grid: a join of two free cells is an edge, and a join of a free
+    cell to a sink cell marks the free cell's component.
     """
-    flat = np.arange(sink.size).reshape(sink.shape)
-    lo = np.concatenate(
-        [flat[_axis_slice(sink.ndim, ax, LOWER)][j] for ax, j in enumerate(joined)]
-    )
-    hi = np.concatenate(
-        [flat[_axis_slice(sink.ndim, ax, UPPER)][j] for ax, j in enumerate(joined)]
-    )
+    m, free = sink.ndim, ~sink
+    nfree = int(np.count_nonzero(free))
+    if nfree == 0:
+        return 0
+    ids = np.full(sink.shape, -1, dtype=np.int64)
+    ids[free] = np.arange(nfree)
+    lo: List[np.ndarray] = []
+    hi: List[np.ndarray] = []
+    marked: List[np.ndarray] = []
+    for ax, j in enumerate(joined):
+        free_lo = free[_axis_slice(m, ax, LOWER)]
+        free_hi = free[_axis_slice(m, ax, UPPER)]
+        ids_lo = ids[_axis_slice(m, ax, LOWER)]
+        ids_hi = ids[_axis_slice(m, ax, UPPER)]
+        edge = j & free_lo & free_hi
+        lo.append(ids_lo[edge])
+        hi.append(ids_hi[edge])
+        marked.append(ids_lo[j & free_lo & ~free_hi])
+        marked.append(ids_hi[j & free_hi & ~free_lo])
+    lo_ids, hi_ids = np.concatenate(lo), np.concatenate(hi)
     graph = coo_matrix(
-        (np.ones(lo.size, dtype=np.int8), (lo, hi)), shape=(sink.size, sink.size)
+        (np.ones(lo_ids.size, dtype=np.int8), (lo_ids, hi_ids)), shape=(nfree, nfree)
     )
     ncomp, labels = connected_components(graph, directed=False)
     hit = np.zeros(ncomp, dtype=bool)
-    hit[labels[sink.ravel()]] = True
+    hit[labels[np.concatenate(marked)]] = True
     return ncomp - int(np.count_nonzero(hit))
 
 
@@ -315,6 +336,30 @@ def _sample(
     return values, grid_gradient(values, box)
 
 
+def _node_radii(box: Box, resolution: int) -> np.ndarray:
+    """max_i |x_i - c_i| at the box grid nodes, shape (res,) * m, broadcast
+    from the axes instead of read from box.nodes."""
+    offsets = [np.abs(axis - c) for axis, c in zip(box.axes(resolution), box.center)]
+    return reduce(np.maximum, np.ix_(*offsets))
+
+
+def _resolution_floor(g: np.ndarray, at: Tuple[np.ndarray, ...], h: float) -> np.ndarray:
+    """0.75 h |Hess|_F at the grid nodes at (index arrays, as np.nonzero
+    gives them), Hess read from g as np.gradient(g[..., i], h,
+    edge_order=1) would: central differences, one-sided on the box faces."""
+    res, m = g.shape[0], g.shape[-1]
+    hess_sq = np.zeros(len(at[0]))
+    for i in range(m):
+        for ax in range(m):
+            up = np.minimum(at[ax] + 1, res - 1)
+            down = np.maximum(at[ax] - 1, 0)
+            above = at[:ax] + (up,) + at[ax + 1 :] + (i,)
+            below = at[:ax] + (down,) + at[ax + 1 :] + (i,)
+            cgrid = (g[above] - g[below]) / ((up - down) * h)
+            hess_sq += cgrid * cgrid
+    return 0.75 * h * np.sqrt(hess_sq)
+
+
 def sublevel_pair(
     values: np.ndarray,
     g: np.ndarray,
@@ -333,29 +378,20 @@ def sublevel_pair(
     resolution floor 0.75 h |Hess|_F, below which a zero of the gradient
     within one node spacing cannot be ruled out (half-diagonal reach
     h sqrt(m)/2 times operator norm, estimated as |Hess|_F / sqrt(m)).
+    The gradient norm and the floor are read at the window nodes only.
     """
     if delta <= 0:
         raise ValueError("delta must be positive")
     resolution = values.shape[0]
     h = box.spacing(resolution)
-    gnorm = np.linalg.norm(g, axis=-1)
-    hess_sq = np.zeros_like(values)
-    for i in range(box.m):
-        comps = np.gradient(g[..., i], h, edge_order=1)
-        if box.m == 1:
-            comps = [comps]
-        for cgrid in comps:
-            hess_sq += cgrid * cgrid
-    floor = 0.75 * h * np.sqrt(hess_sq)
-    radii = np.max(
-        np.abs(box.nodes(resolution) - np.asarray(box.center)), axis=1
-    ).reshape(values.shape)
-    window = (
+    window = np.nonzero(
         (values >= c - delta)
         & (values <= c + delta)
-        & (radii > exclude_fraction * box.radius)
+        & (_node_radii(box, resolution) > exclude_fraction * box.radius)
     )
-    bad = window & (gnorm <= floor)
+    gnorm = np.linalg.norm(g[window], axis=-1)
+    floor = _resolution_floor(g, window, h)
+    bad = gnorm <= floor
     if np.any(bad):
         weakest = float(np.min(gnorm[bad]))
         there = float(np.max(floor[bad]))
@@ -419,13 +455,11 @@ def local_morse_homology(
 
     fine = res_sorted[-1]
     values_fine, g_fine = _sample(fn, grad, box, fine)
-    radii = np.max(np.abs(box.nodes(fine) - np.asarray(box.center)), axis=1).reshape(
-        values_fine.shape
-    )
+    gn_fine = np.linalg.norm(g_fine, axis=-1)
+    radii = _node_radii(box, fine)
     shell_mask = (radii >= SHELL[0] * box.radius) & (radii <= SHELL[1] * box.radius)
-    gnorm_shell = np.linalg.norm(g_fine[shell_mask], axis=-1)
-    scale = max(float(np.max(np.linalg.norm(g_fine, axis=-1))), 1e-300)
-    if float(np.min(gnorm_shell)) <= 1e-9 * scale:
+    scale = max(float(np.max(gn_fine)), 1e-300)
+    if float(np.min(gn_fine[shell_mask])) <= 1e-9 * scale:
         raise NotIsolated(
             "gradient vanishes on the shell; the critical point is not isolated"
         )
@@ -433,8 +467,11 @@ def local_morse_homology(
     results = []
     deltas = []
     for res in res_sorted:
-        values, g = (values_fine, g_fine) if res == fine else _sample(fn, grad, box, res)
-        gn = np.linalg.norm(g, axis=-1)
+        if res == fine:
+            values, g, gn = values_fine, g_fine, gn_fine
+        else:
+            values, g = _sample(fn, grad, box, res)
+            gn = np.linalg.norm(g, axis=-1)
         d = box.spacing(res) * max(float(np.median(gn)), 0.05 * float(np.max(gn)))
         pair = sublevel_pair(values, g, c, d, box, exclude_fraction=exclude_fraction)
         results.append(relative_homology_z2(pair))

@@ -14,13 +14,20 @@ another way, or a construction the tests need to probe it:
 * ``conjugated_map``: S^{-1} phi S for symplectic S;
 * ``reconstruction_residual``: how far X_F o psi_k misses phi^k - id;
 * ``distinct_pairwise``: the deduplication of ``germs._distinct`` as a
-  loop over pairs of points.
+  loop over pairs of points;
+* ``full_box_free_components``: the component count of
+  ``cubical._free_components`` from a graph over every cell of the grid;
+* ``full_grid_resolution_floor``: the floor of ``cubical.sublevel_pair``'s
+  window check at every node, from ``np.gradient``, against
+  ``cubical._resolution_floor`` at the window nodes.
 """
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 from scipy.interpolate import RegularGridInterpolator
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
 
 from localfloer.errors import ClusterAmbiguous
 from localfloer.fields import grid_gradient
@@ -148,6 +155,41 @@ def distinct_pairwise(points: np.ndarray, tol: float) -> np.ndarray:
         if all(np.linalg.norm(p - q) > tol for q in keep):
             keep.append(p)
     return np.array(keep).reshape(-1, points.shape[1])
+
+
+# ------------------------------------------------------ cubical components
+
+
+def full_box_free_components(sink: np.ndarray, joined) -> int:
+    """Components of the cell graph that meet no sink cell, from a graph
+    over every cell: joined[ax] joins each cell to its neighbour one step
+    up along ax, and a component counts when none of its cells is a sink."""
+    m = sink.ndim
+    flat = np.arange(sink.size).reshape(sink.shape)
+    lo, hi = [], []
+    for ax, j in enumerate(joined):
+        below = [slice(None)] * m
+        above = [slice(None)] * m
+        below[ax], above[ax] = slice(0, -1), slice(1, None)
+        lo.append(flat[tuple(below)][j])
+        hi.append(flat[tuple(above)][j])
+    lo, hi = np.concatenate(lo), np.concatenate(hi)
+    graph = coo_matrix((np.ones(lo.size, dtype=np.int8), (lo, hi)), shape=(sink.size,) * 2)
+    ncomp, labels = connected_components(graph, directed=False)
+    hit = np.zeros(ncomp, dtype=bool)
+    hit[labels[sink.ravel()]] = True
+    return ncomp - int(np.count_nonzero(hit))
+
+
+def full_grid_resolution_floor(g: np.ndarray, h: float) -> np.ndarray:
+    """0.75 h |Hess|_F at every node, Hess from np.gradient of g's components."""
+    m = g.shape[-1]
+    hess_sq = np.zeros(g.shape[:-1])
+    for i in range(m):
+        comps = np.gradient(g[..., i], h, edge_order=1)
+        for cgrid in [comps] if m == 1 else comps:
+            hess_sq += cgrid * cgrid
+    return 0.75 * h * np.sqrt(hess_sq)
 
 
 # ------------------------------------------------------------- germ maps

@@ -6,7 +6,9 @@ into two ordinary saddles, giving rank 2 in degree 1; f = x^3 on the
 line has vanishing local homology.  Euler characteristics must agree
 with the boundary winding degree of the gradient.  The engine's
 component counts for degrees 0 and m are checked against elimination of
-every boundary matrix (ranks_by_elimination).
+every boundary matrix (ranks_by_elimination), and the count of free
+components on the relative cells against a graph over the whole grid
+(oracles.full_box_free_components).
 """
 import numpy as np
 import pytest
@@ -25,6 +27,7 @@ from localfloer.cubical import (
 )
 from localfloer.errors import CriticalValueInWindow, NotIsolated
 from localfloer.fields import Box, grid_gradient
+from oracles import full_box_free_components, full_grid_resolution_floor
 
 BOX1 = Box(center=(0.0,), radius=1.0)
 BOX2 = Box(center=(0.0, 0.0), radius=1.0)
@@ -194,6 +197,75 @@ def test_elimination_only_for_middle_degrees(monkeypatch, m):
     assert shapes == [(cells[d], cells[d - 1]) for d in range(2, m)]
 
 
+# --- free components on the relative cells against the full-box graph
+
+
+def random_joins(rng, shape, p_join):
+    m = len(shape)
+    return [
+        rng.random(tuple(n - 1 if d == ax else n for d, n in enumerate(shape))) < p_join
+        for ax in range(m)
+    ]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(1, 4).flatmap(
+        lambda m: st.tuples(
+            st.just(m),
+            st.integers(1, MAX_SIDE[m]),
+            st.integers(0, 2**32 - 1),
+            st.floats(0.0, 1.0),
+            st.floats(0.0, 1.0),
+        )
+    )
+)
+def test_free_components_match_full_box_graph(case):
+    m, side, seed, p_sink, p_join = case
+    rng = np.random.default_rng(seed)
+    shape = (side,) * m
+    sink = rng.random(shape) < p_sink
+    joined = random_joins(rng, shape, p_join)
+    assert cubical._free_components(sink, joined) == full_box_free_components(sink, joined)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+@pytest.mark.parametrize("side", [2, 3, 5])
+@pytest.mark.parametrize(
+    "case", ["no-free-cell", "all-free", "all-free-unjoined", "free-joined-to-sinks-only"]
+)
+def test_free_components_on_edge_cases(m, side, case):
+    rng = np.random.default_rng(side * 10 + m)
+    shape = (side,) * m
+    # a checkerboard: every neighbour of a free cell is a sink
+    checker = np.indices(shape).sum(axis=0) % 2 == 0
+    sink, joined, expected = {
+        "no-free-cell": (np.ones(shape, bool), random_joins(rng, shape, 0.5), 0),
+        "all-free": (np.zeros(shape, bool), random_joins(rng, shape, 1.0), 1),
+        "all-free-unjoined": (np.zeros(shape, bool), random_joins(rng, shape, 0.0), side**m),
+        "free-joined-to-sinks-only": (checker, random_joins(rng, shape, 1.0), 0),
+    }[case]
+    assert cubical._free_components(sink, joined) == expected
+    assert full_box_free_components(sink, joined) == expected
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_free_cells_joined_to_sinks_only_count_when_unjoined(m):
+    """Free cells among sinks, each joined to at most one sink: the ones
+    with no join are components of their own, the rest are marked."""
+    shape = (4,) * m
+    sink = np.indices(shape).sum(axis=0) % 2 == 0
+    joined = random_joins(np.random.default_rng(m), shape, 0.0)
+    free = np.argwhere(~sink)
+    for cell in free[::2]:
+        ax = int(np.argmax(cell > 0))
+        lower = tuple(cell - np.eye(m, dtype=int)[ax])
+        joined[ax][lower] = True
+    expected = len(free) - len(free[::2])
+    assert cubical._free_components(sink, joined) == expected
+    assert full_box_free_components(sink, joined) == expected
+
+
 # --- local Morse homology of the field corpus
 
 
@@ -266,6 +338,50 @@ def test_gradient_sampled_once_per_resolution():
 
     local_morse_homology(e.value, BOX2, resolutions=(17, 25, 33), grad=grad)
     assert sorted(sizes) == [17**2, 25**2, 33**2]
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+@pytest.mark.parametrize("res", [2, 7, 8, 33])
+def test_node_radii_match_the_grid_nodes(m, res):
+    center = tuple(0.37 * (-1) ** i * (i + 1) for i in range(m))
+    box = Box(center=center, radius=0.81)
+    expected = np.max(np.abs(box.nodes(res) - np.asarray(center)), axis=1)
+    radii = cubical._node_radii(box, res)
+    assert radii.shape == (res,) * m
+    assert np.array_equal(radii.ravel(), expected)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+@pytest.mark.parametrize("res", [2, 3, 8, 9])
+def test_window_floor_matches_the_full_grid_gradient(m, res):
+    """The window check's floor, read at a random window including the box
+    faces and corners, equals np.gradient's over the whole grid bit for bit."""
+    rng = np.random.default_rng(10 * res + m)
+    g = rng.normal(size=(res,) * m + (m,)) * np.exp(rng.normal(size=(res,) * m + (m,)))
+    h = Box(center=(0.3,) * m, radius=0.7).spacing(res)
+    mask = rng.random((res,) * m) < 0.5
+    mask[(0,) * m] = mask[(-1,) * m] = True
+    floor = cubical._resolution_floor(g, np.nonzero(mask), h)
+    assert np.array_equal(floor, full_grid_resolution_floor(g, h)[mask])
+
+
+def test_grid_nodes_built_once_per_resolution(monkeypatch):
+    """local_morse_homology builds the nodes of each grid once, to sample
+    the field there; radii come from the axes."""
+    calls = []
+    nodes = Box.nodes
+
+    def counting(self, resolution):
+        calls.append(resolution)
+        return nodes(self, resolution)
+
+    monkeypatch.setattr(Box, "nodes", counting)
+    e = FIELDS["saddle"]
+    local_morse_homology(e.value, BOX2, resolutions=(17, 25, 33), grad=e.grad)
+    assert sorted(calls) == [17, 25, 33]
+    calls.clear()
+    local_morse_homology(e.value, BOX2, resolutions=(17, 25, 33))
+    assert sorted(calls) == [17, 25, 33]
 
 
 def test_invariance_under_scaling_and_rotation():
