@@ -48,6 +48,9 @@ __all__ = [
     "gradient_degree",
 ]
 
+# the resolutions at which local Morse homology must stabilize, unless set
+HM_RESOLUTIONS = (17, 25, 33)
+
 # ------------------------------------------------------------- graded ranks
 
 
@@ -429,7 +432,7 @@ class MorseReport:
 def local_morse_homology(
     f: FieldLike,
     box: Box,
-    resolutions: Sequence[int] = (17, 25, 33),
+    resolutions: Sequence[int] = HM_RESOLUTIONS,
     grad: Optional[Callable] = None,
     exclude_fraction: float = 0.5,
 ) -> MorseReport:
@@ -437,6 +440,7 @@ def local_morse_homology(
 
     Computes sublevel-pair homology at each resolution and requires the
     graded ranks to agree across the two finest (NotStabilized otherwise).
+    Resolutions must be odd, so that the origin is a grid node.
     The critical point must be isolated: the gradient may not vanish on the
     SHELL annulus (NotIsolated).
 
@@ -449,6 +453,8 @@ def local_morse_homology(
         raise ValueError("dimension 4 restricted to resolutions <= 33")
     if len(resolutions) < 2:
         raise ValueError("need at least two resolutions for the stabilization gate")
+    if any(int(r) % 2 == 0 for r in resolutions):
+        raise ValueError("resolutions must be odd so the origin is a node")
     res_sorted = sorted(int(r) for r in resolutions)
     fn = _as_callable(f)
     c = float(np.asarray(fn(np.zeros((1, box.m))))[0])

@@ -8,8 +8,10 @@ function F_k is determined by
 
 with X_F = (F_y, -F_x).  Writing (u, v) = phi^k(z) - z this pins the
 gradient samples grad F_k = (-v, u) at the nodes w = psi_k(z), and F_k is
-assembled by integrating that 1-form along axis-aligned paths from the
-center node.  The 1-form is closed up to discretization; the maximal
+assembled by integrating that 1-form from the center node: along x on the
+center row, then along y from that row.  Assembly is plane code, as are
+the spline maps that feed it: ``generating_function`` refuses germs of
+dimension above 2.  The 1-form is closed up to discretization; the maximal
 plaquette circulation is measured and reported, and large values signal a
 box that is too large or a grid that is too coarse.
 
@@ -21,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import List, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -343,61 +345,37 @@ def psi(phi: GermMap, k: int, probe_box: Box) -> PsiMap:
 # ------------------------------------------------------- assembly of F
 
 
-def _path_integrate(grad_grid: np.ndarray, spacing: float) -> np.ndarray:
-    """Potential from gradient samples by trapezoid sweeps from the center node.
+def _sweep(line: np.ndarray, spacing: float) -> np.ndarray:
+    """Cumulative trapezoid integral along the last axis, out from the center index."""
+    c = line.shape[-1] // 2
+    pair = 0.5 * spacing * (line[..., :-1] + line[..., 1:])
+    cum = np.zeros_like(line)
+    cum[..., c + 1 :] = np.cumsum(pair[..., c:], axis=-1)
+    cum[..., c - 1 :: -1] = -np.cumsum(pair[..., c - 1 :: -1], axis=-1)
+    return cum
 
-    grad_grid has shape (res,) * m + (m,).  Axis d is integrated on the slab
-    where axes > d sit at their center index, then broadcast.
-    """
-    shape = grad_grid.shape[:-1]
-    m = grad_grid.shape[-1]
-    res = shape[0]
-    c = res // 2
-    f = np.zeros(shape)
-    for d in range(m):
-        g = grad_grid[..., d]
-        # restrict axes > d to center
-        idx: List[object] = [slice(None)] * (d + 1) + [c] * (m - d - 1)
-        line = g[tuple(idx)]
-        # cumulative trapezoid along axis d away from the center index
-        cum = np.zeros_like(line)
-        pair = 0.5 * spacing * (np.take(line, range(0, res - 1), axis=d) + np.take(line, range(1, res), axis=d))
-        fwd = np.cumsum(np.take(pair, range(c, res - 1), axis=d), axis=d)
-        bwd = np.cumsum(np.take(pair, range(c - 1, -1, -1), axis=d), axis=d)
-        front = [slice(None)] * d
-        cum[tuple(front + [slice(c + 1, res)])] = fwd
-        cum[tuple(front + [slice(c - 1, None, -1)])] = -bwd
-        f += cum.reshape(shape[: d + 1] + (1,) * (m - d - 1))
+
+def _path_integrate(grad_grid: np.ndarray, spacing: float) -> np.ndarray:
+    """Potential from plane gradient samples, shape (res, res, 2), by two
+    trapezoid sweeps from the center node: along x on the center row, then
+    along y from that row."""
+    # summed onto zeros, so that no entry comes out as -0.0
+    f = np.zeros(grad_grid.shape[:2])
+    f += _sweep(grad_grid[:, grad_grid.shape[0] // 2, 0], spacing)[:, None]
+    f += _sweep(grad_grid[..., 1], spacing)
     return f
 
 
 def _plaquette_defect(grad_grid: np.ndarray, spacing: float) -> float:
-    """Max trapezoid circulation of the sampled 1-form over unit grid cells."""
-    m = grad_grid.shape[-1]
-    worst = 0.0
-    for a in range(m):
-        for b in range(a + 1, m):
-            ga = grad_grid[..., a]
-            gb = grad_grid[..., b]
-
-            def shift(arr, axis, lo):
-                sl = [slice(None)] * arr.ndim
-                sl[axis] = slice(0, -1) if lo else slice(1, None)
-                return arr[tuple(sl)]
-
-            ga00 = shift(shift(ga, a, True), b, True)
-            ga10 = shift(shift(ga, a, False), b, True)
-            ga01 = shift(shift(ga, a, True), b, False)
-            ga11 = shift(shift(ga, a, False), b, False)
-            gb00 = shift(shift(gb, a, True), b, True)
-            gb10 = shift(shift(gb, a, False), b, True)
-            gb01 = shift(shift(gb, a, True), b, False)
-            gb11 = shift(shift(gb, a, False), b, False)
-            loop = 0.5 * spacing * (
-                (ga00 + ga10) + (gb10 + gb11) - (ga01 + ga11) - (gb00 + gb01)
-            )
-            worst = max(worst, float(np.max(np.abs(loop))))
-    return worst
+    """Max trapezoid circulation of the sampled plane 1-form over unit grid cells."""
+    gx, gy = grad_grid[..., 0], grad_grid[..., 1]
+    loop = 0.5 * spacing * (
+        (gx[:-1, :-1] + gx[1:, :-1])
+        + (gy[1:, :-1] + gy[1:, 1:])
+        - (gx[:-1, 1:] + gx[1:, 1:])
+        - (gy[:-1, :-1] + gy[:-1, 1:])
+    )
+    return float(np.max(np.abs(loop)))
 
 
 @dataclass(frozen=True)
@@ -442,9 +420,7 @@ def generating_function(
     min_det = float(np.min(np.abs(np.linalg.det(jacs[:, :n, :n]))))
     if min_det < DET_MIN:
         raise NotInvertibleOnBox(f"xx Jacobian block determinant reaches {min_det:.3e}")
-    grad = pm.gradient(nodes)
-    m = 2 * n
-    grad_grid = grad.reshape((resolution,) * m + (m,))
+    grad_grid = pm.gradient(nodes).reshape(resolution, resolution, 2)
     spacing = box.spacing(resolution)
     defect = _plaquette_defect(grad_grid, spacing)
     if defect > closedness_tol:
@@ -453,7 +429,7 @@ def generating_function(
             "shrink the box or refine the grid"
         )
     values = _path_integrate(grad_grid, spacing)
-    values[(resolution // 2,) * m] = 0.0
+    values[resolution // 2, resolution // 2] = 0.0
     return GeneratingFunction(
         field=SampledField(box=box, values=values),
         order=k,
@@ -464,22 +440,13 @@ def generating_function(
 
 
 def _sign_change_cells(comp_grid: np.ndarray) -> np.ndarray:
-    """Boolean mask of grid cells where the component attains both signs."""
-    m = comp_grid.ndim
-    pos = comp_grid > 0
-    neg = comp_grid < 0
-    zero = comp_grid == 0
+    """Boolean mask of plane grid cells where the component attains both
+    signs, or zero, at its corners."""
 
     def cell_any(mask):
-        out = None
-        for corner in range(1 << m):
-            sl = tuple(
-                slice(1, None) if corner >> d & 1 else slice(0, -1) for d in range(m)
-            )
-            out = mask[sl] if out is None else out | mask[sl]
-        return out
+        return mask[:-1, :-1] | mask[1:, :-1] | mask[:-1, 1:] | mask[1:, 1:]
 
-    return (cell_any(pos) & cell_any(neg)) | cell_any(zero)
+    return (cell_any(comp_grid > 0) & cell_any(comp_grid < 0)) | cell_any(comp_grid == 0)
 
 
 def _cell_centers(box: Box, resolution: int, mask: np.ndarray) -> np.ndarray:
@@ -505,20 +472,16 @@ def gf_property_report(phi: GermMap, gf: GeneratingFunction) -> dict:
     box = gf.field.box
     res = gf.field.resolution
     g = grid_gradient(gf.field.values, box)
-    crit_mask = None
-    for i in range(g.shape[-1]):
-        mask = _sign_change_cells(g[..., i])
-        crit_mask = mask if crit_mask is None else crit_mask & mask
-    crit_pts = _cell_centers(box, res, crit_mask)
+    crit_pts = _cell_centers(
+        box, res, _sign_change_cells(g[..., 0]) & _sign_change_cells(g[..., 1])
+    )
 
     phi_k = phi.iterate(gf.order)
     nodes = box.nodes(res)
-    disp = phi_k(nodes) - nodes
-    fixed_mask = None
-    for i in range(disp.shape[1]):
-        mask = _sign_change_cells(disp[:, i].reshape((res,) * box.m))
-        fixed_mask = mask if fixed_mask is None else fixed_mask & mask
-    fixed_pts = _cell_centers(box, res, fixed_mask)
+    disp = (phi_k(nodes) - nodes).reshape(res, res, 2)
+    fixed_pts = _cell_centers(
+        box, res, _sign_change_cells(disp[..., 0]) & _sign_change_cells(disp[..., 1])
+    )
 
     tol = 3.0 * box.spacing(res)
     haus = _hausdorff(crit_pts, fixed_pts)

@@ -31,7 +31,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .cubical import GradedRanks, gradient_degree, local_morse_homology
+from .cubical import HM_RESOLUTIONS, GradedRanks, gradient_degree, local_morse_homology
 from .errors import (
     DegenerateEndpoint,
     HypothesisFailed,
@@ -60,10 +60,8 @@ __all__ = [
 
 SDM_DELTA_TOL = 1e-6
 WINDOW_TOL = 1e-6
-# grids of the degenerate route: the spline of phi (n = 1) and the
-# resolutions at which the local Morse homology of F_k must stabilize
+# grid of the spline of phi (n = 1) on the degenerate route
 SPLINE_RESOLUTION = 97
-HM_RESOLUTIONS = (17, 25, 33)
 _CONVENTIONS = {
     "nondegenerate": "cz_anchor",
     "strongly_degenerate": "genfun_N0",

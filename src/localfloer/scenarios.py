@@ -44,7 +44,7 @@ import numpy as np
 
 from . import corpus
 from .corpus import FIELDS, GERMS
-from .cubical import gradient_degree, local_morse_homology
+from .cubical import HM_RESOLUTIONS, gradient_degree, local_morse_homology
 from .errors import (
     LocalFloerError,
     MissingReport,
@@ -87,7 +87,8 @@ FORMULAS: Dict[str, Callable[..., HamiltonianGerm]] = {
 
 _TOP_KEYS = {"schema", "name", "germ", "tasks", "k_range", "tolerances", "seed", "out"}
 _GERM_KEYS = {"formula", "parameters", "box"}
-_TOL_KEYS = {"sdm_delta_tol", "newton_tol"}
+# scenario tolerances and the library parameters they set
+_TOL_PARAMS = {"sdm_delta_tol": "delta_tol", "newton_tol": "newton_tol"}
 _FLOAT_MAX = float(np.finfo(float).max)
 
 
@@ -133,9 +134,9 @@ _TASK_KEYS: Dict[str, Dict[str, tuple]] = {
         ),
         "resolutions": (
             lambda v: isinstance(v, list)
-            and all(_is_int(r) and r >= 3 for r in v)
+            and all(_is_int(r) and r >= 3 and r % 2 == 1 for r in v)
             and len(set(v)) == len(v) >= 2,
-            "a list of at least two distinct integers >= 3",
+            "a list of at least two distinct odd integers >= 3",
         ),
         "radius": _POSITIVE,
         "exclude_fraction": _FRACTION,
@@ -241,7 +242,7 @@ def parse_scenario(obj: dict, source: str = "<memory>") -> Scenario:
 
     tolerances = obj.get("tolerances", {})
     _require(isinstance(tolerances, dict), "tolerances must be an object")
-    _reject_unknown(tolerances, _TOL_KEYS, "tolerances")
+    _reject_unknown(tolerances, set(_TOL_PARAMS), "tolerances")
     for key, val in tolerances.items():
         _require(_is_positive(val), f"tolerance {key!r} must be positive")
 
@@ -314,12 +315,14 @@ def _gate(gid: str, passed: bool, detail: str = "") -> dict:
 # ---------------------------------------------------------------- task runners
 
 
-def _lf_kwargs(task: dict) -> dict:
-    out = {}
-    for key in ("gf_radius", "gf_resolution", "c1_gate", "exclude_fraction"):
-        if key in task:
-            out[key] = task[key]
-    return out
+def _settings(sc: Scenario, task: dict, *tolerances: str) -> dict:
+    """Keyword arguments for a task's library call: the named scenario
+    tolerances under their parameter names, then every setting the task
+    set, which wins.  What neither sets is not passed, so its default is
+    the library's."""
+    kwargs = {_TOL_PARAMS[t]: sc.tolerances[t] for t in tolerances if t in sc.tolerances}
+    kwargs.update((key, val) for key, val in task.items() if key != "kind")
+    return kwargs
 
 
 def _run_spectrum(sc: Scenario, task: dict, out: Path, prefix: str):
@@ -348,7 +351,7 @@ def _run_persistence(sc: Scenario, task: dict, out: Path, prefix: str):
     record = sc.record
     ks = [k for k in sc.ks if admissible(record.endpoint, k)]
     skipped = [k for k in sc.ks if k not in ks]
-    report = verify_persistence(sc.germ, record, ks, **_lf_kwargs(task))
+    report = verify_persistence(sc.germ, record, ks, **_settings(sc, task))
     payload = {
         "germ": sc.germ_name,
         "skipped_inadmissible": skipped,
@@ -365,13 +368,7 @@ def _run_persistence(sc: Scenario, task: dict, out: Path, prefix: str):
 
 
 def _run_sdm(sc: Scenario, task: dict, out: Path, prefix: str):
-    result = detect_sdm(
-        sc.germ,
-        sc.record,
-        delta_tol=sc.tolerances.get("sdm_delta_tol", 1e-6),
-        crosscheck=task.get("crosscheck", True),
-        **_lf_kwargs(task),
-    )
+    result = detect_sdm(sc.germ, sc.record, **_settings(sc, task, "sdm_delta_tol"))
     payload = {"germ": sc.germ_name, **result}
     fn = f"{prefix}.json"
     _write_json(out / fn, payload)
@@ -398,13 +395,11 @@ def _default_radii(box_radius: float) -> List[float]:
 
 
 def _run_isolation(sc: Scenario, task: dict, out: Path, prefix: str):
-    radii = task.get("radii", _default_radii(sc.box_radius))
-    seeds = int(task.get("seeds_per_axis", 17))
-    ntol = float(task.get("newton_tol", sc.tolerances.get("newton_tol", 1e-11)))
-    phi = OdeGermMap(sc.germ)
+    settings = _settings(sc, task, "newton_tol")
+    radii = settings.pop("radii", _default_radii(sc.box_radius))
     # one search serves every order of the range
     reports = periodic_point_search(
-        phi, sc.ks[-1], radii, seeds_per_axis=seeds, newton_tol=ntol, first=sc.ks[0]
+        OdeGermMap(sc.germ), sc.ks[-1], radii, first=sc.ks[0], **settings
     )
     payload = {
         "germ": sc.germ_name,
@@ -431,10 +426,9 @@ def _run_isolation(sc: Scenario, task: dict, out: Path, prefix: str):
 
 
 def _run_gaps(sc: Scenario, task: dict, out: Path, prefix: str):
-    radius = float(task.get("radius", sc.box_radius))
-    seeds = int(task.get("seeds_per_axis", 9))
-    ntol = sc.tolerances.get("newton_tol", 1e-11)
-    records = find_fixed_points(sc.germ, radius, seeds_per_axis=seeds, newton_tol=ntol)
+    settings = _settings(sc, task, "newton_tol")
+    radius = float(settings.pop("radius", sc.box_radius))
+    records = find_fixed_points(sc.germ, radius, **settings)
     tables = []
     skipped = []
     for k in sc.ks:
@@ -454,17 +448,15 @@ def _run_gaps(sc: Scenario, task: dict, out: Path, prefix: str):
 
 
 def _run_morse(sc: Scenario, task: dict, out: Path, prefix: str):
-    fname = task["field"]
+    settings = _settings(sc, task)
+    fname = settings.pop("field")
     entry = FIELDS[fname]
-    radius = float(task.get("radius", 1.0))
+    radius = float(settings.pop("radius", 1.0))
     box = Box(center=(0.0,) * entry.m, radius=radius)
-    resolutions = tuple(task.get("resolutions", (17, 25, 33)))
-    kwargs = {}
-    if "exclude_fraction" in task:
-        kwargs["exclude_fraction"] = float(task["exclude_fraction"])
+    resolutions = settings.get("resolutions", HM_RESOLUTIONS)
     gates = []
     try:
-        report = local_morse_homology(entry.value, box, resolutions, grad=entry.grad, **kwargs)
+        report = local_morse_homology(entry.value, box, grad=entry.grad, **settings)
         ranks = report.ranks
         payload = {"field": fname, "box": box.to_json(), **report.to_json()}
         gates.append(_gate("morse.stabilized", True, f"resolutions {list(resolutions)}"))

@@ -19,10 +19,15 @@ another way, or a construction the tests need to probe it:
   ``cubical._free_components`` from a graph over every cell of the grid;
 * ``full_grid_resolution_floor``: the floor of ``cubical.sublevel_pair``'s
   window check at every node, from ``np.gradient``, against
-  ``cubical._resolution_floor`` at the window nodes.
+  ``cubical._resolution_floor`` at the window nodes;
+* ``any_dim_path_integrate``, ``any_dim_plaquette_defect`` and
+  ``any_dim_sign_change_cells``: the assembly helpers of ``genfun`` for
+  grids in any number m of variables, by loops over axes, axis pairs and
+  cell corners, against their plane forms.
 """
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import List
 
 import numpy as np
 from scipy.interpolate import RegularGridInterpolator
@@ -190,6 +195,85 @@ def full_grid_resolution_floor(g: np.ndarray, h: float) -> np.ndarray:
         for cgrid in [comps] if m == 1 else comps:
             hess_sq += cgrid * cgrid
     return 0.75 * h * np.sqrt(hess_sq)
+
+
+# ------------------------------------------------- generating-function assembly
+
+
+def any_dim_path_integrate(grad_grid: np.ndarray, spacing: float) -> np.ndarray:
+    """Potential from gradient samples by trapezoid sweeps from the center node.
+
+    grad_grid has shape (res,) * m + (m,).  Axis d is integrated on the slab
+    where axes > d sit at their center index, then broadcast.
+    """
+    shape = grad_grid.shape[:-1]
+    m = grad_grid.shape[-1]
+    res = shape[0]
+    c = res // 2
+    f = np.zeros(shape)
+    for d in range(m):
+        g = grad_grid[..., d]
+        # restrict axes > d to center
+        idx: List[object] = [slice(None)] * (d + 1) + [c] * (m - d - 1)
+        line = g[tuple(idx)]
+        # cumulative trapezoid along axis d away from the center index
+        cum = np.zeros_like(line)
+        pair = 0.5 * spacing * (np.take(line, range(0, res - 1), axis=d) + np.take(line, range(1, res), axis=d))
+        fwd = np.cumsum(np.take(pair, range(c, res - 1), axis=d), axis=d)
+        bwd = np.cumsum(np.take(pair, range(c - 1, -1, -1), axis=d), axis=d)
+        front = [slice(None)] * d
+        cum[tuple(front + [slice(c + 1, res)])] = fwd
+        cum[tuple(front + [slice(c - 1, None, -1)])] = -bwd
+        f += cum.reshape(shape[: d + 1] + (1,) * (m - d - 1))
+    return f
+
+
+def any_dim_plaquette_defect(grad_grid: np.ndarray, spacing: float) -> float:
+    """Max trapezoid circulation of the sampled 1-form over unit grid cells."""
+    m = grad_grid.shape[-1]
+    worst = 0.0
+    for a in range(m):
+        for b in range(a + 1, m):
+            ga = grad_grid[..., a]
+            gb = grad_grid[..., b]
+
+            def shift(arr, axis, lo):
+                sl = [slice(None)] * arr.ndim
+                sl[axis] = slice(0, -1) if lo else slice(1, None)
+                return arr[tuple(sl)]
+
+            ga00 = shift(shift(ga, a, True), b, True)
+            ga10 = shift(shift(ga, a, False), b, True)
+            ga01 = shift(shift(ga, a, True), b, False)
+            ga11 = shift(shift(ga, a, False), b, False)
+            gb00 = shift(shift(gb, a, True), b, True)
+            gb10 = shift(shift(gb, a, False), b, True)
+            gb01 = shift(shift(gb, a, True), b, False)
+            gb11 = shift(shift(gb, a, False), b, False)
+            loop = 0.5 * spacing * (
+                (ga00 + ga10) + (gb10 + gb11) - (ga01 + ga11) - (gb00 + gb01)
+            )
+            worst = max(worst, float(np.max(np.abs(loop))))
+    return worst
+
+
+def any_dim_sign_change_cells(comp_grid: np.ndarray) -> np.ndarray:
+    """Boolean mask of grid cells where the component attains both signs."""
+    m = comp_grid.ndim
+    pos = comp_grid > 0
+    neg = comp_grid < 0
+    zero = comp_grid == 0
+
+    def cell_any(mask):
+        out = None
+        for corner in range(1 << m):
+            sl = tuple(
+                slice(1, None) if corner >> d & 1 else slice(0, -1) for d in range(m)
+            )
+            out = mask[sl] if out is None else out | mask[sl]
+        return out
+
+    return (cell_any(pos) & cell_any(neg)) | cell_any(zero)
 
 
 # ------------------------------------------------------------- germ maps

@@ -1,6 +1,8 @@
 """Command line interface: scenario parsing, exit codes, artifacts."""
 
+import dataclasses
 import importlib.util
+import inspect
 import json
 import re
 import subprocess
@@ -11,7 +13,11 @@ from pathlib import Path
 import pytest
 
 import localfloer
+from localfloer import scenarios
 from localfloer.cli import main
+from localfloer.corpus import FIELDS
+from localfloer.errors import LocalFloerError
+from localfloer.invariants import _IterateSweep
 from localfloer.scenarios import _TASK_KEYS, parse_scenario
 
 
@@ -130,6 +136,7 @@ def test_missing_out_directory(tmp_path, capsys):
         {"kind": "isolation", "seeds_per_axis": "x"},
         {"kind": "gaps", "radius": "x"},
         {"kind": "morse", "field": "neg-r2", "resolutions": [17]},
+        {"kind": "morse", "field": "neg-r2", "resolutions": [16, 21]},
         {"kind": "persistence", "gf_radius": -1},
         {"kind": "isolation", "radii": [0.05, -0.01]},
         {"kind": "morse", "field": "no-such-field"},
@@ -144,20 +151,135 @@ def test_bad_task_setting(tmp_path, capsys, task):
     assert f"{task['kind']}.{key} must be" in err
 
 
-def test_readme_scenarios_and_settings_table_match_the_parser():
+# the library call each task kind's runner makes
+LIBRARY_CALLS = {
+    "persistence": "verify_persistence",
+    "sdm": "detect_sdm",
+    "isolation": "periodic_point_search",
+    "gaps": "find_fixed_points",
+    "morse": "local_morse_homology",
+}
+
+
+class Recorded(LocalFloerError):
+    """Raised by a stubbed library call once it has recorded its arguments."""
+
+
+def library_call(monkeypatch, tmp_path, task, tolerances=None, germ=None):
+    """(args, kwargs) the runner of task hands its library call, which is
+    stubbed to record them and raise, so nothing is computed."""
+    seen = []
+
+    def stub(*args, **kwargs):
+        seen.append((args, kwargs))
+        raise Recorded("recorded")
+
+    monkeypatch.setattr(scenarios, LIBRARY_CALLS[task["kind"]], stub)
+    raw = spectrum_scenario(tasks=[task], tolerances=tolerances or {}, k_range=[1, 1])
+    raw["germ"].update(germ or {})
+    scenarios.run_scenario(parse_scenario(raw), str(tmp_path))
+    assert len(seen) == 1
+    return seen[0]
+
+
+MORSE_GRAD = {"grad": FIELDS["neg-r2"].grad}
+
+
+@pytest.mark.parametrize(
+    "task, tolerances, expected",
+    [
+        # a task's own setting beats the scenario tolerance
+        ({"kind": "isolation", "newton_tol": 1e-10}, {"newton_tol": 1e-9}, {"newton_tol": 1e-10}),
+        ({"kind": "isolation"}, {"newton_tol": 1e-9}, {"newton_tol": 1e-9}),
+        # neither set: nothing passed, so the library default holds
+        ({"kind": "isolation", "seeds_per_axis": 5}, {}, {"seeds_per_axis": 5}),
+        ({"kind": "gaps"}, {"newton_tol": 1e-9}, {"newton_tol": 1e-9}),
+        ({"kind": "gaps", "seeds_per_axis": 5}, {"sdm_delta_tol": 1e-4}, {"seeds_per_axis": 5}),
+        ({"kind": "sdm"}, {"sdm_delta_tol": 1e-4, "newton_tol": 1e-9}, {"delta_tol": 1e-4}),
+        ({"kind": "sdm", "crosscheck": False}, {}, {"crosscheck": False}),
+        (
+            {"kind": "persistence", "gf_resolution": 17},
+            {"sdm_delta_tol": 1e-4, "newton_tol": 1e-9},
+            {"gf_resolution": 17},
+        ),
+        ({"kind": "morse", "field": "neg-r2"}, {"newton_tol": 1e-9}, MORSE_GRAD),
+        (
+            {"kind": "morse", "field": "neg-r2", "resolutions": [9, 11], "exclude_fraction": 0.25},
+            {},
+            {"resolutions": [9, 11], "exclude_fraction": 0.25, **MORSE_GRAD},
+        ),
+    ],
+)
+def test_runners_pass_task_settings_over_tolerances_and_nothing_unset(
+    tmp_path, monkeypatch, task, tolerances, expected
+):
+    _, kwargs = library_call(monkeypatch, tmp_path, task, tolerances)
+    kwargs.pop("first", None)  # the isolation search's first order, from k_range
+    assert kwargs == expected
+
+
+def test_readme_scenarios_and_settings_table_match_the_parser(tmp_path, monkeypatch):
+    """The README's settings table against the code: the value column
+    against the parser, the default column against each default's one
+    home, read by introspection (library signatures, the fields of
+    _IterateSweep) or from what a runner hands a stubbed library call."""
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     blocks = re.findall(r"```json\n(.*?)```", readme, re.S)
     assert len(blocks) >= 2
     for block in blocks:
         parse_scenario(json.loads(block), source="README.md")
-    rows = re.findall(r"^\| `(\w+)` \| `(\w+)` \| ([^|]+?) \|", readme, re.M)
-    table = {(kind, key): what for kind, key, what in rows}
+    rows = re.findall(r"^\| `(\w+)` \| `(\w+)` \| ([^|]+?) \| ([^|]+?) \|$", readme, re.M)
+    table = {(kind, key): what for kind, key, what, _ in rows}
     assert len(table) == len(rows)
     assert table == {
         (kind, key): what
         for kind, checks in _TASK_KEYS.items()
         for key, (_, what) in checks.items()
     }
+
+    defaults = {(kind, key): default for kind, key, _, default in rows}
+    sweep = {f.name: f.default for f in dataclasses.fields(_IterateSweep)}
+    signatures = {
+        kind: inspect.signature(getattr(scenarios, name)).parameters
+        for kind, name in LIBRARY_CALLS.items()
+    }
+
+    def library_default(kind, name):
+        params = signatures[kind]
+        if name in params:
+            return params[name].default
+        assert "lf_kwargs" in params, (kind, name)
+        return sweep[name]
+
+    # the scenario tolerances: the README's prose states their defaults
+    for tol, param in scenarios._TOL_PARAMS.items():
+        stated = re.search(rf"`{tol}` \(default ([^)]+)\)", readme).group(1)
+        readers = [kind for kind in ("sdm", "isolation", "gaps") if param in signatures[kind]]
+        assert readers, tol
+        for kind in readers:
+            assert library_default(kind, param) == json.loads(stated), (tol, kind)
+    assert defaults.pop(("isolation", "newton_tol")) == "`tolerances.newton_tol`"
+
+    # runner-level defaults, which depend on the scenario
+    assert defaults.pop(("morse", "field")) == "none: required"
+    assert defaults.pop(("gaps", "radius")) == "`germ.box`"
+    args, _ = library_call(monkeypatch, tmp_path, {"kind": "gaps"}, germ={"box": 0.3})
+    assert args[1] == 0.3
+    args, _ = library_call(monkeypatch, tmp_path, {"kind": "morse", "field": "neg-r2"})
+    assert repr(args[1].radius) == defaults.pop(("morse", "radius"))
+    assert defaults.pop(("isolation", "radii")) == (
+        "min(0.2, 0.8 × `germ.box`), 0.05, 0.01, 0.001, less those above 0.8 × `germ.box`"
+    )
+    for box, radii in [(1.4, [0.2, 0.05, 0.01, 0.001]), (0.05, [0.04, 0.01, 0.001])]:
+        args, _ = library_call(monkeypatch, tmp_path, {"kind": "isolation"}, germ={"box": box})
+        assert args[2] == pytest.approx(radii)
+
+    # every other default is the library's, passed by no runner
+    code = {}
+    for kind, key in defaults:
+        value = library_default(kind, key)
+        code[kind, key] = json.dumps(list(value) if isinstance(value, tuple) else value)
+    assert defaults == code
 
 
 # ------------------------------------------------------------- happy path

@@ -440,6 +440,14 @@ def test_requires_two_resolutions():
         local_morse_homology(e.value, BOX2, resolutions=(17,))
 
 
+@pytest.mark.parametrize("resolutions", [(16, 20), (17, 20), (16, 21, 25)])
+def test_even_resolutions_are_refused(resolutions):
+    """An even grid has no node at the origin: refused, not answered."""
+    e = FIELDS["monkey"]
+    with pytest.raises(ValueError, match="odd"):
+        local_morse_homology(e.value, BOX2, resolutions=resolutions, grad=e.grad)
+
+
 # --- Morse perturbation oracle
 
 

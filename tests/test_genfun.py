@@ -1,6 +1,8 @@
 """Generating functions of close-to-identity maps and their properties."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from localfloer.corpus import linear_rotation, morse_triple, quartic, shear
 from localfloer.errors import NotC1Small, NotInvertibleOnBox
@@ -11,12 +13,22 @@ from localfloer.genfun import (
     PsiMap,
     SplineGermMap,
     _opnorms,
+    _path_integrate,
+    _plaquette_defect,
+    _sign_change_cells,
     generating_function,
     gf_property_report,
     homotopy_isolation_scan,
     psi,
 )
-from oracles import conjugated_map, reconstruction_residual, scaling_conjugation
+from oracles import (
+    any_dim_path_integrate,
+    any_dim_plaquette_defect,
+    any_dim_sign_change_cells,
+    conjugated_map,
+    reconstruction_residual,
+    scaling_conjugation,
+)
 
 BOX2 = Box(center=(0.0, 0.0), radius=0.1)
 
@@ -272,3 +284,34 @@ def test_spline_psi_gradient_equals_the_two_pass_form():
     img, rows = pm.phi_k._value_and_x_rows(z)
     assert np.array_equal(img, pm.phi_k(z))
     assert np.array_equal(rows, pm.phi_k.jac(z)[:, :1])
+
+
+def _same_bits(a, b) -> bool:
+    """Equal values, signs of zero included."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    half=st.integers(1, 128),
+    log_scale=st.floats(-8.0, 2.0),
+    zeros=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_plane_assembly_equals_the_any_dim_oracles_bit_for_bit(half, log_scale, zeros, seed):
+    """The plane forms of the assembly helpers give the very floats (and
+    masks) of their m-dimensional loop forms, on random grids with a share
+    of signed zeros, at odd resolutions 3 .. 257."""
+    res = 2 * half + 1
+    rng = np.random.default_rng(seed)
+    grid = rng.standard_normal((res, res, 2)) * 10.0**log_scale
+    hit = rng.uniform(size=grid.shape) < zeros
+    grid[hit] = np.copysign(0.0, rng.standard_normal(np.count_nonzero(hit)))
+    spacing = 2.0 * 10.0**log_scale / (res - 1)
+    assert _same_bits(_path_integrate(grid, spacing), any_dim_path_integrate(grid, spacing))
+    assert _same_bits(
+        _plaquette_defect(grid, spacing), any_dim_plaquette_defect(grid, spacing)
+    )
+    for comp in (grid[..., 0], grid[..., 1]):
+        assert np.array_equal(_sign_change_cells(comp), any_dim_sign_change_cells(comp))
