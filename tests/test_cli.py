@@ -136,11 +136,11 @@ def test_missing_out_directory(tmp_path, capsys):
         {"kind": "isolation", "seeds_per_axis": "x"},
         {"kind": "gaps", "radius": "x"},
         {"kind": "morse", "field": "neg-r2", "resolutions": [17]},
-        {"kind": "morse", "field": "neg-r2", "resolutions": [16, 21]},
         {"kind": "persistence", "gf_radius": -1},
         {"kind": "isolation", "radii": [0.05, -0.01]},
         {"kind": "morse", "field": "no-such-field"},
         {"kind": "gaps", "radius": 10**400},
+        {"kind": "morse", "field": "neg-r2", "resolutions": [16, 21]},
     ],
 )
 def test_bad_task_setting(tmp_path, capsys, task):
