@@ -77,7 +77,6 @@ from .invariants import (
     fixed_point_index,
 )
 from .isolation import (
-    c_constant,
     c_constant_exact,
     periodic_point_search,
     SearchReport,
@@ -146,7 +145,6 @@ __all__ = [
     "detect_sdm",
     "total_ranks",
     "fixed_point_index",
-    "c_constant",
     "c_constant_exact",
     "periodic_point_search",
     "SearchReport",

@@ -1,15 +1,15 @@
-"""Z2 cubical relative homology and local Morse homology.
+"""Z2 cubical relative homology and local Morse homology in one or two variables.
 
 Sublevel pairs (X, A) = ({f <= c} n box, {f <= c - delta} n box) are realized
 on a node grid: an elementary cube belongs to a mask when all its vertices
 do, which makes both complexes closed and A a closed subcomplex of X.  The
 homology of the pair is computed over GF(2) from relative cell counts and
-boundary ranks.  The ranks of d_1 and d_m come from component counts
-(H_0 and H_m, found with scipy's connected_components), so a line or plane
-field needs no elimination; only d_2 .. d_{m-1} of a field in three or more
-variables are ranked by bit-packed Gaussian elimination.  The component
-graphs hold the relative cells of X minus A only, so their cost follows
-the collar, not the box.  Each grid's nodes and gradient norms are
+the ranks of d_1 and d_m, which for m <= 2 are all the boundary maps: they
+come from component counts (H_0 and H_m, found with scipy's
+connected_components) on the relative cells of X minus A only, so their
+cost follows the collar, not the box.  Three or more variables are refused
+with ValueError; their middle degrees would need an elimination, and no
+route builds such a complex.  Each grid's nodes and gradient norms are
 computed once, and the window check of sublevel_pair reads only the nodes
 in its value window.
 
@@ -125,7 +125,6 @@ class CubicalPair:
 
     x_mask: np.ndarray
     a_mask: np.ndarray
-    delta: float
 
     @property
     def m(self) -> int:
@@ -142,37 +141,6 @@ class CubicalPair:
         for dirs in combinations(range(self.m), d):
             out[dirs] = _cube_mask(self.x_mask, dirs) & ~_cube_mask(self.a_mask, dirs)
         return out
-
-
-def _gf2_rank(nrows: int, ncols: int, rows: np.ndarray, cols: np.ndarray) -> int:
-    if nrows == 0 or ncols == 0 or len(rows) == 0:
-        return 0
-    words = (ncols + 63) // 64
-    mat = np.zeros((nrows, words), dtype=np.uint64)
-    np.bitwise_or.at(
-        mat,
-        (rows, cols >> 6),
-        np.uint64(1) << (cols.astype(np.uint64) & np.uint64(63)),
-    )
-    rank = 0
-    one = np.uint64(1)
-    for col in range(ncols):
-        w = col >> 6
-        bit = one << np.uint64(col & 63)
-        candidates = np.nonzero(mat[rank:, w] & bit)[0]
-        if candidates.size == 0:
-            continue
-        p = rank + int(candidates[0])
-        if p != rank:
-            mat[[rank, p]] = mat[[p, rank]]
-        others = np.nonzero(mat[:, w] & bit)[0]
-        others = others[others != rank]
-        if others.size:
-            mat[others] ^= mat[rank]
-        rank += 1
-        if rank == nrows:
-            break
-    return rank
 
 
 def _free_components(sink: np.ndarray, joined: Sequence[np.ndarray]) -> int:
@@ -247,68 +215,27 @@ def _top_homology(
     return _free_components(sink, joined)
 
 
-CellIds = Dict[Tuple[int, ...], np.ndarray]
-
-
-def _cell_ids(masks: Dict[Tuple[int, ...], np.ndarray]) -> CellIds:
-    """Consecutive ids of the cells of one degree, -1 off the masks."""
-    offset = 0
-    out = {}
-    for dirs, mask in masks.items():
-        idx = -np.ones(mask.shape, dtype=np.int64)
-        cnt = int(np.count_nonzero(mask))
-        idx[mask] = offset + np.arange(cnt)
-        offset += cnt
-        out[dirs] = idx
-    return out
-
-
-def _boundary_rank(
-    m: int,
-    ids_d: CellIds,
-    ids_f: CellIds,
-    nrows: int,
-    ncols: int,
-) -> int:
-    """Rank of the relative boundary map from the cells ids_d to ids_f."""
-    rows_all: List[np.ndarray] = []
-    cols_all: List[np.ndarray] = []
-    for dirs, idx_d in ids_d.items():
-        cell_ok = idx_d >= 0
-        for ax in dirs:
-            idx_f = ids_f[tuple(x for x in dirs if x != ax)]
-            for sl in (LOWER, UPPER):
-                face_ids = idx_f[_axis_slice(m, ax, sl)]
-                keep = cell_ok & (face_ids >= 0)
-                rows_all.append(idx_d[keep])
-                cols_all.append(face_ids[keep])
-    return _gf2_rank(nrows, ncols, np.concatenate(rows_all), np.concatenate(cols_all))
-
-
 def relative_homology_z2(pair: CubicalPair) -> GradedRanks:
-    """Ranks of H_*(X, A; Z2).
+    """Ranks of H_*(X, A; Z2) for a pair in one or two variables.
 
     H_d = c_d - rank d_d - rank d_{d+1}, with c_d the relative cell counts.
-    The two end boundary ranks come from component counts, rank d_1 =
-    c_0 - H_0 and rank d_m = c_m - H_m (see _bottom_homology and
-    _top_homology).  The top count is exact: every coface in X of a
-    relative face is itself relative (A is closed), and a face has at most
-    two cofaces, so a relative top cycle is a union of components closed
-    under crossing relative faces, none with a free face.  Only
-    d_2 .. d_{m-1}, which exist for m >= 3, are ranked by elimination.
+    For m <= 2 the boundary ranks are rank d_1 = c_0 - H_0 and rank d_m =
+    c_m - H_m, from component counts (_bottom_homology, _top_homology).
+    The top count is exact: every coface in X of a relative face is itself
+    relative (A is closed), and a face has at most two cofaces, so a
+    relative top cycle is a union of components closed under crossing
+    relative faces, none with a free face.  ValueError for m >= 3, whose
+    d_2 .. d_{m-1} would need an elimination that no route reaches.
     """
     m = pair.m
+    if m not in (1, 2):
+        raise ValueError(f"cubical homology answers for 1 or 2 variables, not {m}")
     cell_masks = [pair.relative_cell_masks(d) for d in range(m + 1)]
     counts = [sum(int(np.count_nonzero(c)) for c in cm.values()) for cm in cell_masks]
     b_rank = [0] * (m + 2)
     b_rank[1] = counts[0] - _bottom_homology(pair, cell_masks[0][()])
-    if m >= 2:
-        top = cell_masks[m][tuple(range(m))]
-        b_rank[m] = counts[m] - _top_homology(pair, cell_masks[m - 1], top)
-    # cell ids only for the degrees that feed the middle eliminations
-    ids = {d: _cell_ids(cell_masks[d]) for d in range(1, m)} if m >= 3 else {}
-    for d in range(2, m):
-        b_rank[d] = _boundary_rank(m, ids[d], ids[d - 1], counts[d], counts[d - 1])
+    if m == 2:
+        b_rank[2] = counts[2] - _top_homology(pair, cell_masks[1], cell_masks[2][(0, 1)])
     return GradedRanks.from_dict(
         {d: counts[d] - b_rank[d] - b_rank[d + 1] for d in range(m + 1)}
     )
@@ -403,11 +330,7 @@ def sublevel_pair(
             f"at a node with value inside [c - delta, c + delta]"
         )
     snap = 1e-12 * max(1.0, float(np.max(np.abs(values))))
-    return CubicalPair(
-        x_mask=values <= c + snap,
-        a_mask=values <= c - delta,
-        delta=delta,
-    )
+    return CubicalPair(x_mask=values <= c + snap, a_mask=values <= c - delta)
 
 
 # ------------------------------------------------------ local Morse homology
@@ -440,7 +363,8 @@ def local_morse_homology(
 
     Computes sublevel-pair homology at each resolution and requires the
     graded ranks to agree across the two finest (NotStabilized otherwise).
-    Resolutions must be odd, so that the origin is a grid node.
+    Resolutions must be odd, so that the origin is a grid node, and the box
+    of m <= 2, where relative_homology_z2 answers (ValueError before sampling).
     The critical point must be isolated: the gradient may not vanish on the
     SHELL annulus (NotIsolated).
 
@@ -449,8 +373,8 @@ def local_morse_homology(
     sets resolves on the grid, narrow enough that the collar stays inside
     the box.
     """
-    if box.m == 4 and max(resolutions) > 33:
-        raise ValueError("dimension 4 restricted to resolutions <= 33")
+    if box.m > 2:
+        raise ValueError(f"local Morse homology answers for 1 or 2 variables, not {box.m}")
     if len(resolutions) < 2:
         raise ValueError("need at least two resolutions for the stabilization gate")
     if any(int(r) % 2 == 0 for r in resolutions):

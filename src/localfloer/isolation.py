@@ -25,7 +25,6 @@ from .germs import NEWTON_MAX_ITER, _distinct, _newton_search, _seed_orbit
 from .symplectic import SymplecticMatrix, admissible, split_spectral, validate_symplectic
 
 __all__ = [
-    "c_constant",
     "c_constant_exact",
     "periodic_point_search",
     "SearchReport",
@@ -51,20 +50,11 @@ def c_constant_exact(k: int) -> Fraction:
     vertices are (e_i - e_j)/2.  A convex function attains its maximum at a
     vertex; the vertex with j - i = h (cyclically) gives the orbit that is
     1/2 on h consecutive positions, of norm h (k - h) / k, maximal at
-    h = floor(k / 2).
+    h = floor(k / 2), in any dimension (the L1 norms decouple by coordinate).
     """
     if k < 2:
         raise ValueError("need k >= 2")
     return Fraction((k // 2) * ((k + 1) // 2), k)
-
-
-def c_constant(k: int) -> float:
-    """The constant in ||xi||_L1 <= c(k) ||xi-dot||_L1 for zero-mean xi.
-
-    Independent of the ambient dimension: both L1 norms decouple across
-    coordinates, so the per-coordinate constant is the global one.
-    """
-    return float(c_constant_exact(k))
 
 
 # ------------------------------------------------------------ point search
@@ -271,7 +261,7 @@ def contraction_check(phi: GermMap, k: int, box: Box, return_details: bool = Fal
     lip = float(np.max(_opnorms(jacs - np.eye(d))))
     sup = float(np.max(np.linalg.norm(img - nodes, axis=1)))
     measured = max(lip, sup / max(box.radius, 1e-300))
-    threshold = 1.0 / c_constant(k)
+    threshold = 1.0 / float(c_constant_exact(k))
     ok = bool(measured < threshold)
     if return_details:
         return ok, {

@@ -8,13 +8,17 @@ another way, or a construction the tests need to probe it:
   checked, and the iterated germs of the index and detection tests;
 * ``DiscreteOrbit`` and ``maximizing_orbit``: the L1 norms of a cyclic
   sequence and an orbit attaining the c(k) bound, for the closed form of
-  ``c_constant``;
+  ``c_constant_exact``;
 * ``admissible_set``: the admissible orders as the complement of the
   forbidden divisibility classes, for ``admissible``;
 * ``conjugated_map``: S^{-1} phi S for symplectic S;
 * ``reconstruction_residual``: how far X_F o psi_k misses phi^k - id;
 * ``distinct_pairwise``: the deduplication of ``germs._distinct`` as a
   loop over pairs of points;
+* ``gf2_rank`` and ``ranks_by_elimination``: H_*(X, A; Z2) of a cubical
+  pair in any number m of variables, every boundary rank from bit-packed
+  GF(2) elimination, against the component counts of
+  ``cubical.relative_homology_z2`` (which answers for m <= 2 only);
 * ``full_box_free_components``: the component count of
   ``cubical._free_components`` from a graph over every cell of the grid;
 * ``full_grid_resolution_floor``: the floor of ``cubical.sublevel_pair``'s
@@ -34,6 +38,7 @@ from scipy.interpolate import RegularGridInterpolator
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 
+from localfloer.cubical import CubicalPair, GradedRanks
 from localfloer.errors import ClusterAmbiguous
 from localfloer.fields import grid_gradient
 from localfloer.genfun import GeneratingFunction, GermMap
@@ -163,6 +168,75 @@ def distinct_pairwise(points: np.ndarray, tol: float) -> np.ndarray:
 
 
 # ------------------------------------------------------ cubical components
+
+
+def gf2_rank(nrows: int, ncols: int, rows: np.ndarray, cols: np.ndarray) -> int:
+    """Rank over GF(2) of the nrows x ncols matrix with ones at (rows, cols),
+    by Gaussian elimination on rows packed into 64-bit words."""
+    if nrows == 0 or ncols == 0 or len(rows) == 0:
+        return 0
+    words = (ncols + 63) // 64
+    mat = np.zeros((nrows, words), dtype=np.uint64)
+    np.bitwise_or.at(
+        mat,
+        (rows, cols >> 6),
+        np.uint64(1) << (cols.astype(np.uint64) & np.uint64(63)),
+    )
+    rank = 0
+    one = np.uint64(1)
+    for col in range(ncols):
+        w = col >> 6
+        bit = one << np.uint64(col & 63)
+        candidates = np.nonzero(mat[rank:, w] & bit)[0]
+        if candidates.size == 0:
+            continue
+        p = rank + int(candidates[0])
+        if p != rank:
+            mat[[rank, p]] = mat[[p, rank]]
+        others = np.nonzero(mat[:, w] & bit)[0]
+        others = others[others != rank]
+        if others.size:
+            mat[others] ^= mat[rank]
+        rank += 1
+        if rank == nrows:
+            break
+    return rank
+
+
+def ranks_by_elimination(pair: CubicalPair) -> GradedRanks:
+    """H_*(X, A; Z2) with every boundary rank from GF(2) elimination."""
+    m = pair.m
+    ids, counts = [], []
+    for d in range(m + 1):
+        offset, layer = 0, {}
+        for dirs, mask in pair.relative_cell_masks(d).items():
+            idx = -np.ones(mask.shape, dtype=np.int64)
+            cnt = int(np.sum(mask))
+            idx[mask] = offset + np.arange(cnt)
+            offset += cnt
+            layer[dirs] = idx
+        ids.append(layer)
+        counts.append(offset)
+
+    def boundary_rank(d):
+        rows, cols = [np.zeros(0, np.int64)], [np.zeros(0, np.int64)]
+        for dirs, idx_d in ids[d].items():
+            for ax in dirs:
+                idx_f = ids[d - 1][tuple(x for x in dirs if x != ax)]
+                lo = [slice(None)] * m
+                hi = [slice(None)] * m
+                lo[ax] = slice(0, -1)
+                hi[ax] = slice(1, None)
+                for face_ids in (idx_f[tuple(lo)], idx_f[tuple(hi)]):
+                    keep = (idx_d >= 0) & (face_ids >= 0)
+                    rows.append(idx_d[keep])
+                    cols.append(face_ids[keep])
+        return gf2_rank(counts[d], counts[d - 1], np.concatenate(rows), np.concatenate(cols))
+
+    b_rank = [0] + [boundary_rank(d) for d in range(1, m + 1)] + [0]
+    return GradedRanks.from_dict(
+        {d: counts[d] - b_rank[d] - b_rank[d + 1] for d in range(m + 1)}
+    )
 
 
 def full_box_free_components(sink: np.ndarray, joined) -> int:

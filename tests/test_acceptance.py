@@ -12,7 +12,6 @@ import numpy as np
 from localfloer import (
     Box,
     OdeGermMap,
-    c_constant,
     c_constant_exact,
     conley_zehnder,
     detect_sdm,
@@ -170,7 +169,7 @@ def test_criterion_05_discrete_constant():
     failures = []
     check(failures, c_constant_exact(2) == Fraction(1, 2), "c(2) != 1/2")
     for k in range(2, 13):
-        c = c_constant(k)
+        c = float(c_constant_exact(k))
         rng = np.random.default_rng(k)
         pts = rng.standard_normal((10_000, k, 2))
         pts -= pts.mean(axis=1, keepdims=True)
@@ -179,7 +178,7 @@ def test_criterion_05_discrete_constant():
         bad = int(np.sum(l1 > c * dl1 + 1e-12))
         check(failures, bad == 0, f"k={k}: {bad} random sequences violate the bound")
         xi = DiscreteOrbit(maximizing_orbit(k).reshape(k, 1))
-        gap = abs(xi.l1_norm() - c_constant(k) * xi.difference_l1_norm())
+        gap = abs(xi.l1_norm() - c * xi.difference_l1_norm())
         check(failures, gap <= 1e-12, f"k={k}: optimizer misses equality by {gap:.2e}")
     conclude(5, "c(2)=1/2 exact; 10^4 samples per k<=12 obey the bound; "
                 "optimizer attains it", failures)

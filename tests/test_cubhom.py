@@ -6,9 +6,11 @@ into two ordinary saddles, giving rank 2 in degree 1; f = x^3 on the
 line has vanishing local homology.  Euler characteristics must agree
 with the boundary winding degree of the gradient.  The engine's
 component counts for degrees 0 and m are checked against elimination of
-every boundary matrix (ranks_by_elimination), and the count of free
-components on the relative cells against a graph over the whole grid
-(oracles.full_box_free_components).
+every boundary matrix (oracles.ranks_by_elimination), in one to four
+variables, and the count of free components on the relative cells
+against a graph over the whole grid (oracles.full_box_free_components).
+The engine answers on the line and in the plane only; Kunneth products
+are checked there, and in four variables on the oracle path.
 """
 import numpy as np
 import pytest
@@ -27,10 +29,11 @@ from localfloer.cubical import (
 )
 from localfloer.errors import CriticalValueInWindow, NotIsolated
 from localfloer.fields import Box, grid_gradient
-from oracles import full_box_free_components, full_grid_resolution_floor
+from oracles import full_box_free_components, full_grid_resolution_floor, ranks_by_elimination
 
 BOX1 = Box(center=(0.0,), radius=1.0)
 BOX2 = Box(center=(0.0, 0.0), radius=1.0)
+BOX3 = Box(center=(0.0, 0.0, 0.0), radius=1.0)
 BOX4 = Box(center=(0.0, 0.0, 0.0, 0.0), radius=1.0)
 
 
@@ -38,7 +41,7 @@ BOX4 = Box(center=(0.0, 0.0, 0.0, 0.0), radius=1.0)
 
 
 def _pair(x, a):
-    return CubicalPair(np.asarray(x, bool), np.asarray(a, bool), 1.0)
+    return CubicalPair(np.asarray(x, bool), np.asarray(a, bool))
 
 
 def test_solid_square_is_a_point():
@@ -76,42 +79,20 @@ def test_pair_requires_containment():
 # --- component counts against elimination of every boundary matrix
 
 
-def ranks_by_elimination(pair):
-    """H_*(X, A; Z2) with every boundary rank from dense GF(2) elimination."""
+def check_against_elimination(pair):
+    """relative_homology_z2 against the oracle for m <= 2; for m >= 3, where
+    the engine refuses, the component counts it is built from against the
+    oracle's H_0 and H_m.  Returns the oracle's ranks."""
+    expected = ranks_by_elimination(pair)
     m = pair.m
-    ids, counts = [], []
-    for d in range(m + 1):
-        offset, layer = 0, {}
-        for dirs, mask in pair.relative_cell_masks(d).items():
-            idx = -np.ones(mask.shape, dtype=np.int64)
-            cnt = int(np.sum(mask))
-            idx[mask] = offset + np.arange(cnt)
-            offset += cnt
-            layer[dirs] = idx
-        ids.append(layer)
-        counts.append(offset)
-
-    def boundary_rank(d):
-        rows, cols = [np.zeros(0, np.int64)], [np.zeros(0, np.int64)]
-        for dirs, idx_d in ids[d].items():
-            for ax in dirs:
-                idx_f = ids[d - 1][tuple(x for x in dirs if x != ax)]
-                lo = [slice(None)] * m
-                hi = [slice(None)] * m
-                lo[ax] = slice(0, -1)
-                hi[ax] = slice(1, None)
-                for face_ids in (idx_f[tuple(lo)], idx_f[tuple(hi)]):
-                    keep = (idx_d >= 0) & (face_ids >= 0)
-                    rows.append(idx_d[keep])
-                    cols.append(face_ids[keep])
-        return cubical._gf2_rank(
-            counts[d], counts[d - 1], np.concatenate(rows), np.concatenate(cols)
-        )
-
-    b_rank = [0] + [boundary_rank(d) for d in range(1, m + 1)] + [0]
-    return GradedRanks.from_dict(
-        {d: counts[d] - b_rank[d] - b_rank[d + 1] for d in range(m + 1)}
-    )
+    if m <= 2:
+        assert relative_homology_z2(pair) == expected
+        return expected
+    nodes = pair.relative_cell_masks(0)[()]
+    faces, top = pair.relative_cell_masks(m - 1), pair.relative_cell_masks(m)
+    assert cubical._bottom_homology(pair, nodes) == expected.rank(0)
+    assert cubical._top_homology(pair, faces, top[tuple(range(m))]) == expected.rank(m)
+    return expected
 
 
 MAX_SIDE = {1: 12, 2: 12, 3: 5, 4: 5}
@@ -147,13 +128,13 @@ def random_pair(m, side, seed, px, pa, boxes):
     )
 )
 def test_component_counts_match_elimination(case):
-    pair = random_pair(*case)
-    assert relative_homology_z2(pair) == ranks_by_elimination(pair)
+    check_against_elimination(random_pair(*case))
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4])
 @pytest.mark.parametrize(
-    "case", ["x-empty", "a-empty", "a-equals-x", "x-full-a-boundary"]
+    "case",
+    ["x-empty", "a-empty", "a-equals-x", "x-full-a-boundary", "x-full-a-lower-faces"],
 )
 @pytest.mark.parametrize("side", [2, 3, 5])
 def test_component_counts_match_elimination_on_edge_cases(m, case, side):
@@ -167,34 +148,39 @@ def test_component_counts_match_elimination_on_edge_cases(m, case, side):
         "a-empty": (rng.random(shape) < 0.7, ~full),
         "a-equals-x": (rng.random(shape) < 0.7,) * 2,
         "x-full-a-boundary": (full, ~interior),
+        # a contractible A whose complement's free faces are all upper faces
+        "x-full-a-lower-faces": (full, np.indices(shape).min(axis=0) == 0),
     }[case]
-    pair = _pair(x, a)
-    assert relative_homology_z2(pair) == ranks_by_elimination(pair)
+    ranks = check_against_elimination(_pair(x, a))
     if case == "x-full-a-boundary" and side >= 3:
-        assert relative_homology_z2(pair).as_dict() == {m: 1}
+        assert ranks.as_dict() == {m: 1}
+    if case == "x-full-a-lower-faces":
+        assert ranks.as_dict() == {}
 
 
-@pytest.mark.parametrize("m", [1, 2, 3, 4])
-def test_elimination_only_for_middle_degrees(monkeypatch, m):
-    """_gf2_rank ranks d_2 .. d_{m-1} only: no call for m <= 2."""
-    shapes = []
-    rank = cubical._gf2_rank
-
-    def counting(nrows, ncols, rows, cols):
-        shapes.append((nrows, ncols))
-        return rank(nrows, ncols, rows, cols)
-
-    monkeypatch.setattr(cubical, "_gf2_rank", counting)
-    shape = (4,) * m
-    interior = np.zeros(shape, bool)
+@pytest.mark.parametrize("m", [3, 4])
+def test_three_or_more_variables_are_refused(m):
+    """Pairs and boxes of three or more variables are refused, the boxes
+    before the field is sampled."""
+    interior = np.zeros((4,) * m, bool)
     interior[(slice(1, -1),) * m] = True
-    pair = _pair(np.ones(shape, bool), ~interior)
-    assert relative_homology_z2(pair).as_dict() == {m: 1}
-    cells = [
-        sum(map(np.count_nonzero, pair.relative_cell_masks(d).values()))
-        for d in range(m)
-    ]
-    assert shapes == [(cells[d], cells[d - 1]) for d in range(2, m)]
+    with pytest.raises(ValueError, match="1 or 2 variables"):
+        relative_homology_z2(_pair(np.ones((4,) * m, bool), ~interior))
+
+    def never(p):
+        pytest.fail("the field was sampled")
+
+    box = {3: BOX3, 4: BOX4}[m]
+    with pytest.raises(ValueError, match="1 or 2 variables"):
+        local_morse_homology(never, box, resolutions=(7, 9), grad=never)
+
+
+def test_every_corpus_field_is_on_the_line_or_in_the_plane():
+    high = sorted(name for name, e in FIELDS.items() if e.m > 2)
+    assert not high, (
+        f"fields {high} have more than two variables, where cubical homology "
+        "refuses; ROADMAP item 5 records how to bring m >= 3 back"
+    )
 
 
 # --- free components on the relative cells against the full-box graph
@@ -396,23 +382,46 @@ def test_invariance_under_scaling_and_rotation():
 
 
 def test_four_dimensional_maximum():
-    def f(p):
-        return -np.sum(p**2, axis=1)
-
-    ranks = local_morse_homology(f, BOX4, resolutions=(7, 9)).ranks
-    assert ranks.as_dict() == {4: 1}
+    """-|x|^2 in four variables on the oracle path: a single class in degree 4."""
+    assert _oracle_ranks_4d(lambda p: -np.sum(p**2, axis=1), 0.5).as_dict() == {4: 1}
 
 
 def test_product_ranks_convolve():
-    # saddle plus maximum in split variables: {1:1} * {2:1} -> {3:1}
-    def f(p):
+    """Kunneth: the plane answer of f(x) + g(y) is the convolution of the
+    line answers of f and g, all from local_morse_homology.  In four
+    variables, saddle plus maximum {1:1} * {2:1} -> {3:1} on the oracle path."""
+    line = {
+        "x^2": lambda p: p[:, 0] ** 2,
+        "-x^2": lambda p: -p[:, 0] ** 2,
+        "x^3": lambda p: p[:, 0] ** 3,
+    }
+    for f, g, expected in [("x^2", "-x^2", {1: 1}), ("-x^2", "-x^2", {2: 1}), ("x^3", "x^2", {})]:
+        a = local_morse_homology(line[f], BOX1).ranks
+        b = local_morse_homology(line[g], BOX1).ranks
+        plane = local_morse_homology(
+            lambda p: line[f](p[:, :1]) + line[g](p[:, 1:]), BOX2
+        ).ranks
+        assert a.convolve(b) == plane
+        assert plane.as_dict() == expected
+
+    def saddle_max(p):
         return (p[:, 0] ** 2 - p[:, 1] ** 2) - p[:, 2] ** 2 - p[:, 3] ** 2
 
-    ranks = local_morse_homology(f, BOX4, resolutions=(7, 9), exclude_fraction=0.75).ranks
+    ranks = _oracle_ranks_4d(saddle_max, 0.75)
+    assert ranks == GradedRanks.from_dict({1: 1}).convolve(GradedRanks.from_dict({2: 1}))
     assert ranks.as_dict() == {3: 1}
-    a = GradedRanks.from_dict({1: 1})
-    b = GradedRanks.from_dict({2: 1})
-    assert a.convolve(b) == ranks
+
+
+def _oracle_ranks_4d(f, exclude_fraction):
+    """Ranks by elimination of the sublevel pair of f on BOX4 at resolution 7,
+    with the delta rule of local_morse_homology."""
+    res = 7
+    values = f(BOX4.nodes(res)).reshape((res,) * 4)
+    g = grid_gradient(values, BOX4)
+    gn = np.linalg.norm(g, axis=-1)
+    delta = BOX4.spacing(res) * max(float(np.median(gn)), 0.05 * float(np.max(gn)))
+    pair = sublevel_pair(values, g, 0.0, delta, BOX4, exclude_fraction=exclude_fraction)
+    return ranks_by_elimination(pair)
 
 
 # --- guards

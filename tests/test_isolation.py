@@ -9,7 +9,6 @@ import pytest
 from localfloer import (
     Box,
     OdeGermMap,
-    c_constant,
     c_constant_exact,
     contraction_check,
     periodic_point_search,
@@ -79,14 +78,9 @@ def test_c_constant_rejects_k_below_two():
     with pytest.raises(ValueError):
         c_constant_exact(1)
     with pytest.raises(ValueError):
-        c_constant(0)
+        c_constant_exact(0)
     with pytest.raises(ValueError):
         maximizing_orbit(1)
-
-
-def test_c_constant_independent_of_dimension():
-    for k in (2, 3, 7, 12):
-        assert c_constant(k) == float(c_constant_exact(k))
 
 
 def test_c_constant_nondecreasing():
@@ -100,7 +94,7 @@ def test_maximizing_orbit_attains_equality(k):
     orbit = DiscreteOrbit(xi.reshape(k, 1))
     assert abs(float(np.sum(xi))) <= 1e-12
     lhs = orbit.l1_norm()
-    rhs = c_constant(k) * orbit.difference_l1_norm()
+    rhs = float(c_constant_exact(k)) * orbit.difference_l1_norm()
     assert orbit.difference_l1_norm() > 0.0
     assert abs(lhs - rhs) <= 1e-12
 
@@ -109,7 +103,7 @@ def test_random_zero_mean_orbits_satisfy_bound():
     # the inequality must hold for arbitrary zero-mean sequences in R^2
     rng = np.random.default_rng(0)
     for k in range(2, 13):
-        c = c_constant(k)
+        c = float(c_constant_exact(k))
         for _ in range(200):
             pts = rng.standard_normal((k, 2))
             pts -= pts.mean(axis=0)
@@ -123,7 +117,7 @@ def test_discrete_orbit_norms_by_hand():
     assert orbit.l1_norm() == 2.0
     assert orbit.difference_l1_norm() == 4.0
     # this orbit is exactly the k=2 maximizer
-    assert orbit.l1_norm() == c_constant(2) * orbit.difference_l1_norm()
+    assert orbit.l1_norm() == float(c_constant_exact(2)) * orbit.difference_l1_norm()
 
 
 def test_discrete_orbit_differences_are_cyclic():
@@ -577,7 +571,7 @@ def test_contraction_quartic_small_box(quartic_map):
     )
     assert ok
     assert details["c1_norm"] < details["threshold"]
-    assert details["threshold"] == 1.0 / c_constant(3)
+    assert details["threshold"] == 1.0 / float(c_constant_exact(3))
 
 
 def test_contraction_quartic_large_box_makes_no_claim(quartic_map):
