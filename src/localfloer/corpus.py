@@ -386,16 +386,6 @@ def _g_cubic(p):
     return 3.0 * p[:, 0:1] ** 2
 
 
-def _f_monkey(p):
-    return p[:, 0] ** 3 - 3.0 * p[:, 0] * p[:, 1] ** 2
-
-
-def _g_monkey(p):
-    return np.stack(
-        [3.0 * p[:, 0] ** 2 - 3.0 * p[:, 1] ** 2, -6.0 * p[:, 0] * p[:, 1]], axis=1
-    )
-
-
 def _f_quartic_neg(p):
     return -(p[:, 0] ** 4 + p[:, 1] ** 4) / 4.0
 
@@ -411,7 +401,7 @@ FIELDS: Dict[str, FieldEntry] = {
         FieldEntry("r2", 2, _f_r2, _g_r2, "nondegenerate minimum"),
         FieldEntry("saddle", 2, _f_saddle, _g_saddle, "nondegenerate saddle"),
         FieldEntry("cubic-1d", 1, _f_cubic, _g_cubic, "inflection on the line"),
-        FieldEntry("monkey", 2, _f_monkey, _g_monkey, "monkey saddle"),
+        FieldEntry("monkey", 2, *_monkey_parts(1.0)[:2], "monkey saddle"),
         FieldEntry("quartic-neg", 2, _f_quartic_neg, _g_quartic_neg, "degenerate maximum"),
     ]
 }

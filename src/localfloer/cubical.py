@@ -343,14 +343,6 @@ class MorseReport:
     deltas: tuple
     per_resolution: tuple
 
-    def to_json(self) -> dict:
-        return {
-            "ranks": self.ranks.to_json(),
-            "resolutions": list(self.resolutions),
-            "deltas": list(self.deltas),
-            "per_resolution": [r.to_json() for r in self.per_resolution],
-        }
-
 
 def local_morse_homology(
     f: FieldLike,

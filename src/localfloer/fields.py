@@ -46,9 +46,6 @@ class Box:
         c = np.asarray(self.center)
         return np.all(np.abs(p - c) <= self.radius + slack, axis=1)
 
-    def to_json(self) -> dict:
-        return {"center": [float(v) for v in self.center], "radius": self.radius}
-
 
 @dataclass(frozen=True)
 class SampledField:

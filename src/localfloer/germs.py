@@ -280,12 +280,12 @@ class FixedPointRecord:
 
     def to_json(self) -> dict:
         return {
-            "point": [float(v) for v in self.point],
+            "point": self.point,
             "action": self.action,
             "mean_index": self.mean_index,
             "conley_zehnder": self.conley_zehnder,
             "degenerate": self.degenerate,
-            "monodromy": self.endpoint.to_json(),
+            "monodromy": self.endpoint,
         }
 
 
@@ -474,7 +474,7 @@ class GapTable:
         return min((r["gamma"] for r in self.rows), default=None)
 
     def to_json(self) -> dict:
-        return {"order": self.order, "rows": list(self.rows), "min_gamma": self.min_gamma}
+        return {"order": self.order, "rows": self.rows, "min_gamma": self.min_gamma}
 
 
 def gap_table(records: Sequence[FixedPointRecord], k: int) -> GapTable:

@@ -1,16 +1,16 @@
 """Local Floer homology of an isolated fixed point and its iteration laws.
 
-Three computation routes, each with its shift convention recorded:
+Three computation routes, each answer recording the one it took:
 
   nondegenerate        rank 1 in the Conley-Zehnder degree of the iterated
-                       linearized path ("cz_anchor"), read from the fixed
-                       point's own index and monodromy by the iteration
-                       formula, so no order winds rho again;
+                       linearized path, read from the fixed point's own
+                       index and monodromy by the iteration formula, so no
+                       order winds rho again;
   strongly_degenerate  all monodromy eigenvalues equal 1: the homology is
                        local Morse homology of the generating function of
-                       the iterate, shifted down by n ("genfun_N0");
+                       the iterate, shifted down by n;
   split                direct-sum germs: Kunneth convolution of the factor
-                       answers ("kunneth_product").
+                       answers.
 
 Mixed germs that fit none of these, and strongly degenerate germs off the
 plane that do not split, get RouteUnavailable rather than an approximate
@@ -62,20 +62,13 @@ SDM_DELTA_TOL = 1e-6
 WINDOW_TOL = 1e-6
 # grid of the spline of phi (n = 1) on the degenerate route
 SPLINE_RESOLUTION = 97
-_CONVENTIONS = {
-    "nondegenerate": "cz_anchor",
-    "strongly_degenerate": "genfun_N0",
-    "split": "kunneth_product",
-}
 
 
 @dataclass(frozen=True)
 class LocalFloer:
     ranks: GradedRanks
-    shift_convention: str
     delta: float
     route: str
-    order: int
     hypothesis: Optional[dict] = None
 
     @property
@@ -163,7 +156,7 @@ class _IterateSweep:
                 ranks = parts[0].ranks.convolve(parts[1].ranks)
                 delta = parts[0].delta + parts[1].delta
                 _check_window(ranks, delta, self.germ.n)
-            self._answers[k] = LocalFloer(ranks, _CONVENTIONS[route], delta, route, k, hypothesis)
+            self._answers[k] = LocalFloer(ranks, delta, route, hypothesis)
         return self._answers[k]
 
     def _nondegenerate(self, k: int) -> int:
@@ -246,16 +239,6 @@ class PersistenceRow:
     s_k: Optional[int]
     s_k_even: Optional[bool]
 
-    def to_json(self) -> dict:
-        return {
-            "k": self.k,
-            "admissible": self.admissible,
-            "good": self.good,
-            "ranks": self.ranks.to_json(),
-            "s_k": self.s_k,
-            "s_k_even": self.s_k_even,
-        }
-
 
 @dataclass(frozen=True)
 class PersistenceReport:
@@ -263,14 +246,6 @@ class PersistenceReport:
     delta: float
     limit_check: Tuple[float, ...]
     checks: Dict[str, bool]
-
-    def to_json(self) -> dict:
-        return {
-            "rows": [r.to_json() for r in self.rows],
-            "delta": self.delta,
-            "limit_check": list(self.limit_check),
-            "checks": dict(self.checks),
-        }
 
     def csv_rows(self) -> List[List[str]]:
         out = [["k", "admissible", "good", "support", "s_k", "even"]]

@@ -70,17 +70,6 @@ class SearchReport:
     origin_resolution: float
     conclusion: str
 
-    def to_json(self) -> dict:
-        return {
-            "k": self.k,
-            "admissible": self.admissible,
-            "radii": list(self.radii),
-            "per_radius": [dict(r) for r in self.per_radius],
-            "witnesses": [dict(w) for w in self.witnesses],
-            "origin_resolution": self.origin_resolution,
-            "conclusion": self.conclusion,
-        }
-
 
 def periodic_point_search(
     phi: GermMap,

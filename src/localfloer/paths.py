@@ -36,7 +36,7 @@ stack, through one batched eigendecomposition.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -295,22 +295,14 @@ class IndexReport:
     mean_index: float
     conley_zehnder: Optional[int]
     degenerate: bool
-    notes: tuple = field(default_factory=tuple)
 
 
 def index_report(path: SymplecticPath) -> IndexReport:
     w = winding(path)
-    notes = []
     cz: Optional[int] = None
     degenerate = False
     try:
         cz = _integer_index(w, path(path.span))
-    except DegenerateEndpoint as exc:
+    except DegenerateEndpoint:
         degenerate = True
-        notes.append(str(exc))
-    return IndexReport(
-        mean_index=w / np.pi,
-        conley_zehnder=cz,
-        degenerate=degenerate,
-        notes=tuple(notes),
-    )
+    return IndexReport(mean_index=w / np.pi, conley_zehnder=cz, degenerate=degenerate)

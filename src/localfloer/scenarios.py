@@ -24,9 +24,9 @@ forbidden divisors, indices), ``persistence`` (graded ranks and shifts
 across iterates), ``sdm`` (degenerate-maximum detection), ``isolation``
 (periodic-point search in shrinking balls), ``gaps`` (pairwise
 action/index gaps of the fixed points in the box), ``morse`` (local
-Morse homology of a named scalar field).  Each task writes JSON (and
-CSV where tabular) into the output directory; ``persistence``, ``sdm``,
-``isolation`` and ``morse`` also contribute pass/fail gates to
+Morse homology of a named scalar field).  Each task's JSON (and CSV
+where tabular) is written into the output directory; ``persistence``,
+``sdm``, ``isolation`` and ``morse`` also contribute pass/fail gates to
 ``summary.json``.  Outputs carry no timestamps and use sorted keys:
 identical scenarios give byte-identical files.  ``seed`` is only echoed
 into ``summary.json``; nothing in the package draws random numbers.
@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 from functools import cached_property
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Tuple
@@ -283,7 +283,13 @@ def load_scenario(path) -> Scenario:
 
 
 def _jsonable(obj):
-    """Recursively convert numpy scalars/arrays so json can serialize."""
+    """Recursively convert a result into what json can serialize.
+
+    Containers, arrays and numbers come first, since most values are
+    plain numbers.  A complex number becomes [re, im]; an object with a
+    ``to_json`` is converted from what it returns, and any other
+    dataclass from its fields (cached properties are not fields).
+    """
     if isinstance(obj, dict):
         return {str(k): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -296,6 +302,12 @@ def _jsonable(obj):
         return int(obj)
     if isinstance(obj, (np.floating, float)):
         return float(obj)
+    if isinstance(obj, complex):
+        return [float(obj.real), float(obj.imag)]
+    if hasattr(obj, "to_json"):
+        return _jsonable(obj.to_json())
+    if is_dataclass(obj) and not isinstance(obj, type):
+        return {f.name: _jsonable(getattr(obj, f.name)) for f in fields(obj)}
     return obj
 
 
@@ -325,7 +337,7 @@ def _settings(sc: Scenario, task: dict, *tolerances: str) -> dict:
     return kwargs
 
 
-def _run_spectrum(sc: Scenario, task: dict, out: Path, prefix: str):
+def _run_spectrum(sc: Scenario, task: dict):
     record = sc.record
     eigen = spectrum(record.endpoint)
     orders = []
@@ -335,19 +347,17 @@ def _run_spectrum(sc: Scenario, task: dict, out: Path, prefix: str):
         orders.append({"k": k, "admissible": adm, "good": good_k})
     payload = {
         "germ": sc.germ_name,
-        "eigenvalues": eigen.to_json(),
+        "eigenvalues": eigen,
         "forbidden_divisors": eigen.unit_root_orders(),
         "mean_index": record.mean_index,
         "conley_zehnder": record.conley_zehnder,
         "degenerate": record.degenerate,
         "orders": orders,
     }
-    fn = f"{prefix}.json"
-    _write_json(out / fn, payload)
-    return [fn], []
+    return payload, [], {}
 
 
-def _run_persistence(sc: Scenario, task: dict, out: Path, prefix: str):
+def _run_persistence(sc: Scenario, task: dict):
     record = sc.record
     ks = [k for k in sc.ks if admissible(record.endpoint, k)]
     skipped = [k for k in sc.ks if k not in ks]
@@ -355,23 +365,18 @@ def _run_persistence(sc: Scenario, task: dict, out: Path, prefix: str):
     payload = {
         "germ": sc.germ_name,
         "skipped_inadmissible": skipped,
-        "report": report.to_json(),
+        "report": report,
     }
-    fj, fc = f"{prefix}.json", f"{prefix}.csv"
-    _write_json(out / fj, payload)
-    _write_csv(out / fc, report.csv_rows())
     gates = [
         _gate(f"persistence.{check.replace('_', '-')}", ok, f"orders {ks}")
         for check, ok in sorted(report.checks.items())
     ]
-    return [fj, fc], gates
+    return payload, gates, {".csv": report.csv_rows()}
 
 
-def _run_sdm(sc: Scenario, task: dict, out: Path, prefix: str):
+def _run_sdm(sc: Scenario, task: dict):
     result = detect_sdm(sc.germ, sc.record, **_settings(sc, task, "sdm_delta_tol"))
     payload = {"germ": sc.germ_name, **result}
-    fn = f"{prefix}.json"
-    _write_json(out / fn, payload)
     cross = result["evidence"].get("crosscheck")
     if cross is None:
         gates = [_gate("sdm.crosscheck-consistent", True, "not requested or not an sdm")]
@@ -385,7 +390,7 @@ def _run_sdm(sc: Scenario, task: dict, out: Path, prefix: str):
         ]
     else:
         gates = [_gate("sdm.crosscheck-consistent", True, f"uncomputable: {cross['error']}")]
-    return [fn], gates
+    return payload, gates, {}
 
 
 def _default_radii(box_radius: float) -> List[float]:
@@ -394,7 +399,7 @@ def _default_radii(box_radius: float) -> List[float]:
     return radii
 
 
-def _run_isolation(sc: Scenario, task: dict, out: Path, prefix: str):
+def _run_isolation(sc: Scenario, task: dict):
     settings = _settings(sc, task, "newton_tol")
     radii = settings.pop("radii", _default_radii(sc.box_radius))
     # one search serves every order of the range
@@ -404,10 +409,8 @@ def _run_isolation(sc: Scenario, task: dict, out: Path, prefix: str):
     payload = {
         "germ": sc.germ_name,
         "radii": [float(r) for r in radii],
-        "reports": [r.to_json() for r in reports],
+        "reports": reports,
     }
-    fn = f"{prefix}.json"
-    _write_json(out / fn, payload)
     bad = [r.k for r in reports if r.admissible and r.conclusion != "ISOLATION_HOLDS"]
     gates = [
         _gate(
@@ -416,16 +419,14 @@ def _run_isolation(sc: Scenario, task: dict, out: Path, prefix: str):
             f"failing orders {bad}" if bad else f"orders {list(sc.ks)}",
         )
     ]
-    fc = f"{prefix}-c-constant.csv"
     rows = [["k", "c_exact", "c_float"]]
     for k in range(2, 13):
         c = c_constant_exact(k)
         rows.append([str(k), str(c), repr(float(c))])
-    _write_csv(out / fc, rows)
-    return [fn, fc], gates
+    return payload, gates, {"-c-constant.csv": rows}
 
 
-def _run_gaps(sc: Scenario, task: dict, out: Path, prefix: str):
+def _run_gaps(sc: Scenario, task: dict):
     settings = _settings(sc, task, "newton_tol")
     radius = float(settings.pop("radius", sc.box_radius))
     records = find_fixed_points(sc.germ, radius, **settings)
@@ -433,21 +434,19 @@ def _run_gaps(sc: Scenario, task: dict, out: Path, prefix: str):
     skipped = []
     for k in sc.ks:
         if all(admissible(r.endpoint, k) for r in records):
-            tables.append(gap_table(records, k).to_json())
+            tables.append(gap_table(records, k))
         else:
             skipped.append(k)
     payload = {
         "germ": sc.germ_name,
-        "points": [r.to_json() for r in records],
+        "points": records,
         "skipped_inadmissible": skipped,
         "tables": tables,
     }
-    fn = f"{prefix}.json"
-    _write_json(out / fn, payload)
-    return [fn], []
+    return payload, [], {}
 
 
-def _run_morse(sc: Scenario, task: dict, out: Path, prefix: str):
+def _run_morse(sc: Scenario, task: dict):
     settings = _settings(sc, task)
     fname = settings.pop("field")
     entry = FIELDS[fname]
@@ -458,7 +457,7 @@ def _run_morse(sc: Scenario, task: dict, out: Path, prefix: str):
     try:
         report = local_morse_homology(entry.value, box, grad=entry.grad, **settings)
         ranks = report.ranks
-        payload = {"field": fname, "box": box.to_json(), **report.to_json()}
+        payload = {"field": fname, "box": box, **_jsonable(report)}
         gates.append(_gate("morse.stabilized", True, f"resolutions {list(resolutions)}"))
         if entry.m == 2:
             deg = gradient_degree(entry.grad, 0.5 * radius)
@@ -473,14 +472,12 @@ def _run_morse(sc: Scenario, task: dict, out: Path, prefix: str):
     except LocalFloerError as exc:
         payload = {
             "field": fname,
-            "box": box.to_json(),
+            "box": box,
             "resolutions": list(resolutions),
             "error": {"type": type(exc).__name__, "message": str(exc)},
         }
         gates.append(_gate("morse.stabilized", False, f"{type(exc).__name__}: {exc}"))
-    fn = f"{prefix}.json"
-    _write_json(out / fn, payload)
-    return [fn], gates
+    return payload, gates, {}
 
 
 _RUNNERS = {
@@ -500,8 +497,11 @@ def run_scenario(
 ) -> Tuple[int, dict]:
     """Execute all tasks; write artifacts and summary.json into out_dir.
 
-    Returns (exit_code, summary): 0 when every gate passed and no task
-    raised, 1 otherwise.  Module errors are serialized with context, not
+    Each task runner returns its JSON payload, its gates and its CSV
+    tables by file suffix; files are named after the task's position and
+    kind, and all are written here once every task has run.  Returns
+    (exit_code, summary): 0 when every gate passed and no task raised,
+    1 otherwise.  Module errors are serialized with context, not
     re-raised.
     """
     out = Path(out_dir)
@@ -509,18 +509,21 @@ def run_scenario(
     seed = scenario.seed if seed is None else int(seed)
     gates: List[dict] = []
     errors: List[dict] = []
-    artifacts: List[str] = []
+    payloads: Dict[str, object] = {}
+    tables: Dict[str, List[List[str]]] = {}
     for idx, task in enumerate(scenario.tasks):
         kind = task["kind"]
         prefix = f"{idx:02d}-{kind}"
         try:
-            files, task_gates = _RUNNERS[kind](scenario, task, out, prefix)
-            artifacts.extend(files)
-            gates.extend(task_gates)
+            payload, task_gates, task_tables = _RUNNERS[kind](scenario, task)
         except LocalFloerError as exc:
             errors.append(
                 {"task": prefix, "error": type(exc).__name__, "message": str(exc)}
             )
+            continue
+        payloads[f"{prefix}.json"] = payload
+        tables.update((prefix + suffix, rows) for suffix, rows in task_tables.items())
+        gates.extend(task_gates)
     ok = not errors and all(g["passed"] for g in gates)
     summary = {
         "schema": 1,
@@ -528,12 +531,16 @@ def run_scenario(
         "germ": scenario.germ_name,
         "seed": seed,
         "scenario": scenario.raw,
-        "artifacts": sorted(artifacts),
+        "artifacts": sorted([*payloads, *tables]),
         "gates": gates,
         "errors": errors,
         "pass": ok,
     }
-    _write_json(out / "summary.json", summary)
+    payloads["summary.json"] = summary
+    for name, obj in payloads.items():
+        _write_json(out / name, obj)
+    for name, rows in tables.items():
+        _write_csv(out / name, rows)
     return (0 if ok else 1), summary
 
 

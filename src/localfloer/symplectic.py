@@ -97,13 +97,6 @@ class SymplecticMatrix:
         """spectrum(self), computed on first use and kept."""
         return spectrum(self)
 
-    def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "tol_symp": self.tol_symp,
-            "entries": [[float(v) for v in row] for row in self.entries],
-        }
-
 
 def validate_symplectic(entries: np.ndarray, tol: float = DEFAULT_TOL_SYMP) -> SymplecticMatrix:
     """Check M^T J M = J and det M = 1, returning the wrapped matrix.
@@ -190,22 +183,6 @@ class EigenData:
 
     def all_eigenvalues_one(self) -> bool:
         return all(abs(c.value - 1.0) <= self.cluster_tol for c in self.clusters)
-
-    def to_json(self) -> dict:
-        return {
-            "cluster_tol": self.cluster_tol,
-            "q_max": self.q_max,
-            "n": self.n,
-            "clusters": [
-                {
-                    "value": [c.value.real, c.value.imag],
-                    "multiplicity": c.multiplicity,
-                    "on_unit_circle": c.on_unit_circle,
-                    "root_of_unity_order": c.root_of_unity_order,
-                }
-                for c in self.clusters
-            ],
-        }
 
 
 def _cluster_values(values: np.ndarray, tol: float):

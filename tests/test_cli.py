@@ -328,6 +328,62 @@ def test_rerun_is_byte_identical(tmp_path, capsys):
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
 
+def test_every_written_result_serializes_by_its_fields_or_its_to_json():
+    """_jsonable writes a dataclass by its fields, unless it has a to_json
+    (the three results whose JSON is not their fields)."""
+    import numpy as np
+
+    from localfloer import (
+        Box,
+        OdeGermMap,
+        fixed_point_record,
+        local_morse_homology,
+        periodic_point_search,
+        spectrum,
+        verify_persistence,
+    )
+    from localfloer.corpus import linear_rotation
+    from localfloer.cubical import GradedRanks
+    from localfloer.germs import FixedPointRecord, GapTable, gap_table
+
+    germ = linear_rotation(0.05)
+    record = fixed_point_record(germ, np.zeros(2))
+    eigen = spectrum(record.endpoint)
+    persistence = verify_persistence(germ, record, [1, 2])
+    box = Box(center=(0.0, 0.0), radius=1.0)
+    results = [
+        record,
+        record.endpoint,
+        eigen,
+        eigen.clusters[0],
+        persistence,
+        persistence.rows[0],
+        persistence.rows[0].ranks,
+        periodic_point_search(OdeGermMap(germ), 1, [0.05], seeds_per_axis=2)[0],
+        gap_table([record, record], 1),
+        box,
+        local_morse_homology(FIELDS["neg-r2"].value, box, grad=FIELDS["neg-r2"].grad),
+    ]
+    own = (GradedRanks, FixedPointRecord, GapTable)
+    for result in results:
+        assert hasattr(result, "to_json") == isinstance(result, own), type(result)
+        if isinstance(result, own):
+            keys = set(result.to_json())
+        else:
+            keys = {f.name for f in dataclasses.fields(result)}
+        data = scenarios._jsonable(result)
+        assert set(data) == keys, type(result)
+        json.dumps(data)
+
+    # a cached property is not a field: the computed spectrum stays out
+    assert record.endpoint.eigen is not None
+    assert set(scenarios._jsonable(record.endpoint)) == {"n", "entries", "tol_symp"}
+    assert set(scenarios._jsonable(record)["monodromy"]) == {"n", "entries", "tol_symp"}
+    cluster = eigen.clusters[0]
+    assert cluster.value.imag != 0.0
+    assert scenarios._jsonable(cluster)["value"] == [cluster.value.real, cluster.value.imag]
+
+
 def test_parametrized_formula(tmp_path, capsys):
     sc = spectrum_scenario(formula="linear-rotation")
     sc["germ"]["parameters"] = {"alpha": 0.05}

@@ -103,7 +103,6 @@ def test_index_report_flags_degenerate_endpoint():
     rep = index_report(shear_path())
     assert rep.degenerate
     assert rep.conley_zehnder is None
-    assert rep.notes
     assert abs(rep.mean_index) < 1e-9  # unipotent endpoint, even mean index
 
 
