@@ -53,7 +53,6 @@ from .genfun import (
     psi,
     GeneratingFunction,
     generating_function,
-    gf_property_report,
     ScanReport,
     homotopy_isolation_scan,
 )
@@ -127,7 +126,6 @@ __all__ = [
     "psi",
     "GeneratingFunction",
     "generating_function",
-    "gf_property_report",
     "ScanReport",
     "homotopy_isolation_scan",
     "GradedRanks",

@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import reduce
 from itertools import combinations
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.sparse import coo_matrix
@@ -35,7 +35,7 @@ from .errors import (
     NotStabilized,
     WindingUnresolved,
 )
-from .fields import SHELL, Box, SampledField, grid_gradient
+from .fields import SHELL, Box, grid_gradient
 from .paths import WINDING_MAX, WINDING_START, _wind
 
 __all__ = [
@@ -244,15 +244,6 @@ def relative_homology_z2(pair: CubicalPair) -> GradedRanks:
 # ----------------------------------------------------------- sublevel pairs
 
 
-FieldLike = Union[SampledField, Callable[[np.ndarray], np.ndarray]]
-
-
-def _as_callable(f: FieldLike) -> Callable[[np.ndarray], np.ndarray]:
-    if isinstance(f, SampledField):
-        return f.interpolator()
-    return f
-
-
 def _sample(
     fn: Callable, grad: Optional[Callable], box: Box, resolution: int
 ) -> Tuple[np.ndarray, np.ndarray]:
@@ -345,13 +336,14 @@ class MorseReport:
 
 
 def local_morse_homology(
-    f: FieldLike,
+    f: Callable[[np.ndarray], np.ndarray],
     box: Box,
     resolutions: Sequence[int] = HM_RESOLUTIONS,
     grad: Optional[Callable] = None,
     exclude_fraction: float = 0.5,
 ) -> MorseReport:
-    """Local Morse homology of f at the origin over Z2.
+    """Local Morse homology of f at the origin over Z2; f maps points
+    (N, m) to values (N,), as a sampled field's ``interpolator()`` does.
 
     Computes sublevel-pair homology at each resolution and requires the
     graded ranks to agree across the two finest (NotStabilized otherwise).
@@ -372,11 +364,10 @@ def local_morse_homology(
     if any(int(r) % 2 == 0 for r in resolutions):
         raise ValueError("resolutions must be odd so the origin is a node")
     res_sorted = sorted(int(r) for r in resolutions)
-    fn = _as_callable(f)
-    c = float(np.asarray(fn(np.zeros((1, box.m))))[0])
+    c = float(np.asarray(f(np.zeros((1, box.m))))[0])
 
     fine = res_sorted[-1]
-    values_fine, g_fine = _sample(fn, grad, box, fine)
+    values_fine, g_fine = _sample(f, grad, box, fine)
     gn_fine = np.linalg.norm(g_fine, axis=-1)
     radii = _node_radii(box, fine)
     shell_mask = (radii >= SHELL[0] * box.radius) & (radii <= SHELL[1] * box.radius)
@@ -392,7 +383,7 @@ def local_morse_homology(
         if res == fine:
             values, g, gn = values_fine, g_fine, gn_fine
         else:
-            values, g = _sample(fn, grad, box, res)
+            values, g = _sample(f, grad, box, res)
             gn = np.linalg.norm(g, axis=-1)
         d = box.spacing(res) * max(float(np.median(gn)), 0.05 * float(np.max(gn)))
         pair = sublevel_pair(values, g, c, d, box, exclude_fraction=exclude_fraction)

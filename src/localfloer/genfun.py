@@ -45,7 +45,6 @@ __all__ = [
     "psi",
     "GeneratingFunction",
     "generating_function",
-    "gf_property_report",
     "ScanReport",
     "homotopy_isolation_scan",
 ]
@@ -57,9 +56,6 @@ INVERT_TOL = 1e-12
 PROBE_RES = 33
 # generating_function: least |det| of the xx Jacobian block on the box
 DET_MIN = 0.2
-# gf_property_report: shrinking boxes, and their grid resolution
-SHRINK_STEPS = 4
-SHRINK_RESOLUTION = 33
 SCAN_T_SAMPLES = 11
 SCAN_MARGIN = 3.0
 
@@ -437,95 +433,6 @@ def generating_function(
         closedness_defect=defect,
         psi_k=pm,
     )
-
-
-def _sign_change_cells(comp_grid: np.ndarray) -> np.ndarray:
-    """Boolean mask of plane grid cells where the component attains both
-    signs, or zero, at its corners."""
-
-    def cell_any(mask):
-        return mask[:-1, :-1] | mask[1:, :-1] | mask[:-1, 1:] | mask[1:, 1:]
-
-    return (cell_any(comp_grid > 0) & cell_any(comp_grid < 0)) | cell_any(comp_grid == 0)
-
-
-def _cell_centers(box: Box, resolution: int, mask: np.ndarray) -> np.ndarray:
-    axes = box.axes(resolution)
-    centers = [0.5 * (a[:-1] + a[1:]) for a in axes]
-    mesh = np.meshgrid(*centers, indexing="ij")
-    pts = np.stack(mesh, axis=-1)
-    return pts[mask]
-
-
-def _hausdorff(a: np.ndarray, b: np.ndarray) -> float:
-    if len(a) == 0 and len(b) == 0:
-        return 0.0
-    if len(a) == 0 or len(b) == 0:
-        return float("inf")
-    d = np.linalg.norm(a[:, None, :] - b[None, :, :], axis=2)
-    return float(max(d.min(axis=1).max(), d.min(axis=0).max()))
-
-
-def gf_property_report(phi: GermMap, gf: GeneratingFunction) -> dict:
-    """Critical set of F against fixed set of phi^k, plus the C2/C1 ratio
-    along shrinking boxes.  Violations are flagged, not raised."""
-    box = gf.field.box
-    res = gf.field.resolution
-    g = grid_gradient(gf.field.values, box)
-    crit_pts = _cell_centers(
-        box, res, _sign_change_cells(g[..., 0]) & _sign_change_cells(g[..., 1])
-    )
-
-    phi_k = phi.iterate(gf.order)
-    nodes = box.nodes(res)
-    disp = (phi_k(nodes) - nodes).reshape(res, res, 2)
-    fixed_pts = _cell_centers(
-        box, res, _sign_change_cells(disp[..., 0]) & _sign_change_cells(disp[..., 1])
-    )
-
-    tol = 3.0 * box.spacing(res)
-    haus = _hausdorff(crit_pts, fixed_pts)
-
-    ratios = []
-    for j in range(SHRINK_STEPS):
-        b = Box(center=box.center, radius=box.radius / 2.0**j)
-        try:
-            # shrinking cannot raise the C1 norm of a nonlinear germ, but a
-            # linear part keeps its deviation at every scale: gate at the
-            # measured norm so maps that produced gf in the first place pass
-            sub = generating_function(
-                phi,
-                gf.order,
-                b,
-                SHRINK_RESOLUTION,
-                c1_gate=max(1.0, 1.05 * gf.c1_norm),
-                closedness_tol=np.inf,
-            )
-        except NotInvertibleOnBox:
-            break
-        gg = grid_gradient(sub.field.values, b)
-        hh = np.stack([grid_gradient(gg[..., i], b) for i in range(gg.shape[-1])], axis=-1)
-        c2 = max(
-            float(np.max(np.abs(sub.field.values))),
-            float(np.max(np.linalg.norm(gg, axis=-1))),
-            float(np.max(np.abs(hh))),
-        )
-        sub_nodes = b.nodes(SHRINK_RESOLUTION)
-        img, jacs = phi_k.value_and_jac(sub_nodes)
-        d1 = float(np.max(np.linalg.norm(img - sub_nodes, axis=1)))
-        d1 = max(d1, float(np.max(_opnorms(jacs - np.eye(2 * phi.n)))))
-        if d1 > 0:
-            ratios.append(c2 / d1)
-    bounded = len(ratios) > 0 and max(ratios) <= 10.0 * (ratios[0] + 1.0)
-    return {
-        "critical_points": crit_pts,
-        "fixed_points": fixed_pts,
-        "hausdorff": haus,
-        "matched": bool(haus <= tol),
-        "grid_tol": tol,
-        "c2_over_c1": ratios,
-        "ratio_bounded": bool(bounded),
-    }
 
 
 @dataclass(frozen=True)

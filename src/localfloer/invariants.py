@@ -195,7 +195,7 @@ class _IterateSweep:
             )
         try:
             hm = local_morse_homology(
-                gf.field,
+                gf.field.interpolator(),
                 box,
                 resolutions=HM_RESOLUTIONS,
                 grad=gf.psi_k.gradient,

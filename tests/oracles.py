@@ -24,10 +24,13 @@ another way, or a construction the tests need to probe it:
 * ``full_grid_resolution_floor``: the floor of ``cubical.sublevel_pair``'s
   window check at every node, from ``np.gradient``, against
   ``cubical._resolution_floor`` at the window nodes;
-* ``any_dim_path_integrate``, ``any_dim_plaquette_defect`` and
-  ``any_dim_sign_change_cells``: the assembly helpers of ``genfun`` for
-  grids in any number m of variables, by loops over axes, axis pairs and
-  cell corners, against their plane forms.
+* ``any_dim_path_integrate`` and ``any_dim_plaquette_defect``: the
+  assembly helpers of ``genfun`` for grids in any number m of variables,
+  by loops over axes and axis pairs, against their plane forms;
+* ``gf_property_report``: the critical set of F_k against the fixed set
+  of phi^k, both as the grid cells where every component changes sign
+  (``any_dim_sign_change_cells``, a loop over cell corners), and the
+  C2/C1 ratio of F_k along shrinking boxes.
 """
 from dataclasses import dataclass
 from fractions import Fraction
@@ -39,9 +42,9 @@ from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 
 from localfloer.cubical import CubicalPair, GradedRanks
-from localfloer.errors import ClusterAmbiguous
-from localfloer.fields import grid_gradient
-from localfloer.genfun import GeneratingFunction, GermMap
+from localfloer.errors import ClusterAmbiguous, NotInvertibleOnBox
+from localfloer.fields import Box, grid_gradient
+from localfloer.genfun import GeneratingFunction, GermMap, _opnorms, generating_function
 from localfloer.germs import HamiltonianGerm
 from localfloer.symplectic import SymplecticMatrix, admissible, validate_symplectic
 
@@ -348,6 +351,88 @@ def any_dim_sign_change_cells(comp_grid: np.ndarray) -> np.ndarray:
         return out
 
     return (cell_any(pos) & cell_any(neg)) | cell_any(zero)
+
+
+# ------------------------------------------- generating-function properties
+
+# gf_property_report: shrinking boxes, and their grid resolution
+SHRINK_STEPS = 4
+SHRINK_RESOLUTION = 33
+
+
+def _zero_cells(box: Box, vector_grid: np.ndarray) -> np.ndarray:
+    """Centers of the grid cells where every component of a plane vector
+    field, sampled at the box nodes with shape (res, res, 2), changes sign."""
+    mask = any_dim_sign_change_cells(vector_grid[..., 0]) & any_dim_sign_change_cells(
+        vector_grid[..., 1]
+    )
+    centers = [0.5 * (a[:-1] + a[1:]) for a in box.axes(vector_grid.shape[0])]
+    return np.stack(np.meshgrid(*centers, indexing="ij"), axis=-1)[mask]
+
+
+def _hausdorff(a: np.ndarray, b: np.ndarray) -> float:
+    if len(a) == 0 and len(b) == 0:
+        return 0.0
+    if len(a) == 0 or len(b) == 0:
+        return float("inf")
+    d = np.linalg.norm(a[:, None, :] - b[None, :, :], axis=2)
+    return float(max(d.min(axis=1).max(), d.min(axis=0).max()))
+
+
+def gf_property_report(phi: GermMap, gf: GeneratingFunction) -> dict:
+    """Critical set of F against fixed set of phi^k, plus the C2/C1 ratio
+    along shrinking boxes.  Violations are flagged, not raised."""
+    box = gf.field.box
+    res = gf.field.resolution
+    crit_pts = _zero_cells(box, grid_gradient(gf.field.values, box))
+
+    phi_k = phi.iterate(gf.order)
+    nodes = box.nodes(res)
+    fixed_pts = _zero_cells(box, (phi_k(nodes) - nodes).reshape(res, res, 2))
+
+    tol = 3.0 * box.spacing(res)
+    haus = _hausdorff(crit_pts, fixed_pts)
+
+    ratios = []
+    for j in range(SHRINK_STEPS):
+        b = Box(center=box.center, radius=box.radius / 2.0**j)
+        try:
+            # shrinking cannot raise the C1 norm of a nonlinear germ, but a
+            # linear part keeps its deviation at every scale: gate at the
+            # measured norm so maps that produced gf in the first place pass
+            sub = generating_function(
+                phi,
+                gf.order,
+                b,
+                SHRINK_RESOLUTION,
+                c1_gate=max(1.0, 1.05 * gf.c1_norm),
+                closedness_tol=np.inf,
+            )
+        except NotInvertibleOnBox:
+            break
+        gg = grid_gradient(sub.field.values, b)
+        hh = np.stack([grid_gradient(gg[..., i], b) for i in range(gg.shape[-1])], axis=-1)
+        c2 = max(
+            float(np.max(np.abs(sub.field.values))),
+            float(np.max(np.linalg.norm(gg, axis=-1))),
+            float(np.max(np.abs(hh))),
+        )
+        sub_nodes = b.nodes(SHRINK_RESOLUTION)
+        img, jacs = phi_k.value_and_jac(sub_nodes)
+        d1 = float(np.max(np.linalg.norm(img - sub_nodes, axis=1)))
+        d1 = max(d1, float(np.max(_opnorms(jacs - np.eye(2 * phi.n)))))
+        if d1 > 0:
+            ratios.append(c2 / d1)
+    bounded = len(ratios) > 0 and max(ratios) <= 10.0 * (ratios[0] + 1.0)
+    return {
+        "critical_points": crit_pts,
+        "fixed_points": fixed_pts,
+        "hausdorff": haus,
+        "matched": bool(haus <= tol),
+        "grid_tol": tol,
+        "c2_over_c1": ratios,
+        "ratio_bounded": bool(bounded),
+    }
 
 
 # ------------------------------------------------------------- germ maps

@@ -17,7 +17,6 @@ from localfloer import (
     detect_sdm,
     fixed_point_record,
     generating_function,
-    gf_property_report,
     gradient_degree,
     index_report,
     local_floer,
@@ -31,7 +30,7 @@ from localfloer.corpus import FIELDS, GERMS, resonant_rotation
 from localfloer.errors import LocalFloerError
 from localfloer.germs import monodromy
 from localfloer.symplectic import admissible, spectrum, standard_j
-from oracles import DiscreteOrbit, iterate, maximizing_orbit
+from oracles import DiscreteOrbit, gf_property_report, iterate, maximizing_orbit
 from pathhelpers import (
     exponential_path,
     iterated,

@@ -1,5 +1,6 @@
 """Command line interface: scenario parsing, exit codes, artifacts."""
 
+import ast
 import dataclasses
 import importlib.util
 import inspect
@@ -638,3 +639,150 @@ def test_benchmark_workload_gives_the_expected_answers(workload, tmp_path, monke
     assert {key: entry["error"] for key, entry in got.items()} == dict.fromkeys(got)
     expected = answers.load_expected(workload)
     assert answers.check(got, expected) == {key: [] for key in expected}
+
+
+# ------------------------------------------------------ reach of the exports
+
+# Public functions that no command-line run reaches, none imported by the
+# README quick start or wrapped by the benchmark, each with the reason it
+# stays in src.  An entry that a run does reach fails the test, so the dict
+# shrinks as these functions come to gate runs.
+UNREACHED = {
+    "contraction_check": "the contraction certificate that is to decide isolation (ROADMAP item 1)",
+    "splitting_ratio_report": "the V/W splitting certificate of ROADMAP items 1 and 10",
+    "split_spectral": "the spectral splitting that ROADMAP items 1 and 10 read",
+    "homotopy_isolation_scan": "the isolation homotopy certificate of ROADMAP item 4",
+    "fixed_point_index": "the Brouwer-degree gate of ROADMAP items 4 and 9",
+    "translate": "fixed points off the origin, which no corpus run records",
+    "rho": "a path-index law that tests/test_pathindex.py pins",
+    "mean_index": "a path-index law that tests/test_pathindex.py pins",
+}
+
+REACH_SCENARIOS = [
+    {
+        "schema": 1,
+        "name": "reach: degenerate route, isolation and morse",
+        "germ": {"formula": "quartic-max"},
+        "tasks": [
+            "spectrum",
+            {"kind": "persistence", "gf_resolution": 17},
+            {"kind": "sdm", "gf_resolution": 17},
+            {"kind": "isolation", "radii": [0.05], "seeds_per_axis": 2},
+            {"kind": "morse", "field": "neg-r2", "resolutions": [9, 11]},
+        ],
+        "k_range": [1, 2],
+    },
+    {
+        "schema": 1,
+        "name": "reach: nondegenerate route and gaps",
+        "germ": {"formula": "negative-hyperbolic-2"},
+        "tasks": [
+            "spectrum",
+            "persistence",
+            {"kind": "gaps", "radius": 0.5, "seeds_per_axis": 2},
+        ],
+        "k_range": [1, 2],
+    },
+    {
+        "schema": 1,
+        "name": "reach: split route",
+        "germ": {"formula": "product-rot-quartic"},
+        "tasks": [{"kind": "persistence", "gf_radius": 0.06, "gf_resolution": 17}],
+        "k_range": [1, 1],
+    },
+]
+
+
+def readme_quick_start_imports():
+    """Names the README's library quick start imports from localfloer."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.split("## Library quick start", 1)[1]
+    code = section.split("```python", 1)[1].split("```", 1)[0]
+    return {
+        alias.name
+        for node in ast.walk(ast.parse(code))
+        if isinstance(node, ast.ImportFrom) and node.module == "localfloer"
+        for alias in node.names
+    }
+
+
+def test_every_public_function_is_reached_or_listed(tmp_path, capsys):
+    """Every function in localfloer.__all__ is called by a command-line run
+    (every task kind on all three routes, then plots and corpus), imported
+    by the README quick start, wrapped by the benchmark, or listed with its
+    reason in UNREACHED."""
+    public = {
+        name: inspect.unwrap(getattr(localfloer, name))
+        for name in localfloer.__all__
+        if inspect.isfunction(getattr(localfloer, name))
+    }
+    by_code = {fn.__code__: name for name, fn in public.items()}
+    reached = set()
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code in by_code:
+            reached.add(by_code[frame.f_code])
+
+    out = tmp_path / "out"
+    codes = []
+    sys.setprofile(profile)
+    try:
+        for i, sc in enumerate(REACH_SCENARIOS):
+            path = write_scenario(tmp_path, sc, name=f"reach-{i}.json")
+            codes.append(main(["run", "--scenario", path, "--out", str(out / str(i))]))
+        codes.append(main(["plots", "--out", str(out / "0")]))
+        codes.append(main(["plots", "--out", str(out / "1")]))
+        codes.append(main(["corpus"]))
+    finally:
+        sys.setprofile(None)
+    capsys.readouterr()
+    # answers are not checked (with one radius the first run's isolation
+    # search is inconclusive, a failed gate), but no run is a usage error
+    assert 2 not in codes
+
+    spans = load_benchmark_tracer()
+    wrapped = {
+        name for name, fn in public.items()
+        for mod, attr in spans.SPANNED
+        if getattr(sys.modules[f"localfloer.{mod}"], attr) is fn
+    }
+    unreached = set(public) - reached - readme_quick_start_imports() - wrapped
+    assert {
+        "unreached, not listed": sorted(unreached - set(UNREACHED)),
+        "listed, but reached": sorted(set(UNREACHED) - unreached),
+    } == {"unreached, not listed": [], "listed, but reached": []}
+
+
+# --------------------------------------------------------- unused imports
+
+
+def unused_imports(source: str):
+    """Names a module imports and never reads.  A name counts as read when
+    it is loaded anywhere, or listed in the module's __all__."""
+    imported, read = set(), set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            imported |= {alias.asname or alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported |= {alias.asname or alias.name for alias in node.names}
+        elif isinstance(node, ast.Name):
+            read.add(node.id)
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            read |= {elt.value for elt in node.value.elts if isinstance(elt, ast.Constant)}
+    return sorted(imported - read)
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    src = Path(localfloer.__file__).resolve().parent
+    found = {
+        path.name: unused_imports(path.read_text())
+        for path in sorted(src.glob("*.py"))
+    }
+    assert {name: names for name, names in found.items() if names} == {}
+
+
+def test_unused_import_check_finds_an_unused_name():
+    source = "import numpy as np\nfrom typing import List, Tuple\n\nx: List[int] = np.zeros(1)\n"
+    assert unused_imports(source) == ["Tuple"]

@@ -21,7 +21,7 @@ from localfloer.errors import (
     RouteUnavailable,
     ShiftAmbiguous,
 )
-from localfloer.germs import HamiltonianGerm, fixed_point_record, flow_jacobians
+from localfloer.germs import HamiltonianGerm, fixed_point_record, flow_jacobians, translate
 from localfloer.invariants import (
     detect_sdm,
     fixed_point_index,
@@ -211,6 +211,19 @@ def test_degenerate_maximum_shifts_vanish():
     assert [row.s_k for row in report.rows] == [0, 0, 0]
     assert all(report.checks.values())
     assert all(row.ranks.as_dict() == {1: 1} for row in report.rows)
+
+
+def test_fixed_point_off_the_origin_answers_as_at_the_origin():
+    """A record off the origin is read through the germ translated to it:
+    the degenerate maximum moved to -p gives the rows it gives at 0."""
+    p = np.array([0.3, -0.2])
+    moved = translate(quartic(-1), p)
+    here = verify_persistence(moved, fixed_point_record(moved, -p), [1, 2])
+    there = verify_persistence(quartic(-1), record_of(quartic(-1)), [1, 2])
+    assert [dataclasses.astuple(row) for row in here.rows] == [
+        dataclasses.astuple(row) for row in there.rows
+    ]
+    assert here.delta == pytest.approx(there.delta, abs=1e-9)
 
 
 def test_reflected_saddle_odd_shift_at_bad_order():
