@@ -137,7 +137,7 @@ def quartic(sign: int) -> HamiltonianGerm:
 def _monkey_parts(eps: float):
     def value(z):
         x, y = _split(z)
-        return eps * (x**3 - 3.0 * x * y**2)
+        return eps * (x * x * x - 3.0 * x * y**2)
 
     def grad(z):
         x, y = _split(z)
@@ -379,7 +379,8 @@ def _g_saddle(p):
 
 
 def _f_cubic(p):
-    return p[:, 0] ** 3
+    x = p[:, 0]
+    return x * x * x
 
 
 def _g_cubic(p):
@@ -387,11 +388,12 @@ def _g_cubic(p):
 
 
 def _f_quartic_neg(p):
-    return -(p[:, 0] ** 4 + p[:, 1] ** 4) / 4.0
+    x2, y2 = p[:, 0] * p[:, 0], p[:, 1] * p[:, 1]
+    return -(x2 * x2 + y2 * y2) / 4.0
 
 
 def _g_quartic_neg(p):
-    return -np.stack([p[:, 0] ** 3, p[:, 1] ** 3], axis=1)
+    return -(p * p * p)
 
 
 FIELDS: Dict[str, FieldEntry] = {

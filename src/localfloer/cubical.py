@@ -9,9 +9,9 @@ come from component counts (H_0 and H_m, found with scipy's
 connected_components) on the relative cells of X minus A only, so their
 cost follows the collar, not the box.  Three or more variables are refused
 with ValueError; their middle degrees would need an elimination, and no
-route builds such a complex.  Each grid's nodes and gradient norms are
-computed once, and the window check of sublevel_pair reads only the nodes
-in its value window.
+route builds such a complex.  Each grid node is sampled once: a grid
+nested in the finest one is sliced from its sample.  The window check of
+sublevel_pair reads only the nodes in its value window.
 
 The sampling is an approximation; the correctness gate is stabilization of
 the graded ranks across the two finest grid resolutions, plus an Euler
@@ -257,6 +257,16 @@ def _sample(
     return values, grid_gradient(values, box)
 
 
+def _nested_step(box: Box, res: int, fine: int) -> int:
+    """s such that the res grid is every s-th node of the fine grid, axis
+    entries equal bit for bit, or 0 when it is not."""
+    if (fine - 1) % (res - 1):
+        return 0
+    s = (fine - 1) // (res - 1)
+    pairs = zip(box.axes(res), box.axes(fine))
+    return s if all(np.array_equal(a, b[::s]) for a, b in pairs) else 0
+
+
 def _node_radii(box: Box, resolution: int) -> np.ndarray:
     """max_i |x_i - c_i| at the box grid nodes, shape (res,) * m, broadcast
     from the axes instead of read from box.nodes."""
@@ -356,6 +366,9 @@ def local_morse_homology(
     the box: wide enough that the gap between the sub-c and sub-(c - delta)
     sets resolves on the grid, narrow enough that the collar stays inside
     the box.
+    A grid nested in the finest (_nested_step) is sliced from its sample,
+    gradients too when grad is given: for point-by-point f and grad, the
+    bits of sampling it anew.
     """
     if box.m > 2:
         raise ValueError(f"local Morse homology answers for 1 or 2 variables, not {box.m}")
@@ -380,8 +393,15 @@ def local_morse_homology(
     results = []
     deltas = []
     for res in res_sorted:
-        if res == fine:
-            values, g, gn = values_fine, g_fine, gn_fine
+        s = _nested_step(box, res, fine)
+        if s:
+            at = (slice(None, None, s),) * box.m
+            values = values_fine[at]
+            if grad is not None or s == 1:
+                g, gn = g_fine[at], gn_fine[at]
+            else:
+                g = grid_gradient(values, box)
+                gn = np.linalg.norm(g, axis=-1)
         else:
             values, g = _sample(f, grad, box, res)
             gn = np.linalg.norm(g, axis=-1)

@@ -100,6 +100,10 @@ class GermMap:
         img, d = self.value_and_jac(pts)
         return img, d[:, : self.n]
 
+    def _xx_block(self, pts: np.ndarray) -> np.ndarray:
+        """self.jac(pts)[:, :n, :n], all that psi's probe reads; maps may skip the rest."""
+        return self.jac(pts)[:, : self.n, : self.n]
+
     def iterate(self, k: int) -> "GermMap":
         raise NotImplementedError
 
@@ -245,6 +249,9 @@ class SplineGermMap(GermMap):
         z = self._tabulated(pts)
         return self._rows(z, 2), self._jac_rows(z, 1)
 
+    def _xx_block(self, pts: np.ndarray) -> np.ndarray:
+        return self._rows(self._tabulated(pts), 1, dx=1)[:, :, None]
+
     def _rows(self, z: np.ndarray, rows: int, **deriv) -> np.ndarray:
         """First ``rows`` components of phi^k (their partials with dx=1 or dy=1)."""
         return np.stack(
@@ -281,13 +288,14 @@ class PsiMap:
         self.phi_k = phi_k
         self.n = phi_k.n
 
-    def invert(self, w: np.ndarray, _image: bool = False):
+    def invert(self, w: np.ndarray, _image: bool = False, _start=None):
         """Solve psi(z) = w per row by Newton, seeded at z = w.
 
         Each step evaluates phi^k once, through ``_value_and_x_rows``: the
         image gives the residual and, since D psi is (D phi^k)_x over the
-        identity y block, the n x-rows give the Newton matrix.  With
-        ``_image`` the result is (z, phi^k(z)), the image of the last step.
+        identity y block, the n x-rows give the Newton matrix.  ``_start``,
+        if given, is that pair at z = w, and the first step reads it instead.
+        With ``_image`` the result is (z, phi^k(z)), the image of the last step.
         """
         n = self.n
         w = np.atleast_2d(np.asarray(w, dtype=float))
@@ -295,7 +303,8 @@ class PsiMap:
         # D psi: its y rows stay the identity, its x rows are set per step
         j = np.broadcast_to(np.eye(2 * n), (len(w), 2 * n, 2 * n)).copy()
         for _ in range(NEWTON_MAX_ITER):
-            img, rows = self.phi_k._value_and_x_rows(z)
+            img, rows = _start or self.phi_k._value_and_x_rows(z)
+            _start = None
             j[:, :n, :] = rows
             res = z.copy()
             res[:, :n] = img[:, :n]
@@ -306,12 +315,12 @@ class PsiMap:
             z = z - np.linalg.solve(j, res[..., None])[..., 0]
         raise NewtonDivergence(f"psi inversion stalled at residual {err:.3e}")
 
-    def gradient(self, w: np.ndarray) -> np.ndarray:
+    def gradient(self, w: np.ndarray, _start=None) -> np.ndarray:
         """grad F_k at w = psi_k(z): (-v, u) with (u, v) = phi^k(z) - z.
 
         phi^k(z) is the image ``invert`` computed at its last step, so no
-        evaluation follows the inversion."""
-        z, img = self.invert(w, _image=True)
+        evaluation follows the inversion; ``_start`` goes to ``invert``."""
+        z, img = self.invert(w, _image=True, _start=_start)
         disp = img - z
         return np.concatenate([-disp[:, self.n :], disp[:, : self.n]], axis=1)
 
@@ -329,7 +338,7 @@ def psi(phi: GermMap, k: int, probe_box: Box) -> PsiMap:
     n = phi.n
     for frac in (1.0, 0.75, 0.5, 0.25, 0.1):
         nodes = Box(center=probe_box.center, radius=probe_box.radius * frac).nodes(PROBE_RES)
-        xx = phi_k.jac(nodes)[:, :n, :n]
+        xx = phi_k._xx_block(nodes)
         dev = float(np.max(_opnorms(xx - np.eye(n))))
         if dev < 0.9:
             return PsiMap(phi_k)
@@ -408,7 +417,7 @@ def generating_function(
     pm = psi(phi, k, probe_box=box)
     phi_k = pm.phi_k
     nodes = box.nodes(resolution)
-    jacs = phi_k.jac(nodes)
+    img, jacs = phi_k.value_and_jac(nodes)  # for both gates and psi's first step
     n = phi.n
     c1 = float(np.max(_opnorms(jacs - np.eye(2 * n))))
     if c1 > c1_gate:
@@ -416,7 +425,8 @@ def generating_function(
     min_det = float(np.min(np.abs(np.linalg.det(jacs[:, :n, :n]))))
     if min_det < DET_MIN:
         raise NotInvertibleOnBox(f"xx Jacobian block determinant reaches {min_det:.3e}")
-    grad_grid = pm.gradient(nodes).reshape(resolution, resolution, 2)
+    grad_grid = pm.gradient(nodes, _start=(img, jacs[:, :n]))
+    grad_grid = grad_grid.reshape(resolution, resolution, 2)
     spacing = box.spacing(resolution)
     defect = _plaquette_defect(grad_grid, spacing)
     if defect > closedness_tol:

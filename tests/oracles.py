@@ -24,6 +24,9 @@ another way, or a construction the tests need to probe it:
 * ``full_grid_resolution_floor``: the floor of ``cubical.sublevel_pair``'s
   window check at every node, from ``np.gradient``, against
   ``cubical._resolution_floor`` at the window nodes;
+* ``morse_sampling_every_grid``: ``cubical.local_morse_homology`` with
+  every resolution sampled on its own grid, against the slices that grid
+  takes from the finest sample when it is nested in it;
 * ``any_dim_path_integrate`` and ``any_dim_plaquette_defect``: the
   assembly helpers of ``genfun`` for grids in any number m of variables,
   by loops over axes and axis pairs, against their plane forms;
@@ -41,9 +44,17 @@ from scipy.interpolate import RegularGridInterpolator
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 
-from localfloer.cubical import CubicalPair, GradedRanks
-from localfloer.errors import ClusterAmbiguous, NotInvertibleOnBox
-from localfloer.fields import Box, grid_gradient
+from localfloer.cubical import (
+    CubicalPair,
+    GradedRanks,
+    MorseReport,
+    _node_radii,
+    _sample,
+    relative_homology_z2,
+    sublevel_pair,
+)
+from localfloer.errors import ClusterAmbiguous, NotInvertibleOnBox, NotIsolated, NotStabilized
+from localfloer.fields import SHELL, Box, grid_gradient
 from localfloer.genfun import GeneratingFunction, GermMap, _opnorms, generating_function
 from localfloer.germs import HamiltonianGerm
 from localfloer.symplectic import SymplecticMatrix, admissible, validate_symplectic
@@ -272,6 +283,45 @@ def full_grid_resolution_floor(g: np.ndarray, h: float) -> np.ndarray:
         for cgrid in [comps] if m == 1 else comps:
             hess_sq += cgrid * cgrid
     return 0.75 * h * np.sqrt(hess_sq)
+
+
+def morse_sampling_every_grid(f, box: Box, resolutions, grad=None, exclude_fraction=0.5):
+    """local_morse_homology for valid input (m <= 2, two or more odd
+    resolutions), sampling f (and grad) on every grid of its own."""
+    res_sorted = sorted(int(r) for r in resolutions)
+    c = float(np.asarray(f(np.zeros((1, box.m))))[0])
+    fine = res_sorted[-1]
+    values_fine, g_fine = _sample(f, grad, box, fine)
+    gn_fine = np.linalg.norm(g_fine, axis=-1)
+    radii = _node_radii(box, fine)
+    shell_mask = (radii >= SHELL[0] * box.radius) & (radii <= SHELL[1] * box.radius)
+    scale = max(float(np.max(gn_fine)), 1e-300)
+    if float(np.min(gn_fine[shell_mask])) <= 1e-9 * scale:
+        raise NotIsolated(
+            "gradient vanishes on the shell; the critical point is not isolated"
+        )
+    results, deltas = [], []
+    for res in res_sorted:
+        if res == fine:
+            values, g, gn = values_fine, g_fine, gn_fine
+        else:
+            values, g = _sample(f, grad, box, res)
+            gn = np.linalg.norm(g, axis=-1)
+        d = box.spacing(res) * max(float(np.median(gn)), 0.05 * float(np.max(gn)))
+        pair = sublevel_pair(values, g, c, d, box, exclude_fraction=exclude_fraction)
+        results.append(relative_homology_z2(pair))
+        deltas.append(d)
+    if results[-1] != results[-2]:
+        raise NotStabilized(
+            f"ranks {results[-2].as_dict()} at {res_sorted[-2]} vs "
+            f"{results[-1].as_dict()} at {res_sorted[-1]}"
+        )
+    return MorseReport(
+        ranks=results[-1],
+        resolutions=tuple(res_sorted),
+        deltas=tuple(deltas),
+        per_resolution=tuple(results),
+    )
 
 
 # ------------------------------------------------- generating-function assembly

@@ -8,13 +8,15 @@ import json
 import re
 import subprocess
 import sys
+import textwrap
 import types
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import localfloer
-from localfloer import scenarios
+from localfloer import corpus, scenarios
 from localfloer.cli import main
 from localfloer.corpus import FIELDS
 from localfloer.errors import LocalFloerError
@@ -786,3 +788,72 @@ def test_no_module_imports_a_name_it_never_uses():
 def test_unused_import_check_finds_an_unused_name():
     source = "import numpy as np\nfrom typing import List, Tuple\n\nx: List[int] = np.zeros(1)\n"
     assert unused_imports(source) == ["Tuple"]
+
+
+# ------------------------------------------------------ pow-free corpus fields
+
+
+def high_integer_powers(source: str):
+    """Line numbers of ``**`` with an integer literal exponent of 3 or more,
+    which numpy evaluates through libm pow."""
+    return [
+        node.lineno
+        for node in ast.walk(ast.parse(textwrap.dedent(source)))
+        if isinstance(node, ast.BinOp)
+        and isinstance(node.op, ast.Pow)
+        and isinstance(node.right, ast.Constant)
+        and type(node.right.value) is int
+        and node.right.value >= 3
+    ]
+
+
+def test_corpus_fields_multiply_instead_of_calling_pow():
+    callbacks = [corpus._monkey_parts]
+    callbacks += [fn for e in FIELDS.values() for fn in (e.value, e.grad)]
+    found = {
+        fn.__qualname__: high_integer_powers(inspect.getsource(fn)) for fn in callbacks
+    }
+    assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+def test_power_check_finds_cubes_and_fourth_powers():
+    source = "a = x ** 3\nb = x**2 + x ** 2.5\nc = -(y**4)\nd = x ** True\n"
+    assert high_integer_powers(source) == [1, 3]
+
+
+# the multiplied fields, their power forms, and the size of their terms
+POWER_FORMS = [
+    ("cubic-1d", "value", lambda x, y: x**3, lambda x, y: np.abs(x) ** 3),
+    (
+        "quartic-neg",
+        "value",
+        lambda x, y: -(x**4 + y**4) / 4.0,
+        lambda x, y: (x**4 + y**4) / 4.0,
+    ),
+    (
+        "quartic-neg",
+        "grad",
+        lambda x, y: -np.stack([x**3, y**3], axis=1),
+        lambda x, y: np.abs(np.stack([x**3, y**3], axis=1)),
+    ),
+    (
+        "monkey",
+        "value",
+        lambda x, y: x**3 - 3.0 * x * y**2,
+        lambda x, y: np.abs(x) ** 3 + 3.0 * np.abs(x) * y**2,
+    ),
+]
+
+
+@pytest.mark.parametrize("name, part, power, size", POWER_FORMS)
+def test_multiplied_fields_stay_within_four_ulp_of_their_power_forms(name, part, power, size):
+    """Measured in ulp of the size of the terms, so that the cancellation
+    in the monkey saddle's x^3 - 3 x y^2 does not count."""
+    rng = np.random.default_rng(25)
+    p = rng.uniform(-1.0, 1.0, (20000, 2)) * 10.0 ** rng.uniform(-3.0, 3.0, (20000, 1))
+    entry = FIELDS[name]
+    got = getattr(entry, part)(p[:, : entry.m])
+    x, y = p[:, 0], p[:, 1]
+    want = power(x, y)
+    assert got.shape == want.shape
+    assert np.all(np.abs(got - want) <= 4.0 * np.spacing(size(x, y)))

@@ -27,9 +27,14 @@ from localfloer.cubical import (
     relative_homology_z2,
     sublevel_pair,
 )
-from localfloer.errors import CriticalValueInWindow, NotIsolated
+from localfloer.errors import CriticalValueInWindow, LocalFloerError, NotIsolated
 from localfloer.fields import Box, grid_gradient
-from oracles import full_box_free_components, full_grid_resolution_floor, ranks_by_elimination
+from oracles import (
+    full_box_free_components,
+    full_grid_resolution_floor,
+    morse_sampling_every_grid,
+    ranks_by_elimination,
+)
 
 BOX1 = Box(center=(0.0,), radius=1.0)
 BOX2 = Box(center=(0.0, 0.0), radius=1.0)
@@ -323,7 +328,8 @@ def test_gradient_sampled_once_per_resolution():
         return e.grad(pts)
 
     local_morse_homology(e.value, BOX2, resolutions=(17, 25, 33), grad=grad)
-    assert sorted(sizes) == [17**2, 25**2, 33**2]
+    # 17 is every second node of 33, so it is sliced from 33's sample
+    assert sorted(sizes) == [25**2, 33**2]
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4])
@@ -352,8 +358,8 @@ def test_window_floor_matches_the_full_grid_gradient(m, res):
 
 
 def test_grid_nodes_built_once_per_resolution(monkeypatch):
-    """local_morse_homology builds the nodes of each grid once, to sample
-    the field there; radii come from the axes."""
+    """local_morse_homology builds the nodes of each grid it samples once;
+    radii come from the axes, and 17, nested in 33, samples nothing."""
     calls = []
     nodes = Box.nodes
 
@@ -364,10 +370,69 @@ def test_grid_nodes_built_once_per_resolution(monkeypatch):
     monkeypatch.setattr(Box, "nodes", counting)
     e = FIELDS["saddle"]
     local_morse_homology(e.value, BOX2, resolutions=(17, 25, 33), grad=e.grad)
-    assert sorted(calls) == [17, 25, 33]
+    assert sorted(calls) == [25, 33]
     calls.clear()
     local_morse_homology(e.value, BOX2, resolutions=(17, 25, 33))
-    assert sorted(calls) == [17, 25, 33]
+    assert sorted(calls) == [25, 33]
+
+
+# resolution sets mixing grids nested in the finest (every s-th node) and not
+MIXED_RESOLUTIONS = [
+    (9, 17),
+    (5, 9, 17),
+    (7, 9, 17),
+    (9, 13, 25),
+    (11, 21, 31),
+    (5, 7, 13, 25),
+    (9, 25, 33),
+    (3, 5, 9, 15),
+]
+
+
+def _morse_outcome(run):
+    """A report as its ranks, resolutions, deltas (as hex, so bit for bit)
+    and per-resolution ranks, or a refusal as its type and message."""
+    try:
+        r = run()
+    except LocalFloerError as exc:
+        return type(exc).__name__, str(exc)
+    return r.ranks, r.resolutions, [d.hex() for d in r.deltas], r.per_resolution
+
+
+def test_mixed_resolution_sets_nest_and_do_not():
+    box = Box(center=(0.3, -0.2), radius=0.7)
+    steps = {cubical._nested_step(box, r, rs[-1]) for rs in MIXED_RESOLUTIONS for r in rs[:-1]}
+    assert steps == {0, 2, 3, 4, 6, 7}
+
+
+def test_a_grid_whose_axis_misses_the_fine_slice_by_an_ulp_is_sampled():
+    """9 nodes divide the 24 spacings of 25, but on this box linspace puts
+    the 9-node axis up to 4.4e-16 off every third entry of the 25-node one."""
+    box = Box(center=(-0.1533471020548487,), radius=1.6726349282588393)
+    assert cubical._nested_step(box, 9, 25) == 0
+    assert cubical._nested_step(box, 13, 25) == 2
+    e = FIELDS["cubic-1d"]
+    got = _morse_outcome(lambda: local_morse_homology(e.value, box, (9, 13, 25)))
+    assert got == _morse_outcome(lambda: morse_sampling_every_grid(e.value, box, (9, 13, 25)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    name=st.sampled_from(sorted(FIELDS)),
+    shift=st.tuples(st.floats(-0.4, 0.4), st.floats(-0.4, 0.4)),
+    radius=st.sampled_from([0.35, 0.6, 1.0, 1.3]),
+    resolutions=st.sampled_from(MIXED_RESOLUTIONS),
+    with_grad=st.booleans(),
+)
+def test_nested_slices_equal_sampling_every_grid(name, shift, radius, resolutions, with_grad):
+    """Slicing nested grids from the finest sample gives the report, or the
+    refusal, of sampling every grid on its own, bit for bit."""
+    e = FIELDS[name]
+    box = Box(center=tuple(radius * a for a in shift[: e.m]), radius=radius)
+    grad = e.grad if with_grad else None
+    got = _morse_outcome(lambda: local_morse_homology(e.value, box, resolutions, grad=grad))
+    want = _morse_outcome(lambda: morse_sampling_every_grid(e.value, box, resolutions, grad))
+    assert got == want
 
 
 def test_invariance_under_scaling_and_rotation():

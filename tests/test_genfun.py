@@ -284,6 +284,50 @@ def test_spline_psi_gradient_equals_the_two_pass_form():
     assert np.array_equal(rows, pm.phi_k.jac(z)[:, :1])
 
 
+def _count_spline_lookups(monkeypatch, at: np.ndarray) -> list:
+    """Record (spline, dx, dy) for every spline lookup at exactly the points at."""
+    from scipy.interpolate import RectBivariateSpline
+
+    seen = []
+    call = RectBivariateSpline.__call__
+
+    def counting(self, x, y, dx=0, dy=0, grid=True):
+        if len(x) == len(at) and np.array_equal(np.stack([x, y], axis=1), at):
+            seen.append((id(self), dx, dy))
+        return call(self, x, y, dx=dx, dy=dy, grid=grid)
+
+    monkeypatch.setattr(RectBivariateSpline, "__call__", counting)
+    return seen
+
+
+def test_spline_probe_reads_one_spline(monkeypatch):
+    """psi's probe reads the xx entry alone: one spline, the x-derivative
+    of the x-component, with the bits of the full Jacobian's entry."""
+    phi = SplineGermMap(quartic(-1), BOX2, resolution=33).iterate(2)
+    pts = BOX2.nodes(9)
+    full = phi.jac(pts)[:, :1, :1]
+    seen = _count_spline_lookups(monkeypatch, pts)
+    assert _same_bits(phi._xx_block(pts), full)
+    assert [(dx, dy) for _, dx, dy in seen] == [(1, 0)]
+
+
+def test_generating_function_evaluates_phi_k_at_its_nodes_once(monkeypatch):
+    """One value_and_jac at the F_k nodes feeds the C1 and det gates and
+    psi's first Newton step; F_k is the assembly of a fresh psi gradient."""
+    phi = SplineGermMap(quartic(-1), BOX2, resolution=33)
+    res = 17
+    nodes = BOX2.nodes(res)
+    seen = _count_spline_lookups(monkeypatch, nodes)
+    gf = generating_function(phi, 2, BOX2, res)
+    # values and both partials of both components, each looked up once
+    assert len(seen) == len(set(seen)) == 6
+    monkeypatch.undo()
+    grad_grid = gf.psi_k.gradient(nodes).reshape(res, res, 2)
+    values = _path_integrate(grad_grid, BOX2.spacing(res))
+    values[res // 2, res // 2] = 0.0
+    assert _same_bits(gf.field.values, values)
+
+
 def _same_bits(a, b) -> bool:
     """Equal values, signs of zero included."""
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
