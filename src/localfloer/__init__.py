@@ -20,7 +20,6 @@ from .symplectic import (
     spectrum,
     admissible,
     good,
-    split_spectral,
 )
 from .paths import (
     SymplecticPath,
@@ -53,8 +52,6 @@ from .genfun import (
     psi,
     GeneratingFunction,
     generating_function,
-    ScanReport,
-    homotopy_isolation_scan,
 )
 from .cubical import (
     GradedRanks,
@@ -73,14 +70,11 @@ from .invariants import (
     verify_persistence,
     detect_sdm,
     total_ranks,
-    fixed_point_index,
 )
 from .isolation import (
     c_constant_exact,
     periodic_point_search,
     SearchReport,
-    contraction_check,
-    splitting_ratio_report,
 )
 from .corpus import GERMS, FIELDS
 from .scenarios import Scenario, load_scenario, run_scenario, emit_plots
@@ -98,7 +92,6 @@ __all__ = [
     "spectrum",
     "admissible",
     "good",
-    "split_spectral",
     "SymplecticPath",
     "rho",
     "winding",
@@ -126,8 +119,6 @@ __all__ = [
     "psi",
     "GeneratingFunction",
     "generating_function",
-    "ScanReport",
-    "homotopy_isolation_scan",
     "GradedRanks",
     "CubicalPair",
     "sublevel_pair",
@@ -142,12 +133,9 @@ __all__ = [
     "verify_persistence",
     "detect_sdm",
     "total_ranks",
-    "fixed_point_index",
     "c_constant_exact",
     "periodic_point_search",
     "SearchReport",
-    "contraction_check",
-    "splitting_ratio_report",
     "GERMS",
     "FIELDS",
     "Scenario",

@@ -357,7 +357,8 @@ def local_morse_homology(
 
     Computes sublevel-pair homology at each resolution and requires the
     graded ranks to agree across the two finest (NotStabilized otherwise).
-    Resolutions must be odd, so that the origin is a grid node, and the box
+    Resolutions must be distinct, so that the gate compares two grids, and
+    odd and at least 3, so that the origin is an inner grid node; the box is
     of m <= 2, where relative_homology_z2 answers (ValueError before sampling).
     The critical point must be isolated: the gradient may not vanish on the
     SHELL annulus (NotIsolated).
@@ -372,11 +373,11 @@ def local_morse_homology(
     """
     if box.m > 2:
         raise ValueError(f"local Morse homology answers for 1 or 2 variables, not {box.m}")
-    if len(resolutions) < 2:
-        raise ValueError("need at least two resolutions for the stabilization gate")
-    if any(int(r) % 2 == 0 for r in resolutions):
-        raise ValueError("resolutions must be odd so the origin is a node")
     res_sorted = sorted(int(r) for r in resolutions)
+    if len(res_sorted) < 2 or len(set(res_sorted)) < len(res_sorted):
+        raise ValueError("need at least two distinct resolutions for the stabilization gate")
+    if any(r < 3 or r % 2 == 0 for r in res_sorted):
+        raise ValueError("resolutions must be odd and at least 3 so the origin is an inner node")
     c = float(np.asarray(f(np.zeros((1, box.m))))[0])
 
     fine = res_sorted[-1]

@@ -32,10 +32,6 @@ class NotAdmissible(LocalFloerError):
     """The requested iteration order is excluded by a root-of-unity eigenvalue."""
 
 
-class SplitFailed(LocalFloerError):
-    """Spectral splitting aborted: an eigenvalue sits at the tolerance boundary."""
-
-
 # ---------------------------------------------------------------- path indices
 
 
@@ -113,10 +109,6 @@ class HypothesisFailed(LocalFloerError):
 
 class ShiftAmbiguous(LocalFloerError):
     """More than one degree shift aligns two graded rank vectors."""
-
-
-class LinearizationNotIdentity(LocalFloerError):
-    """Contraction test requires the linearization at the point to be 1."""
 
 
 # ---------------------------------------------------------------- scenarios / CLI

@@ -33,7 +33,7 @@ from .errors import (
     NotC1Small,
     NotInvertibleOnBox,
 )
-from .fields import SHELL, Box, SampledField, grid_gradient
+from .fields import Box, SampledField
 from .germs import NEWTON_MAX_ITER, HamiltonianGerm, flow_jacobians, flow_points
 from .symplectic import validate_symplectic
 
@@ -45,8 +45,6 @@ __all__ = [
     "psi",
     "GeneratingFunction",
     "generating_function",
-    "ScanReport",
-    "homotopy_isolation_scan",
 ]
 
 FIX_TOL = 1e-8
@@ -56,8 +54,6 @@ INVERT_TOL = 1e-12
 PROBE_RES = 33
 # generating_function: least |det| of the xx Jacobian block on the box
 DET_MIN = 0.2
-SCAN_T_SAMPLES = 11
-SCAN_MARGIN = 3.0
 
 
 def _opnorms(mats: np.ndarray) -> np.ndarray:
@@ -443,62 +439,3 @@ def generating_function(
         closedness_defect=defect,
         psi_k=pm,
     )
-
-
-@dataclass(frozen=True)
-class ScanReport:
-    passed: bool
-    min_grad_norm: float
-    margin: float
-    note: str = ""
-
-    def __bool__(self) -> bool:
-        return self.passed
-
-
-def _third_difference_scale(field: SampledField) -> float:
-    """Max third derivative estimate, bounding the central-difference error."""
-    h = field.box.spacing(field.resolution)
-    worst = 0.0
-    arrs = [field.values]
-    for _ in range(3):
-        nxt = []
-        for a in arrs:
-            grads = np.gradient(a, h, edge_order=1)
-            nxt.extend([grads] if field.box.m == 1 else grads)
-        arrs = nxt
-    for a in arrs:
-        worst = max(worst, float(np.max(np.abs(a))))
-    return worst
-
-
-def homotopy_isolation_scan(f: SampledField, f_k: SampledField, k: int) -> ScanReport:
-    """Uniform isolation of the critical point along G_t = t F_k + (1 - t) k F.
-
-    Scans the annulus SHELL (fractions of the box radius) for zeros of
-    grad G_t; passes iff the minimal gradient norm exceeds SCAN_MARGIN
-    times the central-difference truncation error h^2 max|f'''| / 6."""
-    if f.box != f_k.box or f.resolution != f_k.resolution:
-        raise ValueError("fields must share box and resolution")
-    res = f.resolution
-    nodes = f.box.nodes(res)
-    radii = np.max(np.abs(nodes - np.asarray(f.box.center)), axis=1)
-    inner, outer = SHELL[0] * f.box.radius, SHELL[1] * f.box.radius
-    mask = ((radii >= inner) & (radii <= outer)).reshape((res,) * f.box.m)
-    if not np.any(mask):
-        raise ValueError("empty shell")
-    g1 = grid_gradient(f.values, f.box)
-    g2 = grid_gradient(f_k.values, f_k.box)
-    h = f.box.spacing(res)
-    best = np.inf
-    for t in np.linspace(0.0, 1.0, SCAN_T_SAMPLES):
-        g = t * g2 + (1.0 - t) * k * g1
-        norms = np.linalg.norm(g[mask], axis=-1)
-        best = min(best, float(np.min(norms)))
-    d3 = max(_third_difference_scale(f_k), k * _third_difference_scale(f))
-    err = h**2 * d3 / 6.0 + 1e-300
-    margin = best / err
-    passed = bool(margin > SCAN_MARGIN)
-    note = "" if passed else "gradient of the homotopy nearly vanishes on the shell"
-    return ScanReport(passed=passed, min_grad_norm=best, margin=margin, note=note)
-

@@ -31,7 +31,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .cubical import HM_RESOLUTIONS, GradedRanks, gradient_degree, local_morse_homology
+from .cubical import HM_RESOLUTIONS, GradedRanks, local_morse_homology
 from .errors import (
     DegenerateEndpoint,
     HypothesisFailed,
@@ -42,7 +42,7 @@ from .errors import (
     ShiftAmbiguous,
 )
 from .fields import Box
-from .genfun import OdeGermMap, SplineGermMap, generating_function
+from .genfun import SplineGermMap, generating_function
 from .germs import FixedPointRecord, HamiltonianGerm, fixed_point_record, translate
 from .paths import _iterate_index
 from .symplectic import admissible, direct_sum_indices, good, standard_j
@@ -55,7 +55,6 @@ __all__ = [
     "verify_persistence",
     "detect_sdm",
     "total_ranks",
-    "fixed_point_index",
 ]
 
 SDM_DELTA_TOL = 1e-6
@@ -209,7 +208,6 @@ class _IterateSweep:
             "closedness_defect": gf.closedness_defect,
             "gf_resolution": self.gf_resolution,
             "hm_resolutions": list(HM_RESOLUTIONS),
-            "kk_side_bounds_checked": False,
         }
         return hm.ranks.shift(-n), hypothesis
 
@@ -394,17 +392,3 @@ def total_ranks(
         if admissible(record.endpoint, k):
             out[k] = sweep.at(k).total
     return out
-
-
-def fixed_point_index(
-    germ: HamiltonianGerm,
-    k: int = 1,
-    radius: float = 0.05,
-    point: Optional[np.ndarray] = None,
-) -> int:
-    """Brouwer degree of phi^k - id at the fixed point (plane germs only)."""
-    if germ.n != 1:
-        raise ValueError("index oracle implemented for plane germs only")
-    base = germ if point is None else translate(germ, point)
-    phi_k = OdeGermMap(base).iterate(k)
-    return gradient_degree(lambda pts: phi_k(pts) - pts, radius)

@@ -1,13 +1,12 @@
 """Quantitative persistence of isolation for iterated germ maps.
 
-Three tools: the discrete Wirtinger-type constant c(k) relating the L1 norm
+Two tools: the discrete Wirtinger-type constant c(k) relating the L1 norm
 of a zero-mean cyclic sequence to that of its difference sequence, in
-closed form; a grid-seeded multiple-shooting Newton search for j-periodic
-points in shrinking balls, for every order j up to k in one call, the
-orders sharing one flow of each object that does not depend on j (the
-origin's linearization, the seeds' orbit and the probe rings' orbit); and a contraction certificate in the style of the Yorke
-period bound, where a C1 bound on phi - id rules out non-fixed k-periodic
-orbits.
+closed form; and a grid-seeded multiple-shooting Newton search for
+j-periodic points in shrinking balls, for every order j up to k in one
+call, the orders sharing one flow of each object that does not depend on
+j (the origin's linearization, the seeds' orbit and the probe rings'
+orbit).
 """
 from __future__ import annotations
 
@@ -16,27 +15,17 @@ from fractions import Fraction
 from typing import List, Sequence, Tuple
 
 import numpy as np
-import scipy.linalg
 
-from .errors import LinearizationNotIdentity, NewtonDivergence
 from .fields import Box
-from .genfun import GermMap, _opnorms
+from .genfun import GermMap
 from .germs import NEWTON_MAX_ITER, _distinct, _newton_search, _seed_orbit
-from .symplectic import SymplecticMatrix, admissible, split_spectral, validate_symplectic
+from .symplectic import admissible, validate_symplectic
 
 __all__ = [
     "c_constant_exact",
     "periodic_point_search",
     "SearchReport",
-    "contraction_check",
-    "splitting_ratio_report",
 ]
-
-# contraction_check: grid resolution of the C1 norm, largest |dphi(0) - id|
-CONTRACTION_RESOLUTION = 33
-ID_TOL = 1e-8
-# splitting_ratio_report: sample points in W
-SPLIT_SAMPLES = 8
 
 
 # ----------------------------------------------------------- discrete norms
@@ -225,116 +214,3 @@ def _origin_resolution(
         order = min(max(np.log2(d1 / max(d2, 1e-300)), 1.0), 6.0)
         origin_tol = min(3.0 * r_min * (ok_tol / d1) ** (1.0 / order), 0.5 * r_min)
     return max(origin_tol, dedup_tol)
-
-
-# --------------------------------------------------------- contraction test
-
-
-def contraction_check(phi: GermMap, k: int, box: Box, return_details: bool = False):
-    """Certificate that every k-periodic orbit in the box is a fixed point.
-
-    Requires dphi(0) = id; measures the C1 norm of phi - id on the box grid
-    and compares against 1/c(k).  True certifies; False makes no claim.
-    """
-    d = 2 * phi.n
-    lin = phi.origin_jacobian
-    defect = float(np.max(np.abs(lin - np.eye(d))))
-    if defect > ID_TOL:
-        raise LinearizationNotIdentity(
-            f"dphi(0) differs from the identity by {defect:.3e}"
-        )
-    nodes = box.nodes(CONTRACTION_RESOLUTION)
-    inside = np.linalg.norm(nodes - np.asarray(box.center), axis=1) <= box.radius + 1e-12
-    nodes = nodes[inside]
-    img, jacs = phi.value_and_jac(nodes)
-    lip = float(np.max(_opnorms(jacs - np.eye(d))))
-    sup = float(np.max(np.linalg.norm(img - nodes, axis=1)))
-    measured = max(lip, sup / max(box.radius, 1e-300))
-    threshold = 1.0 / float(c_constant_exact(k))
-    ok = bool(measured < threshold)
-    if return_details:
-        return ok, {
-            "c1_norm": measured,
-            "lipschitz": lip,
-            "sup_norm": sup,
-            "threshold": threshold,
-            "k": k,
-        }
-    return ok
-
-
-# ------------------------------------------------------- splitting ratios
-
-
-def splitting_ratio_report(
-    phi: GermMap,
-    k: int = 1,
-    radius: float = 0.05,
-    newton_tol: float = 1e-11,
-) -> dict:
-    """Empirical Lipschitz ratio of the nondegenerate-direction graph.
-
-    Splits the linearization with split_spectral into the eigenvalue-1
-    generalized eigenspace W and its complement V (SplitFailed when an
-    eigenvalue is too near 1 to place).  For w sampled on a closed curve of
-    radius ``radius`` through every direction of W, solves the V-component
-    fixed point equation P_V(phi^k(v + w) - (v + w)) = 0 for
-    v = v(w) by Newton, and reports the largest ratio |v(w1) - v(w0)| / |w1 - w0| over
-    consecutive sample pairs.  Trivial splits report ratio 0.
-    NewtonDivergence if a solve misses newton_tol after 60 steps.
-    """
-    d = 2 * phi.n
-    p_v, p_w = split_spectral(SymplecticMatrix(phi.n, phi.origin_jacobian))
-    # rows: orthonormal bases of the ranges of P_V and P_W
-    vb, wb = scipy.linalg.orth(p_v).T, scipy.linalg.orth(p_w).T
-    v_dim, w_dim = len(vb), len(wb)
-    if w_dim == 0 or v_dim == 0:
-        return {
-            "v_dim": v_dim,
-            "w_dim": w_dim,
-            "max_ratio": 0.0,
-            "pairs": 0,
-            "radius": radius,
-            "note": "split is trivial; nothing to solve",
-        }
-    phi_k = phi.iterate(k)
-
-    if w_dim == 1:
-        coeffs = np.linspace(-1.0, 1.0, SPLIT_SAMPLES)[:, None]
-    else:
-        # a closed unit curve through every direction of W: the column pairs
-        # (cos jt, sin jt), j = 1, 2, ..., with each row normalized
-        t = np.linspace(0.0, 2.0 * np.pi, SPLIT_SAMPLES, endpoint=False)[:, None]
-        j = np.arange(1, (w_dim + 1) // 2 + 1)
-        coeffs = np.stack([np.cos(j * t), np.sin(j * t)], axis=2).reshape(len(t), -1)[:, :w_dim]
-        coeffs /= np.linalg.norm(coeffs, axis=1, keepdims=True)
-    ws = radius * coeffs @ wb
-
-    sols = []
-    for w in ws:
-        v = np.zeros(v_dim)
-        for _ in range(60):
-            z = (w + v @ vb)[None, :]
-            img, jac = phi_k.value_and_jac(z)
-            res = vb @ p_v @ (img - z)[0]
-            if np.linalg.norm(res) <= newton_tol:
-                break
-            v = v - np.linalg.solve(vb @ p_v @ (jac[0] - np.eye(d)) @ vb.T, res)
-        else:
-            raise NewtonDivergence(
-                f"splitting graph solve stalled at residual {np.linalg.norm(res):.3e}"
-            )
-        sols.append(v)
-    sols = np.array(sols)
-    ratios = []
-    for a in range(len(ws) - 1):
-        dw = np.linalg.norm(ws[a + 1] - ws[a])
-        if dw > 1e-12:
-            ratios.append(float(np.linalg.norm(sols[a + 1] - sols[a]) / dw))
-    return {
-        "v_dim": v_dim,
-        "w_dim": w_dim,
-        "max_ratio": max(ratios) if ratios else 0.0,
-        "pairs": len(ratios),
-        "radius": radius,
-    }

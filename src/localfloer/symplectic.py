@@ -30,9 +30,8 @@ from math import gcd
 from typing import Optional
 
 import numpy as np
-import scipy.linalg
 
-from .errors import ClusterAmbiguous, NotAdmissible, NotSymplectic, SplitFailed
+from .errors import ClusterAmbiguous, NotAdmissible, NotSymplectic
 
 __all__ = [
     "standard_j",
@@ -45,14 +44,11 @@ __all__ = [
     "spectrum",
     "admissible",
     "good",
-    "split_spectral",
 ]
 
 DEFAULT_TOL_SYMP = 1e-9
 CLUSTER_TOL = 1e-8
 Q_MAX = 64
-SPLIT_TOL = 1e-6
-SPLIT_BOUNDARY_FACTOR = 10.0
 
 
 def standard_j(n: int) -> np.ndarray:
@@ -312,64 +308,3 @@ def good(m: SymplecticMatrix, k: int) -> bool:
         raise NotAdmissible(f"iteration order {k} is not admissible")
     data = m.eigen
     return data.negative_real_pair_count(1) % 2 == data.negative_real_pair_count(k) % 2
-
-
-# --------------------------------------------------------------------- splitting
-
-
-def split_spectral(m: SymplecticMatrix):
-    """Projectors (P_V, P_W) onto the spectral subspaces away from / near 1.
-
-    W is the invariant subspace for eigenvalues within SPLIT_TOL of 1, V the
-    complementary invariant subspace.  Raises SplitFailed when an eigenvalue
-    falls in the ambiguity annulus [SPLIT_TOL, SPLIT_BOUNDARY_FACTOR * SPLIT_TOL).
-    """
-    a = np.asarray(m.entries)
-    dim = a.shape[0]
-    vals = np.linalg.eigvals(a)
-    dist = np.abs(vals - 1.0)
-    near = dist <= SPLIT_TOL
-    boundary = (dist > SPLIT_TOL) & (dist < SPLIT_BOUNDARY_FACTOR * SPLIT_TOL)
-    if np.any(boundary):
-        raise SplitFailed(
-            f"eigenvalue at distance {float(dist[boundary].min()):.3e} from 1 "
-            f"inside the ambiguity annulus "
-            f"[{SPLIT_TOL:.1e}, {SPLIT_BOUNDARY_FACTOR * SPLIT_TOL:.1e})"
-        )
-    w_dim = int(np.sum(near))
-    if w_dim == 0:
-        return np.eye(dim), np.zeros((dim, dim))
-    if w_dim == dim:
-        return np.zeros((dim, dim)), np.eye(dim)
-
-    def invariant_basis(select_near: bool) -> np.ndarray:
-        def want(re, im):
-            return bool(abs(complex(re, im) - 1.0) <= SPLIT_TOL) == select_near
-
-        # sorted Schur moves the selected eigenvalues to the leading block
-        _, z, sdim = scipy.linalg.schur(a, output="real", sort=want)
-        expected = w_dim if select_near else dim - w_dim
-        if sdim != expected:
-            raise SplitFailed(f"Schur reordering selected {sdim} eigenvalues, expected {expected}")
-        return z[:, :sdim]
-
-    b_w = invariant_basis(True)
-    b_v = invariant_basis(False)
-    basis = np.hstack([b_w, b_v])
-    inv = np.linalg.inv(basis)
-    p_w = basis[:, :w_dim] @ inv[:w_dim, :]
-    p_v = np.eye(dim) - p_w
-    # ranges must be invariant under M
-    for p in (p_v, p_w):
-        leak = np.max(np.abs((np.eye(dim) - _range_projector(p)) @ a @ p))
-        if leak > max(1e-7, 100 * SPLIT_TOL * np.max(np.abs(a))):
-            raise SplitFailed(f"invariance defect {leak:.3e} after splitting")
-    return p_v, p_w
-
-
-def _range_projector(p: np.ndarray) -> np.ndarray:
-    """Orthogonal projector onto range(p), for invariance checks only."""
-    u, s, _ = np.linalg.svd(p)
-    rank = int(np.sum(s > 1e-9 * max(1.0, s[0] if len(s) else 1.0)))
-    basis = u[:, :rank]
-    return basis @ basis.T

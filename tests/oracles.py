@@ -4,8 +4,8 @@ Each one is an independent route to a quantity that localfloer computes
 another way, or a construction the tests need to probe it:
 
 * ``iterate``: phi^k as the single flow of k H(k t mod 1, z), against
-  which ``fixed_point_index`` (k flows of phi through ``OdeGermMap``) is
-  checked, and the iterated germs of the index and detection tests;
+  which the k flows of phi through ``OdeGermMap`` in ``fixed_point_index``
+  are checked, and the iterated germs of the index and detection tests;
 * ``DiscreteOrbit`` and ``maximizing_orbit``: the L1 norms of a cyclic
   sequence and an orbit attaining the c(k) bound, for the closed form of
   ``c_constant_exact``;
@@ -33,13 +33,24 @@ another way, or a construction the tests need to probe it:
 * ``gf_property_report``: the critical set of F_k against the fixed set
   of phi^k, both as the grid cells where every component changes sign
   (``any_dim_sign_change_cells``, a loop over cell corners), and the
-  C2/C1 ratio of F_k along shrinking boxes.
+  C2/C1 ratio of F_k along shrinking boxes;
+* certificates that no run reads yet, each waiting for the gate that is to
+  read it (ROADMAP items 1, 4, 9 and 10): ``contraction_check``, the C1
+  bound on phi - id against 1/c(k) (``LinearizationNotIdentity`` unless
+  dphi(0) = id); ``split_spectral``, the projectors onto the spectral
+  subspaces near and away from 1 (``SplitFailed`` when an eigenvalue is too
+  near 1 to place), and ``splitting_ratio_report``, the Lipschitz ratio of
+  the graph v(w) over that split; ``homotopy_isolation_scan``
+  (``ScanReport``), the isolation of the critical point along
+  t F_k + (1 - t) k F; ``fixed_point_index``, the Brouwer degree of
+  phi^k - id.
 """
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List
+from typing import List, Optional
 
 import numpy as np
+import scipy.linalg
 from scipy.interpolate import RegularGridInterpolator
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
@@ -50,13 +61,28 @@ from localfloer.cubical import (
     MorseReport,
     _node_radii,
     _sample,
+    gradient_degree,
     relative_homology_z2,
     sublevel_pair,
 )
-from localfloer.errors import ClusterAmbiguous, NotInvertibleOnBox, NotIsolated, NotStabilized
-from localfloer.fields import SHELL, Box, grid_gradient
-from localfloer.genfun import GeneratingFunction, GermMap, _opnorms, generating_function
-from localfloer.germs import HamiltonianGerm
+from localfloer.errors import (
+    ClusterAmbiguous,
+    LocalFloerError,
+    NewtonDivergence,
+    NotInvertibleOnBox,
+    NotIsolated,
+    NotStabilized,
+)
+from localfloer.fields import SHELL, Box, SampledField, grid_gradient
+from localfloer.genfun import (
+    GeneratingFunction,
+    GermMap,
+    OdeGermMap,
+    _opnorms,
+    generating_function,
+)
+from localfloer.germs import HamiltonianGerm, translate
+from localfloer.isolation import c_constant_exact
 from localfloer.symplectic import SymplecticMatrix, admissible, validate_symplectic
 
 # ---------------------------------------------------------------- iterates
@@ -544,3 +570,265 @@ def reconstruction_residual(phi: GermMap, k: int, gf: GeneratingFunction, probe:
     x_f = np.concatenate([df[:, n:], -df[:, :n]], axis=1)
     disp = img - z
     return float(np.max(np.linalg.norm(disp - x_f, axis=1)))
+
+
+# ------------------------------------------- certificates no run reads yet
+
+
+class LinearizationNotIdentity(LocalFloerError):
+    """Contraction test requires the linearization at the point to be 1."""
+
+
+class SplitFailed(LocalFloerError):
+    """Spectral splitting aborted: an eigenvalue sits at the tolerance boundary."""
+
+
+# contraction_check: grid resolution of the C1 norm, largest |dphi(0) - id|
+CONTRACTION_RESOLUTION = 33
+ID_TOL = 1e-8
+# splitting_ratio_report: sample points in W
+SPLIT_SAMPLES = 8
+# split_spectral: radius of W around 1, and of the ambiguity annulus beyond it
+SPLIT_TOL = 1e-6
+SPLIT_BOUNDARY_FACTOR = 10.0
+# homotopy_isolation_scan: samples of t, and the least gradient norm in
+# units of the central-difference error
+SCAN_T_SAMPLES = 11
+SCAN_MARGIN = 3.0
+
+
+def contraction_check(phi: GermMap, k: int, box: Box, return_details: bool = False):
+    """Certificate that every k-periodic orbit in the box is a fixed point.
+
+    Requires dphi(0) = id; measures the C1 norm of phi - id on the box grid
+    and compares against 1/c(k).  True certifies; False makes no claim.
+    """
+    d = 2 * phi.n
+    lin = phi.origin_jacobian
+    defect = float(np.max(np.abs(lin - np.eye(d))))
+    if defect > ID_TOL:
+        raise LinearizationNotIdentity(
+            f"dphi(0) differs from the identity by {defect:.3e}"
+        )
+    nodes = box.nodes(CONTRACTION_RESOLUTION)
+    inside = np.linalg.norm(nodes - np.asarray(box.center), axis=1) <= box.radius + 1e-12
+    nodes = nodes[inside]
+    img, jacs = phi.value_and_jac(nodes)
+    lip = float(np.max(_opnorms(jacs - np.eye(d))))
+    sup = float(np.max(np.linalg.norm(img - nodes, axis=1)))
+    measured = max(lip, sup / max(box.radius, 1e-300))
+    threshold = 1.0 / float(c_constant_exact(k))
+    ok = bool(measured < threshold)
+    if return_details:
+        return ok, {
+            "c1_norm": measured,
+            "lipschitz": lip,
+            "sup_norm": sup,
+            "threshold": threshold,
+            "k": k,
+        }
+    return ok
+
+
+def split_spectral(m: SymplecticMatrix):
+    """Projectors (P_V, P_W) onto the spectral subspaces away from / near 1.
+
+    W is the invariant subspace for eigenvalues within SPLIT_TOL of 1, V the
+    complementary invariant subspace.  Raises SplitFailed when an eigenvalue
+    falls in the ambiguity annulus [SPLIT_TOL, SPLIT_BOUNDARY_FACTOR * SPLIT_TOL).
+    """
+    a = np.asarray(m.entries)
+    dim = a.shape[0]
+    vals = np.linalg.eigvals(a)
+    dist = np.abs(vals - 1.0)
+    near = dist <= SPLIT_TOL
+    boundary = (dist > SPLIT_TOL) & (dist < SPLIT_BOUNDARY_FACTOR * SPLIT_TOL)
+    if np.any(boundary):
+        raise SplitFailed(
+            f"eigenvalue at distance {float(dist[boundary].min()):.3e} from 1 "
+            f"inside the ambiguity annulus "
+            f"[{SPLIT_TOL:.1e}, {SPLIT_BOUNDARY_FACTOR * SPLIT_TOL:.1e})"
+        )
+    w_dim = int(np.sum(near))
+    if w_dim == 0:
+        return np.eye(dim), np.zeros((dim, dim))
+    if w_dim == dim:
+        return np.zeros((dim, dim)), np.eye(dim)
+
+    def invariant_basis(select_near: bool) -> np.ndarray:
+        def want(re, im):
+            return bool(abs(complex(re, im) - 1.0) <= SPLIT_TOL) == select_near
+
+        # sorted Schur moves the selected eigenvalues to the leading block
+        _, z, sdim = scipy.linalg.schur(a, output="real", sort=want)
+        expected = w_dim if select_near else dim - w_dim
+        if sdim != expected:
+            raise SplitFailed(f"Schur reordering selected {sdim} eigenvalues, expected {expected}")
+        return z[:, :sdim]
+
+    b_w = invariant_basis(True)
+    b_v = invariant_basis(False)
+    basis = np.hstack([b_w, b_v])
+    inv = np.linalg.inv(basis)
+    p_w = basis[:, :w_dim] @ inv[:w_dim, :]
+    p_v = np.eye(dim) - p_w
+    # ranges must be invariant under M
+    for p in (p_v, p_w):
+        leak = np.max(np.abs((np.eye(dim) - _range_projector(p)) @ a @ p))
+        if leak > max(1e-7, 100 * SPLIT_TOL * np.max(np.abs(a))):
+            raise SplitFailed(f"invariance defect {leak:.3e} after splitting")
+    return p_v, p_w
+
+
+def _range_projector(p: np.ndarray) -> np.ndarray:
+    """Orthogonal projector onto range(p), for invariance checks only."""
+    u, s, _ = np.linalg.svd(p)
+    rank = int(np.sum(s > 1e-9 * max(1.0, s[0] if len(s) else 1.0)))
+    basis = u[:, :rank]
+    return basis @ basis.T
+
+
+def splitting_ratio_report(
+    phi: GermMap,
+    k: int = 1,
+    radius: float = 0.05,
+    newton_tol: float = 1e-11,
+) -> dict:
+    """Empirical Lipschitz ratio of the nondegenerate-direction graph.
+
+    Splits the linearization with split_spectral into the eigenvalue-1
+    generalized eigenspace W and its complement V (SplitFailed when an
+    eigenvalue is too near 1 to place).  For w sampled on a closed curve of
+    radius ``radius`` through every direction of W, solves the V-component
+    fixed point equation P_V(phi^k(v + w) - (v + w)) = 0 for
+    v = v(w) by Newton, and reports the largest ratio |v(w1) - v(w0)| / |w1 - w0| over
+    consecutive sample pairs.  Trivial splits report ratio 0.
+    NewtonDivergence if a solve misses newton_tol after 60 steps.
+    """
+    d = 2 * phi.n
+    p_v, p_w = split_spectral(SymplecticMatrix(phi.n, phi.origin_jacobian))
+    # rows: orthonormal bases of the ranges of P_V and P_W
+    vb, wb = scipy.linalg.orth(p_v).T, scipy.linalg.orth(p_w).T
+    v_dim, w_dim = len(vb), len(wb)
+    if w_dim == 0 or v_dim == 0:
+        return {
+            "v_dim": v_dim,
+            "w_dim": w_dim,
+            "max_ratio": 0.0,
+            "pairs": 0,
+            "radius": radius,
+            "note": "split is trivial; nothing to solve",
+        }
+    phi_k = phi.iterate(k)
+
+    if w_dim == 1:
+        coeffs = np.linspace(-1.0, 1.0, SPLIT_SAMPLES)[:, None]
+    else:
+        # a closed unit curve through every direction of W: the column pairs
+        # (cos jt, sin jt), j = 1, 2, ..., with each row normalized
+        t = np.linspace(0.0, 2.0 * np.pi, SPLIT_SAMPLES, endpoint=False)[:, None]
+        j = np.arange(1, (w_dim + 1) // 2 + 1)
+        coeffs = np.stack([np.cos(j * t), np.sin(j * t)], axis=2).reshape(len(t), -1)[:, :w_dim]
+        coeffs /= np.linalg.norm(coeffs, axis=1, keepdims=True)
+    ws = radius * coeffs @ wb
+
+    sols = []
+    for w in ws:
+        v = np.zeros(v_dim)
+        for _ in range(60):
+            z = (w + v @ vb)[None, :]
+            img, jac = phi_k.value_and_jac(z)
+            res = vb @ p_v @ (img - z)[0]
+            if np.linalg.norm(res) <= newton_tol:
+                break
+            v = v - np.linalg.solve(vb @ p_v @ (jac[0] - np.eye(d)) @ vb.T, res)
+        else:
+            raise NewtonDivergence(
+                f"splitting graph solve stalled at residual {np.linalg.norm(res):.3e}"
+            )
+        sols.append(v)
+    sols = np.array(sols)
+    ratios = []
+    for a in range(len(ws) - 1):
+        dw = np.linalg.norm(ws[a + 1] - ws[a])
+        if dw > 1e-12:
+            ratios.append(float(np.linalg.norm(sols[a + 1] - sols[a]) / dw))
+    return {
+        "v_dim": v_dim,
+        "w_dim": w_dim,
+        "max_ratio": max(ratios) if ratios else 0.0,
+        "pairs": len(ratios),
+        "radius": radius,
+    }
+
+
+@dataclass(frozen=True)
+class ScanReport:
+    passed: bool
+    min_grad_norm: float
+    margin: float
+    note: str = ""
+
+    def __bool__(self) -> bool:
+        return self.passed
+
+
+def _third_difference_scale(field: SampledField) -> float:
+    """Max third derivative estimate, bounding the central-difference error."""
+    h = field.box.spacing(field.resolution)
+    worst = 0.0
+    arrs = [field.values]
+    for _ in range(3):
+        nxt = []
+        for a in arrs:
+            grads = np.gradient(a, h, edge_order=1)
+            nxt.extend([grads] if field.box.m == 1 else grads)
+        arrs = nxt
+    for a in arrs:
+        worst = max(worst, float(np.max(np.abs(a))))
+    return worst
+
+
+def homotopy_isolation_scan(f: SampledField, f_k: SampledField, k: int) -> ScanReport:
+    """Uniform isolation of the critical point along G_t = t F_k + (1 - t) k F.
+
+    Scans the annulus SHELL (fractions of the box radius) for zeros of
+    grad G_t; passes iff the minimal gradient norm exceeds SCAN_MARGIN
+    times the central-difference truncation error h^2 max|f'''| / 6."""
+    if f.box != f_k.box or f.resolution != f_k.resolution:
+        raise ValueError("fields must share box and resolution")
+    res = f.resolution
+    nodes = f.box.nodes(res)
+    radii = np.max(np.abs(nodes - np.asarray(f.box.center)), axis=1)
+    inner, outer = SHELL[0] * f.box.radius, SHELL[1] * f.box.radius
+    mask = ((radii >= inner) & (radii <= outer)).reshape((res,) * f.box.m)
+    if not np.any(mask):
+        raise ValueError("empty shell")
+    g1 = grid_gradient(f.values, f.box)
+    g2 = grid_gradient(f_k.values, f_k.box)
+    h = f.box.spacing(res)
+    best = np.inf
+    for t in np.linspace(0.0, 1.0, SCAN_T_SAMPLES):
+        g = t * g2 + (1.0 - t) * k * g1
+        norms = np.linalg.norm(g[mask], axis=-1)
+        best = min(best, float(np.min(norms)))
+    d3 = max(_third_difference_scale(f_k), k * _third_difference_scale(f))
+    err = h**2 * d3 / 6.0 + 1e-300
+    margin = best / err
+    passed = bool(margin > SCAN_MARGIN)
+    note = "" if passed else "gradient of the homotopy nearly vanishes on the shell"
+    return ScanReport(passed=passed, min_grad_norm=best, margin=margin, note=note)
+
+
+def fixed_point_index(
+    germ: HamiltonianGerm,
+    k: int = 1,
+    radius: float = 0.05,
+    point: Optional[np.ndarray] = None,
+) -> int:
+    """Brouwer degree of phi^k - id at the fixed point (plane germs only)."""
+    if germ.n != 1:
+        raise ValueError("index oracle implemented for plane germs only")
+    base = germ if point is None else translate(germ, point)
+    phi_k = OdeGermMap(base).iterate(k)
+    return gradient_degree(lambda pts: phi_k(pts) - pts, radius)

@@ -2,6 +2,7 @@
 
 import ast
 import dataclasses
+import functools
 import importlib.util
 import inspect
 import json
@@ -645,16 +646,11 @@ def test_benchmark_workload_gives_the_expected_answers(workload, tmp_path, monke
 
 # ------------------------------------------------------ reach of the exports
 
-# Public functions that no command-line run reaches, none imported by the
-# README quick start or wrapped by the benchmark, each with the reason it
-# stays in src.  An entry that a run does reach fails the test, so the dict
-# shrinks as these functions come to gate runs.
+# Public functions and classes that no command-line run reaches, none
+# imported by the README quick start or wrapped by the benchmark, each with
+# the reason it stays in src.  An entry that a run does reach fails the
+# test, so the dict shrinks as these come to gate runs.
 UNREACHED = {
-    "contraction_check": "the contraction certificate that is to decide isolation (ROADMAP item 1)",
-    "splitting_ratio_report": "the V/W splitting certificate of ROADMAP items 1 and 10",
-    "split_spectral": "the spectral splitting that ROADMAP items 1 and 10 read",
-    "homotopy_isolation_scan": "the isolation homotopy certificate of ROADMAP item 4",
-    "fixed_point_index": "the Brouwer-degree gate of ROADMAP items 4 and 9",
     "translate": "fixed points off the origin, which no corpus run records",
     "rho": "a path-index law that tests/test_pathindex.py pins",
     "mean_index": "a path-index law that tests/test_pathindex.py pins",
@@ -708,17 +704,38 @@ def readme_quick_start_imports():
     }
 
 
+def class_codes(cls):
+    """Code of the functions defined in a class body: its methods, the
+    getters of its properties and cached properties, and what dataclass
+    generates (__init__, __eq__, ...)."""
+    codes = set()
+    for member in vars(cls).values():
+        if isinstance(member, property):
+            member = member.fget
+        elif isinstance(member, functools.cached_property):
+            member = member.func
+        elif isinstance(member, (staticmethod, classmethod)):
+            member = member.__func__
+        if inspect.isfunction(member):
+            codes.add(inspect.unwrap(member).__code__)
+    return codes
+
+
 def test_every_public_function_is_reached_or_listed(tmp_path, capsys):
-    """Every function in localfloer.__all__ is called by a command-line run
-    (every task kind on all three routes, then plots and corpus), imported
-    by the README quick start, wrapped by the benchmark, or listed with its
-    reason in UNREACHED."""
-    public = {
-        name: inspect.unwrap(getattr(localfloer, name))
-        for name in localfloer.__all__
-        if inspect.isfunction(getattr(localfloer, name))
-    }
-    by_code = {fn.__code__: name for name, fn in public.items()}
+    """Every function and class in localfloer.__all__ is called by a
+    command-line run (every task kind on all three routes, then plots and
+    corpus), imported by the README quick start, wrapped by the benchmark,
+    or listed with its reason in UNREACHED.  A class counts as called when
+    any function of its body is; one with no Python-level function (an
+    exception that only names a failure) is exempt."""
+    public = {}
+    for name in localfloer.__all__:
+        obj = getattr(localfloer, name)
+        if inspect.isfunction(obj):
+            public[name] = {inspect.unwrap(obj).__code__}
+        elif inspect.isclass(obj) and (codes := class_codes(obj)):
+            public[name] = codes
+    by_code = {code: name for name, codes in public.items() for code in codes}
     reached = set()
 
     def profile(frame, event, arg):
@@ -744,9 +761,9 @@ def test_every_public_function_is_reached_or_listed(tmp_path, capsys):
 
     spans = load_benchmark_tracer()
     wrapped = {
-        name for name, fn in public.items()
+        name for name in public
         for mod, attr in spans.SPANNED
-        if getattr(sys.modules[f"localfloer.{mod}"], attr) is fn
+        if getattr(sys.modules[f"localfloer.{mod}"], attr) is getattr(localfloer, name)
     }
     unreached = set(public) - reached - readme_quick_start_imports() - wrapped
     assert {
@@ -788,6 +805,46 @@ def test_no_module_imports_a_name_it_never_uses():
 def test_unused_import_check_finds_an_unused_name():
     source = "import numpy as np\nfrom typing import List, Tuple\n\nx: List[int] = np.zeros(1)\n"
     assert unused_imports(source) == ["Tuple"]
+
+
+# ------------------------------------------------------ unraised error classes
+
+
+def unraised_errors(errors_source: str, sources):
+    """Classes of an errors module that no ``raise`` in sources names, and
+    that are no base, direct or not, of a class one does name."""
+    bases = {
+        node.name: {base.id for base in node.bases if isinstance(base, ast.Name)}
+        for node in ast.walk(ast.parse(errors_source))
+        if isinstance(node, ast.ClassDef)
+    }
+    raised = set()
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if isinstance(exc, ast.Name):
+                    raised.add(exc.id)
+                elif isinstance(exc, ast.Attribute):
+                    raised.add(exc.attr)
+    defined = set(bases)
+    kept, todo = set(), raised & defined
+    while todo:
+        name = todo.pop()
+        kept.add(name)
+        todo |= (bases[name] & defined) - kept
+    return sorted(defined - kept)
+
+
+def test_errors_module_holds_only_what_src_raises():
+    src = Path(localfloer.__file__).resolve().parent
+    sources = [path.read_text() for path in sorted(src.glob("*.py"))]
+    assert unraised_errors((src / "errors.py").read_text(), sources) == []
+
+
+def test_unraised_error_check_finds_an_unraised_class():
+    errors = "class Base(Exception):\n    pass\n\n\nclass Raised(Base):\n    pass\n\n\nclass Idle(Base):\n    pass\n"
+    assert unraised_errors(errors, ["raise Raised('x')\n", "raise ValueError\n"]) == ["Idle"]
 
 
 # ------------------------------------------------------ pow-free corpus fields

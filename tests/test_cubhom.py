@@ -522,6 +522,23 @@ def test_even_resolutions_are_refused(resolutions):
         local_morse_homology(e.value, BOX2, resolutions=resolutions, grad=e.grad)
 
 
+def never_sampled(points):
+    raise AssertionError("sampled before the resolutions were checked")
+
+
+@pytest.mark.parametrize(
+    "resolutions, message",
+    [((1, 3), "at least 3"), ((17, 17), "distinct"), ((9, 17, 17), "distinct")],
+)
+def test_resolutions_the_scenario_parser_refuses_are_refused_before_sampling(
+    resolutions, message
+):
+    """A grid of one node has no spacing, and a repeated finest resolution
+    would let the stabilization gate compare a grid with itself."""
+    with pytest.raises(ValueError, match=message):
+        local_morse_homology(never_sampled, BOX2, resolutions=resolutions, grad=never_sampled)
+
+
 # --- Morse perturbation oracle
 
 

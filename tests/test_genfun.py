@@ -16,7 +16,6 @@ from localfloer.genfun import (
     _path_integrate,
     _plaquette_defect,
     generating_function,
-    homotopy_isolation_scan,
     psi,
 )
 from oracles import (
@@ -24,6 +23,7 @@ from oracles import (
     any_dim_plaquette_defect,
     conjugated_map,
     gf_property_report,
+    homotopy_isolation_scan,
     reconstruction_residual,
     scaling_conjugation,
 )

@@ -7,17 +7,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from localfloer import (
-    Box,
-    OdeGermMap,
-    c_constant_exact,
-    contraction_check,
-    periodic_point_search,
-    splitting_ratio_report,
-)
+from localfloer import Box, OdeGermMap, c_constant_exact, periodic_point_search
 from localfloer.genfun import GermMap
 from localfloer.germs import NEWTON_MAX_ITER, _distinct, _newton_search, _seed_orbit
-from localfloer.errors import LinearizationNotIdentity, NewtonDivergence
+from localfloer.errors import NewtonDivergence
 from localfloer.scenarios import _jsonable
 from localfloer.corpus import (
     direct_sum_germ,
@@ -28,7 +21,14 @@ from localfloer.corpus import (
     shear,
     zero_germ,
 )
-from oracles import DiscreteOrbit, distinct_pairwise, maximizing_orbit
+from oracles import (
+    DiscreteOrbit,
+    LinearizationNotIdentity,
+    contraction_check,
+    distinct_pairwise,
+    maximizing_orbit,
+    splitting_ratio_report,
+)
 
 
 # ----------------------------------------------------------- the constant

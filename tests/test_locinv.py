@@ -22,14 +22,8 @@ from localfloer.errors import (
     ShiftAmbiguous,
 )
 from localfloer.germs import HamiltonianGerm, fixed_point_record, flow_jacobians, translate
-from localfloer.invariants import (
-    detect_sdm,
-    fixed_point_index,
-    local_floer,
-    total_ranks,
-    verify_persistence,
-)
-from oracles import iterate
+from localfloer.invariants import detect_sdm, local_floer, total_ranks, verify_persistence
+from oracles import fixed_point_index, iterate
 
 
 def record_of(germ):
@@ -116,7 +110,6 @@ def test_degenerate_maximum_rank_is_stable(k):
     assert lf.ranks.as_dict() == {1: 1}
     assert lf.delta == 0.0
     assert lf.hypothesis["hessian_norm_at_zero"] < 2.0 * np.pi
-    assert lf.hypothesis["kk_side_bounds_checked"] is False
 
 
 def flow_sizes(monkeypatch):

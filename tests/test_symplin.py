@@ -9,12 +9,11 @@ from localfloer.symplectic import (
     admissible,
     good,
     spectrum,
-    split_spectral,
     standard_j,
     validate_symplectic,
     vectorfield_j,
 )
-from oracles import admissible_set
+from oracles import admissible_set, split_spectral
 from pathhelpers import random_symplectic
 
 
