@@ -16,23 +16,7 @@ import numpy as np
 from .germs import HamiltonianGerm, concatenate
 from .symplectic import direct_sum_indices
 
-__all__ = [
-    "zero_germ",
-    "linear_rotation",
-    "hyperbolic",
-    "negative_hyperbolic",
-    "shear",
-    "quartic",
-    "monkey_saddle",
-    "resonant_rotation",
-    "twisted_rotation",
-    "morse_triple",
-    "direct_sum_germ",
-    "GermEntry",
-    "GERMS",
-    "FieldEntry",
-    "FIELDS",
-]
+__all__ = ["GERMS", "FIELDS"]
 
 
 def _split(z):

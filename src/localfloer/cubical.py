@@ -31,7 +31,7 @@ from scipy.sparse.csgraph import connected_components
 
 from .errors import (
     CriticalValueInWindow,
-    NotIsolated,
+    NonIsolated,
     NotStabilized,
     WindingUnresolved,
 )
@@ -50,6 +50,9 @@ __all__ = [
 
 # the resolutions at which local Morse homology must stabilize, unless set
 HM_RESOLUTIONS = (17, 25, 33)
+# sublevel_pair looks for spurious critical values outside this fraction of
+# the box radius, unless set
+EXCLUDE_FRACTION = 0.5
 
 # ------------------------------------------------------------- graded ranks
 
@@ -297,7 +300,7 @@ def sublevel_pair(
     c: float,
     delta: float,
     box: Box,
-    exclude_fraction: float = 0.5,
+    exclude_fraction: float = EXCLUDE_FRACTION,
 ) -> CubicalPair:
     """The pair ({f <= c}, {f <= c - delta}) on the box grid.
 
@@ -350,7 +353,7 @@ def local_morse_homology(
     box: Box,
     resolutions: Sequence[int] = HM_RESOLUTIONS,
     grad: Optional[Callable] = None,
-    exclude_fraction: float = 0.5,
+    exclude_fraction: float = EXCLUDE_FRACTION,
 ) -> MorseReport:
     """Local Morse homology of f at the origin over Z2; f maps points
     (N, m) to values (N,), as a sampled field's ``interpolator()`` does.
@@ -361,7 +364,7 @@ def local_morse_homology(
     odd and at least 3, so that the origin is an inner grid node; the box is
     of m <= 2, where relative_homology_z2 answers (ValueError before sampling).
     The critical point must be isolated: the gradient may not vanish on the
-    SHELL annulus (NotIsolated).
+    SHELL annulus (NonIsolated).
 
     The delta at each resolution is h times the median gradient norm over
     the box: wide enough that the gap between the sub-c and sub-(c - delta)
@@ -387,7 +390,7 @@ def local_morse_homology(
     shell_mask = (radii >= SHELL[0] * box.radius) & (radii <= SHELL[1] * box.radius)
     scale = max(float(np.max(gn_fine)), 1e-300)
     if float(np.min(gn_fine[shell_mask])) <= 1e-9 * scale:
-        raise NotIsolated(
+        raise NonIsolated(
             "gradient vanishes on the shell; the critical point is not isolated"
         )
 

@@ -16,13 +16,6 @@ class LocalFloerError(Exception):
 class NotSymplectic(LocalFloerError):
     """Matrix fails the symplectic identity M^T J M = J beyond tolerance."""
 
-    def __init__(self, defect: float, tol: float):
-        self.defect = float(defect)
-        self.tol = float(tol)
-        super().__init__(
-            f"symplectic defect {self.defect:.3e} exceeds tolerance {self.tol:.3e}"
-        )
-
 
 class ClusterAmbiguous(LocalFloerError):
     """Two eigenvalue clusters sit too close for a reliable classification."""
@@ -63,7 +56,7 @@ class NotClosed(LocalFloerError):
 
 
 class NonIsolated(LocalFloerError):
-    """A fixed or periodic point set is not isolated at the working scale."""
+    """A fixed point, periodic point or critical point is not isolated at the working scale."""
 
 
 # ---------------------------------------------------------------- generating functions
@@ -92,10 +85,6 @@ class NotStabilized(LocalFloerError):
     """Homology ranks disagree across the two finest grid resolutions."""
 
 
-class NotIsolated(LocalFloerError):
-    """The critical point is not isolated on the sampling shell."""
-
-
 # ---------------------------------------------------------------- invariant assembly
 
 
@@ -119,11 +108,7 @@ class ScenarioError(LocalFloerError):
 
 
 class ParseError(ScenarioError):
-    """Scenario file is not valid JSON; carries the offending line."""
-
-    def __init__(self, message: str, line: int = 0):
-        super().__init__(message)
-        self.line = line
+    """Scenario file is not valid JSON; the message names the offending line."""
 
 
 class UnknownFormula(ScenarioError):

@@ -12,7 +12,7 @@ from typing import Callable, List
 
 import numpy as np
 
-__all__ = ["Box", "SampledField", "grid_gradient"]
+__all__ = ["Box", "SampledField"]
 
 # annulus, in fractions of a box radius, where an isolated center has no critical point
 SHELL = (0.25, 1.0)

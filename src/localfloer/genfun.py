@@ -54,6 +54,10 @@ INVERT_TOL = 1e-12
 PROBE_RES = 33
 # generating_function: least |det| of the xx Jacobian block on the box
 DET_MIN = 0.2
+# generating_function: largest ||Dphi^k - id|| on the box, unless set
+C1_GATE = 0.2
+# SplineGermMap: grid nodes per axis, unless set
+SPLINE_RESOLUTION = 97
 
 
 def _opnorms(mats: np.ndarray) -> np.ndarray:
@@ -198,7 +202,7 @@ class SplineGermMap(GermMap):
         self,
         germ: HamiltonianGerm,
         box: Box,
-        resolution: int = 97,
+        resolution: int = SPLINE_RESOLUTION,
         k: int = 1,
         padding: float = 1.6,
         _data=None,
@@ -395,7 +399,7 @@ def generating_function(
     k: int,
     box: Box,
     resolution: int,
-    c1_gate: float = 0.2,
+    c1_gate: float = C1_GATE,
     closedness_tol: float = 1e-6,
 ) -> GeneratingFunction:
     """Assemble F_k on the box at the given odd resolution.

@@ -54,6 +54,8 @@ ATOL = 1e-13
 CLOSURE_TOL = 1e-6
 # step cap of the Newton searches for fixed and periodic points and of PsiMap.invert
 NEWTON_MAX_ITER = 40
+# residual at which the fixed and periodic point searches stop, unless set
+NEWTON_TOL = 1e-11
 
 
 @dataclass
@@ -421,7 +423,7 @@ def find_fixed_points(
     germ: HamiltonianGerm,
     radius: float,
     seeds_per_axis: int = 9,
-    newton_tol: float = 1e-11,
+    newton_tol: float = NEWTON_TOL,
 ) -> List[FixedPointRecord]:
     """Newton search for fixed points of the time-1 map inside a box.
 

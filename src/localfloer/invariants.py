@@ -31,18 +31,18 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .cubical import HM_RESOLUTIONS, GradedRanks, local_morse_homology
+from .cubical import EXCLUDE_FRACTION, HM_RESOLUTIONS, GradedRanks, local_morse_homology
 from .errors import (
     DegenerateEndpoint,
     HypothesisFailed,
     LocalFloerError,
+    NonIsolated,
     NotAdmissible,
-    NotIsolated,
     RouteUnavailable,
     ShiftAmbiguous,
 )
 from .fields import Box
-from .genfun import SplineGermMap, generating_function
+from .genfun import C1_GATE, SplineGermMap, generating_function
 from .germs import FixedPointRecord, HamiltonianGerm, fixed_point_record, translate
 from .paths import _iterate_index
 from .symplectic import admissible, direct_sum_indices, good, standard_j
@@ -59,8 +59,6 @@ __all__ = [
 
 SDM_DELTA_TOL = 1e-6
 WINDOW_TOL = 1e-6
-# grid of the spline of phi (n = 1) on the degenerate route
-SPLINE_RESOLUTION = 97
 
 
 @dataclass(frozen=True)
@@ -93,8 +91,8 @@ class _IterateSweep:
     record: FixedPointRecord
     gf_radius: float = 0.1
     gf_resolution: int = 65
-    c1_gate: float = 0.2
-    exclude_fraction: float = 0.5
+    c1_gate: float = C1_GATE
+    exclude_fraction: float = EXCLUDE_FRACTION
 
     def __post_init__(self):
         self._answers: Dict[int, LocalFloer] = {}
@@ -126,7 +124,7 @@ class _IterateSweep:
         if float(np.linalg.norm(self.record.point)) > 1e-9:
             base = translate(self.germ, self.record.point)
         box = Box(center=(0.0, 0.0), radius=self.gf_radius)
-        return SplineGermMap(base, box, resolution=SPLINE_RESOLUTION)
+        return SplineGermMap(base, box)
 
     @cached_property
     def _factors(self) -> Tuple["_IterateSweep", ...]:
@@ -200,7 +198,7 @@ class _IterateSweep:
                 grad=gf.psi_k.gradient,
                 exclude_fraction=self.exclude_fraction,
             )
-        except NotIsolated as exc:
+        except NonIsolated as exc:
             raise HypothesisFailed(f"critical point of F_{k} not isolated: {exc}")
         hypothesis = {
             "hessian_norm_at_zero": hess_norm,

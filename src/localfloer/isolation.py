@@ -18,7 +18,7 @@ import numpy as np
 
 from .fields import Box
 from .genfun import GermMap
-from .germs import NEWTON_MAX_ITER, _distinct, _newton_search, _seed_orbit
+from .germs import NEWTON_MAX_ITER, NEWTON_TOL, _distinct, _newton_search, _seed_orbit
 from .symplectic import admissible, validate_symplectic
 
 __all__ = [
@@ -65,7 +65,7 @@ def periodic_point_search(
     k: int,
     radii: Sequence[float],
     seeds_per_axis: int = 17,
-    newton_tol: float = 1e-11,
+    newton_tol: float = NEWTON_TOL,
     first: int = 1,
 ) -> Tuple[SearchReport, ...]:
     """Newton-from-grid search for fixed points of phi^j in shrinking balls,

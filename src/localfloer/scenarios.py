@@ -59,15 +59,7 @@ from .invariants import detect_sdm, verify_persistence
 from .isolation import c_constant_exact, periodic_point_search
 from .symplectic import admissible, good, spectrum
 
-__all__ = [
-    "FORMULAS",
-    "Scenario",
-    "load_scenario",
-    "parse_scenario",
-    "run_scenario",
-    "emit_plots",
-    "corpus_listing",
-]
+__all__ = ["Scenario", "load_scenario", "run_scenario", "emit_plots"]
 
 
 # Parametrized constructors reachable from scenario files.  Named corpus
@@ -275,7 +267,7 @@ def load_scenario(path) -> Scenario:
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise ParseError(f"{p}:{exc.lineno}: {exc.msg}", line=exc.lineno) from None
+        raise ParseError(f"{p}:{exc.lineno}: {exc.msg}") from None
     return parse_scenario(obj, source=str(p))
 
 

@@ -36,7 +36,6 @@ from .errors import ClusterAmbiguous, NotAdmissible, NotSymplectic
 __all__ = [
     "standard_j",
     "vectorfield_j",
-    "direct_sum_indices",
     "SymplecticMatrix",
     "validate_symplectic",
     "EigenCluster",
@@ -108,11 +107,11 @@ def validate_symplectic(entries: np.ndarray, tol: float = DEFAULT_TOL_SYMP) -> S
     j = standard_j(n)
     defect = float(np.max(np.abs(arr.T @ j @ arr - j)))
     if defect > tol:
-        raise NotSymplectic(defect, tol)
+        raise NotSymplectic(f"symplectic defect {defect:.3e} exceeds tolerance {tol:.3e}")
     det = float(np.linalg.det(arr))
     scale = max(1.0, float(np.max(np.abs(arr))) ** (2 * n))
     if abs(det - 1.0) > 100.0 * tol * scale:
-        raise NotSymplectic(abs(det - 1.0), tol)
+        raise NotSymplectic(f"symplectic defect {abs(det - 1.0):.3e} exceeds tolerance {tol:.3e}")
     return SymplecticMatrix(n=n, entries=arr, tol_symp=tol)
 
 

@@ -69,8 +69,8 @@ from localfloer.errors import (
     ClusterAmbiguous,
     LocalFloerError,
     NewtonDivergence,
+    NonIsolated,
     NotInvertibleOnBox,
-    NotIsolated,
     NotStabilized,
 )
 from localfloer.fields import SHELL, Box, SampledField, grid_gradient
@@ -323,7 +323,7 @@ def morse_sampling_every_grid(f, box: Box, resolutions, grad=None, exclude_fract
     shell_mask = (radii >= SHELL[0] * box.radius) & (radii <= SHELL[1] * box.radius)
     scale = max(float(np.max(gn_fine)), 1e-300)
     if float(np.min(gn_fine[shell_mask])) <= 1e-9 * scale:
-        raise NotIsolated(
+        raise NonIsolated(
             "gradient vanishes on the shell; the critical point is not isolated"
         )
     results, deltas = [], []

@@ -474,6 +474,45 @@ def test_degenerate_identity_germ_fails_honestly(tmp_path, capsys):
     assert summary["errors"][0]["task"] == "00-persistence"
 
 
+def test_refused_morse_task_records_its_error_and_fails_its_gate(tmp_path, capsys):
+    """Grids of 3 and 5 nodes are too coarse to clear neg-r2's collar: the
+    task writes the refusal into its payload and fails morse.stabilized."""
+    sc = spectrum_scenario(tasks=[{"kind": "morse", "field": "neg-r2", "resolutions": [3, 5]}])
+    out = tmp_path / "out"
+    code = main(["run", "--scenario", write_scenario(tmp_path, sc), "--out", str(out)])
+    capsys.readouterr()
+    assert code == 1
+    payload = json.loads((out / "00-morse.json").read_text())
+    assert payload["error"]["type"] == "CriticalValueInWindow"
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["pass"] is False
+    assert summary["errors"] == []
+    [gate] = summary["gates"]
+    assert (gate["id"], gate["passed"]) == ("morse.stabilized", False)
+    assert gate["detail"].startswith("CriticalValueInWindow: ")
+
+
+def test_refused_sdm_crosscheck_passes_as_uncomputable(tmp_path, capsys):
+    """On quartic-max ||Dphi^k - id|| is 0.030 at k = 1 and 0.061 at k = 2,
+    so this c1_gate admits the sdm test and refuses its k = 2 cross-check.
+    The refused cross-check passes its gate as "uncomputable" and the run
+    exits 0.  This pins a gate that cannot fail: ROADMAP item 4 turns the
+    verdict into `uncertified`, and this test changes with it."""
+    sc = spectrum_scenario(tasks=[{"kind": "sdm", "c1_gate": 0.0457}], k_range=[1, 2])
+    out = tmp_path / "out"
+    code = main(["run", "--scenario", write_scenario(tmp_path, sc), "--out", str(out)])
+    capsys.readouterr()
+    assert code == 0
+    payload = json.loads((out / "00-sdm.json").read_text())
+    assert payload["is_sdm"] is True
+    assert payload["evidence"]["crosscheck"]["k"] == 2
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["pass"] is True
+    [gate] = summary["gates"]
+    assert (gate["id"], gate["passed"]) == ("sdm.crosscheck-consistent", True)
+    assert gate["detail"].startswith("uncomputable: NotC1Small: ")
+
+
 # ------------------------------------------------------- corpus and plots
 
 
@@ -777,13 +816,14 @@ def test_every_public_function_is_reached_or_listed(tmp_path, capsys):
 
 def unused_imports(source: str):
     """Names a module imports and never reads.  A name counts as read when
-    it is loaded anywhere, or listed in the module's __all__."""
+    it is loaded anywhere, or listed in the module's __all__.  A star
+    import binds no name of its own, so it is never reported."""
     imported, read = set(), set()
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Import):
             imported |= {alias.asname or alias.name.split(".")[0] for alias in node.names}
         elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
-            imported |= {alias.asname or alias.name for alias in node.names}
+            imported |= {alias.asname or alias.name for alias in node.names if alias.name != "*"}
         elif isinstance(node, ast.Name):
             read.add(node.id)
         elif isinstance(node, ast.Assign) and any(
@@ -805,6 +845,11 @@ def test_no_module_imports_a_name_it_never_uses():
 def test_unused_import_check_finds_an_unused_name():
     source = "import numpy as np\nfrom typing import List, Tuple\n\nx: List[int] = np.zeros(1)\n"
     assert unused_imports(source) == ["Tuple"]
+
+
+def test_unused_import_check_skips_a_star_import():
+    source = "from .x import *\nfrom .y import used, idle\n\nprint(used)\n"
+    assert unused_imports(source) == ["idle"]
 
 
 # ------------------------------------------------------ unraised error classes

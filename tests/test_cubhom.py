@@ -27,7 +27,7 @@ from localfloer.cubical import (
     relative_homology_z2,
     sublevel_pair,
 )
-from localfloer.errors import CriticalValueInWindow, LocalFloerError, NotIsolated
+from localfloer.errors import CriticalValueInWindow, LocalFloerError, NonIsolated
 from localfloer.fields import Box, grid_gradient
 from oracles import (
     full_box_free_components,
@@ -493,7 +493,7 @@ def _oracle_ranks_4d(f, exclude_fraction):
 
 
 def test_line_of_critical_points_is_rejected():
-    with pytest.raises(NotIsolated):
+    with pytest.raises(NonIsolated):
         local_morse_homology(lambda p: p[:, 0] ** 2, BOX2)
 
 
