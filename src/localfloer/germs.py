@@ -8,16 +8,24 @@ M' = J_vf Hess_H M alongside, reading both derivatives from one call of the
 jet per right-hand side.  Value-only flows call grad alone.
 
 Time-dependent germs arise from smooth concatenation: two unit-time germs
-are run back to back through a reparametrization whose derivative vanishes
-to infinite order at the junction, so the concatenated Hamiltonian is smooth
-and 1-periodic whenever the pieces vanish at their time endpoints.
+are run back to back through a reparametrization sigma whose derivative
+vanishes to infinite order at the junction, so the concatenated Hamiltonian
+2 sigma'(s) H_piece(sigma(s), z) is smooth and 1-periodic whenever the
+pieces vanish at their time endpoints.  Its callbacks return that
+Hamiltonian, but its flows never integrate it: with tau = sigma(2 t - piece)
+it solves dz/dtau = X_{H_piece}(tau, z) exactly, so its flow is the
+composition of its pieces' unit-time flows.  A germ with ``pieces`` is
+flowed piece by piece (nested concatenations recurse), and the high
+derivatives of sigma near the junctions, which an adaptive step controller
+would have to resolve, never enter an integration.
 
 The action of a closed orbit t -> phi_t(z), z a fixed point of the time-1
 map, is
 
     A = integral_0^1 ( H(t, z(t)) - y(t) . x'(t) ) dt,
 
-integrated as an extra component of the same ODE system.
+integrated as an extra component of the same ODE system; along a germ
+with pieces it is the sum of the pieces' segment actions.
 """
 from __future__ import annotations
 
@@ -73,6 +81,9 @@ class HamiltonianGerm:
     name: str = ""
     # set for germs built as direct sums; consumers may split along it
     factors: Optional[tuple] = None
+    # set by concatenate (and kept by translate): (first, second), whose
+    # unit-time flows compose to this germ's flow; flows run them in turn
+    pieces: Optional[tuple] = None
     hess: Callable[[float, np.ndarray], np.ndarray] = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -141,38 +152,77 @@ def _variational_flow(germ: HamiltonianGerm, z0: np.ndarray, dense: bool):
 def flow_points(germ: HamiltonianGerm, points: np.ndarray) -> np.ndarray:
     """Time-1 flow of a batch of shape (N, 2n), values only: the first 2n rows
     of the state of ``_variational_flow``, so only ``grad`` is called."""
-    jvf, z0 = vectorfield_j(germ.n), np.atleast_2d(np.asarray(points, dtype=float))
-    shape = z0.T.shape
+    z0 = np.atleast_2d(np.asarray(points, dtype=float))
+    if germ.pieces is not None:
+        for piece in germ.pieces:
+            z0 = flow_points(piece, z0)
+        return z0
+    jvf, shape = vectorfield_j(germ.n), z0.T.shape
     sol = _solve(lambda t, y: (jvf @ germ.grad(t, y.reshape(shape).T).T).ravel(), z0.T.ravel())
     return sol.y[:, -1].reshape(shape).T
 
 
-def flow_jacobians(germ: HamiltonianGerm, points: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Flow and its space derivative for a batch: (phi(z), Dphi(z))."""
+def _flow_jacobians(germ: HamiltonianGerm, z0: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """(phi(z0), Dphi(z0)) of a batch z0 of shape (N, 2n); the Jacobian of a
+    germ with pieces is the product of theirs, the last piece's first."""
+    if germ.pieces is not None:
+        first, second = germ.pieces
+        mid, d1 = _flow_jacobians(first, z0)
+        end, d2 = _flow_jacobians(second, mid)
+        return end, d2 @ d1
     dim = 2 * germ.n
-    z0 = np.atleast_2d(np.asarray(points, dtype=float))
     sol = _variational_flow(germ, z0, dense=False)
     final = sol.y[:, -1].reshape(dim + dim * dim, len(z0))
-    phi = final[:dim].T
-    jac = final[dim:].reshape(dim, dim, len(z0)).transpose(2, 0, 1)
+    return final[:dim].T, final[dim:].reshape(dim, dim, len(z0)).transpose(2, 0, 1)
+
+
+def flow_jacobians(germ: HamiltonianGerm, points: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Flow and its space derivative for a batch: (phi(z), Dphi(z))."""
+    phi, jac = _flow_jacobians(germ, np.atleast_2d(np.asarray(points, dtype=float)))
     if np.asarray(points).ndim == 2:
         return phi, jac
     return phi[0], jac[0]
 
 
-def monodromy(germ: HamiltonianGerm, point: Optional[np.ndarray] = None) -> SymplecticPath:
-    """Linearized flow along the trajectory of a point, as a path in Sp(2n).
+def _linearized_path(
+    germ: HamiltonianGerm, z0: np.ndarray
+) -> Tuple[Callable[[np.ndarray], np.ndarray], np.ndarray]:
+    """The linearized flow along the orbit of one point z0, as a function of
+    an array of times in [0, 1], and the orbit's end point at time 1.
 
     The dense output of a one-point flow is the vector (z, M), so its rows
-    from 2n on are the entries of M row by row."""
-    dim = 2 * germ.n
-    z0 = np.zeros(dim) if point is None else np.asarray(point, dtype=float)
-    sol = _variational_flow(germ, z0.reshape(1, dim), dense=True)
+    from 2n on are the entries of M row by row.  Along a germ with pieces the
+    path is the first piece's at sigma(2 t) for t < 1/2, and after that the
+    second piece's at sigma(2 t - 1) times the first piece's endpoint: the
+    time change under which the concatenated flow is theirs."""
+    dim = len(z0)
+    if germ.pieces is None:
+        sol = _variational_flow(germ, z0.reshape(1, dim), dense=True)
+        return (lambda ts: sol.sol(ts)[dim:].T.reshape(-1, dim, dim)), sol.y[:dim, -1]
+    first, second = germ.pieces
+    ev1, mid = _linearized_path(first, z0)
+    ev2, end = _linearized_path(second, mid)
+    e1 = ev1(np.ones(1))
 
     def ev(ts: np.ndarray) -> np.ndarray:
-        return sol.sol(np.clip(ts, 0.0, 1.0))[dim:].T.reshape(-1, dim, dim)
+        out = np.empty((len(ts), dim, dim))
+        lo = ts < 0.5
+        # a dense ODE solution cannot be evaluated at an empty array of times
+        if np.any(lo):
+            out[lo] = ev1(_sigma(2.0 * ts[lo]))
+        if not np.all(lo):
+            out[~lo] = ev2(_sigma(2.0 * ts[~lo] - 1.0)) @ e1
+        return out
 
-    return SymplecticPath(germ.n, 1.0, ev)
+    return ev, end
+
+
+def monodromy(germ: HamiltonianGerm, point: Optional[np.ndarray] = None) -> SymplecticPath:
+    """Linearized flow along the trajectory of a point, as a path in Sp(2n)."""
+    dim = 2 * germ.n
+    z0 = np.zeros(dim) if point is None else np.asarray(point, dtype=float)
+    ev, _ = _linearized_path(germ, z0)
+    return SymplecticPath(germ.n, 1.0, lambda ts: ev(np.clip(ts, 0.0, 1.0)))
 
 
 def translate(germ: HamiltonianGerm, point: np.ndarray) -> HamiltonianGerm:
@@ -192,6 +242,8 @@ def translate(germ: HamiltonianGerm, point: np.ndarray) -> HamiltonianGerm:
         grad=shift(germ.grad),
         jet=shift(germ.jet),
         name=f"{germ.name}@shifted" if germ.name else "",
+        # phi_2(phi_1(z + p)) - p composes the translated pieces' flows
+        pieces=None if germ.pieces is None else tuple(translate(g, point) for g in germ.pieces),
     )
 
 
@@ -200,8 +252,9 @@ def _reparam(t: float) -> Tuple[int, float, float]:
     2 sigma'(s) at s = 2 t - piece.
 
     sigma(s) = g(s) / (g(s) + g(1 - s)) with g(s) = exp(-1/s), so sigma'
-    is flat to infinite order at both endpoints.  Plain floats: the flow
-    calls this once per right-hand side.
+    is flat to infinite order at both endpoints.  Plain floats: the smooth
+    callbacks of a concatenation call this once per call; the flows of a
+    concatenation run its pieces and never call it.
     """
     piece = 0 if t < 0.5 else 1
     s = min(max(2.0 * t - piece, 0.0), 1.0)
@@ -214,11 +267,20 @@ def _reparam(t: float) -> Tuple[int, float, float]:
     return piece, g / (g + h), 2.0 * (gp * h + g * hp) / (g + h) ** 2
 
 
+def _sigma(s: np.ndarray) -> np.ndarray:
+    """sigma of ``_reparam`` on an array of s in [0, 1]; exp(-1/s) is 0.0
+    in floating point wherever ``_reparam`` sets g to 0."""
+    with np.errstate(divide="ignore"):
+        g, h = np.exp(-1.0 / s), np.exp(-1.0 / (1.0 - s))
+    return g / (g + h)
+
+
 def concatenate(first: HamiltonianGerm, second: HamiltonianGerm) -> HamiltonianGerm:
     """Unit-time germ whose flow is phi_second composed with phi_first.
 
-    Each piece runs through the flat reparametrization sigma, so the result
-    is smooth in t and vanishes near t in {0, 1/2, 1}.
+    Each piece runs through the flat reparametrization sigma, so the
+    callbacks are smooth in t and vanish near t in {0, 1/2, 1}.  The germ
+    keeps ``pieces=(first, second)``, and its flows run the two pieces.
     """
     if first.n != second.n:
         raise ValueError("dimension mismatch")
@@ -243,14 +305,21 @@ def concatenate(first: HamiltonianGerm, second: HamiltonianGerm) -> HamiltonianG
         grad=wrap(first.grad, second.grad),
         jet=jet,
         name=f"{first.name}#{second.name}",
+        pieces=(first, second),
     )
 
 
-def orbit_action(germ: HamiltonianGerm, point: np.ndarray) -> float:
-    """Action of the closed orbit through a fixed point of the time-1 map."""
+def _segment_action(germ: HamiltonianGerm, z0: np.ndarray) -> Tuple[np.ndarray, float]:
+    """End point of the unit-time orbit segment from z0, and the integral of
+    H - y . x' along it; a germ with pieces adds up its pieces' segments."""
+    if germ.pieces is not None:
+        action = 0.0
+        for piece in germ.pieces:
+            z0, part = _segment_action(piece, z0)
+            action += part
+        return z0, action
     dim = 2 * germ.n
     jvf = vectorfield_j(germ.n)
-    z0 = np.asarray(point, dtype=float)
     y0 = np.concatenate([z0, [0.0]])
 
     def rhs(t, y):
@@ -261,12 +330,18 @@ def orbit_action(germ: HamiltonianGerm, point: np.ndarray) -> float:
         da = float(germ.value(t, z)[0]) - float(np.dot(z[0, germ.n :], dz[: germ.n]))
         return np.concatenate([dz, [da]])
 
-    sol = _solve(rhs, y0)
-    final = sol.y[:, -1]
-    drift = float(np.linalg.norm(final[:dim] - z0))
+    final = _solve(rhs, y0).y[:, -1]
+    return final[:dim], float(final[dim])
+
+
+def orbit_action(germ: HamiltonianGerm, point: np.ndarray) -> float:
+    """Action of the closed orbit through a fixed point of the time-1 map."""
+    z0 = np.asarray(point, dtype=float)
+    end, action = _segment_action(germ, z0)
+    drift = float(np.linalg.norm(end - z0))
     if drift > CLOSURE_TOL:
         raise NotClosed(f"orbit endpoint differs from start by {drift:.3e}")
-    return float(final[dim])
+    return action
 
 
 @dataclass(frozen=True)

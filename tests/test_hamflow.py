@@ -1,10 +1,12 @@
 """Hamiltonian germs: flows, monodromy, iteration, actions, gap tables."""
+import dataclasses
 import gc
 
 import numpy as np
 import pytest
 from scipy.integrate import OdeSolver, solve_ivp
 
+import localfloer.germs as germs_module
 from localfloer.corpus import (
     GERMS,
     direct_sum_germ,
@@ -14,6 +16,7 @@ from localfloer.corpus import (
     negative_hyperbolic,
     quartic,
     resonant_rotation,
+    shear,
     twisted_rotation,
     zero_germ,
 )
@@ -26,6 +29,7 @@ from localfloer.germs import (
     _newton_search,
     _reparam,
     _seed_orbit,
+    _sigma,
     _variational_flow,
     concatenate,
     find_fixed_points,
@@ -109,7 +113,7 @@ def _bump(s):
     return np.where(s > 1e-12, np.exp(-1.0 / np.maximum(s, 1e-12)), 0.0)
 
 
-def _sigma(s):
+def _sigma_oracle(s):
     g, h = _bump(s), _bump(1.0 - s)
     return g / (g + h)
 
@@ -133,14 +137,22 @@ def test_reparam_matches_numpy_oracle():
         s = 2.0 * t - piece
         oracle = 2.0 * float(_sigma_prime(s))
         assert piece == (0 if t < 0.5 else 1)
-        assert abs(sig - float(_sigma(s))) <= 1e-15
+        assert abs(sig - float(_sigma_oracle(s))) <= 1e-15
         assert abs(dsig - oracle) <= 1e-15 * max(1.0, oracle)
+        # the array sigma along which a concatenation's monodromy path runs
+        assert abs(float(_sigma(np.array([s]))[0]) - sig) <= 1e-15
 
 
 def _row_major_flow(germ, z0):
     """Oracle for the component-major variational flow: the same equations
     with one (z, M) block per point, products as stacked matmuls.
-    Returns (phi(z0), Dphi(z0)) of the batch z0 of shape (N, 2n)."""
+    Returns (phi(z0), Dphi(z0)) of the batch z0 of shape (N, 2n).  A germ
+    with pieces composes its pieces' flows, as the flow under test does."""
+    if germ.pieces is not None:
+        first, second = germ.pieces
+        mid, d1 = _row_major_flow(first, z0)
+        end, d2 = _row_major_flow(second, mid)
+        return end, d2 @ d1
     jvf = vectorfield_j(germ.n)
     dim = 2 * germ.n
     nbatch = len(z0)
@@ -496,24 +508,123 @@ def _refuse(*args):
     raise AssertionError("a callback the flow must not call")
 
 
+def _refuse_smooth_callbacks(germ):
+    if germ.pieces:
+        germ.value = germ.jet = germ.grad = germ.hess = _refuse
+
+
+def _record_solves(monkeypatch):
+    """Patch the flows' solver to log the number of right-hand sides of
+    every solve, in order; returns the log."""
+    solve, nfevs = germs_module._solve, []
+
+    def recording(rhs, y0, dense=False):
+        sol = solve(rhs, y0, dense)
+        nfevs.append(sol.nfev)
+        return sol
+
+    monkeypatch.setattr(germs_module, "_solve", recording)
+    return nfevs
+
+
 @pytest.mark.parametrize("name", ["resonant-rotation", "concatenate", "direct-sum"])
-def test_variational_flow_calls_the_jet_once_per_right_hand_side(name):
+def test_variational_flow_calls_the_jet_once_per_right_hand_side(name, monkeypatch):
+    # a concatenation is flowed piece by piece: the count holds for each
+    # piece's solve, and its own smooth callbacks are never called
     germ = JET_GERMS[name]()
-    jet, calls = germ.jet, []
+    solved = germ.pieces or (germ,)
+    calls = [[] for _ in solved]
+    for g, log in zip(solved, calls):
 
-    def counting(t, z):
-        calls.append(len(z))
-        return jet(t, z)
+        def counting(t, z, jet=g.jet, log=log):
+            log.append(len(z))
+            return jet(t, z)
 
-    germ.jet, germ.grad, germ.hess = counting, _refuse, _refuse
+        g.jet, g.grad, g.hess = counting, _refuse, _refuse
+    _refuse_smooth_callbacks(germ)
+    nfevs = _record_solves(monkeypatch)
     z0 = np.random.default_rng(2).uniform(-0.2, 0.2, (7, 2 * germ.n))
-    sol = _variational_flow(germ, z0, dense=False)
-    assert len(calls) == sol.nfev and set(calls) == {7}
+    flow_jacobians(germ, z0)
+    assert [len(log) for log in calls] == nfevs
+    assert all(set(log) == {7} for log in calls)
     # value-only flows call grad alone
     germ = JET_GERMS[name]()
-    germ.jet, germ.hess = _refuse, _refuse
+    for g in germ.pieces or (germ,):
+        g.jet, g.hess = _refuse, _refuse
+    _refuse_smooth_callbacks(germ)
     flow_points(germ, z0)
     orbit_action(germ, np.zeros(2 * germ.n))
+
+
+def test_negative_hyperbolic_monodromy_takes_few_right_hand_sides(monkeypatch):
+    # its two pieces are flowed one after the other: 227 + 62 right-hand
+    # sides, where the smooth concatenation took 1,838 to step through the
+    # reparametrization at the junction
+    nfevs = _record_solves(monkeypatch)
+    monodromy(negative_hyperbolic(2.0)).endpoint()
+    assert len(nfevs) == 2 and sum(nfevs) < 600
+
+
+PIECEWISE_GERMS = {
+    "negative-hyperbolic-2": lambda: negative_hyperbolic(2.0),
+    "resonant#quartic": lambda: concatenate(resonant_rotation(), quartic(1)),
+    "half-turn-then-shear": lambda: concatenate(linear_rotation(0.5), shear()),
+    "nested": lambda: concatenate(
+        concatenate(linear_rotation(0.1), twisted_rotation()), quartic(-1)
+    ),
+    "translated": lambda: translate(
+        concatenate(resonant_rotation(), quartic(1)), np.array([0.05, -0.02])
+    ),
+}
+
+
+def _smooth(germ):
+    """The same germ without pieces: its flows integrate the concatenated
+    Hamiltonian through the junctions."""
+    return dataclasses.replace(germ, pieces=None)
+
+
+@pytest.mark.parametrize("name", sorted(PIECEWISE_GERMS))
+def test_piecewise_flows_match_the_smooth_concatenation(name):
+    germ = PIECEWISE_GERMS[name]()
+    assert germ.pieces is not None
+    smooth = _smooth(germ)
+    z0 = np.random.default_rng(8).uniform(-0.2, 0.2, (7, 2))
+    phi, jac = flow_jacobians(germ, z0)
+    ref_phi, ref_jac = flow_jacobians(smooth, z0)
+    np.testing.assert_allclose(phi, ref_phi, rtol=0.0, atol=1e-9)
+    np.testing.assert_allclose(jac, ref_jac, rtol=0.0, atol=1e-9)
+    np.testing.assert_allclose(flow_points(germ, z0), ref_phi, rtol=0.0, atol=1e-9)
+    # the path itself, on both pieces, at the junction and at the ends
+    ts = np.linspace(0.0, 1.0, 101)
+    path, ref_path = monodromy(germ), monodromy(smooth)
+    np.testing.assert_allclose(path.evaluate(ts), ref_path.evaluate(ts), rtol=0.0, atol=1e-9)
+    assert index_report(path).conley_zehnder == index_report(ref_path).conley_zehnder
+
+
+def test_piecewise_action_matches_the_smooth_concatenation():
+    # (0.1, 0) is moved by each half turn and closes after the second
+    germ = concatenate(linear_rotation(0.5), linear_rotation(0.5))
+    point = np.array([0.1, 0.0])
+    assert abs(orbit_action(germ, point) - orbit_action(_smooth(germ), point)) < 1e-10
+
+
+@pytest.mark.parametrize("x", [-1.0, 1.0])
+def test_piecewise_action_adds_the_pieces_actions(x):
+    # a rest point of both pieces: each contributes H(+-1, 0) = -EPS / 4,
+    # up to the rounding of the integrator's weights
+    germ = concatenate(morse_triple(), morse_triple())
+    assert abs(orbit_action(germ, np.array([x, 0.0])) - (-EPS / 2.0)) <= 1e-15
+
+
+def test_translate_distributes_over_pieces():
+    point = np.array([1.0, 0.0])
+    shifted = translate(concatenate(morse_triple(), linear_rotation(1.0)), point)
+    assert [g.name for g in shifted.pieces] == ["morse-triple(0.05)@shifted", "rotation(1.0)@shifted"]
+    # the translated rest point (1, 0) of the first piece, which the full
+    # turn of the second brings back
+    rec = fixed_point_record(shifted, np.zeros(2))
+    assert abs(rec.action - (-EPS / 4.0 + orbit_action(linear_rotation(1.0), point))) < 1e-10
 
 
 def _integrators():
