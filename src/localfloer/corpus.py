@@ -53,7 +53,9 @@ def linear_rotation(alpha: float) -> HamiltonianGerm:
 
 
 def hyperbolic(lam: float) -> HamiltonianGerm:
-    """H = log(lam) x y; time-1 flow is diag(lam, 1/lam)."""
+    """H = log(lam) x y, for lam > 0; time-1 flow is diag(lam, 1/lam)."""
+    if not lam > 0:
+        raise ValueError(f"hyperbolic needs lam > 0, got {lam}")
     c = np.log(lam)
     h = c * np.array([[0.0, 1.0], [1.0, 0.0]])
 
@@ -114,7 +116,7 @@ def quartic(sign: int) -> HamiltonianGerm:
         value=lambda t, z: s * (z[:, 0] ** 4 + z[:, 1] ** 4) / 4.0,
         grad=grad,
         jet=jet,
-        name=f"quartic({sign:+d})",
+        name=f"quartic({sign:+g})",
     )
 
 

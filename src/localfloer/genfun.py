@@ -93,12 +93,12 @@ class GermMap:
         """(self(pts), self.jac(pts)); maps that get both from one pass override it."""
         return self(pts), self.jac(pts)
 
-    def _value_and_x_rows(self, pts: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """(self(pts), self.jac(pts)[:, :n]): the value and the n Jacobian
-        rows of the x-components, all that psi reads.  Maps that can skip
-        the other rows override it."""
+    def _value_and_xx(self, pts: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """(self(pts), self.jac(pts)[:, :n, :n]): the value and the xx
+        Jacobian block, all that psi's Newton step reads.  Maps that can
+        skip the other blocks override it."""
         img, d = self.value_and_jac(pts)
-        return img, d[:, : self.n]
+        return img, d[:, : self.n, : self.n]
 
     def _xx_block(self, pts: np.ndarray) -> np.ndarray:
         """self.jac(pts)[:, :n, :n], all that psi's probe reads; maps may skip the rest."""
@@ -131,8 +131,8 @@ class OdeGermMap(GermMap):
     ``grad`` and never the jet).  Value and Jacobian come from one pass:
     each flow integrates the points together with their variational
     equations, so ``value_and_jac`` costs the same k flows as ``jac``, and
-    the psi hook (``_value_and_x_rows``, the inherited default) costs k
-    flows too.  The value-only flow takes its own steps, so its values
+    the psi hook (``_value_and_xx``, the inherited default) costs k flows
+    too.  The value-only flow takes its own steps, so its values
     agree with those of ``value_and_jac`` to about the integrator
     tolerance, not bit for bit."""
 
@@ -243,11 +243,11 @@ class SplineGermMap(GermMap):
         return self._rows(self._tabulated(pts), 2)
 
     def jac(self, pts: np.ndarray) -> np.ndarray:
-        return self._jac_rows(self._tabulated(pts), 2)
-
-    def _value_and_x_rows(self, pts: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         z = self._tabulated(pts)
-        return self._rows(z, 2), self._jac_rows(z, 1)
+        return np.stack([self._rows(z, 2, dx=1), self._rows(z, 2, dy=1)], axis=2)
+
+    def _value_and_xx(self, pts: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        return self(pts), self._xx_block(pts)
 
     def _xx_block(self, pts: np.ndarray) -> np.ndarray:
         return self._rows(self._tabulated(pts), 1, dx=1)[:, :, None]
@@ -257,9 +257,6 @@ class SplineGermMap(GermMap):
         return np.stack(
             [s(z[:, 0], z[:, 1], grid=False, **deriv) for s in self._phi_spl[:rows]], axis=1
         )
-
-    def _jac_rows(self, z: np.ndarray, rows: int) -> np.ndarray:
-        return np.stack([self._rows(z, rows, dx=1), self._rows(z, rows, dy=1)], axis=2)
 
     def iterate(self, k: int) -> "SplineGermMap":
         if k == 1:
@@ -291,28 +288,23 @@ class PsiMap:
     def invert(self, w: np.ndarray, _image: bool = False, _start=None):
         """Solve psi(z) = w per row by Newton, seeded at z = w.
 
-        Each step evaluates phi^k once, through ``_value_and_x_rows``: the
-        image gives the residual and, since D psi is (D phi^k)_x over the
-        identity y block, the n x-rows give the Newton matrix.  ``_start``,
+        psi leaves y alone, so z keeps w's y part and Newton runs on x:
+        each step evaluates phi^k once, through ``_value_and_xx``, and solves
+        (D phi^k)_xx dx = r with r the x part of phi^k(z) - w.  ``_start``,
         if given, is that pair at z = w, and the first step reads it instead.
         With ``_image`` the result is (z, phi^k(z)), the image of the last step.
         """
         n = self.n
         w = np.atleast_2d(np.asarray(w, dtype=float))
         z = w.copy()
-        # D psi: its y rows stay the identity, its x rows are set per step
-        j = np.broadcast_to(np.eye(2 * n), (len(w), 2 * n, 2 * n)).copy()
         for _ in range(NEWTON_MAX_ITER):
-            img, rows = _start or self.phi_k._value_and_x_rows(z)
+            img, xx = _start or self.phi_k._value_and_xx(z)
             _start = None
-            j[:, :n, :] = rows
-            res = z.copy()
-            res[:, :n] = img[:, :n]
-            res -= w
+            res = img[:, :n] - w[:, :n]
             err = float(np.max(np.abs(res)))
             if err <= INVERT_TOL:
                 return (z, img) if _image else z
-            z = z - np.linalg.solve(j, res[..., None])[..., 0]
+            z[:, :n] -= np.linalg.solve(xx, res[..., None])[..., 0]
         raise NewtonDivergence(f"psi inversion stalled at residual {err:.3e}")
 
     def gradient(self, w: np.ndarray, _start=None) -> np.ndarray:
@@ -425,7 +417,7 @@ def generating_function(
     min_det = float(np.min(np.abs(np.linalg.det(jacs[:, :n, :n]))))
     if min_det < DET_MIN:
         raise NotInvertibleOnBox(f"xx Jacobian block determinant reaches {min_det:.3e}")
-    grad_grid = pm.gradient(nodes, _start=(img, jacs[:, :n]))
+    grad_grid = pm.gradient(nodes, _start=(img, jacs[:, :n, :n]))
     grad_grid = grad_grid.reshape(resolution, resolution, 2)
     spacing = box.spacing(resolution)
     defect = _plaquette_defect(grad_grid, spacing)

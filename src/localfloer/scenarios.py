@@ -184,7 +184,7 @@ def resolve_germ(spec: dict) -> Tuple[HamiltonianGerm, float, str]:
     elif formula in FORMULAS:
         try:
             germ = FORMULAS[formula](**params)
-        except TypeError as exc:
+        except (TypeError, ValueError) as exc:
             raise ScenarioError(f"bad parameters for {formula!r}: {exc}") from None
         default_box = GERMS[formula].box_radius if formula in GERMS else 0.5
     else:

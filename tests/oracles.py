@@ -12,6 +12,9 @@ another way, or a construction the tests need to probe it:
 * ``admissible_set``: the admissible orders as the complement of the
   forbidden divisibility classes, for ``admissible``;
 * ``conjugated_map``: S^{-1} phi S for symplectic S;
+* ``full_jacobian_psi_gradient``: grad F_k at w = psi_k(z), with z found
+  by Newton on the full 2n x 2n D psi (identity y rows), against
+  ``PsiMap.gradient``, which runs Newton on the xx block alone;
 * ``reconstruction_residual``: how far X_F o psi_k misses phi^k - id;
 * ``distinct_pairwise``: the deduplication of ``germs._distinct`` as a
   loop over pairs of points;
@@ -75,13 +78,14 @@ from localfloer.errors import (
 )
 from localfloer.fields import SHELL, Box, SampledField, grid_gradient
 from localfloer.genfun import (
+    INVERT_TOL,
     GeneratingFunction,
     GermMap,
     OdeGermMap,
     _opnorms,
     generating_function,
 )
-from localfloer.germs import HamiltonianGerm, translate
+from localfloer.germs import NEWTON_MAX_ITER, HamiltonianGerm, translate
 from localfloer.isolation import c_constant_exact
 from localfloer.symplectic import SymplecticMatrix, admissible, validate_symplectic
 
@@ -550,6 +554,29 @@ def conjugated_map(phi: GermMap, s: np.ndarray) -> GermMap:
     s = np.asarray(s, dtype=float)
     validate_symplectic(s, tol=1e-9)
     return _ConjugatedMap(phi, s, np.linalg.inv(s))
+
+
+def full_jacobian_psi_gradient(phi_k: GermMap, w: np.ndarray) -> np.ndarray:
+    """grad F_k at w = psi_k(z): (-v, u) with (u, v) = phi^k(z) - z, where z
+    solves psi_k(z) = w by Newton on the full D psi, seeded at z = w.
+
+    D psi is (D phi^k)_x over the identity y rows, and the residual has a y
+    part too, so each step solves a 2n x 2n system for both parts of z."""
+    n = phi_k.n
+    w = np.atleast_2d(np.asarray(w, dtype=float))
+    z = w.copy()
+    j = np.broadcast_to(np.eye(2 * n), (len(w), 2 * n, 2 * n)).copy()
+    for _ in range(NEWTON_MAX_ITER):
+        img, d = phi_k.value_and_jac(z)
+        j[:, :n, :] = d[:, :n]
+        res = z.copy()
+        res[:, :n] = img[:, :n]
+        res -= w
+        if float(np.max(np.abs(res))) <= INVERT_TOL:
+            disp = img - z
+            return np.concatenate([-disp[:, n:], disp[:, :n]], axis=1)
+        z = z - np.linalg.solve(j, res[..., None])[..., 0]
+    raise NewtonDivergence("full-Jacobian psi inversion stalled")
 
 
 def reconstruction_residual(phi: GermMap, k: int, gf: GeneratingFunction, probe: np.ndarray) -> float:

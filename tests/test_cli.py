@@ -20,7 +20,7 @@ import localfloer
 from localfloer import corpus, scenarios
 from localfloer.cli import main
 from localfloer.corpus import FIELDS
-from localfloer.errors import LocalFloerError
+from localfloer.errors import LocalFloerError, ScenarioError
 from localfloer.invariants import _IterateSweep
 from localfloer.scenarios import _TASK_KEYS, parse_scenario
 
@@ -118,6 +118,28 @@ def test_bad_parameter_name(tmp_path, capsys):
     sc = spectrum_scenario(formula="linear-rotation")
     sc["germ"]["parameters"] = {"beta": 1.0}
     run_expecting_parse_error(tmp_path, capsys, sc)
+
+
+@pytest.mark.parametrize("formula", ["hyperbolic", "negative-hyperbolic"])
+@pytest.mark.parametrize("lam", [-1, 0])
+def test_hyperbolic_needs_positive_lam(formula, lam):
+    # log(lam) is not a number for lam <= 0, and the monodromy flow of such
+    # a germ never ends; the constructor refuses it, the parser reports it
+    sc = spectrum_scenario(formula=formula)
+    sc["germ"]["parameters"] = {"lam": lam}
+    with pytest.raises(ScenarioError, match="lam > 0"):
+        parse_scenario(sc)
+
+
+def test_quartic_takes_a_fractional_sign(tmp_path, capsys):
+    sc = spectrum_scenario(formula="quartic")
+    sc["germ"]["parameters"] = {"sign": 0.5}
+    path = write_scenario(tmp_path, sc)
+    out = tmp_path / "out"
+    assert main(["run", "--scenario", path, "--out", str(out)]) == 0
+    assert json.loads((out / "summary.json").read_text())["pass"] is True
+    names = [corpus.quartic(s).name for s in (-1, +1, 0.5)]
+    assert names == ["quartic(-1)", "quartic(+1)", "quartic(+0.5)"]
 
 
 def test_empty_tasks_rejected(tmp_path, capsys):

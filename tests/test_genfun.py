@@ -22,6 +22,7 @@ from oracles import (
     any_dim_path_integrate,
     any_dim_plaquette_defect,
     conjugated_map,
+    full_jacobian_psi_gradient,
     gf_property_report,
     homotopy_isolation_scan,
     reconstruction_residual,
@@ -135,7 +136,7 @@ def test_spline_evaluators_refuse_points_off_the_table():
     # the padded box has radius 0.16; (0.5, 0) lies outside it
     spline = SplineGermMap(quartic(-1), BOX2, resolution=17)
     far = np.array([[0.5, 0.0]])
-    for evaluate in (spline, spline.jac, spline.value_and_jac, spline._value_and_x_rows):
+    for evaluate in (spline, spline.jac, spline.value_and_jac, spline._value_and_xx):
         with pytest.raises(NotInvertibleOnBox, match="outside the tabulated padded box"):
             evaluate(far)
 
@@ -247,7 +248,7 @@ def test_psi_gradient_flows_once_per_newton_step(monkeypatch):
     pm = PsiMap(phi)
     w = np.random.default_rng(19).uniform(-0.05, 0.05, (12, 2))
     steps, flows = [], []
-    flow, step = genfun.flow_jacobians, GermMap._value_and_x_rows
+    flow, step = genfun.flow_jacobians, GermMap._value_and_xx
 
     def counting_flow(germ, points):
         flows.append(len(points))
@@ -258,7 +259,7 @@ def test_psi_gradient_flows_once_per_newton_step(monkeypatch):
         return step(self, pts)
 
     monkeypatch.setattr(genfun, "flow_jacobians", counting_flow)
-    monkeypatch.setattr(OdeGermMap, "_value_and_x_rows", counting_step)
+    monkeypatch.setattr(OdeGermMap, "_value_and_xx", counting_step)
     grad = pm.gradient(w)
     # a Newton update happened, and each step was one flow of the batch
     assert len(steps) >= 2
@@ -279,20 +280,57 @@ def test_spline_psi_gradient_equals_the_two_pass_form():
     disp = pm.phi_k(z) - z
     two_pass = np.concatenate([-disp[:, 1:], disp[:, :1]], axis=1)
     assert np.array_equal(pm.gradient(w), two_pass)
-    img, rows = pm.phi_k._value_and_x_rows(z)
+    img, xx = pm.phi_k._value_and_xx(z)
     assert np.array_equal(img, pm.phi_k(z))
-    assert np.array_equal(rows, pm.phi_k.jac(z)[:, :1])
+    assert np.array_equal(xx, pm.phi_k.jac(z)[:, :1, :1])
 
 
-def _count_spline_lookups(monkeypatch, at: np.ndarray) -> list:
-    """Record (spline, dx, dy) for every spline lookup at exactly the points at."""
+@pytest.mark.parametrize(
+    "phi_k",
+    [
+        pytest.param(lambda: SplineGermMap(quartic(-1), BOX2, resolution=33), id="spline-1"),
+        pytest.param(
+            lambda: SplineGermMap(quartic(-1), BOX2, resolution=33).iterate(2), id="spline-2"
+        ),
+        pytest.param(lambda: OdeGermMap(quartic(-1)), id="ode-1"),
+    ],
+)
+def test_psi_gradient_equals_full_jacobian_newton(phi_k):
+    """Newton on the xx block gives the bits of Newton on all of D psi,
+    and leaves z's y part as w's."""
+    phi_k = phi_k()
+    pm = PsiMap(phi_k)
+    w = BOX2.nodes(65)
+    assert np.array_equal(pm.gradient(w), full_jacobian_psi_gradient(phi_k, w))
+    z = pm.invert(w)
+    assert not _same_bits(z, w)
+    assert _same_bits(z[:, 1:], w[:, 1:])
+
+
+def test_psi_newton_reads_no_y_derivative(monkeypatch):
+    """Each Newton step reads the two value splines and the x-derivative
+    of the x-component, never a y-derivative."""
+    pm = PsiMap(SplineGermMap(quartic(-1), BOX2, resolution=33).iterate(2))
+    w = BOX2.nodes(17)
+    seen = _count_spline_lookups(monkeypatch)
+    pm.invert(w)
+    steps = len(seen) // 3
+    assert steps >= 2
+    assert [(dx, dy) for _, dx, dy in seen] == [(0, 0), (0, 0), (1, 0)] * steps
+
+
+def _count_spline_lookups(monkeypatch, at=None) -> list:
+    """Record (spline, dx, dy) for every spline lookup at exactly the points
+    at, or for every lookup at all if at is None."""
     from scipy.interpolate import RectBivariateSpline
 
     seen = []
     call = RectBivariateSpline.__call__
 
     def counting(self, x, y, dx=0, dy=0, grid=True):
-        if len(x) == len(at) and np.array_equal(np.stack([x, y], axis=1), at):
+        if at is None or (
+            len(x) == len(at) and np.array_equal(np.stack([x, y], axis=1), at)
+        ):
             seen.append((id(self), dx, dy))
         return call(self, x, y, dx=dx, dy=dy, grid=grid)
 
