@@ -44,7 +44,8 @@ class KreinDegenerate(LocalFloerError):
 
 
 class StepFailure(LocalFloerError):
-    """The adaptive integrator could not meet the requested tolerance."""
+    """The adaptive integrator could not meet the requested tolerance, or
+    met a right-hand side that is not finite."""
 
 
 class NewtonDivergence(LocalFloerError):

@@ -77,6 +77,30 @@ def _opnorms(mats: np.ndarray) -> np.ndarray:
     return np.linalg.svd(mats, compute_uv=False)[..., 0]
 
 
+class _Reads(dict):
+    """phi^k at one batch, as psi reads it: "x" and "y", the parts of the
+    value, and "xx", the xx Jacobian block.  A missing part is computed on
+    first access by ``look(part)``, which returns a dict of the parts it got."""
+
+    def __init__(self, look):
+        super().__init__()
+        self._look = look
+
+    def __missing__(self, part):
+        self.update(self._look(part))
+        return self[part]
+
+
+def _node_axes(z: np.ndarray):
+    """The x and y axes of z when z is a ``Box.nodes`` layout, the ij
+    meshgrid of two strictly increasing axes, compared bit for bit; else None."""
+    res = max(round(len(z) ** 0.5), 1)
+    ax, ay = z[::res, 0], z[:res, 1]
+    mesh = np.stack(np.meshgrid(ax, ay, indexing="ij"), axis=-1).reshape(-1, 2)
+    increasing = np.all(np.diff(ax) > 0) and np.all(np.diff(ay) > 0)
+    return (ax, ay) if increasing and mesh.tobytes() == np.ascontiguousarray(z).tobytes() else None
+
+
 class GermMap:
     """Map germ fixing 0 with Jacobian access, vectorized over (N, 2n)."""
 
@@ -93,16 +117,16 @@ class GermMap:
         """(self(pts), self.jac(pts)); maps that get both from one pass override it."""
         return self(pts), self.jac(pts)
 
-    def _value_and_xx(self, pts: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """(self(pts), self.jac(pts)[:, :n, :n]): the value and the xx
-        Jacobian block, all that psi's Newton step reads.  Maps that can
-        skip the other blocks override it."""
-        img, d = self.value_and_jac(pts)
-        return img, d[:, : self.n, : self.n]
+    def _psi_reads(self, pts: np.ndarray) -> "_Reads":
+        """What psi reads of self at the batch pts (see ``_Reads``).  This
+        default gets all of it from one value_and_jac pass, on first access;
+        maps that can look up one part alone override it."""
 
-    def _xx_block(self, pts: np.ndarray) -> np.ndarray:
-        """self.jac(pts)[:, :n, :n], all that psi's probe reads; maps may skip the rest."""
-        return self.jac(pts)[:, : self.n, : self.n]
+        def look(_):
+            img, d = self.value_and_jac(pts)
+            return {"x": img[:, : self.n], "y": img[:, self.n :], "xx": d[:, : self.n, : self.n]}
+
+        return _Reads(look)
 
     def iterate(self, k: int) -> "GermMap":
         raise NotImplementedError
@@ -131,10 +155,10 @@ class OdeGermMap(GermMap):
     ``grad`` and never the jet).  Value and Jacobian come from one pass:
     each flow integrates the points together with their variational
     equations, so ``value_and_jac`` costs the same k flows as ``jac``, and
-    the psi hook (``_value_and_xx``, the inherited default) costs k flows
-    too.  The value-only flow takes its own steps, so its values
-    agree with those of ``value_and_jac`` to about the integrator
-    tolerance, not bit for bit."""
+    so do psi's reads of one batch (``_psi_reads``, the inherited default):
+    each psi Newton step is one pass.  The value-only flow takes its own
+    steps, so its values agree with those of ``value_and_jac`` to about the
+    integrator tolerance, not bit for bit."""
 
     def __init__(self, germ: HamiltonianGerm, k: int = 1, check: bool = True):
         self.germ = germ
@@ -194,8 +218,10 @@ class SplineGermMap(GermMap):
     off-node evaluation interpolates.  Each order fits one spline per
     component; the Jacobian is their derivative, so psi's Newton steps
     invert the map they evaluate.  Every evaluator refuses points outside
-    the padded box.  All iterates of a map share one iterate tower (passed
-    on as ``_data``).  Two dimensional germs only.
+    the padded box, and looks a ``Box.nodes`` batch up on its two axes,
+    with the bits of point-by-point lookups (``_reader``).  All iterates of
+    a map share one iterate tower (passed on as ``_data``).  Two
+    dimensional germs only.
     """
 
     def __init__(
@@ -239,24 +265,34 @@ class SplineGermMap(GermMap):
             )
         return z
 
+    def _reader(self, pts: np.ndarray):
+        """read(comps, **deriv): components comps of phi^k at pts (partials
+        with dx=1 or dy=1), shape (N, len(comps)).  Table and layout are
+        checked once: a ``Box.nodes`` batch is looked up on its two axes
+        (``grid=True``: FITPACK's grid routines, which give the bits of its
+        point-by-point ones at every node), any other batch point by point."""
+        z = self._tabulated(pts)
+        axes = _node_axes(z)
+        x, y = (z[:, 0], z[:, 1]) if axes is None else axes
+        return lambda comps, **deriv: np.stack(
+            [self._phi_spl[i](x, y, grid=axes is not None, **deriv).ravel() for i in comps], axis=1
+        )
+
     def __call__(self, pts: np.ndarray) -> np.ndarray:
-        return self._rows(self._tabulated(pts), 2)
+        return self._reader(pts)([0, 1])
 
     def jac(self, pts: np.ndarray) -> np.ndarray:
-        z = self._tabulated(pts)
-        return np.stack([self._rows(z, 2, dx=1), self._rows(z, 2, dy=1)], axis=2)
+        read = self._reader(pts)
+        return np.stack([read([0, 1], dx=1), read([0, 1], dy=1)], axis=2)
 
-    def _value_and_xx(self, pts: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        return self(pts), self._xx_block(pts)
-
-    def _xx_block(self, pts: np.ndarray) -> np.ndarray:
-        return self._rows(self._tabulated(pts), 1, dx=1)[:, :, None]
-
-    def _rows(self, z: np.ndarray, rows: int, **deriv) -> np.ndarray:
-        """First ``rows`` components of phi^k (their partials with dx=1 or dy=1)."""
-        return np.stack(
-            [s(z[:, 0], z[:, 1], grid=False, **deriv) for s in self._phi_spl[:rows]], axis=1
-        )
+    def _psi_reads(self, pts: np.ndarray) -> _Reads:
+        read = self._reader(pts)
+        looks = {
+            "x": lambda: read([0]),
+            "y": lambda: read([1]),
+            "xx": lambda: read([0], dx=1)[:, :, None],
+        }
+        return _Reads(lambda part: {part: looks[part]()})
 
     def iterate(self, k: int) -> "SplineGermMap":
         if k == 1:
@@ -289,22 +325,25 @@ class PsiMap:
         """Solve psi(z) = w per row by Newton, seeded at z = w.
 
         psi leaves y alone, so z keeps w's y part and Newton runs on x:
-        each step evaluates phi^k once, through ``_value_and_xx``, and solves
-        (D phi^k)_xx dx = r with r the x part of phi^k(z) - w.  ``_start``,
-        if given, is that pair at z = w, and the first step reads it instead.
-        With ``_image`` the result is (z, phi^k(z)), the image of the last step.
+        each step reads phi^k at z through one ``_psi_reads`` and solves
+        (D phi^k)_xx dx = r with r the x part of phi^k(z) - w.  A step that
+        does not converge reads the x part and xx; the converged step reads
+        the x part, and with ``_image`` the y part too, for a result
+        (z, phi^k(z)).  ``_start``, if given, holds the parts at z = w, and
+        the first step reads it instead.
         """
         n = self.n
         w = np.atleast_2d(np.asarray(w, dtype=float))
         z = w.copy()
         for _ in range(NEWTON_MAX_ITER):
-            img, xx = _start or self.phi_k._value_and_xx(z)
+            reads = self.phi_k._psi_reads(z) if _start is None else _start
             _start = None
-            res = img[:, :n] - w[:, :n]
+            res = reads["x"] - w[:, :n]
             err = float(np.max(np.abs(res)))
             if err <= INVERT_TOL:
-                return (z, img) if _image else z
-            z[:, :n] -= np.linalg.solve(xx, res[..., None])[..., 0]
+                return (z, np.concatenate([reads["x"], reads["y"]], axis=1)) if _image else z
+            step = np.linalg.solve(reads["xx"], res[..., None])[..., 0]
+            z = np.concatenate([z[:, :n] - step, w[:, n:]], axis=1)
         raise NewtonDivergence(f"psi inversion stalled at residual {err:.3e}")
 
     def gradient(self, w: np.ndarray, _start=None) -> np.ndarray:
@@ -330,7 +369,7 @@ def psi(phi: GermMap, k: int, probe_box: Box) -> PsiMap:
     n = phi.n
     for frac in (1.0, 0.75, 0.5, 0.25, 0.1):
         nodes = Box(center=probe_box.center, radius=probe_box.radius * frac).nodes(PROBE_RES)
-        xx = phi_k._xx_block(nodes)
+        xx = phi_k._psi_reads(nodes)["xx"]
         dev = float(np.max(_opnorms(xx - np.eye(n))))
         if dev < 0.9:
             return PsiMap(phi_k)
@@ -417,7 +456,7 @@ def generating_function(
     min_det = float(np.min(np.abs(np.linalg.det(jacs[:, :n, :n]))))
     if min_det < DET_MIN:
         raise NotInvertibleOnBox(f"xx Jacobian block determinant reaches {min_det:.3e}")
-    grad_grid = pm.gradient(nodes, _start=(img, jacs[:, :n, :n]))
+    grad_grid = pm.gradient(nodes, _start={"x": img[:, :n], "y": img[:, n:], "xx": jacs[:, :n, :n]})
     grad_grid = grad_grid.reshape(resolution, resolution, 2)
     spacing = box.spacing(resolution)
     defect = _plaquette_defect(grad_grid, spacing)

@@ -92,15 +92,14 @@ class HamiltonianGerm:
 
 
 def _solve(rhs, y0: np.ndarray, dense: bool = False):
-    sol = solve_ivp(
-        rhs,
-        (0.0, 1.0),
-        y0,
-        method="DOP853",
-        rtol=RTOL,
-        atol=ATOL,
-        dense_output=dense,
-    )
+    # a NaN right-hand side would make the step size NaN, and no step would end the loop
+    try:
+        with np.errstate(invalid="raise"):
+            sol = solve_ivp(
+                rhs, (0.0, 1.0), y0, method="DOP853", rtol=RTOL, atol=ATOL, dense_output=dense
+            )
+    except FloatingPointError as exc:
+        raise StepFailure(f"non-finite right-hand side: {exc}") from exc
     # the integrator refers to itself through its right-hand side wrapper;
     # collect it now, or its stage arrays live until the cyclic collector
     # next runs and peak memory follows that timing

@@ -590,6 +590,55 @@ def test_module_entry_point():
     assert "quartic-max" in proc.stdout
 
 
+def test_non_finite_right_hand_side_fails_the_task_instead_of_hanging(tmp_path):
+    """6 eps overflows to inf in monkey-saddle's jet, and inf * 0 at the
+    origin is NaN; the integrator refuses it.  A fresh process with a
+    timeout, so that a regression fails here instead of hanging."""
+    sc = spectrum_scenario("monkey-saddle")
+    sc["germ"]["parameters"] = {"eps": 1e308}
+    path, out = write_scenario(tmp_path, sc), tmp_path / "out"
+    proc = subprocess.run(
+        [sys.executable, "-m", "localfloer", "run", "--scenario", path, "--out", str(out)],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 1
+    [error] = json.loads((out / "summary.json").read_text())["errors"]
+    assert error["error"] == "StepFailure"
+    assert error["message"].startswith("non-finite right-hand side")
+
+
+def test_only_the_degenerate_route_loads_scipy_interpolate(tmp_path):
+    """Each scenario runs through cli.main in a fresh process, which then
+    says whether scipy.interpolate is loaded: the spline tower and the
+    sampled-field interpolator of the degenerate route import it, and no
+    other route does."""
+    probe = textwrap.dedent(
+        """
+        import sys
+        from localfloer.cli import main
+        code = main(["run", "--scenario", sys.argv[1], "--out", sys.argv[2]])
+        print(code, "scipy.interpolate" in sys.modules)
+        """
+    )
+    spectrum_morse = spectrum_scenario()
+    spectrum_morse["tasks"] = ["spectrum", {"kind": "morse", "field": "neg-r2"}]
+    persistence = spectrum_scenario()
+    persistence.update(tasks=["persistence"], k_range=[1, 2])
+    loaded = []
+    for name, sc in (("spectrum-morse", spectrum_morse), ("persistence", persistence)):
+        path = write_scenario(tmp_path, sc, f"{name}.json")
+        proc = subprocess.run(
+            [sys.executable, "-c", probe, path, str(tmp_path / name)],
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        loaded.append(proc.stdout.split()[-2:])
+    assert loaded == [["0", "False"], ["0", "True"]]
+
+
 def test_every_export_resolves():
     import localfloer
 

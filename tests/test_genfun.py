@@ -136,7 +136,7 @@ def test_spline_evaluators_refuse_points_off_the_table():
     # the padded box has radius 0.16; (0.5, 0) lies outside it
     spline = SplineGermMap(quartic(-1), BOX2, resolution=17)
     far = np.array([[0.5, 0.0]])
-    for evaluate in (spline, spline.jac, spline.value_and_jac, spline._value_and_xx):
+    for evaluate in (spline, spline.jac, spline.value_and_jac, spline._psi_reads):
         with pytest.raises(NotInvertibleOnBox, match="outside the tabulated padded box"):
             evaluate(far)
 
@@ -248,7 +248,7 @@ def test_psi_gradient_flows_once_per_newton_step(monkeypatch):
     pm = PsiMap(phi)
     w = np.random.default_rng(19).uniform(-0.05, 0.05, (12, 2))
     steps, flows = [], []
-    flow, step = genfun.flow_jacobians, GermMap._value_and_xx
+    flow, step = genfun.flow_jacobians, GermMap._psi_reads
 
     def counting_flow(germ, points):
         flows.append(len(points))
@@ -259,7 +259,7 @@ def test_psi_gradient_flows_once_per_newton_step(monkeypatch):
         return step(self, pts)
 
     monkeypatch.setattr(genfun, "flow_jacobians", counting_flow)
-    monkeypatch.setattr(OdeGermMap, "_value_and_xx", counting_step)
+    monkeypatch.setattr(OdeGermMap, "_psi_reads", counting_step)
     grad = pm.gradient(w)
     # a Newton update happened, and each step was one flow of the batch
     assert len(steps) >= 2
@@ -280,9 +280,9 @@ def test_spline_psi_gradient_equals_the_two_pass_form():
     disp = pm.phi_k(z) - z
     two_pass = np.concatenate([-disp[:, 1:], disp[:, :1]], axis=1)
     assert np.array_equal(pm.gradient(w), two_pass)
-    img, xx = pm.phi_k._value_and_xx(z)
-    assert np.array_equal(img, pm.phi_k(z))
-    assert np.array_equal(xx, pm.phi_k.jac(z)[:, :1, :1])
+    reads = pm.phi_k._psi_reads(z)
+    assert np.array_equal(np.concatenate([reads["x"], reads["y"]], axis=1), pm.phi_k(z))
+    assert np.array_equal(reads["xx"], pm.phi_k.jac(z)[:, :1, :1])
 
 
 @pytest.mark.parametrize(
@@ -308,30 +308,40 @@ def test_psi_gradient_equals_full_jacobian_newton(phi_k):
 
 
 def test_psi_newton_reads_no_y_derivative(monkeypatch):
-    """Each Newton step reads the two value splines and the x-derivative
-    of the x-component, never a y-derivative."""
-    pm = PsiMap(SplineGermMap(quartic(-1), BOX2, resolution=33).iterate(2))
+    """A Newton step of the psi gradient that does not converge reads the
+    x-component and its x-derivative; the converged step reads the two
+    value splines, and an inversion alone the x-component only.  No step
+    reads a y-derivative."""
+    phi_k = SplineGermMap(quartic(-1), BOX2, resolution=33).iterate(2)
+    x_spline, y_spline = map(id, phi_k._phi_spl)
     w = BOX2.nodes(17)
     seen = _count_spline_lookups(monkeypatch)
-    pm.invert(w)
-    steps = len(seen) // 3
+    PsiMap(phi_k).gradient(w)
+    steps = len(seen) // 2
     assert steps >= 2
-    assert [(dx, dy) for _, dx, dy in seen] == [(0, 0), (0, 0), (1, 0)] * steps
+    newton = [(x_spline, 0, 0), (x_spline, 1, 0)] * (steps - 1)
+    reads = [(spline, dx, dy) for spline, dx, dy, _ in seen]
+    assert reads == newton + [(x_spline, 0, 0), (y_spline, 0, 0)]
+    # the first step starts at w, a node grid, and looks it up on its axes
+    assert [grid for *_, grid in seen] == [True, True] + [False] * (len(seen) - 2)
+    seen.clear()
+    PsiMap(phi_k).invert(w)
+    assert [(spline, dx, dy) for spline, dx, dy, _ in seen] == newton + [(x_spline, 0, 0)]
 
 
 def _count_spline_lookups(monkeypatch, at=None) -> list:
-    """Record (spline, dx, dy) for every spline lookup at exactly the points
-    at, or for every lookup at all if at is None."""
+    """Record (spline, dx, dy, grid) for every spline lookup at exactly the
+    points at, or for every lookup at all if at is None.  A grid lookup
+    is matched by the nodes of its two axes, x slowest."""
     from scipy.interpolate import RectBivariateSpline
 
     seen = []
     call = RectBivariateSpline.__call__
 
     def counting(self, x, y, dx=0, dy=0, grid=True):
-        if at is None or (
-            len(x) == len(at) and np.array_equal(np.stack([x, y], axis=1), at)
-        ):
-            seen.append((id(self), dx, dy))
+        pts = np.stack(np.meshgrid(x, y, indexing="ij") if grid else [x, y], axis=-1)
+        if at is None or _same_bits(pts.reshape(-1, 2), at):
+            seen.append((id(self), dx, dy, grid))
         return call(self, x, y, dx=dx, dy=dy, grid=grid)
 
     monkeypatch.setattr(RectBivariateSpline, "__call__", counting)
@@ -345,8 +355,9 @@ def test_spline_probe_reads_one_spline(monkeypatch):
     pts = BOX2.nodes(9)
     full = phi.jac(pts)[:, :1, :1]
     seen = _count_spline_lookups(monkeypatch, pts)
-    assert _same_bits(phi._xx_block(pts), full)
-    assert [(dx, dy) for _, dx, dy in seen] == [(1, 0)]
+    assert _same_bits(phi._psi_reads(pts)["xx"], full)
+    assert [(dx, dy) for _, dx, dy, _ in seen] == [(1, 0)]
+    assert [grid for *_, grid in seen] == [True]
 
 
 def test_generating_function_evaluates_phi_k_at_its_nodes_once(monkeypatch):
@@ -357,13 +368,52 @@ def test_generating_function_evaluates_phi_k_at_its_nodes_once(monkeypatch):
     nodes = BOX2.nodes(res)
     seen = _count_spline_lookups(monkeypatch, nodes)
     gf = generating_function(phi, 2, BOX2, res)
-    # values and both partials of both components, each looked up once
+    # values and both partials of both components, each looked up once, on the grid's axes
     assert len(seen) == len(set(seen)) == 6
+    assert all(grid for *_, grid in seen)
     monkeypatch.undo()
     grad_grid = gf.psi_k.gradient(nodes).reshape(res, res, 2)
     values = _path_integrate(grad_grid, BOX2.spacing(res))
     values[res // 2, res // 2] = 0.0
     assert _same_bits(gf.field.values, values)
+
+
+def _point_by_point(evaluate, nodes):
+    """evaluate at nodes, with one row appended so that the batch is not a
+    node grid, and the appended row dropped again."""
+    return evaluate(np.vstack([nodes, nodes[:1]]))[:-1]
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_grid_lookups_give_the_bits_of_point_by_point_ones(k):
+    """At a Box.nodes batch the splines are looked up on the grid's axes;
+    value, Jacobian and psi's reads keep the bits of point-by-point
+    lookups, on boxes inside the padded box, on its edge and on the padded
+    box itself."""
+    phi = SplineGermMap(quartic(-1), BOX2, resolution=33).iterate(k)
+    boxes = [BOX2, Box(center=(0.02, -0.01), radius=0.05), Box(center=(0.1, 0.0), radius=0.06)]
+    for box in boxes + [phi.padded]:
+        for res in (3, 8, 33):
+            nodes = box.nodes(res)
+            for evaluate in (phi, phi.jac):
+                assert _same_bits(evaluate(nodes), _point_by_point(evaluate, nodes))
+            for part in ("x", "y", "xx"):
+                read = lambda pts: phi._psi_reads(pts)[part]  # noqa: E731
+                assert _same_bits(read(nodes), _point_by_point(read, nodes))
+
+
+def test_shuffled_nodes_are_looked_up_point_by_point(monkeypatch):
+    """A row-shuffled copy of a node grid is no Box.nodes layout: its
+    lookups go point by point and give the grid's rows."""
+    phi = SplineGermMap(quartic(-1), BOX2, resolution=33).iterate(2)
+    nodes = BOX2.nodes(17)
+    order = np.random.default_rng(23).permutation(len(nodes))
+    grid_value, grid_jac = phi(nodes), phi.jac(nodes)
+    seen = _count_spline_lookups(monkeypatch, nodes[order])
+    assert _same_bits(phi(nodes[order]), grid_value[order])
+    assert _same_bits(phi.jac(nodes[order]), grid_jac[order])
+    assert len(seen) == 6
+    assert not any(grid for *_, grid in seen)
 
 
 def _same_bits(a, b) -> bool:
