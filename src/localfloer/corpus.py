@@ -14,7 +14,6 @@ from typing import Callable, Dict
 import numpy as np
 
 from .germs import HamiltonianGerm, concatenate
-from .symplectic import direct_sum_indices
 
 __all__ = ["GERMS", "FIELDS"]
 
@@ -243,34 +242,10 @@ def morse_triple(eps: float = 0.05) -> HamiltonianGerm:
 
 
 def direct_sum_germ(g1: HamiltonianGerm, g2: HamiltonianGerm) -> HamiltonianGerm:
-    """Split germ H(z) = H1(z1) + H2(z2) in interleaved (x1, x2, y1, y2) coordinates."""
-    n = g1.n + g2.n
-    i1, i2 = direct_sum_indices(g1.n, g2.n)
-
-    def value(t, z):
-        return g1.value(t, z[:, i1]) + g2.value(t, z[:, i2])
-
-    def grad(t, z):
-        out = np.zeros_like(z)
-        out[:, i1] = g1.grad(t, z[:, i1])
-        out[:, i2] = g2.grad(t, z[:, i2])
-        return out
-
-    def jet(t, z):
-        grad = np.zeros_like(z)
-        hess = np.zeros((len(z), 2 * n, 2 * n))
-        grad[:, i1], hess[:, i1[:, None], i1[None, :]] = g1.jet(t, z[:, i1])
-        grad[:, i2], hess[:, i2[:, None], i2[None, :]] = g2.jet(t, z[:, i2])
-        return grad, hess
-
-    return HamiltonianGerm(
-        n=n,
-        value=value,
-        grad=grad,
-        jet=jet,
-        name=f"{g1.name}(+){g2.name}",
-        factors=(g1, g2),
-    )
+    """Split germ H(z) = H1(z1) + H2(z2) in interleaved (x1, x2, y1, y2)
+    coordinates.  It carries no callbacks: ``factors=(g1, g2)`` is the germ,
+    and its flows are its factors' flows side by side."""
+    return HamiltonianGerm(n=g1.n + g2.n, name=f"{g1.name}(+){g2.name}", factors=(g1, g2))
 
 
 # ------------------------------------------------------------------ registries

@@ -374,7 +374,8 @@ def psi(phi: GermMap, k: int, probe_box: Box) -> PsiMap:
         if dev < 0.9:
             return PsiMap(phi_k)
     raise NotInvertibleOnBox(
-        f"xx Jacobian block deviates from identity by {dev:.3f} even at 10% of the box"
+        f"order {k}, box radius {probe_box.radius:g}: xx Jacobian block deviates "
+        f"from identity by {dev:.3f} even at 10% of the box"
     )
 
 
@@ -450,19 +451,20 @@ def generating_function(
     nodes = box.nodes(resolution)
     img, jacs = phi_k.value_and_jac(nodes)  # for both gates and psi's first step
     n = phi.n
+    where = f"order {k}, box radius {box.radius:g}: "
     c1 = float(np.max(_opnorms(jacs - np.eye(2 * n))))
     if c1 > c1_gate:
-        raise NotC1Small(f"||Dphi^k - id|| = {c1:.3f} exceeds gate {c1_gate}")
+        raise NotC1Small(f"{where}||Dphi^k - id|| = {c1:.3f} exceeds gate {c1_gate}")
     min_det = float(np.min(np.abs(np.linalg.det(jacs[:, :n, :n]))))
     if min_det < DET_MIN:
-        raise NotInvertibleOnBox(f"xx Jacobian block determinant reaches {min_det:.3e}")
+        raise NotInvertibleOnBox(f"{where}xx Jacobian block determinant reaches {min_det:.3e}")
     grad_grid = pm.gradient(nodes, _start={"x": img[:, :n], "y": img[:, n:], "xx": jacs[:, :n, :n]})
     grad_grid = grad_grid.reshape(resolution, resolution, 2)
     spacing = box.spacing(resolution)
     defect = _plaquette_defect(grad_grid, spacing)
     if defect > closedness_tol:
         raise ClosednessDefect(
-            f"plaquette circulation {defect:.3e} exceeds {closedness_tol:.1e}; "
+            f"{where}plaquette circulation {defect:.3e} exceeds {closedness_tol:.1e}; "
             "shrink the box or refine the grid"
         )
     values = _path_integrate(grad_grid, spacing)

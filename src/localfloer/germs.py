@@ -1,36 +1,35 @@
 """Hamiltonian germs near a fixed point of R^{2n} and their flows.
 
-A germ packages callbacks for H, for grad H, and for the jet (grad H,
+A plain germ packages callbacks for H, for grad H, and for the jet (grad H,
 Hess H), all vectorized over a batch of points of shape (N, 2n).
 Coordinates are z = (x, y); the flow solves z' = X_H(t, z) with
 X_H = (H_y, -H_x), and linearizations solve the variational equation
 M' = J_vf Hess_H M alongside, reading both derivatives from one call of the
 jet per right-hand side.  Value-only flows call grad alone.
 
-Time-dependent germs arise from smooth concatenation: two unit-time germs
-are run back to back through a reparametrization sigma whose derivative
-vanishes to infinite order at the junction, so the concatenated Hamiltonian
-2 sigma'(s) H_piece(sigma(s), z) is smooth and 1-periodic whenever the
-pieces vanish at their time endpoints.  Its callbacks return that
-Hamiltonian, but its flows never integrate it: with tau = sigma(2 t - piece)
-it solves dz/dtau = X_{H_piece}(tau, z) exactly, so its flow is the
-composition of its pieces' unit-time flows.  A germ with ``pieces`` is
-flowed piece by piece (nested concatenations recurse), and the high
-derivatives of sigma near the junctions, which an adaptive step controller
-would have to resolve, never enter an integration.
+Composite germs carry no callbacks and are flowed by their structure;
+nested structure recurses.  A concatenation runs two unit-time germs back
+to back through a reparametrization sigma whose derivative vanishes to
+infinite order at the junction.  Its Hamiltonian 2 sigma'(s)
+H_piece(sigma(s), z) is smooth and 1-periodic whenever the pieces vanish
+at their time endpoints, and with tau = sigma(2 t - piece) it solves
+dz/dtau = X_{H_piece}(tau, z) exactly.  So its flow composes its
+``pieces``' unit-time flows, and no integration meets the high derivatives
+of sigma near the junctions.  A direct sum H1(z1) + H2(z2), in the
+coordinates of ``direct_sum_indices``, flows as its ``factors`` side by
+side, with a block-diagonal linearization.
 
 The action of a closed orbit t -> phi_t(z), z a fixed point of the time-1
 map, is
 
     A = integral_0^1 ( H(t, z(t)) - y(t) . x'(t) ) dt,
 
-integrated as an extra component of the same ODE system; along a germ
-with pieces it is the sum of the pieces' segment actions.
+integrated as an extra component of the same ODE system; along a
+composite germ it is the sum of its pieces' or factors' actions.
 """
 from __future__ import annotations
 
 import gc
-import math
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence, Tuple
 
@@ -40,7 +39,7 @@ from scipy.integrate import solve_ivp
 from .errors import NonIsolated, NotAdmissible, NotClosed, StepFailure
 from .fields import Box
 from .paths import SymplecticPath, index_report
-from .symplectic import SymplecticMatrix, admissible, vectorfield_j
+from .symplectic import SymplecticMatrix, admissible, direct_sum_indices, vectorfield_j
 
 __all__ = [
     "HamiltonianGerm",
@@ -68,27 +67,38 @@ NEWTON_TOL = 1e-11
 
 @dataclass
 class HamiltonianGerm:
-    """Callbacks are vectorized: z has shape (N, 2n); value (N,), grad (N, 2n),
-    and jet the pair (grad, Hess) of shapes (N, 2n) and (N, 2n, 2n) from one
-    call, so terms the two share are computed once.  The time argument is a
-    scalar.  jet's first half equals grad bit for bit; ``hess``, its second
-    half, is derived and kept for callers that want the Hessian alone."""
+    """A plain germ sets all three callbacks, vectorized: z has shape
+    (N, 2n); value (N,), grad (N, 2n), and jet the pair (grad, Hess) of
+    shapes (N, 2n) and (N, 2n, 2n) from one call, so terms the two share are
+    computed once.  The time argument is a scalar.  jet's first half equals
+    grad bit for bit; ``hess``, its second half, is derived and kept for
+    callers that want the Hessian alone.
+
+    A composite germ sets ``pieces`` or ``factors`` and no callbacks; its
+    flows run its structure.  A germ that sets only some callbacks, or none
+    and no structure, cannot be flowed: ValueError."""
 
     n: int
-    value: Callable[[float, np.ndarray], np.ndarray]
-    grad: Callable[[float, np.ndarray], np.ndarray]
-    jet: Callable[[float, np.ndarray], Tuple[np.ndarray, np.ndarray]]
+    value: Optional[Callable[[float, np.ndarray], np.ndarray]] = None
+    grad: Optional[Callable[[float, np.ndarray], np.ndarray]] = None
+    jet: Optional[Callable[[float, np.ndarray], Tuple[np.ndarray, np.ndarray]]] = None
     name: str = ""
-    # set for germs built as direct sums; consumers may split along it
+    # set by corpus.direct_sum_germ (and kept by translate): (first, second)
+    # in the coordinates of direct_sum_indices; flows run them side by side
     factors: Optional[tuple] = None
     # set by concatenate (and kept by translate): (first, second), whose
     # unit-time flows compose to this germ's flow; flows run them in turn
     pieces: Optional[tuple] = None
-    hess: Callable[[float, np.ndarray], np.ndarray] = field(init=False, repr=False)
+    hess: Optional[Callable[[float, np.ndarray], np.ndarray]] = field(init=False, repr=False)
 
     def __post_init__(self):
+        given = [f is not None for f in (self.value, self.grad, self.jet)]
+        if any(given) and not all(given):
+            raise ValueError("a germ sets all of value, grad and jet, or none of them")
+        if not any(given) and self.pieces is None and self.factors is None:
+            raise ValueError("a germ without callbacks needs pieces or factors")
         jet = self.jet
-        self.hess = lambda t, z: jet(t, z)[1]
+        self.hess = None if jet is None else lambda t, z: jet(t, z)[1]
 
 
 def _solve(rhs, y0: np.ndarray, dense: bool = False):
@@ -148,6 +158,12 @@ def _variational_flow(germ: HamiltonianGerm, z0: np.ndarray, dense: bool):
     return _solve(rhs, y0.reshape(-1), dense)
 
 
+def _factor_indices(germ: HamiltonianGerm):
+    """Each factor of a direct sum with the indices of its coordinates."""
+    first, second = germ.factors
+    return zip(germ.factors, direct_sum_indices(first.n, second.n))
+
+
 def flow_points(germ: HamiltonianGerm, points: np.ndarray) -> np.ndarray:
     """Time-1 flow of a batch of shape (N, 2n), values only: the first 2n rows
     of the state of ``_variational_flow``, so only ``grad`` is called."""
@@ -156,6 +172,11 @@ def flow_points(germ: HamiltonianGerm, points: np.ndarray) -> np.ndarray:
         for piece in germ.pieces:
             z0 = flow_points(piece, z0)
         return z0
+    if germ.factors is not None:
+        out = np.empty_like(z0)
+        for factor, idx in _factor_indices(germ):
+            out[:, idx] = flow_points(factor, z0[:, idx])
+        return out
     jvf, shape = vectorfield_j(germ.n), z0.T.shape
     sol = _solve(lambda t, y: (jvf @ germ.grad(t, y.reshape(shape).T).T).ravel(), z0.T.ravel())
     return sol.y[:, -1].reshape(shape).T
@@ -163,13 +184,19 @@ def flow_points(germ: HamiltonianGerm, points: np.ndarray) -> np.ndarray:
 
 def _flow_jacobians(germ: HamiltonianGerm, z0: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """(phi(z0), Dphi(z0)) of a batch z0 of shape (N, 2n); the Jacobian of a
-    germ with pieces is the product of theirs, the last piece's first."""
+    germ with pieces is the product of theirs, the last piece's first, and
+    that of a direct sum is block diagonal, with its factors' blocks."""
+    dim = 2 * germ.n
     if germ.pieces is not None:
         first, second = germ.pieces
         mid, d1 = _flow_jacobians(first, z0)
         end, d2 = _flow_jacobians(second, mid)
         return end, d2 @ d1
-    dim = 2 * germ.n
+    if germ.factors is not None:
+        end, jac = np.empty_like(z0), np.zeros((len(z0), dim, dim))
+        for factor, idx in _factor_indices(germ):
+            end[:, idx], jac[:, idx[:, None], idx] = _flow_jacobians(factor, z0[:, idx])
+        return end, jac
     sol = _variational_flow(germ, z0, dense=False)
     final = sol.y[:, -1].reshape(dim + dim * dim, len(z0))
     return final[:dim].T, final[dim:].reshape(dim, dim, len(z0)).transpose(2, 0, 1)
@@ -193,8 +220,22 @@ def _linearized_path(
     from 2n on are the entries of M row by row.  Along a germ with pieces the
     path is the first piece's at sigma(2 t) for t < 1/2, and after that the
     second piece's at sigma(2 t - 1) times the first piece's endpoint: the
-    time change under which the concatenated flow is theirs."""
+    time change under which the concatenated flow is theirs.  Along a direct
+    sum it is block diagonal, with the factors' paths as blocks."""
     dim = len(z0)
+    if germ.factors is not None:
+        parts, end = [], np.empty(dim)
+        for factor, idx in _factor_indices(germ):
+            part, end[idx] = _linearized_path(factor, z0[idx])
+            parts.append((part, idx))
+
+        def blocks(ts: np.ndarray) -> np.ndarray:
+            out = np.zeros((len(ts), dim, dim))
+            for part, idx in parts:
+                out[:, idx[:, None], idx] = part(ts)
+            return out
+
+        return blocks, end
     if germ.pieces is None:
         sol = _variational_flow(germ, z0.reshape(1, dim), dense=True)
         return (lambda ts: sol.sol(ts)[dim:].T.reshape(-1, dim, dim)), sol.y[:dim, -1]
@@ -228,47 +269,34 @@ def translate(germ: HamiltonianGerm, point: np.ndarray) -> HamiltonianGerm:
     """Germ seen from a shifted origin: H'(t, z) = H(t, z + point).
 
     The time-1 map becomes z -> phi(z + point) - point, so a fixed point of
-    phi at `point` sits at the origin of the translated germ.
+    phi at `point` sits at the origin of the translated germ.  A composite
+    germ translates its structure: phi_2(phi_1(z + p)) - p composes the
+    translated pieces' flows, and a direct sum shifts each factor by its
+    own coordinates of p.
     """
+    name = f"{germ.name}@shifted" if germ.name else ""
+    if germ.pieces is not None:
+        return HamiltonianGerm(
+            n=germ.n, name=name, pieces=tuple(translate(g, point) for g in germ.pieces)
+        )
+    if germ.factors is not None:
+        point = np.asarray(point, dtype=float)
+        factors = tuple(translate(g, point[idx]) for g, idx in _factor_indices(germ))
+        return HamiltonianGerm(n=germ.n, name=name, factors=factors)
     p = np.asarray(point, dtype=float).reshape(1, -1)
 
     def shift(f):
         return lambda t, z: f(t, z + p)
 
     return HamiltonianGerm(
-        n=germ.n,
-        value=shift(germ.value),
-        grad=shift(germ.grad),
-        jet=shift(germ.jet),
-        name=f"{germ.name}@shifted" if germ.name else "",
-        # phi_2(phi_1(z + p)) - p composes the translated pieces' flows
-        pieces=None if germ.pieces is None else tuple(translate(g, point) for g in germ.pieces),
+        n=germ.n, value=shift(germ.value), grad=shift(germ.grad), jet=shift(germ.jet), name=name
     )
 
 
-def _reparam(t: float) -> Tuple[int, float, float]:
-    """Piece (0 or 1) of a concatenation at time t, with sigma(s) and
-    2 sigma'(s) at s = 2 t - piece.
-
-    sigma(s) = g(s) / (g(s) + g(1 - s)) with g(s) = exp(-1/s), so sigma'
-    is flat to infinite order at both endpoints.  Plain floats: the smooth
-    callbacks of a concatenation call this once per call; the flows of a
-    concatenation run its pieces and never call it.
-    """
-    piece = 0 if t < 0.5 else 1
-    s = min(max(2.0 * t - piece, 0.0), 1.0)
-    r = 1.0 - s
-    g = math.exp(-1.0 / s) if s > 1e-12 else 0.0
-    h = math.exp(-1.0 / r) if r > 1e-12 else 0.0
-    # g'(s) = g(s) / s^2
-    gp = g / (s * s) if s > 1e-12 else 0.0
-    hp = h / (r * r) if r > 1e-12 else 0.0
-    return piece, g / (g + h), 2.0 * (gp * h + g * hp) / (g + h) ** 2
-
-
 def _sigma(s: np.ndarray) -> np.ndarray:
-    """sigma of ``_reparam`` on an array of s in [0, 1]; exp(-1/s) is 0.0
-    in floating point wherever ``_reparam`` sets g to 0."""
+    """The flat reparametrization sigma(s) = g(s) / (g(s) + g(1 - s)) of a
+    concatenation, with g(s) = exp(-1/s), on an array of s in [0, 1]; its
+    derivative vanishes to infinite order at both ends."""
     with np.errstate(divide="ignore"):
         g, h = np.exp(-1.0 / s), np.exp(-1.0 / (1.0 - s))
     return g / (g + h)
@@ -277,46 +305,31 @@ def _sigma(s: np.ndarray) -> np.ndarray:
 def concatenate(first: HamiltonianGerm, second: HamiltonianGerm) -> HamiltonianGerm:
     """Unit-time germ whose flow is phi_second composed with phi_first.
 
-    Each piece runs through the flat reparametrization sigma, so the
-    callbacks are smooth in t and vanish near t in {0, 1/2, 1}.  The germ
-    keeps ``pieces=(first, second)``, and its flows run the two pieces.
+    Each piece runs through the flat reparametrization sigma (module
+    docstring).  The germ is ``pieces=(first, second)`` and carries no
+    callbacks: its flows run the two pieces in turn.
     """
     if first.n != second.n:
         raise ValueError("dimension mismatch")
-
-    def wrap(f1, f2):
-        def wrapped(t, z):
-            piece, sig, dsig = _reparam(t)
-            return dsig * (f2 if piece else f1)(sig, z)
-
-        return wrapped
-
-    jets = (first.jet, second.jet)
-
-    def jet(t, z):
-        piece, sig, dsig = _reparam(t)
-        grad, hess = jets[piece](sig, z)
-        return dsig * grad, dsig * hess
-
-    return HamiltonianGerm(
-        n=first.n,
-        value=wrap(first.value, second.value),
-        grad=wrap(first.grad, second.grad),
-        jet=jet,
-        name=f"{first.name}#{second.name}",
-        pieces=(first, second),
-    )
+    return HamiltonianGerm(n=first.n, name=f"{first.name}#{second.name}", pieces=(first, second))
 
 
 def _segment_action(germ: HamiltonianGerm, z0: np.ndarray) -> Tuple[np.ndarray, float]:
     """End point of the unit-time orbit segment from z0, and the integral of
-    H - y . x' along it; a germ with pieces adds up its pieces' segments."""
+    H - y . x' along it; a germ with pieces adds up its pieces' segments,
+    and a direct sum its factors' segments."""
     if germ.pieces is not None:
         action = 0.0
         for piece in germ.pieces:
             z0, part = _segment_action(piece, z0)
             action += part
         return z0, action
+    if germ.factors is not None:
+        end, action = np.empty_like(z0), 0.0
+        for factor, idx in _factor_indices(germ):
+            end[idx], part = _segment_action(factor, z0[idx])
+            action += part
+        return end, action
     dim = 2 * germ.n
     jvf = vectorfield_j(germ.n)
     y0 = np.concatenate([z0, [0.0]])

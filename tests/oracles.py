@@ -3,6 +3,9 @@
 Each one is an independent route to a quantity that localfloer computes
 another way, or a construction the tests need to probe it:
 
+* ``smooth``, ``smooth_concatenation`` and ``smooth_direct_sum``: a
+  composite germ as the callbacks of its Hamiltonian, integrated as one
+  system, against the flows of ``germs``, which run its pieces or factors;
 * ``iterate``: phi^k as the single flow of k H(k t mod 1, z), against
   which the k flows of phi through ``OdeGermMap`` in ``fixed_point_index``
   are checked, and the iterated germs of the index and detection tests;
@@ -48,9 +51,10 @@ another way, or a construction the tests need to probe it:
   t F_k + (1 - t) k F; ``fixed_point_index``, the Brouwer degree of
   phi^k - id.
 """
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 import numpy as np
 import scipy.linalg
@@ -87,17 +91,116 @@ from localfloer.genfun import (
 )
 from localfloer.germs import NEWTON_MAX_ITER, HamiltonianGerm, translate
 from localfloer.isolation import c_constant_exact
-from localfloer.symplectic import SymplecticMatrix, admissible, validate_symplectic
+from localfloer.symplectic import (
+    SymplecticMatrix,
+    admissible,
+    direct_sum_indices,
+    validate_symplectic,
+)
 
 # ---------------------------------------------------------------- iterates
 
 
+def _reparam(t: float) -> Tuple[int, float, float]:
+    """Piece (0 or 1) of a concatenation at time t, with sigma(s) and
+    2 sigma'(s) at s = 2 t - piece.
+
+    sigma(s) = g(s) / (g(s) + g(1 - s)) with g(s) = exp(-1/s), so sigma'
+    is flat to infinite order at both endpoints.  Plain floats: the smooth
+    callbacks of a concatenation call this once per call.
+    """
+    piece = 0 if t < 0.5 else 1
+    s = min(max(2.0 * t - piece, 0.0), 1.0)
+    r = 1.0 - s
+    g = math.exp(-1.0 / s) if s > 1e-12 else 0.0
+    h = math.exp(-1.0 / r) if r > 1e-12 else 0.0
+    # g'(s) = g(s) / s^2
+    gp = g / (s * s) if s > 1e-12 else 0.0
+    hp = h / (r * r) if r > 1e-12 else 0.0
+    return piece, g / (g + h), 2.0 * (gp * h + g * hp) / (g + h) ** 2
+
+
+def smooth(germ: HamiltonianGerm) -> HamiltonianGerm:
+    """A plain germ itself; a composite germ's smooth form, with its name:
+    the same Hamiltonian as callbacks and no structure, so its flows
+    integrate it as one system."""
+    if germ.pieces is not None:
+        out = smooth_concatenation(*germ.pieces)
+    elif germ.factors is not None:
+        out = smooth_direct_sum(*germ.factors)
+    else:
+        return germ
+    out.name = germ.name
+    return out
+
+
+def smooth_concatenation(first: HamiltonianGerm, second: HamiltonianGerm) -> HamiltonianGerm:
+    """``concatenate`` as the smooth time-dependent Hamiltonian
+    2 sigma'(s) H_piece(sigma(s), z), with no pieces: its flows step through
+    the reparametrization at the junction."""
+    name = f"{first.name}#{second.name}"
+    first, second = smooth(first), smooth(second)
+
+    def wrap(f1, f2):
+        def wrapped(t, z):
+            piece, sig, dsig = _reparam(t)
+            return dsig * (f2 if piece else f1)(sig, z)
+
+        return wrapped
+
+    jets = (first.jet, second.jet)
+
+    def jet(t, z):
+        piece, sig, dsig = _reparam(t)
+        grad, hess = jets[piece](sig, z)
+        return dsig * grad, dsig * hess
+
+    return HamiltonianGerm(
+        n=first.n,
+        value=wrap(first.value, second.value),
+        grad=wrap(first.grad, second.grad),
+        jet=jet,
+        name=name,
+    )
+
+
+def smooth_direct_sum(g1: HamiltonianGerm, g2: HamiltonianGerm) -> HamiltonianGerm:
+    """``corpus.direct_sum_germ`` as the callbacks of H1(z1) + H2(z2), with a
+    Hessian assembled by fancy indexing and no factors: its flows integrate
+    one system of dimension 2 (n1 + n2)."""
+    name = f"{g1.name}(+){g2.name}"
+    g1, g2 = smooth(g1), smooth(g2)
+    n = g1.n + g2.n
+    i1, i2 = direct_sum_indices(g1.n, g2.n)
+
+    def value(t, z):
+        return g1.value(t, z[:, i1]) + g2.value(t, z[:, i2])
+
+    def grad(t, z):
+        out = np.zeros_like(z)
+        out[:, i1] = g1.grad(t, z[:, i1])
+        out[:, i2] = g2.grad(t, z[:, i2])
+        return out
+
+    def jet(t, z):
+        grad = np.zeros_like(z)
+        hess = np.zeros((len(z), 2 * n, 2 * n))
+        grad[:, i1], hess[:, i1[:, None], i1[None, :]] = g1.jet(t, z[:, i1])
+        grad[:, i2], hess[:, i2[:, None], i2[None, :]] = g2.jet(t, z[:, i2])
+        return grad, hess
+
+    return HamiltonianGerm(n=n, value=value, grad=grad, jet=jet, name=name)
+
+
 def iterate(germ: HamiltonianGerm, k: int) -> HamiltonianGerm:
-    """Germ whose unit-time flow is the k-th iterate: k H(k t mod 1, z)."""
+    """Germ whose unit-time flow is the k-th iterate: k H(k t mod 1, z),
+    with the callbacks of ``smooth(germ)``.  A direct sum keeps its factors,
+    iterated, and its flows run them."""
     if k < 1:
         raise ValueError("iteration order must be >= 1")
     if k == 1:
         return germ
+    base = smooth(germ)
 
     def wrap(f):
         def wrapped(t, z):
@@ -107,13 +210,13 @@ def iterate(germ: HamiltonianGerm, k: int) -> HamiltonianGerm:
         return wrapped
 
     def jet(t, z):
-        grad, hess = germ.jet((k * t) % 1.0, z)
+        grad, hess = base.jet((k * t) % 1.0, z)
         return k * grad, k * hess
 
     return HamiltonianGerm(
         n=germ.n,
-        value=wrap(germ.value),
-        grad=wrap(germ.grad),
+        value=wrap(base.value),
+        grad=wrap(base.grad),
         jet=jet,
         name=f"{germ.name}^'{k}" if germ.name else "",
         factors=tuple(iterate(f, k) for f in germ.factors) if germ.factors else None,

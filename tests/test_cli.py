@@ -496,6 +496,19 @@ def test_degenerate_identity_germ_fails_honestly(tmp_path, capsys):
     assert summary["errors"][0]["task"] == "00-persistence"
 
 
+def test_refused_persistence_run_names_the_order_and_the_box(tmp_path, capsys):
+    # a C1 gate that phi passes and phi^2 does not
+    task = {"kind": "persistence", "c1_gate": 0.0457, "gf_radius": 0.1}
+    sc = spectrum_scenario(tasks=[task], k_range=[1, 2])
+    out = tmp_path / "out"
+    code = main(["run", "--scenario", write_scenario(tmp_path, sc), "--out", str(out)])
+    capsys.readouterr()
+    assert code == 1
+    [error] = json.loads((out / "summary.json").read_text())["errors"]
+    assert error["error"] == "NotC1Small"
+    assert error["message"].startswith("order 2, box radius 0.1: ||Dphi^k - id|| = ")
+
+
 def test_refused_morse_task_records_its_error_and_fails_its_gate(tmp_path, capsys):
     """Grids of 3 and 5 nodes are too coarse to clear neg-r2's collar: the
     task writes the refusal into its payload and fails morse.stabilized."""

@@ -44,7 +44,7 @@ def test_shear_generating_function_is_half_y_squared():
 def test_shear_fails_default_c1_gate():
     # the Jacobian sits at distance 1 from the identity at every scale
     phi = OdeGermMap(shear())
-    with pytest.raises(NotC1Small):
+    with pytest.raises(NotC1Small, match=r"^order 1, box radius 0\.5: \|\|Dphi\^k - id\|\| = "):
         generating_function(phi, 1, Box(center=(0.0, 0.0), radius=0.5), 33)
 
 
@@ -59,7 +59,7 @@ def test_closedness_defect_shrinks_under_refinement():
 def test_quarter_rotation_has_no_vertical_complement():
     # xx block of the Jacobian is cos(pi/2) = 0 at every radius
     phi = OdeGermMap(linear_rotation(0.25))
-    with pytest.raises(NotInvertibleOnBox):
+    with pytest.raises(NotInvertibleOnBox, match=r"^order 1, box radius 0\.1: xx Jacobian block "):
         psi(phi, 1, probe_box=BOX2)
 
 

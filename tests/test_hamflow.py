@@ -1,5 +1,4 @@
 """Hamiltonian germs: flows, monodromy, iteration, actions, gap tables."""
-import dataclasses
 import gc
 
 import numpy as np
@@ -25,9 +24,9 @@ from localfloer.fields import Box
 from localfloer.germs import (
     ATOL,
     RTOL,
+    HamiltonianGerm,
     _distinct,
     _newton_search,
-    _reparam,
     _seed_orbit,
     _sigma,
     _variational_flow,
@@ -42,8 +41,8 @@ from localfloer.germs import (
     translate,
 )
 from localfloer.paths import index_report
-from localfloer.symplectic import validate_symplectic, vectorfield_j
-from oracles import iterate
+from localfloer.symplectic import direct_sum_indices, validate_symplectic, vectorfield_j
+from oracles import _reparam, iterate, smooth, smooth_concatenation, smooth_direct_sum
 from pathhelpers import iterated
 
 EPS = 0.05  # morse_triple default scale; H(+-1, 0) = -EPS / 4
@@ -143,16 +142,28 @@ def test_reparam_matches_numpy_oracle():
         assert abs(float(_sigma(np.array([s]))[0]) - sig) <= 1e-15
 
 
+def _assembled_factor_flows(germ, z0, flow=flow_jacobians):
+    """(phi(z0), Dphi(z0)) of a direct sum from flow(factor, points), each
+    factor's values and Jacobian blocks placed by direct_sum_indices."""
+    end, jac = np.empty_like(z0), np.zeros((len(z0), 2 * germ.n, 2 * germ.n))
+    for g, idx in zip(germ.factors, direct_sum_indices(*(g.n for g in germ.factors))):
+        end[:, idx], jac[:, idx[:, None], idx] = flow(g, z0[:, idx])
+    return end, jac
+
+
 def _row_major_flow(germ, z0):
     """Oracle for the component-major variational flow: the same equations
     with one (z, M) block per point, products as stacked matmuls.
     Returns (phi(z0), Dphi(z0)) of the batch z0 of shape (N, 2n).  A germ
-    with pieces composes its pieces' flows, as the flow under test does."""
+    with pieces composes its pieces' flows, and a direct sum runs its
+    factors' flows side by side, as the flow under test does."""
     if germ.pieces is not None:
         first, second = germ.pieces
         mid, d1 = _row_major_flow(first, z0)
         end, d2 = _row_major_flow(second, mid)
         return end, d2 @ d1
+    if germ.factors is not None:
+        return _assembled_factor_flows(germ, z0, _row_major_flow)
     jvf = vectorfield_j(germ.n)
     dim = 2 * germ.n
     nbatch = len(z0)
@@ -482,11 +493,20 @@ def test_radial_corpus_hessians(name):
 
 
 JET_GERMS = {
-    **{name: entry.factory for name, entry in GERMS.items()},
+    # composite corpus germs carry no callbacks; their smooth forms do
+    **{name: lambda f=entry.factory: smooth(f()) for name, entry in GERMS.items()},
     "translate": lambda: translate(resonant_rotation(), np.array([0.1, -0.05])),
+    "concatenate": lambda: smooth_concatenation(resonant_rotation(), quartic(1)),
+    "direct-sum": lambda: smooth_direct_sum(resonant_rotation(), twisted_rotation()),
+    "iterate": lambda: iterate(concatenate(twisted_rotation(), quartic(-1)), 3),
+}
+
+# the germs whose flows call their callbacks, and the composites flowed by
+# their structure, whose callbacks no flow may call
+FLOWED_GERMS = {
+    "resonant-rotation": resonant_rotation,
     "concatenate": lambda: concatenate(resonant_rotation(), quartic(1)),
     "direct-sum": lambda: direct_sum_germ(resonant_rotation(), twisted_rotation()),
-    "iterate": lambda: iterate(concatenate(twisted_rotation(), quartic(-1)), 3),
 }
 
 
@@ -509,7 +529,7 @@ def _refuse(*args):
 
 
 def _refuse_smooth_callbacks(germ):
-    if germ.pieces:
+    if germ.pieces or germ.factors:
         germ.value = germ.jet = germ.grad = germ.hess = _refuse
 
 
@@ -527,12 +547,13 @@ def _record_solves(monkeypatch):
     return nfevs
 
 
-@pytest.mark.parametrize("name", ["resonant-rotation", "concatenate", "direct-sum"])
+@pytest.mark.parametrize("name", sorted(FLOWED_GERMS))
 def test_variational_flow_calls_the_jet_once_per_right_hand_side(name, monkeypatch):
-    # a concatenation is flowed piece by piece: the count holds for each
-    # piece's solve, and its own smooth callbacks are never called
-    germ = JET_GERMS[name]()
-    solved = germ.pieces or (germ,)
+    # a concatenation is flowed piece by piece and a direct sum factor by
+    # factor: the count holds for each solve, and no callback of the
+    # composite itself is called
+    germ = FLOWED_GERMS[name]()
+    solved = germ.pieces or germ.factors or (germ,)
     calls = [[] for _ in solved]
     for g, log in zip(solved, calls):
 
@@ -548,8 +569,8 @@ def test_variational_flow_calls_the_jet_once_per_right_hand_side(name, monkeypat
     assert [len(log) for log in calls] == nfevs
     assert all(set(log) == {7} for log in calls)
     # value-only flows call grad alone
-    germ = JET_GERMS[name]()
-    for g in germ.pieces or (germ,):
+    germ = FLOWED_GERMS[name]()
+    for g in germ.pieces or germ.factors or (germ,):
         g.jet, g.hess = _refuse, _refuse
     _refuse_smooth_callbacks(germ)
     flow_points(germ, z0)
@@ -578,26 +599,20 @@ PIECEWISE_GERMS = {
 }
 
 
-def _smooth(germ):
-    """The same germ without pieces: its flows integrate the concatenated
-    Hamiltonian through the junctions."""
-    return dataclasses.replace(germ, pieces=None)
-
-
 @pytest.mark.parametrize("name", sorted(PIECEWISE_GERMS))
 def test_piecewise_flows_match_the_smooth_concatenation(name):
     germ = PIECEWISE_GERMS[name]()
     assert germ.pieces is not None
-    smooth = _smooth(germ)
+    ref = smooth(germ)
     z0 = np.random.default_rng(8).uniform(-0.2, 0.2, (7, 2))
     phi, jac = flow_jacobians(germ, z0)
-    ref_phi, ref_jac = flow_jacobians(smooth, z0)
+    ref_phi, ref_jac = flow_jacobians(ref, z0)
     np.testing.assert_allclose(phi, ref_phi, rtol=0.0, atol=1e-9)
     np.testing.assert_allclose(jac, ref_jac, rtol=0.0, atol=1e-9)
     np.testing.assert_allclose(flow_points(germ, z0), ref_phi, rtol=0.0, atol=1e-9)
     # the path itself, on both pieces, at the junction and at the ends
     ts = np.linspace(0.0, 1.0, 101)
-    path, ref_path = monodromy(germ), monodromy(smooth)
+    path, ref_path = monodromy(germ), monodromy(ref)
     np.testing.assert_allclose(path.evaluate(ts), ref_path.evaluate(ts), rtol=0.0, atol=1e-9)
     assert index_report(path).conley_zehnder == index_report(ref_path).conley_zehnder
 
@@ -606,7 +621,7 @@ def test_piecewise_action_matches_the_smooth_concatenation():
     # (0.1, 0) is moved by each half turn and closes after the second
     germ = concatenate(linear_rotation(0.5), linear_rotation(0.5))
     point = np.array([0.1, 0.0])
-    assert abs(orbit_action(germ, point) - orbit_action(_smooth(germ), point)) < 1e-10
+    assert abs(orbit_action(germ, point) - orbit_action(smooth(germ), point)) < 1e-10
 
 
 @pytest.mark.parametrize("x", [-1.0, 1.0])
@@ -625,6 +640,106 @@ def test_translate_distributes_over_pieces():
     # turn of the second brings back
     rec = fixed_point_record(shifted, np.zeros(2))
     assert abs(rec.action - (-EPS / 4.0 + orbit_action(linear_rotation(1.0), point))) < 1e-10
+
+
+# --- direct sums, flowed factor by factor
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_direct_sum_flows_are_the_factor_flows(seed):
+    germ = GERMS["product-rot-quartic"].factory()
+    (g1, g2), (i1, i2) = germ.factors, direct_sum_indices(1, 1)
+    rng = np.random.default_rng(seed)
+    z0 = rng.uniform(-0.3, 0.3, (int(rng.integers(1, 40)), 4))
+    phi, jac = flow_jacobians(germ, z0)
+    ref_phi, ref_jac = _assembled_factor_flows(germ, z0)
+    assert np.array_equal(phi, ref_phi) and np.array_equal(jac, ref_jac)
+    values = flow_points(germ, z0)
+    assert np.array_equal(values[:, i1], flow_points(g1, z0[:, i1]))
+    assert np.array_equal(values[:, i2], flow_points(g2, z0[:, i2]))
+    # the monodromy path is block diagonal, with the factors' paths as blocks
+    ts = np.linspace(0.0, 1.0, 101)
+    path = monodromy(germ, z0[0]).evaluate(ts)
+    blocks = np.zeros_like(path)
+    blocks[:, i1[:, None], i1] = monodromy(g1, z0[0, i1]).evaluate(ts)
+    blocks[:, i2[:, None], i2] = monodromy(g2, z0[0, i2]).evaluate(ts)
+    assert np.array_equal(path, blocks)
+    # the action is the sum of the factors' actions
+    end, action = germs_module._segment_action(germ, z0[0])
+    end1, a1 = germs_module._segment_action(g1, z0[0, i1])
+    end2, a2 = germs_module._segment_action(g2, z0[0, i2])
+    assert np.array_equal(end[i1], end1) and np.array_equal(end[i2], end2)
+    assert action == a1 + a2
+    # a closed orbit: a rest point of the double well times a full turn
+    closed = direct_sum_germ(morse_triple(), linear_rotation(1.0))
+    z = np.array([1.0, 0.1, 0.0, 0.0])
+    parts = [orbit_action(g, z[idx]) for g, idx in zip(closed.factors, (i1, i2))]
+    assert orbit_action(closed, z) == parts[0] + parts[1]
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_direct_sum_flows_match_the_smooth_direct_sum(seed):
+    germ = GERMS["product-rot-quartic"].factory()
+    ref = smooth_direct_sum(*germ.factors)
+    z0 = np.random.default_rng(seed).uniform(-0.3, 0.3, (25, 4))
+    phi, jac = flow_jacobians(germ, z0)
+    ref_phi, ref_jac = flow_jacobians(ref, z0)
+    np.testing.assert_allclose(phi, ref_phi, rtol=0.0, atol=1e-11)
+    np.testing.assert_allclose(jac, ref_jac, rtol=0.0, atol=1e-11)
+    np.testing.assert_allclose(flow_points(germ, z0), ref_phi, rtol=0.0, atol=1e-11)
+    path, ref_path = monodromy(germ, z0[0]), monodromy(ref, z0[0])
+    np.testing.assert_allclose(
+        path.endpoint().entries, ref_path.endpoint().entries, rtol=0.0, atol=1e-11
+    )
+    # between steps the dense output interpolates at a lower order than the
+    # steps take: the two paths differ there by up to 4.0e-11
+    ts = np.linspace(0.0, 1.0, 101)
+    np.testing.assert_allclose(path.evaluate(ts), ref_path.evaluate(ts), rtol=0.0, atol=1e-10)
+    action, ref_action = (germs_module._segment_action(g, z0[0])[1] for g in (germ, ref))
+    assert abs(action - ref_action) <= 1e-11
+
+
+def test_direct_sum_with_a_concatenated_factor_takes_few_right_hand_sides(monkeypatch):
+    # each factor is flowed alone, and the concatenated one piece by piece:
+    # one 4D integration through the junction bump took 1,637 right-hand sides
+    germ = direct_sum_germ(negative_hyperbolic(2.0), linear_rotation(0.3183))
+    nfevs = _record_solves(monkeypatch)
+    end = monodromy(germ).endpoint().entries
+    assert len(nfevs) == 3 and sum(nfevs) < 600
+    want = np.zeros((4, 4))
+    want[[0, 2], [0, 2]] = -2.0, -0.5
+    want[np.ix_([1, 3], [1, 3])] = rot(2.0 * np.pi * 0.3183)
+    np.testing.assert_allclose(end, want, rtol=0.0, atol=1e-9)
+
+
+def test_translate_distributes_over_factors():
+    germ = direct_sum_germ(morse_triple(), linear_rotation(0.3183))
+    point = np.array([1.0, 0.2, 0.0, -0.1])
+    shifted = translate(germ, point)
+    assert shifted.value is None
+    assert [g.name for g in shifted.factors] == [
+        "morse-triple(0.05)@shifted",
+        "rotation(0.3183)@shifted",
+    ]
+    ref = translate(smooth(germ), point)
+    z0 = np.random.default_rng(4).uniform(-0.2, 0.2, (9, 4))
+    for got, want in zip(flow_jacobians(shifted, z0), flow_jacobians(ref, z0)):
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-11)
+    # the rest point (1, 0) of the first factor times the rotation's origin
+    rec = fixed_point_record(translate(germ, np.array([1.0, 0.0, 0.0, 0.0])), np.zeros(4))
+    assert abs(rec.action - (-EPS / 4.0)) < 1e-10
+
+
+def test_germ_refuses_callbacks_it_cannot_flow():
+    g = linear_rotation(0.1)
+    with pytest.raises(ValueError, match="all of value, grad and jet"):
+        HamiltonianGerm(n=1, value=g.value, grad=g.grad)
+    with pytest.raises(ValueError, match="all of value, grad and jet"):
+        HamiltonianGerm(n=1, jet=g.jet, pieces=(g, g))
+    with pytest.raises(ValueError, match="needs pieces or factors"):
+        HamiltonianGerm(n=1, name="empty")
+    # a composite sets no callback, and has no Hessian to derive
+    assert concatenate(g, g).hess is None
 
 
 def _integrators():

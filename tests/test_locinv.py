@@ -23,7 +23,7 @@ from localfloer.errors import (
 )
 from localfloer.germs import HamiltonianGerm, fixed_point_record, flow_jacobians, translate
 from localfloer.invariants import detect_sdm, local_floer, total_ranks, verify_persistence
-from oracles import fixed_point_index, iterate
+from oracles import fixed_point_index, iterate, smooth_direct_sum
 
 
 def record_of(germ):
@@ -151,15 +151,13 @@ def test_split_of_two_rotations():
 
 
 def test_mixed_spectrum_without_split_has_no_route():
-    base = direct_sum_germ(hyperbolic(2.0), shear())
-    opaque = dataclasses.replace(base, factors=None)
+    opaque = smooth_direct_sum(hyperbolic(2.0), shear())
     with pytest.raises(RouteUnavailable):
         local_floer(opaque, record_of(opaque))
 
 
 def test_degenerate_germ_off_the_plane_without_factors_is_refused(monkeypatch):
-    base = direct_sum_germ(quartic(-1), quartic(-1))
-    opaque = dataclasses.replace(base, factors=None)
+    opaque = smooth_direct_sum(quartic(-1), quartic(-1))
     rec = record_of(opaque)
     sizes = flow_sizes(monkeypatch)
     with pytest.raises(RouteUnavailable, match="plane germs only"):
