@@ -44,8 +44,8 @@ class KreinDegenerate(LocalFloerError):
 
 
 class StepFailure(LocalFloerError):
-    """The adaptive integrator could not meet the requested tolerance, or
-    met a right-hand side that is not finite."""
+    """The adaptive integrator could not meet the requested tolerance, met a
+    right-hand side that is not finite, or did not finish within budget."""
 
 
 class NewtonDivergence(LocalFloerError):

@@ -195,14 +195,12 @@ class _IterateTower:
     """Images of the padded grid nodes under phi^j, j = 0, 1, ...
 
     Level j + 1 is one value-only flow of level j, so every order costs one
-    grid flow however it is reached.  The spline map built for each order is
-    kept in ``maps`` so that all iterates of one map share one object per order.
+    grid flow however it is reached.
     """
 
     def __init__(self, germ: HamiltonianGerm, nodes: np.ndarray):
         self.germ = germ
         self.levels = [nodes]
-        self.maps: dict = {}
 
     def level(self, k: int) -> np.ndarray:
         while len(self.levels) <= k:
@@ -220,8 +218,9 @@ class SplineGermMap(GermMap):
     invert the map they evaluate.  Every evaluator refuses points outside
     the padded box, and looks a ``Box.nodes`` batch up on its two axes,
     with the bits of point-by-point lookups (``_reader``).  All iterates of
-    a map share one iterate tower (passed on as ``_data``).  Two
-    dimensional germs only.
+    a map share one iterate tower (passed on as ``_data``); each call of
+    ``iterate`` fits its order's splines on it anew.  Two dimensional
+    germs only.
     """
 
     def __init__(
@@ -297,18 +296,14 @@ class SplineGermMap(GermMap):
     def iterate(self, k: int) -> "SplineGermMap":
         if k == 1:
             return self
-        order = self.k * k
-        maps = self._tower.maps
-        if order not in maps:
-            maps[order] = SplineGermMap(
-                self.germ,
-                self.base_box,
-                resolution=self.resolution,
-                k=order,
-                padding=self.padding,
-                _data=self._tower,
-            )
-        return maps[order]
+        return SplineGermMap(
+            self.germ,
+            self.base_box,
+            resolution=self.resolution,
+            k=self.k * k,
+            padding=self.padding,
+            _data=self._tower,
+        )
 
 
 # ----------------------------------------------------------------------- psi

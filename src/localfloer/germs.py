@@ -63,6 +63,9 @@ CLOSURE_TOL = 1e-6
 NEWTON_MAX_ITER = 40
 # residual at which the fixed and periodic point searches stop, unless set
 NEWTON_TOL = 1e-11
+# right-hand sides one flow may take before it is refused; far out, the
+# quartic's orbits turn like |z|^2 and a flow would step on for hours
+RHS_BUDGET = 50_000
 
 
 @dataclass
@@ -76,7 +79,8 @@ class HamiltonianGerm:
 
     A composite germ sets ``pieces`` or ``factors`` and no callbacks; its
     flows run its structure.  A germ that sets only some callbacks, or none
-    and no structure, cannot be flowed: ValueError."""
+    and no structure, cannot be flowed: ValueError; so is structure that is
+    not two germs of the germ's n, or, for factors, of n adding up to it."""
 
     n: int
     value: Optional[Callable[[float, np.ndarray], np.ndarray]] = None
@@ -97,16 +101,29 @@ class HamiltonianGerm:
             raise ValueError("a germ sets all of value, grad and jet, or none of them")
         if not any(given) and self.pieces is None and self.factors is None:
             raise ValueError("a germ without callbacks needs pieces or factors")
+        if self.pieces is not None and [g.n for g in self.pieces] != [self.n, self.n]:
+            raise ValueError(f"pieces must be two germs of n {self.n}")
+        if self.factors is not None and (
+            len(self.factors) != 2 or sum(g.n for g in self.factors) != self.n
+        ):
+            raise ValueError(f"factors must be two germs whose n add up to {self.n}")
         jet = self.jet
         self.hess = None if jet is None else lambda t, z: jet(t, z)[1]
 
 
 def _solve(rhs, y0: np.ndarray, dense: bool = False):
+    budget = iter(range(RHS_BUDGET))
+
+    def budgeted(t, y):
+        if next(budget, None) is None:
+            raise StepFailure(f"flow unfinished after {RHS_BUDGET} right-hand sides")
+        return rhs(t, y)
+
     # a NaN right-hand side would make the step size NaN, and no step would end the loop
     try:
         with np.errstate(invalid="raise"):
             sol = solve_ivp(
-                rhs, (0.0, 1.0), y0, method="DOP853", rtol=RTOL, atol=ATOL, dense_output=dense
+                budgeted, (0.0, 1.0), y0, method="DOP853", rtol=RTOL, atol=ATOL, dense_output=dense
             )
     except FloatingPointError as exc:
         raise StepFailure(f"non-finite right-hand side: {exc}") from exc
@@ -309,8 +326,6 @@ def concatenate(first: HamiltonianGerm, second: HamiltonianGerm) -> HamiltonianG
     docstring).  The germ is ``pieces=(first, second)`` and carries no
     callbacks: its flows run the two pieces in turn.
     """
-    if first.n != second.n:
-        raise ValueError("dimension mismatch")
     return HamiltonianGerm(n=first.n, name=f"{first.name}#{second.name}", pieces=(first, second))
 
 

@@ -14,14 +14,15 @@ Three computation routes, each answer recording the one it took:
 
 Mixed germs that fit none of these, and strongly degenerate germs off the
 plane that do not split, get RouteUnavailable rather than an approximate
-answer.  All orders of one fixed point are read from one sweep: the route
-is decided, phi splined (one iterate tower) and the factor records built
-once, and each order's answer is kept.  Each answer passes a run-time
-check: the support window |l - k delta| <= n, or on the nondegenerate
-route, where that window holds identically, the parity
-(-1)^(CZ - n) = sign det(I - M^k).  On top sit the persistence laws:
-shift alignment s_k, evenness at good orders, the support window, and
-detection of symplectically degenerate maxima.
+answer.  Every entry point reads each order through ``local_floer(sweep,
+k)`` from an ``IterateSweep``, all orders of one fixed point at one set of
+grid settings: the route is decided, phi splined (one iterate tower) and
+the factor records built once, and each order's answer is kept.  Each
+answer passes a run-time check: the support window |l - k delta| <= n, or
+on the nondegenerate route, where that window holds identically, the parity
+(-1)^(CZ - n) = sign det(I - M^k).  On top sit the persistence laws: shift
+alignment s_k, evenness at good orders, the support window, and detection
+of symplectically degenerate maxima.
 """
 from __future__ import annotations
 
@@ -43,12 +44,13 @@ from .errors import (
 )
 from .fields import Box
 from .genfun import C1_GATE, SplineGermMap, generating_function
-from .germs import FixedPointRecord, HamiltonianGerm, fixed_point_record, translate
+from .germs import FixedPointRecord, HamiltonianGerm, _factor_indices, fixed_point_record, translate
 from .paths import _iterate_index
-from .symplectic import admissible, direct_sum_indices, good, standard_j
+from .symplectic import admissible, good, standard_j
 
 __all__ = [
     "LocalFloer",
+    "IterateSweep",
     "local_floer",
     "PersistenceRow",
     "PersistenceReport",
@@ -83,9 +85,10 @@ def _check_window(ranks: GradedRanks, delta: float, n: int):
 
 
 @dataclass(eq=False)
-class _IterateSweep:
-    """All iterates of one fixed point, from a route, a phi and factor
-    sweeps built on first use; ``at(k)`` keeps each answer but no refusal."""
+class IterateSweep:
+    """All iterates of the recorded fixed point at one set of the degenerate
+    route's grid settings; route, phi and factor sweeps are built on first
+    use, and ``at(k)`` keeps each answer but no refusal."""
 
     germ: HamiltonianGerm
     record: FixedPointRecord
@@ -103,8 +106,6 @@ class _IterateSweep:
         if not data.has_eigenvalue_one():
             return "nondegenerate"
         if self.germ.factors is not None:
-            if len(self.germ.factors) != 2:
-                raise RouteUnavailable("germ does not expose two direct-sum factors")
             return "split"
         if not data.all_eigenvalues_one():
             raise RouteUnavailable(
@@ -127,12 +128,11 @@ class _IterateSweep:
         return SplineGermMap(base, box)
 
     @cached_property
-    def _factors(self) -> Tuple["_IterateSweep", ...]:
-        g1, g2 = self.germ.factors
+    def _factors(self) -> Tuple["IterateSweep", ...]:
         point = np.asarray(self.record.point, dtype=float)
         return tuple(
             replace(self, germ=g, record=fixed_point_record(g, point[idx]))
-            for g, idx in zip((g1, g2), direct_sum_indices(g1.n, g2.n))
+            for g, idx in _factor_indices(self.germ)
         )
 
     def at(self, k: int) -> LocalFloer:
@@ -210,17 +210,15 @@ class _IterateSweep:
         return hm.ranks.shift(-n), hypothesis
 
 
-def local_floer(
-    germ: HamiltonianGerm, record: FixedPointRecord, k: int = 1, **settings
-) -> LocalFloer:
-    """Local Floer homology of the k-th iterate at the recorded fixed point.
+def local_floer(sweep: IterateSweep, k: int = 1) -> LocalFloer:
+    """Local Floer homology of the k-th iterate at the sweep's fixed point.
 
     The route is read from the monodromy spectrum: nondegenerate when 1 is
     not an eigenvalue, split for direct-sum germs, strongly_degenerate when
-    the monodromy is unipotent.  ``settings`` are the grid settings of
-    ``_IterateSweep`` (gf_radius, gf_resolution, c1_gate, exclude_fraction).
+    the monodromy is unipotent.  The sweep keeps the answer, so asking
+    again for k computes nothing.
     """
-    return _IterateSweep(germ, record, **settings).at(k)
+    return sweep.at(k)
 
 
 # ------------------------------------------------------------- persistence
@@ -270,12 +268,7 @@ def _align_shift(base: GradedRanks, other: GradedRanks) -> int:
     return s
 
 
-def verify_persistence(
-    germ: HamiltonianGerm,
-    record: FixedPointRecord,
-    ks: Sequence[int],
-    **lf_kwargs,
-) -> PersistenceReport:
+def verify_persistence(sweep: IterateSweep, ks: Sequence[int]) -> PersistenceReport:
     """Shift law across iterates: ranks_k = shift(ranks_1, s_k).
 
     Records per k the admissibility, goodness, graded ranks, the aligning
@@ -283,53 +276,40 @@ def verify_persistence(
     the mean-index window |s_k + l - k delta| <= n, and zero shifts in the
     degenerate-maximum regime.
     """
+    record = sweep.record
     ks = sorted(set(int(k) for k in ks))
     for k in ks:
         if not admissible(record.endpoint, k):
             raise NotAdmissible(f"iteration order {k} is not admissible")
-    n = germ.n
+    n = sweep.germ.n
     delta = record.mean_index
-    sweep = _IterateSweep(germ, record, **lf_kwargs)
-    base = sweep.at(1)
-
-    rows = []
-    limit_vals = []
-    even_ok = True
-    window_ok = True
-    zero_ok = True
+    base = local_floer(sweep, 1)
     sdm_regime = abs(delta) <= SDM_DELTA_TOL and base.ranks.rank(n) >= 1
+    rows = []
     for k in ks:
-        lf = sweep.at(k)
-        is_good = good(record.endpoint, k)
-        s_k = _align_shift(base.ranks, lf.ranks)
-        even = s_k % 2 == 0
-        if is_good and not even:
-            even_ok = False
-        for l in base.ranks.support:
-            if abs(s_k + l - k * delta) > n + WINDOW_TOL:
-                window_ok = False
-        if sdm_regime and s_k != 0:
-            zero_ok = False
-        limit_vals.append(abs(s_k / k - delta))
+        ranks = local_floer(sweep, k).ranks if k > 1 else base.ranks
+        s_k = _align_shift(base.ranks, ranks)
         rows.append(
             PersistenceRow(
                 k=k,
                 admissible=True,
-                good=is_good,
-                ranks=lf.ranks,
+                good=good(record.endpoint, k),
+                ranks=ranks,
                 s_k=s_k,
-                s_k_even=even,
+                s_k_even=s_k % 2 == 0,
             )
         )
     checks = {
-        "even_shift_at_good_orders": even_ok,
-        "mean_index_window": window_ok,
-        "zero_shift_in_sdm_regime": zero_ok,
+        "even_shift_at_good_orders": all(r.s_k_even for r in rows if r.good),
+        "mean_index_window": all(
+            abs(r.s_k + l - r.k * delta) <= n + WINDOW_TOL for r in rows for l in base.ranks.support
+        ),
+        "zero_shift_in_sdm_regime": not sdm_regime or all(r.s_k == 0 for r in rows),
     }
     return PersistenceReport(
         rows=tuple(rows),
         delta=delta,
-        limit_check=tuple(limit_vals),
+        limit_check=tuple(abs(r.s_k / r.k - delta) for r in rows),
         checks=checks,
     )
 
@@ -338,11 +318,7 @@ def verify_persistence(
 
 
 def detect_sdm(
-    germ: HamiltonianGerm,
-    record: FixedPointRecord,
-    delta_tol: float = SDM_DELTA_TOL,
-    crosscheck: bool = True,
-    **lf_kwargs,
+    sweep: IterateSweep, delta_tol: float = SDM_DELTA_TOL, crosscheck: bool = True
 ) -> dict:
     """Symplectically degenerate maximum test: delta = 0 and HF_n != 0.
 
@@ -350,9 +326,8 @@ def detect_sdm(
     monodromy is unipotent, and (when computable) the higher-iterate
     cross-check HF_n(phi^k) != 0 at an admissible order k >= n + 1.
     """
-    n = germ.n
-    sweep = _IterateSweep(germ, record, **lf_kwargs)
-    lf1 = sweep.at(1)
+    n, record = sweep.germ.n, sweep.record
+    lf1 = local_floer(sweep, 1)
     hf_n = lf1.ranks.rank(n)
     strongly = record.endpoint.eigen.all_eigenvalues_one()
     is_sdm = abs(record.mean_index) <= delta_tol and hf_n >= 1
@@ -366,7 +341,7 @@ def detect_sdm(
         while k0 <= n + 8 and not admissible(record.endpoint, k0):
             k0 += 1
         try:
-            lfk = sweep.at(k0)
+            lfk = local_floer(sweep, k0)
             evidence["crosscheck"] = {
                 "k": k0,
                 "hf_n_rank": lfk.ranks.rank(n),
@@ -377,16 +352,10 @@ def detect_sdm(
     return {"is_sdm": is_sdm, "evidence": evidence}
 
 
-def total_ranks(
-    germ: HamiltonianGerm,
-    record: FixedPointRecord,
-    ks: Sequence[int],
-    **lf_kwargs,
-) -> Dict[int, int]:
+def total_ranks(sweep: IterateSweep, ks: Sequence[int]) -> Dict[int, int]:
     """Total rank per admissible k in ks; inadmissible orders are skipped."""
-    sweep = _IterateSweep(germ, record, **lf_kwargs)
-    out = {}
-    for k in sorted(set(int(k) for k in ks)):
-        if admissible(record.endpoint, k):
-            out[k] = sweep.at(k).total
-    return out
+    return {
+        k: local_floer(sweep, k).total
+        for k in sorted(set(int(k) for k in ks))
+        if admissible(sweep.record.endpoint, k)
+    }

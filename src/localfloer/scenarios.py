@@ -55,7 +55,7 @@ from .errors import (
 from .fields import Box
 from .genfun import OdeGermMap
 from .germs import HamiltonianGerm, find_fixed_points, fixed_point_record, gap_table
-from .invariants import detect_sdm, verify_persistence
+from .invariants import IterateSweep, detect_sdm, verify_persistence
 from .isolation import c_constant_exact, periodic_point_search
 from .symplectic import admissible, good, spectrum
 
@@ -82,6 +82,8 @@ _GERM_KEYS = {"formula", "parameters", "box"}
 # scenario tolerances and the library parameters they set
 _TOL_PARAMS = {"sdm_delta_tol": "delta_tol", "newton_tol": "newton_tol"}
 _FLOAT_MAX = float(np.finfo(float).max)
+# task settings that set a task's IterateSweep rather than its library call
+_SWEEP_KEYS = tuple(f.name for f in fields(IterateSweep) if f.name not in ("germ", "record"))
 
 
 def _is_int(v) -> bool:
@@ -153,6 +155,18 @@ class Scenario:
     def record(self):
         """The origin's FixedPointRecord, built once for all tasks that read it."""
         return fixed_point_record(self.germ, np.zeros(2 * self.germ.n))
+
+    @cached_property
+    def _sweeps(self) -> Dict[tuple, IterateSweep]:
+        return {}
+
+    def sweep(self, settings: dict) -> IterateSweep:
+        """The origin's IterateSweep at the grid settings popped from a
+        task's settings, built once per setting: tasks whose settings agree
+        once defaults apply share one sweep, and with it every iterate."""
+        grid = {key: settings.pop(key) for key in _SWEEP_KEYS if key in settings}
+        sweep = IterateSweep(self.germ, self.record, **grid)
+        return self._sweeps.setdefault(tuple(getattr(sweep, k) for k in _SWEEP_KEYS), sweep)
 
 
 def _reject_unknown(obj: dict, allowed: set, where: str):
@@ -353,7 +367,7 @@ def _run_persistence(sc: Scenario, task: dict):
     record = sc.record
     ks = [k for k in sc.ks if admissible(record.endpoint, k)]
     skipped = [k for k in sc.ks if k not in ks]
-    report = verify_persistence(sc.germ, record, ks, **_settings(sc, task))
+    report = verify_persistence(sc.sweep(_settings(sc, task)), ks)
     payload = {
         "germ": sc.germ_name,
         "skipped_inadmissible": skipped,
@@ -367,7 +381,9 @@ def _run_persistence(sc: Scenario, task: dict):
 
 
 def _run_sdm(sc: Scenario, task: dict):
-    result = detect_sdm(sc.germ, sc.record, **_settings(sc, task, "sdm_delta_tol"))
+    settings = _settings(sc, task, "sdm_delta_tol")
+    sweep = sc.sweep(settings)  # takes the grid settings; delta_tol and crosscheck stay
+    result = detect_sdm(sweep, **settings)
     payload = {"germ": sc.germ_name, **result}
     cross = result["evidence"].get("crosscheck")
     if cross is None:

@@ -11,6 +11,7 @@ import numpy as np
 
 from localfloer import (
     Box,
+    IterateSweep,
     OdeGermMap,
     c_constant_exact,
     conley_zehnder,
@@ -67,7 +68,8 @@ def test_criterion_01_degenerate_route_persistence():
     failures = []
     t0 = time.perf_counter()
     germ, rec = record_of("quartic-max")
-    report = verify_persistence(germ, rec, range(1, 7))
+    sweep = IterateSweep(germ, rec)
+    report = verify_persistence(sweep, range(1, 7))
     elapsed = time.perf_counter() - t0
     for row in report.rows:
         check(failures, row.ranks.as_dict() == {1: 1},
@@ -75,7 +77,7 @@ def test_criterion_01_degenerate_route_persistence():
         check(failures, row.s_k == 0, f"k={row.k} shift {row.s_k} != 0")
     check(failures, all(report.checks.values()),
           f"law checks {report.checks}")
-    lf = local_floer(germ, rec, 1)
+    lf = local_floer(sweep, 1)
     check(failures, lf.hypothesis["gf_resolution"] <= 257,
           "generating grid above 257 per axis")
     check(failures, max(lf.hypothesis["hm_resolutions"]) <= 257,
@@ -91,7 +93,7 @@ def test_criterion_02_nondegenerate_route_window():
         n = germ.n
         ks = [k for k in range(1, 21) if admissible(rec.endpoint, k)]
         check(failures, len(ks) == 20, f"{name}: some order <= 20 inadmissible")
-        report = verify_persistence(germ, rec, ks)
+        report = verify_persistence(IterateSweep(germ, rec), ks)
         delta = report.delta
         for row in report.rows:
             check(failures, row.good and row.s_k % 2 == 0,
@@ -121,7 +123,7 @@ def test_criterion_02_nondegenerate_route_window():
 def test_criterion_03_bad_iteration_is_sharp():
     failures = []
     germ, rec = record_of("negative-hyperbolic-2")
-    report = verify_persistence(germ, rec, [2, 3, 5])
+    report = verify_persistence(IterateSweep(germ, rec), [2, 3, 5])
     rows = {r.k: r for r in report.rows}
     check(failures, not rows[2].good, "k=2 should be a bad order")
     check(failures, rows[2].s_k % 2 == 1, f"s_2 = {rows[2].s_k} not odd")
@@ -311,7 +313,7 @@ def test_criterion_08_degenerate_maximum_detection():
     verdicts = {"quartic-max": True, "rotation-a": False, "quartic-min": False}
     for name, want in verdicts.items():
         germ, rec = record_of(name)
-        out = detect_sdm(germ, rec)
+        out = detect_sdm(IterateSweep(germ, rec))
         check(failures, out["is_sdm"] is want,
               f"{name}: detected {out['is_sdm']}, expected {want}")
         if name == "quartic-max":
@@ -323,7 +325,7 @@ def test_criterion_08_degenerate_maximum_detection():
         for k in range(2, 6):
             gk = iterate(germ, k)
             rk = fixed_point_record(gk, np.zeros(2 * germ.n))
-            out_k = detect_sdm(gk, rk, crosscheck=False)
+            out_k = detect_sdm(IterateSweep(gk, rk), crosscheck=False)
             check(failures, out_k["is_sdm"] is want,
                   f"{name}: verdict flips at iterate k={k}")
     conclude(8, "degenerate-maximum verdicts correct and closed under iteration",
@@ -386,7 +388,7 @@ def test_criterion_09_generating_functions():
 
 def test_criterion_10_rank_boundedness():
     failures = []
-    lf_kwargs = {
+    settings = {
         "quartic-max": {"gf_radius": 0.06},
         "quartic-min": {"gf_radius": 0.06},
         "monkey-saddle": {"gf_radius": 0.003},
@@ -398,7 +400,7 @@ def test_criterion_10_rank_boundedness():
         rec = fixed_point_record(germ, np.zeros(2 * germ.n))
         ks = [k for k in range(1, 11) if admissible(rec.endpoint, k)]
         try:
-            totals = total_ranks(germ, rec, ks, **lf_kwargs.get(name, {}))
+            totals = total_ranks(IterateSweep(germ, rec, **settings.get(name, {})), ks)
         except LocalFloerError:
             no_route.add(name)
             continue

@@ -21,7 +21,7 @@ from localfloer import corpus, scenarios
 from localfloer.cli import main
 from localfloer.corpus import FIELDS
 from localfloer.errors import LocalFloerError, ScenarioError
-from localfloer.invariants import _IterateSweep
+from localfloer.invariants import IterateSweep
 from localfloer.scenarios import _TASK_KEYS, parse_scenario
 
 
@@ -234,13 +234,25 @@ MORSE_GRAD = {"grad": FIELDS["neg-r2"].grad}
             {},
             {"resolutions": [9, 11], "exclude_fraction": 0.25, **MORSE_GRAD},
         ),
+        (
+            {"kind": "sdm", "gf_radius": 0.05, "crosscheck": False},
+            {"sdm_delta_tol": 1e-4},
+            {"gf_radius": 0.05, "crosscheck": False, "delta_tol": 1e-4},
+        ),
     ],
 )
 def test_runners_pass_task_settings_over_tolerances_and_nothing_unset(
     tmp_path, monkeypatch, task, tolerances, expected
 ):
-    _, kwargs = library_call(monkeypatch, tmp_path, task, tolerances)
+    args, kwargs = library_call(monkeypatch, tmp_path, task, tolerances)
     kwargs.pop("first", None)  # the isolation search's first order, from k_range
+    if task["kind"] in ("persistence", "sdm"):
+        # grid settings set the sweep the call is given; what the task does
+        # not set keeps the sweep's default
+        grid = {key: getattr(args[0], key) for key in scenarios._SWEEP_KEYS}
+        defaults = {f.name: f.default for f in dataclasses.fields(IterateSweep) if f.name in grid}
+        assert grid == {**defaults, **{k: v for k, v in expected.items() if k in grid}}
+        expected = {k: v for k, v in expected.items() if k not in grid}
     assert kwargs == expected
 
 
@@ -248,7 +260,7 @@ def test_readme_scenarios_and_settings_table_match_the_parser(tmp_path, monkeypa
     """The README's settings table against the code: the value column
     against the parser, the default column against each default's one
     home, read by introspection (library signatures, the fields of
-    _IterateSweep) or from what a runner hands a stubbed library call."""
+    IterateSweep) or from what a runner hands a stubbed library call."""
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     blocks = re.findall(r"```json\n(.*?)```", readme, re.S)
     assert len(blocks) >= 2
@@ -264,7 +276,7 @@ def test_readme_scenarios_and_settings_table_match_the_parser(tmp_path, monkeypa
     }
 
     defaults = {(kind, key): default for kind, key, _, default in rows}
-    sweep = {f.name: f.default for f in dataclasses.fields(_IterateSweep)}
+    sweep = {f.name: f.default for f in dataclasses.fields(IterateSweep)}
     signatures = {
         kind: inspect.signature(getattr(scenarios, name)).parameters
         for kind, name in LIBRARY_CALLS.items()
@@ -274,7 +286,7 @@ def test_readme_scenarios_and_settings_table_match_the_parser(tmp_path, monkeypa
         params = signatures[kind]
         if name in params:
             return params[name].default
-        assert "lf_kwargs" in params, (kind, name)
+        assert "sweep" in params, (kind, name)
         return sweep[name]
 
     # the scenario tolerances: the README's prose states their defaults
@@ -361,6 +373,7 @@ def test_every_written_result_serializes_by_its_fields_or_its_to_json():
 
     from localfloer import (
         Box,
+        IterateSweep,
         OdeGermMap,
         fixed_point_record,
         local_morse_homology,
@@ -375,7 +388,7 @@ def test_every_written_result_serializes_by_its_fields_or_its_to_json():
     germ = linear_rotation(0.05)
     record = fixed_point_record(germ, np.zeros(2))
     eigen = spectrum(record.endpoint)
-    persistence = verify_persistence(germ, record, [1, 2])
+    persistence = verify_persistence(IterateSweep(germ, record), [1, 2])
     box = Box(center=(0.0, 0.0), radius=1.0)
     results = [
         record,
@@ -452,6 +465,63 @@ def test_origin_record_is_built_once_per_scenario(tmp_path, capsys, monkeypatch)
     path = write_scenario(tmp_path, sc)
     assert main(["run", "--scenario", path, "--out", str(tmp_path / "out")]) == 0
     assert len(calls) == 1
+
+
+def run_counting_towers(monkeypatch, tmp_path, tasks):
+    """Run a quartic-max scenario of the given tasks at k 1..3; return the
+    number of iterate towers built and the sizes of the value-only grid flows."""
+    from localfloer import genfun
+
+    towers, sizes = [], []
+    tower_init, flow = genfun._IterateTower.__init__, genfun.flow_points
+    monkeypatch.setattr(
+        genfun._IterateTower, "__init__", lambda self, *a: towers.append(1) or tower_init(self, *a)
+    )
+    monkeypatch.setattr(genfun, "flow_points", lambda g, p: sizes.append(len(p)) or flow(g, p))
+    raw = spectrum_scenario(tasks=tasks, k_range=[1, 3])
+    code, _ = scenarios.run_scenario(parse_scenario(raw), str(tmp_path))
+    assert code == 0
+    return len(towers), sizes
+
+
+def test_persistence_and_sdm_share_one_sweep_per_grid_setting(tmp_path, monkeypatch):
+    # sdm reads orders 1 and 2, which persistence already flowed
+    got = run_counting_towers(monkeypatch, tmp_path / "a", ["persistence", "sdm"])
+    assert got == (1, [97**2] * 3)
+    # a default set explicitly is the default
+    tasks = [{"kind": "persistence", "gf_radius": 0.1, "gf_resolution": 65}, "sdm"]
+    assert run_counting_towers(monkeypatch, tmp_path / "b", tasks) == (1, [97**2] * 3)
+    # delta_tol and crosscheck are no grid settings
+    tasks = ["persistence", {"kind": "sdm", "crosscheck": False}]
+    assert run_counting_towers(monkeypatch, tmp_path / "c", tasks) == (1, [97**2] * 3)
+    # other grid settings, another sweep with its own tower
+    tasks = ["persistence", {"kind": "sdm", "gf_radius": 0.06}]
+    assert run_counting_towers(monkeypatch, tmp_path / "d", tasks) == (2, [97**2] * 5)
+    tasks = ["persistence", {"kind": "persistence", "exclude_fraction": 0.25}]
+    assert run_counting_towers(monkeypatch, tmp_path / "e", tasks) == (2, [97**2] * 6)
+
+
+def test_a_shared_sweep_writes_the_sdm_artifact_of_an_sdm_only_scenario(tmp_path):
+    shared, alone = tmp_path / "shared", tmp_path / "alone"
+    for out, tasks in ((shared, ["persistence", "sdm"]), (alone, ["sdm"])):
+        raw = spectrum_scenario(tasks=tasks, k_range=[1, 3])
+        assert scenarios.run_scenario(parse_scenario(raw), str(out))[0] == 0
+    assert (shared / "01-sdm.json").read_bytes() == (alone / "00-sdm.json").read_bytes()
+
+
+def test_persistence_task_calls_local_floer_once_per_order(tmp_path, monkeypatch):
+    from localfloer import invariants
+
+    orders = []
+    real = invariants.local_floer
+    monkeypatch.setattr(
+        invariants, "local_floer", lambda sweep, k=1: orders.append(k) or real(sweep, k)
+    )
+    for formula in ("quartic-max", "negative-hyperbolic-2"):
+        orders.clear()
+        raw = spectrum_scenario(formula, tasks=["persistence"], k_range=[1, 4])
+        assert scenarios.run_scenario(parse_scenario(raw), str(tmp_path / formula))[0] == 0
+        assert orders == [1, 2, 3, 4]
 
 
 def test_gaps_task_reads_the_newton_tolerance(tmp_path, capsys, monkeypatch):
@@ -622,6 +692,25 @@ def test_non_finite_right_hand_side_fails_the_task_instead_of_hanging(tmp_path):
     assert error["message"].startswith("non-finite right-hand side")
 
 
+def test_unfinished_flow_fails_the_task_instead_of_hanging(tmp_path):
+    """Far out, the quartic's orbits turn so fast that a unit-time flow
+    takes ever more steps; past its right-hand-side budget the integrator
+    refuses.  A fresh process with a timeout, as above."""
+    sc = spectrum_scenario(k_range=[1, 1])
+    sc["tasks"] = [{"kind": "gaps", "radius": 1e6, "seeds_per_axis": 2}]
+    path, out = write_scenario(tmp_path, sc), tmp_path / "out"
+    proc = subprocess.run(
+        [sys.executable, "-m", "localfloer", "run", "--scenario", path, "--out", str(out)],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 1
+    [error] = json.loads((out / "summary.json").read_text())["errors"]
+    assert error["error"] == "StepFailure"
+    assert error["message"].startswith("flow unfinished after")
+
+
 def test_only_the_degenerate_route_loads_scipy_interpolate(tmp_path):
     """Each scenario runs through cli.main in a fresh process, which then
     says whether scipy.interpolate is loaded: the spline tower and the
@@ -690,8 +779,6 @@ def test_benchmark_tracer_reaches_every_wrapped_layer(tmp_path):
     """perfbench/spans.py wraps functions and methods of the package by
     name and binds their parameters; renaming one must fail here.  The
     scenario's answers are not checked."""
-    import numpy as np
-
     from localfloer import germs, scenarios
     from localfloer.corpus import linear_rotation
 
@@ -715,10 +802,8 @@ def test_benchmark_tracer_reaches_every_wrapped_layer(tmp_path):
     tracer.install(germ=sc.germ)
     try:
         scenarios.run_scenario(sc, str(tmp_path / "out"))
-        # no task kind calls these two; call them through the patched names
-        rotation = linear_rotation(0.3183)
-        localfloer.local_floer(rotation, localfloer.fixed_point_record(rotation, np.zeros(2)), 2)
-        localfloer.conley_zehnder(germs.monodromy(rotation))
+        # no task kind calls this one; call it through the patched name
+        localfloer.conley_zehnder(germs.monodromy(linear_rotation(0.3183)))
     finally:
         tracer.uninstall()
     assert germs.flow_jacobians is original
@@ -736,6 +821,17 @@ def test_benchmark_tracer_reaches_every_wrapped_layer(tmp_path):
         "corpus.callbacks.calls",
     ]
     assert [name for name in counted if not metrics[name]] == []
+
+
+def test_every_artifact_sweep_scenario_parses():
+    """tools/artifact_sweep.py runs a fixed list of scenarios to compare
+    two checkouts by their artifacts; each must parse, under its own name."""
+    path = Path(__file__).resolve().parent.parent / "tools" / "artifact_sweep.py"
+    spec = importlib.util.spec_from_file_location("artifact_sweep", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    names = [parse_scenario(raw, source=raw["name"]).name for raw in module.SCENARIOS]
+    assert names and len(set(names)) == len(names)
 
 
 BENCHMARK_WORKLOADS = ["degenerate-persistence", "index-iterates", "isolation-search", "morse-fine"]

@@ -162,11 +162,27 @@ def test_first_iterate_is_the_map_itself():
         assert phi.iterate(1) is phi
 
 
-def test_spline_iterates_are_built_once_per_order():
+def test_spline_iterates_share_one_tower_flowed_once_per_level(monkeypatch):
+    import localfloer.genfun as genfun
+
+    sizes = []
+    original = genfun.flow_points
+
+    def counting(germ, points, *args, **kwargs):
+        sizes.append(len(points))
+        return original(germ, points, *args, **kwargs)
+
+    monkeypatch.setattr(genfun, "flow_points", counting)
     phi = SplineGermMap(quartic(-1), BOX2, resolution=17)
-    phi2 = phi.iterate(2)
-    assert phi.iterate(2) is phi2
-    assert phi2.iterate(3) is phi.iterate(6)
+    phi2, phi6 = phi.iterate(2), phi.iterate(6)
+    assert phi2._tower is phi._tower and phi6._tower is phi._tower
+    again = phi2.iterate(3)
+    assert again._tower is phi._tower
+    z = np.random.default_rng(11).uniform(-0.1, 0.1, (40, 2))
+    assert np.array_equal(again(z), phi6(z))
+    assert np.array_equal(again.jac(z), phi6.jac(z))
+    # levels 1 to 6, each flowed once, though order 6 was asked for twice
+    assert sizes == [17**2] * 6
 
 
 @pytest.mark.parametrize("k", [2, 3])

@@ -19,7 +19,7 @@ from localfloer.corpus import (
     twisted_rotation,
     zero_germ,
 )
-from localfloer.errors import NonIsolated, NotAdmissible
+from localfloer.errors import NonIsolated, NotAdmissible, StepFailure
 from localfloer.fields import Box
 from localfloer.germs import (
     ATOL,
@@ -740,6 +740,29 @@ def test_germ_refuses_callbacks_it_cannot_flow():
         HamiltonianGerm(n=1, name="empty")
     # a composite sets no callback, and has no Hessian to derive
     assert concatenate(g, g).hess is None
+
+
+def test_germ_refuses_malformed_structure_when_built():
+    g = linear_rotation(0.1)
+    with pytest.raises(ValueError, match="factors must be two germs whose n add up to 3"):
+        HamiltonianGerm(n=3, factors=(g, g, g))
+    with pytest.raises(ValueError, match="factors must be two germs whose n add up to 3"):
+        HamiltonianGerm(n=3, factors=(g, g))
+    with pytest.raises(ValueError, match="pieces must be two germs of n 2"):
+        HamiltonianGerm(n=2, pieces=(g, g))
+    with pytest.raises(ValueError, match="pieces must be two germs of n 1"):
+        concatenate(g, direct_sum_germ(g, g))
+
+
+def test_a_flow_past_its_right_hand_side_budget_is_refused(monkeypatch):
+    germ = quartic(-1)
+    z = np.array([[0.1, 0.0]])
+    flow_points(germ, z)
+    monkeypatch.setattr(germs_module, "RHS_BUDGET", 20)
+    with pytest.raises(StepFailure, match="unfinished after 20 right-hand sides"):
+        flow_points(germ, z)
+    with pytest.raises(StepFailure, match="unfinished after 20 right-hand sides"):
+        flow_jacobians(germ, z)
 
 
 def _integrators():
