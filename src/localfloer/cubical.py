@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import reduce
 from itertools import combinations
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Sequence, Tuple
 
 import numpy as np
 from scipy.sparse import coo_matrix
@@ -35,7 +35,7 @@ from .errors import (
     NotStabilized,
     WindingUnresolved,
 )
-from .fields import SHELL, Box, grid_gradient
+from .fields import SHELL, Box
 from .paths import WINDING_MAX, WINDING_START, _wind
 
 __all__ = [
@@ -248,16 +248,14 @@ def relative_homology_z2(pair: CubicalPair) -> GradedRanks:
 
 
 def _sample(
-    fn: Callable, grad: Optional[Callable], box: Box, resolution: int
+    fn: Callable, grad: Callable, box: Box, resolution: int
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Field values, shape (res,) * m, and gradients, shape (res,) * m + (m,),
-    at the box grid nodes; without grad, gradients are central differences."""
+    at the box grid nodes."""
     nodes = box.nodes(resolution)
     shape = (resolution,) * box.m
     values = np.asarray(fn(nodes), dtype=float).reshape(shape)
-    if grad is not None:
-        return values, np.asarray(grad(nodes), dtype=float).reshape(shape + (box.m,))
-    return values, grid_gradient(values, box)
+    return values, np.asarray(grad(nodes), dtype=float).reshape(shape + (box.m,))
 
 
 def _nested_step(box: Box, res: int, fine: int) -> int:
@@ -352,11 +350,13 @@ def local_morse_homology(
     f: Callable[[np.ndarray], np.ndarray],
     box: Box,
     resolutions: Sequence[int] = HM_RESOLUTIONS,
-    grad: Optional[Callable] = None,
+    *,
+    grad: Callable[[np.ndarray], np.ndarray],
     exclude_fraction: float = EXCLUDE_FRACTION,
 ) -> MorseReport:
     """Local Morse homology of f at the origin over Z2; f maps points
-    (N, m) to values (N,), as a sampled field's ``interpolator()`` does.
+    (N, m) to values (N,), as a sampled field's ``interpolator()`` does,
+    and grad maps them to the gradient of f, shape (N, m).
 
     Computes sublevel-pair homology at each resolution and requires the
     graded ranks to agree across the two finest (NotStabilized otherwise).
@@ -371,8 +371,8 @@ def local_morse_homology(
     sets resolves on the grid, narrow enough that the collar stays inside
     the box.
     A grid nested in the finest (_nested_step) is sliced from its sample,
-    gradients too when grad is given: for point-by-point f and grad, the
-    bits of sampling it anew.
+    values and gradients: for point-by-point f and grad, the bits of
+    sampling it anew.
     """
     if box.m > 2:
         raise ValueError(f"local Morse homology answers for 1 or 2 variables, not {box.m}")
@@ -400,12 +400,7 @@ def local_morse_homology(
         s = _nested_step(box, res, fine)
         if s:
             at = (slice(None, None, s),) * box.m
-            values = values_fine[at]
-            if grad is not None or s == 1:
-                g, gn = g_fine[at], gn_fine[at]
-            else:
-                g = grid_gradient(values, box)
-                gn = np.linalg.norm(g, axis=-1)
+            values, g, gn = values_fine[at], g_fine[at], gn_fine[at]
         else:
             values, g = _sample(f, grad, box, res)
             gn = np.linalg.norm(g, axis=-1)

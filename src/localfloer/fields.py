@@ -80,10 +80,3 @@ class SampledField:
         )
         return lambda pts: np.asarray(rgi(np.atleast_2d(pts)), dtype=float)
 
-
-def grid_gradient(values: np.ndarray, box: Box) -> np.ndarray:
-    """Central-difference gradient of box grid node samples, shape (res,) * m + (m,)."""
-    grads = np.gradient(values, box.spacing(values.shape[0]), edge_order=2)
-    if box.m == 1:
-        grads = [grads]
-    return np.stack(grads, axis=-1)

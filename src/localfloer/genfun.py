@@ -356,22 +356,19 @@ def psi(phi: GermMap, k: int, probe_box: Box) -> PsiMap:
 
     D psi is block triangular with identity y block, so injectivity reduces
     to the xx Jacobian block: ||(D phi^k)_xx - id|| below 0.9 makes
-    x -> (phi^k)_x(x, y) injective for each frozen y.  The probe tries
-    shrinking fractions of probe_box; NotInvertibleOnBox if even the
-    smallest fails.
+    x -> (phi^k)_x(x, y) injective for each frozen y.  The probe reads the
+    block at the PROBE_RES grid nodes of probe_box, the box F_k is built on;
+    NotInvertibleOnBox if it fails there.
     """
     phi_k = phi.iterate(k)
-    n = phi.n
-    for frac in (1.0, 0.75, 0.5, 0.25, 0.1):
-        nodes = Box(center=probe_box.center, radius=probe_box.radius * frac).nodes(PROBE_RES)
-        xx = phi_k._psi_reads(nodes)["xx"]
-        dev = float(np.max(_opnorms(xx - np.eye(n))))
-        if dev < 0.9:
-            return PsiMap(phi_k)
-    raise NotInvertibleOnBox(
-        f"order {k}, box radius {probe_box.radius:g}: xx Jacobian block deviates "
-        f"from identity by {dev:.3f} even at 10% of the box"
-    )
+    xx = phi_k._psi_reads(probe_box.nodes(PROBE_RES))["xx"]
+    dev = float(np.max(_opnorms(xx - np.eye(phi.n))))
+    if dev >= 0.9:
+        raise NotInvertibleOnBox(
+            f"order {k}, box radius {probe_box.radius:g}: xx Jacobian block deviates "
+            f"from identity by {dev:.3f}"
+        )
+    return PsiMap(phi_k)
 
 
 # ------------------------------------------------------- assembly of F

@@ -125,14 +125,18 @@ def _solve(rhs, y0: np.ndarray, dense: bool = False):
             sol = solve_ivp(
                 budgeted, (0.0, 1.0), y0, method="DOP853", rtol=RTOL, atol=ATOL, dense_output=dense
             )
+        failure = None if sol.success else f"integrator failed: {sol.message}"
     except FloatingPointError as exc:
-        raise StepFailure(f"non-finite right-hand side: {exc}") from exc
+        failure = f"non-finite right-hand side: {exc}"
+    except StepFailure as exc:
+        failure = str(exc)
     # the integrator refers to itself through its right-hand side wrapper;
     # collect it now, or its stage arrays live until the cyclic collector
-    # next runs and peak memory follows that timing
+    # next runs and peak memory follows that timing; a refusal keeps only
+    # its message, as a caught exception's traceback holds the integrator
     gc.collect(0)
-    if not sol.success:
-        raise StepFailure(f"integrator failed: {sol.message}")
+    if failure is not None:
+        raise StepFailure(failure)
     return sol
 
 

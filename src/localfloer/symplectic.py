@@ -18,15 +18,15 @@ cluster data drives the iteration classes:
 * k is good when the count of eigenvalue pairs on the negative real axis has
   the same parity for M and M^k.
 
-Root-of-unity detection is bounded: orders are searched up to Q_MAX only.
+Root-of-unity detection is bounded: orders are detected up to Q_MAX only.
 Floating point cannot distinguish an irrational angle from a high-order
 rational one, so the bound is part of the contract, not a shortcut.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
-from math import gcd
 from typing import Optional
 
 import numpy as np
@@ -212,19 +212,17 @@ def _snap(value: complex, tol: float, q_max: int):
     order = None
     if on_circle:
         v = v / abs(v)
-        theta = float(np.angle(v))
-        for q in range(1, q_max + 1):
-            p = int(round(theta * q / (2.0 * np.pi)))
-            candidate = np.exp(2j * np.pi * p / q)
-            if abs(v - candidate) <= tol:
-                # q is minimal, so p/q is already in lowest terms and the order is q
-                pm = p % q
-                order = 1 if pm == 0 else q // gcd(pm, q)
-                v = complex(np.exp(2j * np.pi * pm / q))
-                re = 0.0 if abs(v.real) < 4e-16 else v.real
-                im = 0.0 if abs(v.imag) < 4e-16 else v.imag
-                v = complex(round(re) if abs(re - round(re)) < 4e-16 else re, im)
-                break
+        # distinct p/q with q <= Q_MAX lie at least 1/(Q_MAX (Q_MAX - 1)) of a
+        # turn apart, far beyond CLUSTER_TOL: the nearest is the only candidate,
+        # it is in lowest terms, and its denominator is the order
+        turn = Fraction(float(np.angle(v)) / (2.0 * np.pi)).limit_denominator(q_max)
+        p, q = turn.numerator, turn.denominator
+        if abs(v - np.exp(2j * np.pi * p / q)) <= tol:
+            order = q
+            v = complex(np.exp(2j * np.pi * (p % q) / q))
+            re = 0.0 if abs(v.real) < 4e-16 else v.real
+            im = 0.0 if abs(v.imag) < 4e-16 else v.imag
+            v = complex(round(re) if abs(re - round(re)) < 4e-16 else re, im)
     return v, on_circle, order
 
 

@@ -14,6 +14,8 @@ another way, or a construction the tests need to probe it:
   ``c_constant_exact``;
 * ``admissible_set``: the admissible orders as the complement of the
   forbidden divisibility classes, for ``admissible``;
+* ``snap_by_search``: the root-of-unity snap of ``symplectic._snap`` by a
+  search over the orders 1..q_max, against its nearest fraction;
 * ``conjugated_map``: S^{-1} phi S for symplectic S;
 * ``full_jacobian_psi_gradient``: grad F_k at w = psi_k(z), with z found
   by Newton on the full 2n x 2n D psi (identity y rows), against
@@ -27,6 +29,9 @@ another way, or a construction the tests need to probe it:
   ``cubical.relative_homology_z2`` (which answers for m <= 2 only);
 * ``full_box_free_components``: the component count of
   ``cubical._free_components`` from a graph over every cell of the grid;
+* ``grid_gradient``: central differences of grid node samples, the
+  gradient of a field known only by its values (F_k's oracles, fields in
+  four variables);
 * ``full_grid_resolution_floor``: the floor of ``cubical.sublevel_pair``'s
   window check at every node, from ``np.gradient``, against
   ``cubical._resolution_floor`` at the window nodes;
@@ -80,7 +85,7 @@ from localfloer.errors import (
     NotInvertibleOnBox,
     NotStabilized,
 )
-from localfloer.fields import SHELL, Box, SampledField, grid_gradient
+from localfloer.fields import SHELL, Box, SampledField
 from localfloer.genfun import (
     INVERT_TOL,
     GeneratingFunction,
@@ -301,6 +306,31 @@ def admissible_set(m: SymplecticMatrix, horizon: int = 1000) -> AdmissibleSet:
     return described
 
 
+def snap_by_search(value: complex, tol: float, q_max: int):
+    """symplectic._snap with the root of unity found by trying every order
+    q = 1..q_max in turn, each at its nearest p."""
+    v = complex(value)
+    if abs(v.imag) <= tol:
+        v = complex(v.real, 0.0)
+    on_circle = abs(abs(v) - 1.0) <= tol
+    order = None
+    if on_circle:
+        v = v / abs(v)
+        theta = float(np.angle(v))
+        for q in range(1, q_max + 1):
+            p = int(round(theta * q / (2.0 * np.pi)))
+            candidate = np.exp(2j * np.pi * p / q)
+            if abs(v - candidate) <= tol:
+                pm = p % q
+                order = 1 if pm == 0 else q // math.gcd(pm, q)
+                v = complex(np.exp(2j * np.pi * pm / q))
+                re = 0.0 if abs(v.real) < 4e-16 else v.real
+                im = 0.0 if abs(v.imag) < 4e-16 else v.imag
+                v = complex(round(re) if abs(re - round(re)) < 4e-16 else re, im)
+                break
+    return v, on_circle, order
+
+
 # --------------------------------------------------------- deduplication
 
 
@@ -407,6 +437,14 @@ def full_box_free_components(sink: np.ndarray, joined) -> int:
     return ncomp - int(np.count_nonzero(hit))
 
 
+def grid_gradient(values: np.ndarray, box: Box) -> np.ndarray:
+    """Central-difference gradient of box grid node samples, shape (res,) * m + (m,)."""
+    grads = np.gradient(values, box.spacing(values.shape[0]), edge_order=2)
+    if box.m == 1:
+        grads = [grads]
+    return np.stack(grads, axis=-1)
+
+
 def full_grid_resolution_floor(g: np.ndarray, h: float) -> np.ndarray:
     """0.75 h |Hess|_F at every node, Hess from np.gradient of g's components."""
     m = g.shape[-1]
@@ -418,9 +456,9 @@ def full_grid_resolution_floor(g: np.ndarray, h: float) -> np.ndarray:
     return 0.75 * h * np.sqrt(hess_sq)
 
 
-def morse_sampling_every_grid(f, box: Box, resolutions, grad=None, exclude_fraction=0.5):
+def morse_sampling_every_grid(f, box: Box, resolutions, grad, exclude_fraction=0.5):
     """local_morse_homology for valid input (m <= 2, two or more odd
-    resolutions), sampling f (and grad) on every grid of its own."""
+    resolutions), sampling f and grad on every grid of its own."""
     res_sorted = sorted(int(r) for r in resolutions)
     c = float(np.asarray(f(np.zeros((1, box.m))))[0])
     fine = res_sorted[-1]

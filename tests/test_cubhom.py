@@ -28,10 +28,11 @@ from localfloer.cubical import (
     sublevel_pair,
 )
 from localfloer.errors import CriticalValueInWindow, LocalFloerError, NonIsolated
-from localfloer.fields import Box, grid_gradient
+from localfloer.fields import Box
 from oracles import (
     full_box_free_components,
     full_grid_resolution_floor,
+    grid_gradient,
     morse_sampling_every_grid,
     ranks_by_elimination,
 )
@@ -300,14 +301,8 @@ def test_fine_corpus_pairs_match_elimination(monkeypatch, name):
         assert ranks.as_dict() == CORPUS_RANKS[name]
 
 
-def test_monkey_saddle_without_supplied_gradient():
-    e = FIELDS["monkey"]
-    ranks = local_morse_homology(e.value, BOX2).ranks
-    assert ranks.as_dict() == {1: 2}
-
-
 def test_negative_quartic_on_the_line():
-    ranks = local_morse_homology(lambda p: -p[:, 0] ** 4, BOX1).ranks
+    ranks = local_morse_homology(lambda p: -p[:, 0] ** 4, BOX1, grad=lambda p: -4 * p**3).ranks
     assert ranks.as_dict() == {1: 1}
 
 
@@ -371,9 +366,6 @@ def test_grid_nodes_built_once_per_resolution(monkeypatch):
     e = FIELDS["saddle"]
     local_morse_homology(e.value, BOX2, resolutions=(17, 25, 33), grad=e.grad)
     assert sorted(calls) == [25, 33]
-    calls.clear()
-    local_morse_homology(e.value, BOX2, resolutions=(17, 25, 33))
-    assert sorted(calls) == [25, 33]
 
 
 # resolution sets mixing grids nested in the finest (every s-th node) and not
@@ -412,8 +404,9 @@ def test_a_grid_whose_axis_misses_the_fine_slice_by_an_ulp_is_sampled():
     assert cubical._nested_step(box, 9, 25) == 0
     assert cubical._nested_step(box, 13, 25) == 2
     e = FIELDS["cubic-1d"]
-    got = _morse_outcome(lambda: local_morse_homology(e.value, box, (9, 13, 25)))
-    assert got == _morse_outcome(lambda: morse_sampling_every_grid(e.value, box, (9, 13, 25)))
+    got = _morse_outcome(lambda: local_morse_homology(e.value, box, (9, 13, 25), grad=e.grad))
+    want = _morse_outcome(lambda: morse_sampling_every_grid(e.value, box, (9, 13, 25), e.grad))
+    assert got == want
 
 
 @settings(max_examples=80, deadline=None)
@@ -422,28 +415,29 @@ def test_a_grid_whose_axis_misses_the_fine_slice_by_an_ulp_is_sampled():
     shift=st.tuples(st.floats(-0.4, 0.4), st.floats(-0.4, 0.4)),
     radius=st.sampled_from([0.35, 0.6, 1.0, 1.3]),
     resolutions=st.sampled_from(MIXED_RESOLUTIONS),
-    with_grad=st.booleans(),
 )
-def test_nested_slices_equal_sampling_every_grid(name, shift, radius, resolutions, with_grad):
+def test_nested_slices_equal_sampling_every_grid(name, shift, radius, resolutions):
     """Slicing nested grids from the finest sample gives the report, or the
     refusal, of sampling every grid on its own, bit for bit."""
     e = FIELDS[name]
     box = Box(center=tuple(radius * a for a in shift[: e.m]), radius=radius)
-    grad = e.grad if with_grad else None
-    got = _morse_outcome(lambda: local_morse_homology(e.value, box, resolutions, grad=grad))
-    want = _morse_outcome(lambda: morse_sampling_every_grid(e.value, box, resolutions, grad))
+    got = _morse_outcome(lambda: local_morse_homology(e.value, box, resolutions, grad=e.grad))
+    want = _morse_outcome(lambda: morse_sampling_every_grid(e.value, box, resolutions, e.grad))
     assert got == want
 
 
 def test_invariance_under_scaling_and_rotation():
     e = FIELDS["saddle"]
+    c, s = np.cos(0.6), np.sin(0.6)
+    rot = np.array([[c, -s], [s, c]])
 
     def rotated(p):
-        c, s = np.cos(0.6), np.sin(0.6)
-        q = np.stack([c * p[:, 0] - s * p[:, 1], s * p[:, 0] + c * p[:, 1]], axis=1)
-        return 2.5 * e.value(q)
+        return 2.5 * e.value(p @ rot.T)
 
-    assert local_morse_homology(rotated, BOX2).ranks.as_dict() == {1: 1}
+    def rotated_grad(p):
+        return 2.5 * e.grad(p @ rot.T) @ rot
+
+    assert local_morse_homology(rotated, BOX2, grad=rotated_grad).ranks.as_dict() == {1: 1}
 
 
 def test_four_dimensional_maximum():
@@ -455,16 +449,20 @@ def test_product_ranks_convolve():
     """Kunneth: the plane answer of f(x) + g(y) is the convolution of the
     line answers of f and g, all from local_morse_homology.  In four
     variables, saddle plus maximum {1:1} * {2:1} -> {3:1} on the oracle path."""
+    # value and derivative of each line field
     line = {
-        "x^2": lambda p: p[:, 0] ** 2,
-        "-x^2": lambda p: -p[:, 0] ** 2,
-        "x^3": lambda p: p[:, 0] ** 3,
+        "x^2": (lambda p: p[:, 0] ** 2, lambda p: 2 * p),
+        "-x^2": (lambda p: -p[:, 0] ** 2, lambda p: -2 * p),
+        "x^3": (lambda p: p[:, 0] ** 3, lambda p: 3 * p**2),
     }
     for f, g, expected in [("x^2", "-x^2", {1: 1}), ("-x^2", "-x^2", {2: 1}), ("x^3", "x^2", {})]:
-        a = local_morse_homology(line[f], BOX1).ranks
-        b = local_morse_homology(line[g], BOX1).ranks
+        (fv, fd), (gv, gd) = line[f], line[g]
+        a = local_morse_homology(fv, BOX1, grad=fd).ranks
+        b = local_morse_homology(gv, BOX1, grad=gd).ranks
         plane = local_morse_homology(
-            lambda p: line[f](p[:, :1]) + line[g](p[:, 1:]), BOX2
+            lambda p: fv(p[:, :1]) + gv(p[:, 1:]),
+            BOX2,
+            grad=lambda p: np.hstack([fd(p[:, :1]), gd(p[:, 1:])]),
         ).ranks
         assert a.convolve(b) == plane
         assert plane.as_dict() == expected
@@ -494,7 +492,7 @@ def _oracle_ranks_4d(f, exclude_fraction):
 
 def test_line_of_critical_points_is_rejected():
     with pytest.raises(NonIsolated):
-        local_morse_homology(lambda p: p[:, 0] ** 2, BOX2)
+        local_morse_homology(lambda p: p[:, 0] ** 2, BOX2, grad=lambda p: p * [2.0, 0.0])
 
 
 def test_nearby_critical_value_in_window_is_rejected():
@@ -511,7 +509,7 @@ def test_nearby_critical_value_in_window_is_rejected():
 def test_requires_two_resolutions():
     e = FIELDS["saddle"]
     with pytest.raises(ValueError):
-        local_morse_homology(e.value, BOX2, resolutions=(17,))
+        local_morse_homology(e.value, BOX2, resolutions=(17,), grad=e.grad)
 
 
 @pytest.mark.parametrize("resolutions", [(16, 20), (17, 20), (16, 21, 25)])

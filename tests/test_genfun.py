@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from localfloer.corpus import linear_rotation, morse_triple, quartic, shear
+from localfloer.corpus import linear_rotation, morse_triple, quartic, shear, twisted_rotation
 from localfloer.errors import NotC1Small, NotInvertibleOnBox
 from localfloer.fields import Box, SampledField
 from localfloer.genfun import (
@@ -61,6 +61,17 @@ def test_quarter_rotation_has_no_vertical_complement():
     phi = OdeGermMap(linear_rotation(0.25))
     with pytest.raises(NotInvertibleOnBox, match=r"^order 1, box radius 0\.1: xx Jacobian block "):
         psi(phi, 1, probe_box=BOX2)
+
+
+@pytest.mark.parametrize("beta, c1_gate, deviation", [(8.0, 20.0, "1.264"), (40.0, 4.5, "5.762")])
+def test_psi_probes_the_box_the_generating_function_is_built_on(beta, c1_gate, deviation):
+    """The twist makes the xx block deviate on the 0.3 box though not near
+    the center: psi refuses the box itself, before the C1 gate and the
+    determinant gate read it."""
+    phi = OdeGermMap(twisted_rotation(0.0, beta))
+    message = rf"^order 1, box radius 0\.3: xx Jacobian block deviates from identity by {deviation}$"
+    with pytest.raises(NotInvertibleOnBox, match=message):
+        generating_function(phi, 1, Box(center=(0.0, 0.0), radius=0.3), 33, c1_gate=c1_gate)
 
 
 def test_psi_inversion_roundtrip():

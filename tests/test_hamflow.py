@@ -769,9 +769,10 @@ def _integrators():
     return sum(isinstance(obj, OdeSolver) for obj in gc.get_objects())
 
 
-def test_flows_leave_no_integrator_behind():
+def test_flows_leave_no_integrator_behind(monkeypatch):
     # the integrator refers to itself through its right-hand side, so only
     # the cyclic collector frees it; every flow collects it before it returns
+    # or refuses
     germ = resonant_rotation()
     gc.collect()
     assert _integrators() == 0
@@ -785,3 +786,23 @@ def test_flows_leave_no_integrator_behind():
     assert _integrators() == 0
     monodromy(germ, far[0]).endpoint()
     assert _integrators() == 0
+    # refusals: past the default budget far out on the quartic, and on a
+    # right-hand side that is 0 * inf at a zero coordinate
+    with pytest.raises(StepFailure, match="unfinished after 50000 right-hand sides"):
+        flow_points(quartic(-1), np.array([[100.0, 0.0]]))
+    assert _integrators() == 0
+    blowup = HamiltonianGerm(
+        n=1,
+        value=lambda t, z: z[:, 0] * np.inf,
+        grad=lambda t, z: z * np.inf,
+        jet=lambda t, z: (z * np.inf, np.zeros((len(z), 2, 2))),
+    )
+    for flow in (flow_points, flow_jacobians):
+        with pytest.raises(StepFailure, match="non-finite right-hand side"):
+            flow(blowup, np.array([[0.1, 0.0]]))
+        assert _integrators() == 0
+    monkeypatch.setattr(germs_module, "RHS_BUDGET", 20)
+    for flow in (flow_points, flow_jacobians):
+        with pytest.raises(StepFailure, match="unfinished after 20 right-hand sides"):
+            flow(quartic(-1), np.array([[0.1, 0.0]]))
+        assert _integrators() == 0

@@ -6,6 +6,9 @@ from hypothesis import strategies as st
 
 from localfloer.errors import NotAdmissible, NotSymplectic
 from localfloer.symplectic import (
+    CLUSTER_TOL,
+    Q_MAX,
+    _snap,
     admissible,
     good,
     spectrum,
@@ -13,7 +16,7 @@ from localfloer.symplectic import (
     validate_symplectic,
     vectorfield_j,
 )
-from oracles import admissible_set, split_spectral
+from oracles import admissible_set, snap_by_search, split_spectral
 from pathhelpers import random_symplectic
 
 
@@ -60,6 +63,33 @@ def test_spectrum_detects_third_root_of_unity():
     assert data.unit_root_orders() == [3]
     assert data.total_multiplicity == 2
     assert not data.has_eigenvalue_one()
+
+
+def _snap_inputs():
+    """Unit-circle points at every p/q with |p| <= q <= 69, on the root and
+    offset in angle across CLUSTER_TOL; random angles on and off the
+    circle; the axis points and three just off the real axis."""
+    rng = np.random.default_rng(0)
+    offsets = (0.0, 1e-12, 5e-9, -5e-9, 9e-9, 1.1e-8, -1.1e-8, 2e-8, 1e-6)
+    roots = [
+        2.0 * np.pi * p / q + off for q in range(1, 70) for p in range(-q, q + 1) for off in offsets
+    ]
+    points = list(np.exp(1j * np.array(roots)))
+    points += list(np.exp(1j * rng.uniform(-np.pi, np.pi, 20_000)))
+    for r in (1.0 + 5e-9, 1.0 - 5e-9, 0.5, 1.5):
+        points += list(r * np.exp(1j * rng.uniform(-np.pi, np.pi, 200)))
+    points += [1, -1, 1j, -1j, complex(1, 1e-9), complex(-1, -5e-9), complex(0.5, 2e-9)]
+    return points
+
+
+def test_nearest_fraction_snaps_as_the_search_over_orders():
+    """Distinct fractions of denominator <= Q_MAX lie far more than
+    CLUSTER_TOL apart, so the nearest is the one the search finds first."""
+    points = _snap_inputs()
+    assert len(points) == 64_898
+    for v in points:
+        got = repr(_snap(v, CLUSTER_TOL, Q_MAX))
+        assert got == repr(snap_by_search(v, CLUSTER_TOL, Q_MAX)), v
 
 
 def test_spectrum_identity_is_all_ones():

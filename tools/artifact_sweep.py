@@ -13,7 +13,8 @@ The list covers the benchmark's workloads at seed 0; spectrum,
 persistence and sdm at orders 1..3 on every named germ; persistence and
 sdm at orders 1..10 on the degenerate germs at three generating-function
 radii; one scenario whose tasks mix shared and separate grid settings;
-isolation and gaps; and morse on every named field.
+isolation and gaps, also on a direct sum and on a concatenation, whose
+batch flows run their factors and pieces; and morse on every named field.
 """
 from __future__ import annotations
 
@@ -97,6 +98,31 @@ SCENARIOS = [
     ),
     _scenario("isolation-twisted-rotation", "twisted-rotation", ["isolation"], [1, 3]),
     _scenario("gaps-morse-triple", "morse-triple", ["gaps"], [1, 3]),
+    # batch flows of composite germs: a direct sum and a concatenation
+    _scenario(
+        "isolation-product-rot-rot",
+        "product-rot-rot",
+        [{"kind": "isolation", "radii": [0.05], "seeds_per_axis": 3}],
+        [1, 2],
+    ),
+    _scenario(
+        "gaps-product-rot-rot",
+        "product-rot-rot",
+        [{"kind": "gaps", "radius": 0.3, "seeds_per_axis": 3}],
+        [1, 2],
+    ),
+    _scenario(
+        "isolation-negative-hyperbolic-2",
+        "negative-hyperbolic-2",
+        [{"kind": "isolation", "seeds_per_axis": 5}],
+        [1, 2],
+    ),
+    _scenario(
+        "gaps-negative-hyperbolic-2",
+        "negative-hyperbolic-2",
+        [{"kind": "gaps", "radius": 0.5, "seeds_per_axis": 3}],
+        [1, 2],
+    ),
     *(
         _scenario(f"morse-{field}", "zero", [{"kind": "morse", "field": field}], [1, 1])
         for field in FIELD_NAMES
