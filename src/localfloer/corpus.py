@@ -3,8 +3,10 @@
 Every germ here has hand-computed structure worth cross-checking against
 the numerics: linear flows with known monodromy, radial twists with known
 resonant circles, homogeneous critical points with known local homology.
-Constructor functions are parametrized; the GERMS registry pins specific
-instances under stable names so command-line runs are reproducible.
+The linear germs and the quadratic fields are built from their symmetric
+matrix (``quadratic``).  Constructor functions are parametrized; the GERMS
+registry pins specific instances under stable names so command-line runs
+are reproducible.
 """
 from __future__ import annotations
 
@@ -22,33 +24,39 @@ def _split(z):
     return z[:, 0], z[:, 1]
 
 
-def zero_germ() -> HamiltonianGerm:
+def _quadratic_form(S: np.ndarray):
+    """Value 1/2 z.S z and gradient S z, for symmetric S, on points of shape (N, m)."""
+
+    def value(z):
+        return 0.5 * np.einsum("ni,ni->n", z, z @ S)
+
+    def grad(z):
+        return z @ S
+
+    return value, grad
+
+
+def quadratic(S: np.ndarray, name: str) -> HamiltonianGerm:
+    """H = 1/2 z.S z for symmetric S: gradient S z, Hessian S, time-1 map exp(J_vf S)."""
+    value, grad = _quadratic_form(S)
     return HamiltonianGerm(
-        n=1,
-        value=lambda t, z: np.zeros(len(z)),
-        grad=lambda t, z: np.zeros_like(z),
-        jet=lambda t, z: (np.zeros_like(z), np.zeros((len(z), 2, 2))),
-        name="zero",
+        n=len(S) // 2,
+        value=lambda t, z: value(z),
+        grad=lambda t, z: grad(z),
+        jet=lambda t, z: (grad(z), np.broadcast_to(S, (len(z), *S.shape))),
+        name=name,
     )
+
+
+def zero_germ() -> HamiltonianGerm:
+    """H = 0; time-1 flow is the identity."""
+    return quadratic(np.zeros((2, 2)), "zero")
 
 
 def linear_rotation(alpha: float) -> HamiltonianGerm:
     """H = -pi alpha (x^2 + y^2); time-1 flow rotates by 2 pi alpha, mean index 2 alpha."""
-    a = np.pi * alpha
-
-    def grad(t, z):
-        return -2.0 * a * z
-
-    def jet(t, z):
-        return grad(t, z), np.broadcast_to(-2.0 * a * np.eye(2), (len(z), 2, 2)).copy()
-
-    return HamiltonianGerm(
-        n=1,
-        value=lambda t, z: -a * (z[:, 0] ** 2 + z[:, 1] ** 2),
-        grad=grad,
-        jet=jet,
-        name=f"rotation({alpha})",
-    )
+    c = -2.0 * np.pi * alpha
+    return quadratic(np.diag([c, c]), f"rotation({alpha})")
 
 
 def hyperbolic(lam: float) -> HamiltonianGerm:
@@ -56,19 +64,7 @@ def hyperbolic(lam: float) -> HamiltonianGerm:
     if not lam > 0:
         raise ValueError(f"hyperbolic needs lam > 0, got {lam}")
     c = np.log(lam)
-    h = c * np.array([[0.0, 1.0], [1.0, 0.0]])
-
-    def grad(t, z):
-        x, y = _split(z)
-        return c * np.stack([y, x], axis=1)
-
-    return HamiltonianGerm(
-        n=1,
-        value=lambda t, z: c * z[:, 0] * z[:, 1],
-        grad=grad,
-        jet=lambda t, z: (grad(t, z), np.broadcast_to(h, (len(z), 2, 2)).copy()),
-        name=f"hyperbolic({lam})",
-    )
+    return quadratic(np.array([[0.0, c], [c, 0.0]]), f"hyperbolic({lam})")
 
 
 def negative_hyperbolic(lam: float) -> HamiltonianGerm:
@@ -80,22 +76,7 @@ def negative_hyperbolic(lam: float) -> HamiltonianGerm:
 
 def shear() -> HamiltonianGerm:
     """H = y^2 / 2; time-1 flow is the unipotent map (x, y) -> (x + y, y)."""
-
-    def grad(t, z):
-        return np.stack([np.zeros(len(z)), z[:, 1]], axis=1)
-
-    def jet(t, z):
-        out = np.zeros((len(z), 2, 2))
-        out[:, 1, 1] = 1.0
-        return grad(t, z), out
-
-    return HamiltonianGerm(
-        n=1,
-        value=lambda t, z: 0.5 * z[:, 1] ** 2,
-        grad=grad,
-        jet=jet,
-        name="shear",
-    )
+    return quadratic(np.diag([0.0, 1.0]), "shear")
 
 
 def quartic(sign: int) -> HamiltonianGerm:
@@ -315,30 +296,6 @@ class FieldEntry:
     summary: str
 
 
-def _f_neg_r2(p):
-    return -(p[:, 0] ** 2 + p[:, 1] ** 2)
-
-
-def _g_neg_r2(p):
-    return -2.0 * p
-
-
-def _f_r2(p):
-    return p[:, 0] ** 2 + p[:, 1] ** 2
-
-
-def _g_r2(p):
-    return 2.0 * p
-
-
-def _f_saddle(p):
-    return p[:, 0] ** 2 - p[:, 1] ** 2
-
-
-def _g_saddle(p):
-    return np.stack([2.0 * p[:, 0], -2.0 * p[:, 1]], axis=1)
-
-
 def _f_cubic(p):
     x = p[:, 0]
     return x * x * x
@@ -360,9 +317,9 @@ def _g_quartic_neg(p):
 FIELDS: Dict[str, FieldEntry] = {
     e.name: e
     for e in [
-        FieldEntry("neg-r2", 2, _f_neg_r2, _g_neg_r2, "nondegenerate maximum"),
-        FieldEntry("r2", 2, _f_r2, _g_r2, "nondegenerate minimum"),
-        FieldEntry("saddle", 2, _f_saddle, _g_saddle, "nondegenerate saddle"),
+        FieldEntry("neg-r2", 2, *_quadratic_form(np.diag([-2.0, -2.0])), "nondegenerate maximum"),
+        FieldEntry("r2", 2, *_quadratic_form(np.diag([2.0, 2.0])), "nondegenerate minimum"),
+        FieldEntry("saddle", 2, *_quadratic_form(np.diag([2.0, -2.0])), "nondegenerate saddle"),
         FieldEntry("cubic-1d", 1, _f_cubic, _g_cubic, "inflection on the line"),
         FieldEntry("monkey", 2, *_monkey_parts(1.0)[:2], "monkey saddle"),
         FieldEntry("quartic-neg", 2, _f_quartic_neg, _g_quartic_neg, "degenerate maximum"),

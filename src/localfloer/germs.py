@@ -119,9 +119,9 @@ def _solve(rhs, y0: np.ndarray, dense: bool = False):
             raise StepFailure(f"flow unfinished after {RHS_BUDGET} right-hand sides")
         return rhs(t, y)
 
-    # a NaN right-hand side would make the step size NaN, and no step would end the loop
+    # a NaN right-hand side makes the step size NaN and stalls the loop; an overflow only warns
     try:
-        with np.errstate(invalid="raise"):
+        with np.errstate(invalid="raise", over="raise"):
             sol = solve_ivp(
                 budgeted, (0.0, 1.0), y0, method="DOP853", rtol=RTOL, atol=ATOL, dense_output=dense
             )

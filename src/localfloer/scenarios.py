@@ -82,6 +82,8 @@ _GERM_KEYS = {"formula", "parameters", "box"}
 # scenario tolerances and the library parameters they set
 _TOL_PARAMS = {"sdm_delta_tol": "delta_tol", "newton_tol": "newton_tol"}
 _FLOAT_MAX = float(np.finfo(float).max)
+# the last order k_range may name; listing 10^9 orders would exhaust memory
+MAX_ORDER = 1000
 # task settings that set a task's IterateSweep rather than its library call
 _SWEEP_KEYS = tuple(f.name for f in fields(IterateSweep) if f.name not in ("germ", "record"))
 
@@ -244,6 +246,7 @@ def parse_scenario(obj: dict, source: str = "<memory>") -> Scenario:
     )
     lo, hi = k_range
     _require(1 <= lo <= hi, "k_range must satisfy 1 <= first <= last")
+    _require(hi <= MAX_ORDER, f"k_range's last order must be at most {MAX_ORDER}")
     ks = tuple(range(lo, hi + 1))
 
     tolerances = obj.get("tolerances", {})

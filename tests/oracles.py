@@ -35,6 +35,9 @@ another way, or a construction the tests need to probe it:
 * ``full_grid_resolution_floor``: the floor of ``cubical.sublevel_pair``'s
   window check at every node, from ``np.gradient``, against
   ``cubical._resolution_floor`` at the window nodes;
+* ``QUADRATIC_FIELDS``: the quadratic fields ``r2``, ``neg-r2`` and
+  ``saddle`` in closed form, as (value, gradient), against
+  ``corpus.FIELDS``, which builds them from their matrix;
 * ``morse_sampling_every_grid``: ``cubical.local_morse_homology`` with
   every resolution sampled on its own grid, against the slices that grid
   takes from the finest sample when it is nested in it;
@@ -454,6 +457,16 @@ def full_grid_resolution_floor(g: np.ndarray, h: float) -> np.ndarray:
         for cgrid in [comps] if m == 1 else comps:
             hess_sq += cgrid * cgrid
     return 0.75 * h * np.sqrt(hess_sq)
+
+
+QUADRATIC_FIELDS = {
+    "neg-r2": (lambda p: -(p[:, 0] ** 2 + p[:, 1] ** 2), lambda p: -2.0 * p),
+    "r2": (lambda p: p[:, 0] ** 2 + p[:, 1] ** 2, lambda p: 2.0 * p),
+    "saddle": (
+        lambda p: p[:, 0] ** 2 - p[:, 1] ** 2,
+        lambda p: np.stack([2.0 * p[:, 0], -2.0 * p[:, 1]], axis=1),
+    ),
+}
 
 
 def morse_sampling_every_grid(f, box: Box, resolutions, grad, exclude_fraction=0.5):

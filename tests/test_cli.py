@@ -22,7 +22,7 @@ from localfloer.cli import main
 from localfloer.corpus import FIELDS
 from localfloer.errors import LocalFloerError, ScenarioError
 from localfloer.invariants import IterateSweep
-from localfloer.scenarios import _TASK_KEYS, parse_scenario
+from localfloer.scenarios import _TASK_KEYS, MAX_ORDER, parse_scenario
 
 
 def write_scenario(tmp_path, obj, name="scenario.json"):
@@ -109,9 +109,13 @@ def test_missing_formula(tmp_path, capsys):
     run_expecting_parse_error(tmp_path, capsys, sc)
 
 
-@pytest.mark.parametrize("bad", [[0, 2], [4, 2], [1], "1-6"])
+@pytest.mark.parametrize("bad", [[0, 2], [4, 2], [1], "1-6", [1, MAX_ORDER + 1]])
 def test_bad_k_range(tmp_path, capsys, bad):
     run_expecting_parse_error(tmp_path, capsys, spectrum_scenario(k_range=bad))
+
+
+def test_k_range_may_end_at_max_order():
+    assert parse_scenario(spectrum_scenario(k_range=[MAX_ORDER, MAX_ORDER])).ks == (MAX_ORDER,)
 
 
 def test_bad_parameter_name(tmp_path, capsys):
@@ -674,22 +678,23 @@ def test_module_entry_point():
 
 
 def test_non_finite_right_hand_side_fails_the_task_instead_of_hanging(tmp_path):
-    """6 eps overflows to inf in monkey-saddle's jet, and inf * 0 at the
-    origin is NaN; the integrator refuses it.  A fresh process with a
-    timeout, so that a regression fails here instead of hanging."""
-    sc = spectrum_scenario("monkey-saddle")
-    sc["germ"]["parameters"] = {"eps": 1e308}
-    path, out = write_scenario(tmp_path, sc), tmp_path / "out"
-    proc = subprocess.run(
-        [sys.executable, "-m", "localfloer", "run", "--scenario", path, "--out", str(out)],
-        capture_output=True,
-        text=True,
-        timeout=60,
-    )
-    assert proc.returncode == 1
-    [error] = json.loads((out / "summary.json").read_text())["errors"]
-    assert error["error"] == "StepFailure"
-    assert error["message"].startswith("non-finite right-hand side")
+    """6 eps overflows to inf in monkey-saddle's jet, and 2 pi alpha in the
+    rotation's matrix, which holds it next to zeros without multiplying
+    them, so building the germ warns of nothing; inf * 0 at the origin is
+    NaN, and the integrator refuses it.  A fresh process with a timeout,
+    so that a regression fails here instead of hanging, and -W error, so
+    that any warning ends the run instead."""
+    overflowing = {"monkey-saddle": {"eps": 1e308}, "linear-rotation": {"alpha": 1e308}}
+    for formula, parameters in overflowing.items():
+        sc = spectrum_scenario(formula)
+        sc["germ"]["parameters"] = parameters
+        path, out = write_scenario(tmp_path, sc, f"{formula}.json"), tmp_path / formula
+        args = ["-W", "error", "-m", "localfloer", "run", "--scenario", path, "--out", str(out)]
+        proc = subprocess.run([sys.executable, *args], capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 1 and proc.stderr == ""
+        [error] = json.loads((out / "summary.json").read_text())["errors"]
+        assert error["error"] == "StepFailure"
+        assert error["message"].startswith("non-finite right-hand side")
 
 
 def test_unfinished_flow_fails_the_task_instead_of_hanging(tmp_path):

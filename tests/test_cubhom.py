@@ -30,6 +30,7 @@ from localfloer.cubical import (
 from localfloer.errors import CriticalValueInWindow, LocalFloerError, NonIsolated
 from localfloer.fields import Box
 from oracles import (
+    QUADRATIC_FIELDS,
     full_box_free_components,
     full_grid_resolution_floor,
     grid_gradient,
@@ -277,6 +278,17 @@ def test_field_corpus_ranks(name, expected):
     box = BOX1 if e.m == 1 else BOX2
     ranks = local_morse_homology(e.value, box, grad=e.grad).ranks
     assert ranks.as_dict() == expected
+
+
+@pytest.mark.parametrize("name", sorted(QUADRATIC_FIELDS))
+def test_quadratic_fields_equal_their_closed_forms(name):
+    """Built from their matrix, the quadratic fields give the closed forms'
+    values and gradients bit for bit on the finest grid the benchmark samples.
+    array_equal compares values, so a zero's sign is not compared."""
+    nodes = BOX2.nodes(257)
+    value, grad = QUADRATIC_FIELDS[name]
+    assert np.array_equal(FIELDS[name].value(nodes), value(nodes))
+    assert np.array_equal(FIELDS[name].grad(nodes), grad(nodes))
 
 
 @pytest.mark.parametrize("name", sorted(CORPUS_RANKS))

@@ -3,6 +3,9 @@ import gc
 
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import OdeSolver, solve_ivp
 
 import localfloer.germs as germs_module
@@ -12,7 +15,9 @@ from localfloer.corpus import (
     hyperbolic,
     linear_rotation,
     morse_triple,
+    monkey_saddle,
     negative_hyperbolic,
+    quadratic,
     quartic,
     resonant_rotation,
     shear,
@@ -69,6 +74,44 @@ def test_hyperbolic_flow_squeezes():
 def test_negative_hyperbolic_monodromy():
     path = monodromy(negative_hyperbolic(2.0), np.zeros(2))
     assert np.allclose(path.endpoint().entries, np.diag([-2.0, -0.5]), rtol=0, atol=1e-9)
+
+
+# the matrices S of the linear corpus germs H = 1/2 z.S z
+LINEAR_CORPUS = {
+    "zero": np.zeros((2, 2)),
+    "rotation-a": np.diag([-2.0 * np.pi * 0.3183] * 2),
+    "rotation-b": np.diag([-2.0 * np.pi * 0.4142] * 2),
+    "hyperbolic-2": np.array([[0.0, np.log(2.0)], [np.log(2.0), 0.0]]),
+    "shear": np.diag([0.0, 1.0]),
+}
+
+
+def _check_quadratic_germ(germ, s, seed):
+    """grad and jet are S z and S bit for bit; the flow's Jacobian and
+    values are exp(J_vf S) to 1e-10 exp(|S|), the integrator's tolerances
+    times the growth of a unit-time linear flow with room to spare."""
+    z = np.random.default_rng(seed).uniform(-0.5, 0.5, (5, len(s)))
+    grad, hess = germ.jet(0.3, z)
+    assert np.array_equal(germ.grad(0.3, z), z @ s) and np.array_equal(grad, z @ s)
+    assert np.array_equal(hess, np.broadcast_to(s, hess.shape))
+    expected = scipy.linalg.expm(vectorfield_j(germ.n) @ s)
+    bound = 1e-10 * np.exp(np.linalg.norm(s, 2))
+    phi, jac = flow_jacobians(germ, z)
+    np.testing.assert_allclose(jac, np.broadcast_to(expected, jac.shape), rtol=0, atol=bound)
+    np.testing.assert_allclose(phi, z @ expected.T, rtol=0, atol=bound)
+
+
+@pytest.mark.parametrize("name", sorted(LINEAR_CORPUS))
+def test_linear_corpus_germs_flow_by_their_matrix(name):
+    _check_quadratic_germ(GERMS[name].factory(), LINEAR_CORPUS[name], seed=7)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(1, 2), st.integers(0, 10**6))
+def test_quadratic_germ_flows_by_the_exponential(n, seed):
+    a = np.random.default_rng(seed).uniform(-1.0, 1.0, (2 * n, 2 * n))
+    s = a + a.T
+    _check_quadratic_germ(quadratic(s, "q"), s, seed)
 
 
 def test_flow_jacobian_is_symplectic():
@@ -797,10 +840,13 @@ def test_flows_leave_no_integrator_behind(monkeypatch):
         grad=lambda t, z: z * np.inf,
         jet=lambda t, z: (z * np.inf, np.zeros((len(z), 2, 2))),
     )
-    for flow in (flow_points, flow_jacobians):
-        with pytest.raises(StepFailure, match="non-finite right-hand side"):
-            flow(blowup, np.array([[0.1, 0.0]]))
-        assert _integrators() == 0
+    # and on one of order 1e306, which the step size selection divides by
+    # the tolerances, overflowing
+    for germ in (blowup, monkey_saddle(eps=1e308)):
+        for flow in (flow_points, flow_jacobians):
+            with pytest.raises(StepFailure, match="non-finite right-hand side"):
+                flow(germ, np.array([[0.1, 0.0]]))
+            assert _integrators() == 0
     monkeypatch.setattr(germs_module, "RHS_BUDGET", 20)
     for flow in (flow_points, flow_jacobians):
         with pytest.raises(StepFailure, match="unfinished after 20 right-hand sides"):

@@ -5,9 +5,12 @@
 Each scenario of ``SCENARIOS`` runs through ``run_scenario`` with the
 package under ``src/`` of the checkout this file sits in, into
 ``OUT_DIR/<scenario name>/``; ``OUT_DIR/codes.json`` maps each name to
-its exit code.  Artifacts carry no timestamps, so two checkouts that
-compute the same answers give trees that ``diff -r`` finds equal: copy
-this file into the other checkout's ``tools/``, run both, and compare.
+its exit code.  Every scenario folder that holds persistence or gaps
+reports also gets the ``.dat`` tables of ``emit_plots``, and
+``OUT_DIR/corpus.json`` is the ``localfloer corpus`` listing.  Artifacts
+carry no timestamps, so two checkouts that compute the same answers give
+trees that ``diff -r`` finds equal: copy this file into the other
+checkout's ``tools/``, run both, and compare.
 
 The list covers the benchmark's workloads at seed 0; spectrum,
 persistence and sdm at orders 1..3 on every named germ; persistence and
@@ -136,15 +139,21 @@ def main(argv=None) -> int:
         print("usage: python3 tools/artifact_sweep.py OUT_DIR", file=sys.stderr)
         return 2
     sys.path.insert(0, str(ROOT / "src"))
-    from localfloer.scenarios import parse_scenario, run_scenario
+    from localfloer.errors import MissingReport
+    from localfloer.scenarios import corpus_listing, emit_plots, parse_scenario, run_scenario
 
     out = Path(args[0])
     codes = {}
     for raw in SCENARIOS:
         code, _ = run_scenario(parse_scenario(raw), out / raw["name"])
         codes[raw["name"]] = code
+        try:
+            emit_plots(out / raw["name"])
+        except MissingReport:
+            pass
         print(f"{code} {raw['name']}", flush=True)
     (out / "codes.json").write_text(json.dumps(codes, sort_keys=True, indent=2) + "\n")
+    (out / "corpus.json").write_text(json.dumps(corpus_listing(), sort_keys=True, indent=2) + "\n")
     return 0
 
 
