@@ -41,11 +41,6 @@ class Box:
     def spacing(self, resolution: int) -> float:
         return 2.0 * self.radius / (resolution - 1)
 
-    def contains(self, points: np.ndarray, slack: float = 1e-12) -> np.ndarray:
-        p = np.atleast_2d(points)
-        c = np.asarray(self.center)
-        return np.all(np.abs(p - c) <= self.radius + slack, axis=1)
-
 
 @dataclass(frozen=True)
 class SampledField:

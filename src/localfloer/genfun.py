@@ -257,7 +257,7 @@ class SplineGermMap(GermMap):
 
     def _tabulated(self, pts: np.ndarray) -> np.ndarray:
         z = np.atleast_2d(np.asarray(pts, dtype=float))
-        if not np.all(self.padded.contains(z, slack=1e-9)):
+        if not np.all(np.abs(z - self.padded.center) <= self.padded.radius + 1e-9):
             raise NotInvertibleOnBox(
                 "evaluation outside the tabulated padded box; rebuild the map "
                 "with a larger padding for this displacement size"

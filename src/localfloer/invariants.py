@@ -84,6 +84,16 @@ def _check_window(ranks: GradedRanks, delta: float, n: int):
             )
 
 
+def _scaled_det_identity_minus_power(e: np.ndarray, k: int) -> float:
+    """det(I - E^k) as the product of (1 - lambda^k) over E's eigenvalues,
+    with each factor of |lambda| > 1 divided by |lambda|^k: the sign is kept,
+    no power exceeds 1 in modulus, so nothing overflows and nothing is NaN."""
+    vals = np.linalg.eigvals(e)
+    mod = np.abs(vals)
+    unit, small = (vals / mod) ** k, np.minimum(mod, 1.0 / mod) ** k
+    return float(np.prod(np.where(mod > 1.0, small - unit, 1.0 - small * unit)).real)
+
+
 @dataclass(eq=False)
 class IterateSweep:
     """All iterates of the recorded fixed point at one set of the degenerate
@@ -163,7 +173,7 @@ class IterateSweep:
         if cz is None:
             raise DegenerateEndpoint("the fixed point has no integer index; neither has an iterate")
         cz_k = _iterate_index(cz, mono, k)
-        det = float(np.linalg.det(np.eye(2 * n) - np.linalg.matrix_power(mono, k)))
+        det = _scaled_det_identity_minus_power(mono, k)
         if (1 - 2 * ((cz_k - n) % 2)) * det <= 0.0:
             raise RouteUnavailable(
                 f"index {cz_k} has the wrong parity for det(I - M^k) = {det:.3e}; "
@@ -178,11 +188,11 @@ class IterateSweep:
         gf = generating_function(phi, k, box, self.gf_resolution, c1_gate=self.c1_gate)
 
         # Hessian of F at 0 from the linearized return map M_k = A-block form:
-        # d(grad F)(0) = J (M_k - I) S^{-1} with S the vertical-projection frame
-        mk = np.linalg.matrix_power(self.record.endpoint.entries, k)
+        # d(grad F)(0) = J (M_k - I) S^{-1} with S the vertical-projection frame;
+        # and M_k = E^k = I + k (E - I), E being unipotent on this route
+        mk = np.eye(2 * n) + k * (self.record.endpoint.entries - np.eye(2 * n))
         s_frame = np.eye(2 * n)
-        s_frame[:n, :n] = mk[:n, :n]
-        s_frame[:n, n:] = mk[:n, n:]
+        s_frame[:n] = mk[:n]
         hess0 = standard_j(n) @ (mk - np.eye(2 * n)) @ np.linalg.inv(s_frame)
         hess_norm = float(np.linalg.norm(hess0, 2))
         if hess_norm >= 2.0 * np.pi:

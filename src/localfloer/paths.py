@@ -65,11 +65,6 @@ WINDING_START = 64
 WINDING_MAX = 1 << 20
 
 
-def _krein_form(n: int) -> np.ndarray:
-    # Hermitian since J^T = -J
-    return -0.5j * standard_j(n)
-
-
 def _elliptic_data(vals: np.ndarray, vecs: np.ndarray, strict: bool):
     """Eigenvalue classification shared by rho and the endpoint correction.
 
@@ -90,7 +85,7 @@ def _elliptic_data(vals: np.ndarray, vecs: np.ndarray, strict: bool):
         & (np.abs(np.abs(vals) - 1.0) <= CIRCLE_TOL)
         & (~at_minus_one)
     )
-    k_herm = _krein_form(vals.shape[1] // 2)
+    k_herm = -0.5j * standard_j(vals.shape[1] // 2)  # Hermitian since J^T = -J
     pairs: list = [[] for _ in range(len(vals))]
     for r in np.flatnonzero(np.any(cand, axis=1)):
         val, idx = vals[r], np.flatnonzero(cand[r])
@@ -232,43 +227,40 @@ def mean_index(path: SymplecticPath) -> float:
     return winding(path) / np.pi
 
 
-def _check_nondegenerate(vals: np.ndarray):
-    gap = float(np.min(np.abs(vals - 1.0)))
+def _elliptic_pairs(mat: np.ndarray, k: int) -> list:
+    """Strict elliptic pairs (theta, p, q) of E from one eigendecomposition;
+    DegenerateEndpoint when an eigenvalue lambda has |lambda^k - 1| <=
+    DEGENERACY_TOL.  lambda^k is formed only where |k log|lambda|| <= 1, as
+    elsewhere |lambda^k - 1| >= 1 - 1/e and the power could overflow."""
+    vals, vecs = np.linalg.eig(np.asarray(mat, dtype=float)[None])
+    near = np.abs(k * np.log(np.abs(vals))) <= 1.0
+    gap = float(np.min(np.abs(vals[near] ** k - 1.0), initial=np.inf))
     if gap <= DEGENERACY_TOL:
         raise DegenerateEndpoint(
             f"eigenvalue at distance {gap:.3e} from 1; integer index undefined"
         )
-
-
-def _endpoint_correction(mat: np.ndarray) -> float:
-    """Sum of p (pi - theta) + q (theta - pi) over elliptic pairs of the endpoint."""
-    vals, vecs = np.linalg.eig(np.asarray(mat, dtype=float)[None])
-    _check_nondegenerate(vals)
     _, (pairs,) = _elliptic_data(vals, vecs, strict=True)
-    return sum(p * (np.pi - theta) + q * (theta - np.pi) for theta, p, q in pairs)
+    return pairs
 
 
 def _iterate_index(cz: int, endpoint: np.ndarray, k: int) -> int:
-    """Integer index of the k-th iterate of a path with index cz and endpoint E.
-
+    """Integer index of the k-th iterate of a path with index cz and endpoint E:
     k cz plus (q - p)(k - 1 - 2 floor(k theta / 2 pi)) per elliptic pair
-    (theta, p, q) of E.  Raises DegenerateEndpoint when E^k has spectrum
-    within DEGENERACY_TOL of 1, which also catches resonances of order
-    above the root-of-unity search, and KreinDegenerate when the Krein
-    form of E is numerically indefinite on an eigenspace.
-    """
-    e = np.asarray(endpoint, dtype=float)
-    _check_nondegenerate(np.linalg.eigvals(np.linalg.matrix_power(e, k)))
-    vals, vecs = np.linalg.eig(e[None])
-    _, (pairs,) = _elliptic_data(vals, vecs, strict=True)
+    (theta, p, q) of E.  Raises DegenerateEndpoint when E^k is degenerate
+    (``_elliptic_pairs``), which also catches resonances of order above the
+    root-of-unity search, and KreinDegenerate when the Krein form of E is
+    numerically indefinite on an eigenspace."""
     return k * cz + sum(
-        (q - p) * (k - 1 - 2 * math.floor(k * theta / (2.0 * np.pi))) for theta, p, q in pairs
+        (q - p) * (k - 1 - 2 * math.floor(k * theta / (2.0 * np.pi)))
+        for theta, p, q in _elliptic_pairs(endpoint, k)
     )
 
 
 def _integer_index(w: float, endpoint: np.ndarray) -> int:
-    """Winding plus endpoint correction, divided by pi, as an integer."""
-    raw = (w + _endpoint_correction(endpoint)) / np.pi
+    """Winding plus endpoint correction, divided by pi, as an integer; the
+    correction sums p (pi - theta) + q (theta - pi) over elliptic pairs."""
+    pairs = _elliptic_pairs(endpoint, 1)
+    raw = (w + sum(p * (np.pi - theta) + q * (theta - np.pi) for theta, p, q in pairs)) / np.pi
     nearest = round(raw)
     if abs(raw - nearest) > 0.1:
         raise WindingUnresolved(

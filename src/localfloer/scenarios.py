@@ -329,7 +329,7 @@ def _write_csv(path: Path, rows: List[List[str]]) -> None:
         csv.writer(fh, lineterminator="\n").writerows(rows)
 
 
-def _gate(gid: str, passed: bool, detail: str = "") -> dict:
+def _gate(gid: str, passed: bool, detail: str) -> dict:
     return {"id": gid, "passed": bool(passed), "detail": detail}
 
 

@@ -125,17 +125,6 @@ class EigenCluster:
     on_unit_circle: bool
     root_of_unity_order: Optional[int] = None
 
-    def power(self, k: int) -> complex:
-        if self.root_of_unity_order is not None:
-            # exact rational angle: reduce the power mod the order
-            q = self.root_of_unity_order
-            theta = np.angle(self.value)
-            p = int(round(theta * q / (2.0 * np.pi)))
-            return complex(np.exp(2j * np.pi * ((p * k) % q) / q))
-        if self.value.imag == 0.0:
-            return complex(self.value.real ** k)
-        return complex(self.value) ** k
-
 
 @dataclass(frozen=True)
 class EigenData:
@@ -148,15 +137,15 @@ class EigenData:
     def total_multiplicity(self) -> int:
         return sum(c.multiplicity for c in self.clusters)
 
-    def negative_real_pair_count(self, k: int = 1) -> int:
-        """Number of {lambda, 1/lambda} pairs of M^k lying on the negative reals."""
+    def negative_real_pair_count(self, k: int) -> int:
+        """Number of {lambda, 1/lambda} pairs of M^k on the negative reals, read
+        from the direction (lambda / |lambda|)^k of each cluster: it does not
+        depend on |lambda|^k, so no power overflows and small partners count."""
         tol = self.cluster_tol
         count = 0
         for c in self.clusters:
-            v = c.power(k)
-            # relative to |v|: the partner 1/lambda of a large lambda has a
-            # power far below tol and must still be counted
-            if abs(v.imag) <= tol * abs(v) and v.real < -tol * abs(v):
+            d = (c.value / abs(c.value)) ** k
+            if abs(d.imag) <= tol and d.real < -tol:
                 count += c.multiplicity
         # -1 always carries even multiplicity; other negatives pair across inversion
         if count % 2:

@@ -16,7 +16,16 @@ another way, or a construction the tests need to probe it:
   forbidden divisibility classes, for ``admissible``;
 * ``snap_by_search``: the root-of-unity snap of ``symplectic._snap`` by a
   search over the orders 1..q_max, against its nearest fraction;
+* ``degenerate_by_power``, ``det_by_power`` and ``good_by_power``: the
+  degeneracy of E^k, det(I - E^k) and the good orders from the k-th power
+  of E or of its eigenvalue clusters, against ``paths._elliptic_pairs``,
+  ``invariants._scaled_det_identity_minus_power`` and ``symplectic.good``,
+  which read E's eigenvalues without a power; reliable while |lambda|^k
+  stays far from overflow;
 * ``conjugated_map``: S^{-1} phi S for symplectic S;
+* ``ShearPairMap``: phi = S_f o T_g, a composition of two shears, and its
+  iterates in closed form, whose generating function g(y) - f(x) is known
+  with no integration error;
 * ``full_jacobian_psi_gradient``: grad F_k at w = psi_k(z), with z found
   by Newton on the full 2n x 2n D psi (identity y rows), against
   ``PsiMap.gradient``, which runs Newton on the xx block alone;
@@ -99,7 +108,10 @@ from localfloer.genfun import (
 )
 from localfloer.germs import NEWTON_MAX_ITER, HamiltonianGerm, translate
 from localfloer.isolation import c_constant_exact
+from localfloer.paths import DEGENERACY_TOL
 from localfloer.symplectic import (
+    EigenCluster,
+    EigenData,
     SymplecticMatrix,
     admissible,
     direct_sum_indices,
@@ -332,6 +344,51 @@ def snap_by_search(value: complex, tol: float, q_max: int):
                 v = complex(round(re) if abs(re - round(re)) < 4e-16 else re, im)
                 break
     return v, on_circle, order
+
+
+# ------------------------------------------- iterates by matrix powers
+
+
+def degenerate_by_power(e: np.ndarray, k: int) -> bool:
+    """E^k has an eigenvalue within DEGENERACY_TOL of 1, from the
+    eigenvalues of matrix_power(E, k)."""
+    vals = np.linalg.eigvals(np.linalg.matrix_power(e, k))
+    return float(np.min(np.abs(vals - 1.0))) <= DEGENERACY_TOL
+
+
+def det_by_power(e: np.ndarray, k: int) -> float:
+    """det(I - E^k) from matrix_power(E, k)."""
+    return float(np.linalg.det(np.eye(len(e)) - np.linalg.matrix_power(e, k)))
+
+
+def _cluster_power(c: EigenCluster, k: int) -> complex:
+    """lambda^k of a cluster: a root of unity exactly, by reducing its angle
+    mod its order; a real value by its real power; any other as a complex power."""
+    if c.root_of_unity_order is not None:
+        q = c.root_of_unity_order
+        p = int(round(np.angle(c.value) * q / (2.0 * np.pi)))
+        return complex(np.exp(2j * np.pi * ((p * k) % q) / q))
+    if c.value.imag == 0.0:
+        return complex(c.value.real**k)
+    return complex(c.value) ** k
+
+
+def _negative_pairs_by_power(data: EigenData, k: int) -> int:
+    tol = data.cluster_tol
+    count = 0
+    for c in data.clusters:
+        v = _cluster_power(c, k)
+        # relative to |v|: the partner 1/lambda of a large lambda has a
+        # power far below tol and must still be counted
+        if abs(v.imag) <= tol * abs(v) and v.real < -tol * abs(v):
+            count += c.multiplicity
+    return count // 2
+
+
+def good_by_power(m: SymplecticMatrix, k: int) -> bool:
+    """symplectic.good for an admissible k, with the negative real pairs of
+    M^k counted on the k-th powers of M's eigenvalue clusters."""
+    return _negative_pairs_by_power(m.eigen, 1) % 2 == _negative_pairs_by_power(m.eigen, k) % 2
 
 
 # --------------------------------------------------------- deduplication
@@ -692,6 +749,43 @@ class _ConjugatedMap(GermMap):
         if k == 1:
             return self
         return _ConjugatedMap(self.inner.iterate(k), self.s, self.s_inv)
+
+
+class ShearPairMap(GermMap):
+    """phi = S_f o T_g and its iterates in closed form, with
+    T_g(x, y) = (x + g'(y), y) and S_f(X, y) = (X, y + f'(X)).
+
+    psi(x, y) = (X, y) with X = x + g'(y), and phi - id = (g'(y), f'(X)) is
+    X_F at (X, y) for F = g(y) - f(x): that is F_1, with no integration
+    error.  f1, f2 are f' and f'', g1, g2 are g' and g''.  ``value_and_jac``
+    composes the two shears, Dphi = [[1, g''], [f'', 1 + f'' g'']], k times."""
+
+    def __init__(self, f1, f2, g1, g2, k: int = 1):
+        self.parts = (f1, f2, g1, g2)
+        self.k = int(k)
+        self.n = 1
+        self.name = f"shear-pair^{k}"
+
+    def value_and_jac(self, pts: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        f1, f2, g1, g2 = self.parts
+        z = np.atleast_2d(np.asarray(pts, dtype=float))
+        jac = np.broadcast_to(np.eye(2), (len(z), 2, 2))
+        for _ in range(self.k):
+            big_x, y = z[:, 0] + g1(z[:, 1]), z[:, 1]
+            a, b = f2(big_x), g2(y)
+            step = np.stack([np.ones_like(a), b, a, 1.0 + a * b], axis=1).reshape(-1, 2, 2)
+            z = np.stack([big_x, y + f1(big_x)], axis=1)
+            jac = step @ jac
+        return z, jac
+
+    def __call__(self, pts: np.ndarray) -> np.ndarray:
+        return self.value_and_jac(pts)[0]
+
+    def jac(self, pts: np.ndarray) -> np.ndarray:
+        return self.value_and_jac(pts)[1]
+
+    def iterate(self, k: int) -> "ShearPairMap":
+        return self if k == 1 else ShearPairMap(*self.parts, k=self.k * k)
 
 
 def scaling_conjugation(n: int, s: float) -> np.ndarray:

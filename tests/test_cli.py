@@ -11,6 +11,7 @@ import subprocess
 import sys
 import textwrap
 import types
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -116,6 +117,24 @@ def test_bad_k_range(tmp_path, capsys, bad):
 
 def test_k_range_may_end_at_max_order():
     assert parse_scenario(spectrum_scenario(k_range=[MAX_ORDER, MAX_ORDER])).ks == (MAX_ORDER,)
+
+
+@pytest.mark.parametrize("formula", ["hyperbolic", "negative-hyperbolic"])
+def test_spectrum_and_persistence_answer_every_order_up_to_max_order(tmp_path, formula):
+    """lambda = +-10 and +-1/10: no order up to MAX_ORDER overflows a power,
+    refuses, or raises a floating-point warning."""
+    raw = spectrum_scenario(
+        germ={"formula": formula, "parameters": {"lam": 10.0}},
+        tasks=["spectrum", "persistence"],
+        k_range=[1, MAX_ORDER],
+    )
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, summary = scenarios.run_scenario(parse_scenario(raw), str(tmp_path))
+    assert [str(w.message) for w in caught] == []
+    assert (code, summary["errors"]) == (0, [])
+    orders = json.loads((tmp_path / "00-spectrum.json").read_text())["orders"]
+    assert [o["k"] for o in orders if o["admissible"]] == list(range(1, MAX_ORDER + 1))
 
 
 def test_bad_parameter_name(tmp_path, capsys):
@@ -828,15 +847,40 @@ def test_benchmark_tracer_reaches_every_wrapped_layer(tmp_path):
     assert [name for name in counted if not metrics[name]] == []
 
 
-def test_every_artifact_sweep_scenario_parses():
-    """tools/artifact_sweep.py runs a fixed list of scenarios to compare
-    two checkouts by their artifacts; each must parse, under its own name."""
+def artifact_sweep():
     path = Path(__file__).resolve().parent.parent / "tools" / "artifact_sweep.py"
     spec = importlib.util.spec_from_file_location("artifact_sweep", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    names = [parse_scenario(raw, source=raw["name"]).name for raw in module.SCENARIOS]
+    return module
+
+
+def test_every_artifact_sweep_scenario_parses():
+    """tools/artifact_sweep.py runs a fixed list of scenarios to compare
+    two checkouts by their artifacts; each must parse, under its own name."""
+    names = [parse_scenario(raw, source=raw["name"]).name for raw in artifact_sweep().SCENARIOS]
     assert names and len(set(names)) == len(names)
+
+
+def test_artifact_sweep_lists_changed_and_missing_files(tmp_path):
+    """The tree comparison of ``--against``: equal trees give no line, a
+    changed file and a file missing from either tree one line each."""
+    diff_trees = artifact_sweep().diff_trees
+    this, against = tmp_path / "this", tmp_path / "against"
+    for root in (this, against):
+        (root / "task").mkdir(parents=True)
+        (root / "codes.json").write_text('{"task": 0}\n')
+        (root / "task" / "00-spectrum.json").write_text("{}\n")
+    assert diff_trees(this, against) == []
+    (against / "codes.json").write_text('{"task": 1}\n')
+    assert diff_trees(this, against) == ["differs: codes.json"]
+    (this / "task" / "00-spectrum.json").unlink()
+    (this / "task" / "01-persistence.json").write_text("{}\n")
+    assert diff_trees(this, against) == [
+        "differs: codes.json",
+        "only in against: task/00-spectrum.json",
+        "only in this: task/01-persistence.json",
+    ]
 
 
 BENCHMARK_WORKLOADS = ["degenerate-persistence", "index-iterates", "isolation-search", "morse-fine"]

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from localfloer.corpus import linear_rotation, morse_triple, quartic, shear, twisted_rotation
+from localfloer.cubical import EXCLUDE_FRACTION, HM_RESOLUTIONS, local_morse_homology
 from localfloer.errors import NotC1Small, NotInvertibleOnBox
 from localfloer.fields import Box, SampledField
 from localfloer.genfun import (
@@ -19,6 +20,7 @@ from localfloer.genfun import (
     psi,
 )
 from oracles import (
+    ShearPairMap,
     any_dim_path_integrate,
     any_dim_plaquette_defect,
     conjugated_map,
@@ -470,3 +472,45 @@ def test_plane_assembly_equals_the_any_dim_oracles_bit_for_bit(half, log_scale, 
     assert _same_bits(
         _plaquette_defect(grid, spacing), any_dim_plaquette_defect(grid, spacing)
     )
+
+
+# --- exact shear pairs: phi = S_f o T_g in closed form, F_1 = g(y) - f(x)
+
+
+def quartic_shear_pair() -> ShearPairMap:
+    """f = x^4 / 4 and g = -y^4 / 4, so F_1 = -(x^4 + y^4) / 4."""
+    return ShearPairMap(
+        lambda x: x**3, lambda x: 3.0 * x**2, lambda y: -(y**3), lambda y: -3.0 * y**2
+    )
+
+
+def test_shear_pair_generating_function_converges_at_the_trapezoid_rate():
+    """With no integration error in phi, F_1 misses g(y) - f(x) only by the
+    two trapezoid sweeps: each integrates a cubic over at most r, so the
+    error is at most r h^2 max|6 s| / 12 per sweep, r^2 h^2 in all, and
+    falls 4 times per halving of h.  The sampled 1-form is exactly closed."""
+    phi, r = quartic_shear_pair(), BOX2.radius
+    errors = []
+    for res in (17, 33, 65):
+        gf = generating_function(phi, 1, BOX2, res)
+        x, y = BOX2.nodes(res).T
+        error = np.max(np.abs(gf.field.values.ravel() - (-(y**4) / 4.0 - x**4 / 4.0)))
+        assert error <= r**2 * BOX2.spacing(res) ** 2
+        assert gf.closedness_defect <= 1e-15
+        errors.append(error)
+    for coarse, fine in zip(errors, errors[1:]):
+        assert 3.9 < coarse / fine < 4.1
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_shear_pair_iterates_are_degenerate_maxima(k):
+    """F_k of the quartic shear pair is a degenerate maximum: rank 1 in degree 2."""
+    gf = generating_function(quartic_shear_pair(), k, BOX2, 65)
+    hm = local_morse_homology(
+        gf.field.interpolator(),
+        BOX2,
+        resolutions=HM_RESOLUTIONS,
+        grad=gf.psi_k.gradient,
+        exclude_fraction=EXCLUDE_FRACTION,
+    )
+    assert hm.ranks.as_dict() == {2: 1}

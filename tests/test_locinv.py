@@ -3,12 +3,16 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from localfloer import paths
 from localfloer.corpus import (
+    GERMS,
     direct_sum_germ,
     hyperbolic,
     linear_rotation,
+    morse_triple,
     negative_hyperbolic,
     quartic,
     shear,
@@ -21,15 +25,32 @@ from localfloer.errors import (
     RouteUnavailable,
     ShiftAmbiguous,
 )
-from localfloer.germs import HamiltonianGerm, fixed_point_record, flow_jacobians, translate
+from localfloer.germs import (
+    HamiltonianGerm,
+    fixed_point_record,
+    flow_jacobians,
+    monodromy,
+    translate,
+)
 from localfloer.invariants import (
     IterateSweep,
+    _scaled_det_identity_minus_power,
     detect_sdm,
     local_floer,
     total_ranks,
     verify_persistence,
 )
-from oracles import fixed_point_index, iterate, smooth_direct_sum
+from localfloer.scenarios import MAX_ORDER
+from localfloer.symplectic import SymplecticMatrix, admissible, good, validate_symplectic
+from oracles import (
+    degenerate_by_power,
+    det_by_power,
+    fixed_point_index,
+    good_by_power,
+    iterate,
+    smooth_direct_sum,
+)
+from pathhelpers import random_symplectic
 
 
 def record_of(germ):
@@ -401,3 +422,89 @@ def test_euler_characteristic_is_signed_index():
         rec = record_of(germ)
         lf = local_floer(IterateSweep(germ, rec))
         assert lf.ranks.euler() == (-1) ** germ.n * fixed_point_index(germ)
+
+
+# --- every order read from the eigenvalues of E = Dphi(0)
+
+
+@pytest.mark.parametrize(
+    "germ,cz",
+    [
+        (negative_hyperbolic(2.0), 1),
+        (morse_triple(), 0),
+        (hyperbolic(10.0), 0),
+        (negative_hyperbolic(10.0), 1),
+    ],
+    ids=["negative-hyperbolic-2", "morse-triple", "hyperbolic-10", "negative-hyperbolic-10"],
+)
+def test_nondegenerate_route_answers_every_order_k_range_admits(germ, cz):
+    """No eigenvalue of E is a root of unity, so every order is admissible,
+    and the iteration formula gives CZ_k = k CZ: rank 1 in degree k CZ at
+    every order up to MAX_ORDER, where |lambda|^k reaches 10^1000."""
+    sweep = sweep_of(germ)
+    assert sweep.record.conley_zehnder == cz
+    for k in range(1, MAX_ORDER + 1):
+        assert local_floer(sweep, k).ranks.as_dict() == {k * cz: 1}
+
+
+def _degenerate(e: np.ndarray, k: int) -> bool:
+    try:
+        paths._elliptic_pairs(e, k)
+    except DegenerateEndpoint:
+        return True
+    return False
+
+
+def assert_iterates_match_the_power_forms(m: SymplecticMatrix, horizon: int = MAX_ORDER):
+    """At every order up to horizon where the largest |lambda|^k stays below
+    1e6, the degeneracy of E^k, the sign of det(I - E^k) and good read from
+    E's eigenvalues equal their forms from the k-th power of E or of its
+    eigenvalue clusters."""
+    e = m.entries
+    log_top = float(np.log(np.max(np.abs(np.linalg.eigvals(e)))))
+    orders = [k for k in range(1, horizon + 1) if k * log_top < np.log(1e6)]
+    assert orders
+    for k in orders:
+        degenerate = _degenerate(e, k)
+        assert degenerate == degenerate_by_power(e, k), k
+        if not degenerate:
+            det = _scaled_det_identity_minus_power(e, k)
+            assert np.sign(det) == np.sign(det_by_power(e, k)) != 0.0, k
+        if admissible(m, k):
+            assert good(m, k) == good_by_power(m, k), k
+
+
+PLANE_GERMS = sorted(name for name, entry in GERMS.items() if entry.factory().n == 1)
+
+
+@pytest.mark.parametrize("name", PLANE_GERMS)
+def test_corpus_iterates_match_the_power_forms(name):
+    germ = GERMS[name].factory()
+    assert_iterates_match_the_power_forms(monodromy(germ, np.zeros(2)).endpoint())
+
+
+def test_quarter_turn_iterates_match_the_power_forms():
+    """lambda = i: k = 2 is admissible and not good (lambda^2 = -1), k = 4
+    is degenerate."""
+    m = validate_symplectic(np.array([[0.0, -1.0], [1.0, 0.0]]))
+    assert admissible(m, 2) and not good(m, 2)
+    assert _degenerate(m.entries, 4) and not _degenerate(m.entries, 2)
+    assert_iterates_match_the_power_forms(m)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(0, 10**6), st.sampled_from([1, 2]))
+def test_random_iterates_match_the_power_forms(seed, n):
+    m = random_symplectic(n, np.random.default_rng(seed))
+    assert_iterates_match_the_power_forms(m, horizon=100)
+
+
+@pytest.mark.parametrize("name", ["quartic-max", "quartic-min", "monkey-saddle", "zero", "shear"])
+def test_unipotent_iterates_equal_the_matrix_power_bit_for_bit(name):
+    """The degenerate route reads M_k = E^k as I + k (E - I) (Cayley-Hamilton
+    for a unipotent plane E); on the germs it serves this is matrix_power's
+    answer to the bit at orders 1..10."""
+    e = monodromy(GERMS[name].factory(), np.zeros(2)).endpoint().entries
+    for k in range(1, 11):
+        closed = np.eye(2) + k * (e - np.eye(2))
+        assert closed.tobytes() == np.linalg.matrix_power(e, k).tobytes(), k

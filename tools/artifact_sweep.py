@@ -1,6 +1,7 @@
 """Run a fixed list of scenarios and write every artifact they produce.
 
     python3 tools/artifact_sweep.py OUT_DIR
+    python3 tools/artifact_sweep.py OUT_DIR --against REV
 
 Each scenario of ``SCENARIOS`` runs through ``run_scenario`` with the
 package under ``src/`` of the checkout this file sits in, into
@@ -9,21 +10,34 @@ its exit code.  Every scenario folder that holds persistence or gaps
 reports also gets the ``.dat`` tables of ``emit_plots``, and
 ``OUT_DIR/corpus.json`` is the ``localfloer corpus`` listing.  Artifacts
 carry no timestamps, so two checkouts that compute the same answers give
-trees that ``diff -r`` finds equal: copy this file into the other
-checkout's ``tools/``, run both, and compare.
+equal trees.
+
+With ``--against REV`` the script compares this checkout with the
+revision REV of its git repository: it extracts ``git archive REV`` into
+a temporary folder, copies itself into that copy's ``tools/``, sweeps the
+copy into ``OUT_DIR/against`` and this checkout into ``OUT_DIR/this``,
+prints every file that differs or is missing from one tree, and exits 1
+if there is any.
 
 The list covers the benchmark's workloads at seed 0; spectrum,
-persistence and sdm at orders 1..3 on every named germ; persistence and
-sdm at orders 1..10 on the degenerate germs at three generating-function
-radii; one scenario whose tasks mix shared and separate grid settings;
-isolation and gaps, also on a direct sum and on a concatenation, whose
-batch flows run their factors and pieces; and morse on every named field.
+persistence and sdm at orders 1..3 on every named germ; spectrum and
+persistence at orders 1..140 on negative-hyperbolic-2, whose powers of
+the monodromy reach 2^140; persistence and sdm at orders 1..10 on the
+degenerate germs at three generating-function radii; one scenario whose
+tasks mix shared and separate grid settings; isolation and gaps, also on
+a direct sum and on a concatenation, whose batch flows run their factors
+and pieces; and morse on every named field.
 """
 from __future__ import annotations
 
 import importlib.util
+import io
 import json
+import shutil
+import subprocess
 import sys
+import tarfile
+import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -72,6 +86,12 @@ SCENARIOS = [
     *(
         _scenario(f"orders-1-3-{germ}", germ, ["spectrum", "persistence", "sdm"], [1, 3])
         for germ in GERM_NAMES
+    ),
+    _scenario(
+        "orders-1-140-negative-hyperbolic-2",
+        "negative-hyperbolic-2",
+        ["spectrum", "persistence"],
+        [1, 140],
     ),
     *(
         _scenario(
@@ -133,16 +153,12 @@ SCENARIOS = [
 ]
 
 
-def main(argv=None) -> int:
-    args = sys.argv[1:] if argv is None else argv
-    if len(args) != 1:
-        print("usage: python3 tools/artifact_sweep.py OUT_DIR", file=sys.stderr)
-        return 2
+def sweep(out: Path) -> None:
+    """Run every scenario of SCENARIOS into out and write its listings."""
     sys.path.insert(0, str(ROOT / "src"))
     from localfloer.errors import MissingReport
     from localfloer.scenarios import corpus_listing, emit_plots, parse_scenario, run_scenario
 
-    out = Path(args[0])
     codes = {}
     for raw in SCENARIOS:
         code, _ = run_scenario(parse_scenario(raw), out / raw["name"])
@@ -154,6 +170,57 @@ def main(argv=None) -> int:
         print(f"{code} {raw['name']}", flush=True)
     (out / "codes.json").write_text(json.dumps(codes, sort_keys=True, indent=2) + "\n")
     (out / "corpus.json").write_text(json.dumps(corpus_listing(), sort_keys=True, indent=2) + "\n")
+
+
+def diff_trees(left: Path, right: Path) -> list:
+    """One line per file, by its path relative to the trees, that differs
+    between the trees or is missing from one of them; sorted."""
+
+    def files(root: Path) -> set:
+        return {p.relative_to(root).as_posix() for p in root.rglob("*") if p.is_file()}
+
+    ours, theirs = files(left), files(right)
+    return sorted(
+        [f"only in {left.name}: {name}" for name in ours - theirs]
+        + [f"only in {right.name}: {name}" for name in theirs - ours]
+        + [
+            f"differs: {name}"
+            for name in ours & theirs
+            if (left / name).read_bytes() != (right / name).read_bytes()
+        ]
+    )
+
+
+def sweep_against(out: Path, rev: str) -> int:
+    """Sweep revision rev (with this script) and this checkout, and list
+    their differences; 1 if there are any."""
+    archive = subprocess.run(
+        ["git", "-C", str(ROOT), "archive", rev], check=True, capture_output=True
+    ).stdout
+    with tempfile.TemporaryDirectory() as tmp:
+        copy = Path(tmp)
+        with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+            tar.extractall(copy, filter="data")
+        (copy / "tools").mkdir(exist_ok=True)
+        shutil.copy(Path(__file__), copy / "tools" / "artifact_sweep.py")
+        subprocess.run(
+            [sys.executable, str(copy / "tools" / "artifact_sweep.py"), str(out / "against")],
+            check=True,
+        )
+    sweep(out / "this")
+    diffs = diff_trees(out / "this", out / "against")
+    print("\n".join(diffs) if diffs else f"no differences against {rev}")
+    return 1 if diffs else 0
+
+
+def main(argv=None) -> int:
+    args = sys.argv[1:] if argv is None else argv
+    if len(args) == 3 and args[1] == "--against":
+        return sweep_against(Path(args[0]), args[2])
+    if len(args) != 1:
+        print("usage: python3 tools/artifact_sweep.py OUT_DIR [--against REV]", file=sys.stderr)
+        return 2
+    sweep(Path(args[0]))
     return 0
 
 
