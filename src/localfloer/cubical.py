@@ -5,8 +5,8 @@ on a node grid: an elementary cube belongs to a mask when all its vertices
 do, which makes both complexes closed and A a closed subcomplex of X.  The
 homology of the pair is computed over GF(2) from relative cell counts and
 the ranks of d_1 and d_m, which for m <= 2 are all the boundary maps: they
-come from component counts (H_0 and H_m, found with scipy's
-connected_components) on the relative cells of X minus A only, so their
+come from component counts (H_0 and H_m, found by min-label hooking with
+pointer jumping) on the relative cells of X minus A only, so their
 cost follows the collar, not the box.  Three or more variables are refused
 with ValueError; their middle degrees would need an elimination, and no
 route builds such a complex.  Each grid node is sampled once: a grid
@@ -26,8 +26,6 @@ from itertools import combinations
 from typing import Callable, Dict, List, Sequence, Tuple
 
 import numpy as np
-from scipy.sparse import coo_matrix
-from scipy.sparse.csgraph import connected_components
 
 from .errors import (
     CriticalValueInWindow,
@@ -175,14 +173,36 @@ def _free_components(sink: np.ndarray, joined: Sequence[np.ndarray]) -> int:
         hi.append(ids_hi[edge])
         marked.append(ids_lo[j & free_lo & ~free_hi])
         marked.append(ids_hi[j & free_hi & ~free_lo])
-    lo_ids, hi_ids = np.concatenate(lo), np.concatenate(hi)
-    graph = coo_matrix(
-        (np.ones(lo_ids.size, dtype=np.int8), (lo_ids, hi_ids)), shape=(nfree, nfree)
-    )
-    ncomp, labels = connected_components(graph, directed=False)
-    hit = np.zeros(ncomp, dtype=bool)
-    hit[labels[np.concatenate(marked)]] = True
+    roots = _component_roots(nfree, np.concatenate(lo), np.concatenate(hi))
+    ncomp = int(np.count_nonzero(roots == np.arange(nfree)))
+    hit = np.zeros(nfree, dtype=bool)
+    hit[roots[np.concatenate(marked)]] = True
     return ncomp - int(np.count_nonzero(hit))
+
+
+def _component_roots(n: int, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """The least vertex of each vertex's component, in the graph on
+    vertices 0 .. n-1 with edges (lo[e], hi[e]).
+
+    Min-label hooking with pointer jumping: every parent is at most its
+    vertex, and each round hooks the root of each edge's larger-rooted end
+    onto the smaller root, then jumps every vertex to its root.  A
+    component that still meets another merges with one of them each
+    round, so the rounds are logarithmic in the number of vertices.
+    """
+    parent = np.arange(n)
+    while True:
+        a, b = parent[lo], parent[hi]
+        apart = a != b
+        if not np.any(apart):
+            return parent
+        a, b = a[apart], b[apart]
+        np.minimum.at(parent, np.maximum(a, b), np.minimum(a, b))
+        while True:
+            jumped = parent[parent]
+            if np.array_equal(jumped, parent):
+                break
+            parent = jumped
 
 
 def _bottom_homology(pair: CubicalPair, rel_nodes: np.ndarray) -> int:
@@ -404,7 +424,7 @@ def local_morse_homology(
         else:
             values, g = _sample(f, grad, box, res)
             gn = np.linalg.norm(g, axis=-1)
-        d = box.spacing(res) * max(float(np.median(gn)), 0.05 * float(np.max(gn)))
+        d = box.spacing(res) * max(_median(gn), 0.05 * float(np.max(gn)))
         pair = sublevel_pair(values, g, c, d, box, exclude_fraction=exclude_fraction)
         results.append(relative_homology_z2(pair))
         deltas.append(d)
@@ -419,6 +439,15 @@ def local_morse_homology(
         deltas=tuple(deltas),
         per_resolution=tuple(results),
     )
+
+
+def _median(a: np.ndarray) -> float:
+    """The median of the entries of a, the mean of the middle one or two,
+    with the bits of ``np.median``, which imports numpy.ma on first use."""
+    flat = a.ravel()
+    half = flat.size // 2
+    low = half - 1 + flat.size % 2
+    return float(np.mean(np.partition(flat, (low, half))[low : half + 1]))
 
 
 # ------------------------------------------------------------ degree oracle

@@ -60,6 +60,10 @@ class NonIsolated(LocalFloerError):
     """A fixed point, periodic point or critical point is not isolated at the working scale."""
 
 
+class SearchTooLarge(LocalFloerError):
+    """A periodic-point search whose Newton matrices would not fit its memory budget."""
+
+
 # ---------------------------------------------------------------- generating functions
 
 

@@ -8,6 +8,7 @@ with an odd node count preferred so the center is a node.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 from typing import Callable, List
 
 import numpy as np
@@ -63,15 +64,28 @@ class SampledField:
             raise ValueError("field values must be finite")
 
     def interpolator(self) -> Callable[[np.ndarray], np.ndarray]:
-        """Multilinear interpolation on the grid; consistent with node values."""
-        from scipy.interpolate import RegularGridInterpolator
+        """Multilinear interpolation on the grid, extrapolated linearly
+        outside it; consistent with node values.  A point in the cell from
+        node i to node i + 1 along each axis sums, over the cell's corners
+        in the order of ``itertools.product``, the corner value times the
+        weights of its axes, multiplied in in axis order: the bits of
+        scipy's ``RegularGridInterpolator(method="linear")`` on a plane."""
+        axes, values = self.box.axes(self.resolution), self.values
 
-        rgi = RegularGridInterpolator(
-            tuple(self.box.axes(self.resolution)),
-            self.values,
-            method="linear",
-            bounds_error=False,
-            fill_value=None,
-        )
-        return lambda pts: np.asarray(rgi(np.atleast_2d(pts)), dtype=float)
+        def interpolate(pts: np.ndarray) -> np.ndarray:
+            pts = np.atleast_2d(np.asarray(pts, dtype=float))
+            cells, weights = [], []
+            for axis, p in zip(axes, pts.T):
+                i = np.clip(np.searchsorted(axis, p, side="right") - 1, 0, len(axis) - 2)
+                t = (p - axis[i]) / (axis[i + 1] - axis[i])
+                cells.append(i)
+                weights.append((1 - t, t))
+            out = np.zeros(len(pts))
+            for corner in product((0, 1), repeat=len(axes)):
+                term = values[tuple(i + c for i, c in zip(cells, corner))]
+                for w, c in zip(weights, corner):
+                    term = term * w[c]
+                out += term
+            return out
 
+        return interpolate

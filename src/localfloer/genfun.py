@@ -35,6 +35,7 @@ from .errors import (
 )
 from .fields import Box, SampledField
 from .germs import NEWTON_MAX_ITER, HamiltonianGerm, flow_jacobians, flow_points
+from .splines import QuinticSpline
 from .symplectic import validate_symplectic
 
 __all__ = [
@@ -213,14 +214,15 @@ class SplineGermMap(GermMap):
 
     The grid for phi^{j+1} is obtained by flowing the images of phi^j, so
     iteration composes exactly at nodes with no interpolation error; only
-    off-node evaluation interpolates.  Each order fits one spline per
-    component; the Jacobian is their derivative, so psi's Newton steps
-    invert the map they evaluate.  Every evaluator refuses points outside
-    the padded box, and looks a ``Box.nodes`` batch up on its two axes,
-    with the bits of point-by-point lookups (``_reader``).  All iterates of
-    a map share one iterate tower (passed on as ``_data``); each call of
-    ``iterate`` fits its order's splines on it anew.  Two dimensional
-    germs only.
+    off-node evaluation interpolates.  Each order fits one quintic spline
+    per component (``splines.QuinticSpline``), so a resolution below 6 is
+    refused; the Jacobian is their derivative, so psi's Newton steps invert
+    the map they evaluate.  Every evaluator refuses points outside the
+    padded box, and looks a ``Box.nodes`` batch up on its two axes, with
+    the bits of point-by-point lookups (``_reader``).  All iterates of a
+    map share one iterate tower (passed on as ``_data``); each call of
+    ``iterate`` fits its order's splines on it anew.  Two dimensional germs
+    only.
     """
 
     def __init__(
@@ -232,10 +234,10 @@ class SplineGermMap(GermMap):
         padding: float = 1.6,
         _data=None,
     ):
-        from scipy.interpolate import RectBivariateSpline
-
         if germ.n != 1:
             raise ValueError("spline-backed maps are two dimensional only")
+        if resolution < 6:
+            raise ValueError("a quintic spline map needs a resolution of at least 6")
         self.germ = germ
         self.base_box = box
         self.resolution = int(resolution)
@@ -248,10 +250,9 @@ class SplineGermMap(GermMap):
             _data = _IterateTower(germ, self.padded.nodes(self.resolution))
         self._tower = _data
         images, res = _data.level(self.k), self.resolution
-        ax, deg = self.padded.axes(res), min(5, res - 1)
+        ax = self.padded.axes(res)
         self._phi_spl = [
-            RectBivariateSpline(ax[0], ax[1], images[:, i].reshape(res, res), kx=deg, ky=deg)
-            for i in range(2)
+            QuinticSpline(ax[0], ax[1], images[:, i].reshape(res, res)) for i in range(2)
         ]
         self._validate_origin()
 
@@ -265,24 +266,33 @@ class SplineGermMap(GermMap):
         return z
 
     def _reader(self, pts: np.ndarray):
-        """read(comps, **deriv): components comps of phi^k at pts (partials
-        with dx=1 or dy=1), shape (N, len(comps)).  Table and layout are
-        checked once: a ``Box.nodes`` batch is looked up on its two axes
-        (``grid=True``: FITPACK's grid routines, which give the bits of its
-        point-by-point ones at every node), any other batch point by point."""
+        """read(comps, dx=0, dy=0): components comps of phi^k at pts
+        (partials with dx=1 or dy=1), shape (N, len(comps)).  Table and
+        layout are checked, and the B-splines at pts computed, once for all
+        lookups: a ``Box.nodes`` batch is looked up on its two axes, with the
+        bits of point-by-point lookups, and any other batch point by point."""
         z = self._tabulated(pts)
         axes = _node_axes(z)
         x, y = (z[:, 0], z[:, 1]) if axes is None else axes
+        # the two components' splines share the grid, and so their knots
+        basis = self._phi_spl[0].basis(x, y, grid=axes is not None)
         return lambda comps, **deriv: np.stack(
-            [self._phi_spl[i](x, y, grid=axes is not None, **deriv).ravel() for i in comps], axis=1
+            [self._phi_spl[i](basis, **deriv) for i in comps], axis=1
         )
 
     def __call__(self, pts: np.ndarray) -> np.ndarray:
         return self._reader(pts)([0, 1])
 
-    def jac(self, pts: np.ndarray) -> np.ndarray:
-        read = self._reader(pts)
+    @staticmethod
+    def _jacobian(read) -> np.ndarray:
         return np.stack([read([0, 1], dx=1), read([0, 1], dy=1)], axis=2)
+
+    def jac(self, pts: np.ndarray) -> np.ndarray:
+        return self._jacobian(self._reader(pts))
+
+    def value_and_jac(self, pts: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        read = self._reader(pts)
+        return read([0, 1]), self._jacobian(read)
 
     def _psi_reads(self, pts: np.ndarray) -> _Reads:
         read = self._reader(pts)

@@ -5,7 +5,9 @@ Hess H), all vectorized over a batch of points of shape (N, 2n).
 Coordinates are z = (x, y); the flow solves z' = X_H(t, z) with
 X_H = (H_y, -H_x), and linearizations solve the variational equation
 M' = J_vf Hess_H M alongside, reading both derivatives from one call of the
-jet per right-hand side.  Value-only flows call grad alone.
+jet per right-hand side.  Value-only flows call grad alone.  Every flow
+runs scipy's DOP853 algorithm in-house (``dop853.solve_ivp``), with scipy's
+bits, at RTOL and ATOL.
 
 Composite germs carry no callbacks and are flowed by their structure;
 nested structure recurses.  A concatenation runs two unit-time germs back
@@ -29,13 +31,12 @@ composite germ it is the sum of its pieces' or factors' actions.
 """
 from __future__ import annotations
 
-import gc
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
+from .dop853 import solve_ivp
 from .errors import NonIsolated, NotAdmissible, NotClosed, StepFailure
 from .fields import Box
 from .paths import SymplecticPath, index_report
@@ -122,19 +123,14 @@ def _solve(rhs, y0: np.ndarray, dense: bool = False):
     # a NaN right-hand side makes the step size NaN and stalls the loop; an overflow only warns
     try:
         with np.errstate(invalid="raise", over="raise"):
-            sol = solve_ivp(
-                budgeted, (0.0, 1.0), y0, method="DOP853", rtol=RTOL, atol=ATOL, dense_output=dense
-            )
+            sol = solve_ivp(budgeted, (0.0, 1.0), y0, rtol=RTOL, atol=ATOL, dense_output=dense)
         failure = None if sol.success else f"integrator failed: {sol.message}"
     except FloatingPointError as exc:
         failure = f"non-finite right-hand side: {exc}"
     except StepFailure as exc:
         failure = str(exc)
-    # the integrator refers to itself through its right-hand side wrapper;
-    # collect it now, or its stage arrays live until the cyclic collector
-    # next runs and peak memory follows that timing; a refusal keeps only
-    # its message, as a caught exception's traceback holds the integrator
-    gc.collect(0)
+    # a refusal keeps only its message: a caught exception's traceback
+    # holds the integrator's frames and their stage arrays
     if failure is not None:
         raise StepFailure(failure)
     return sol
@@ -268,11 +264,8 @@ def _linearized_path(
     def ev(ts: np.ndarray) -> np.ndarray:
         out = np.empty((len(ts), dim, dim))
         lo = ts < 0.5
-        # a dense ODE solution cannot be evaluated at an empty array of times
-        if np.any(lo):
-            out[lo] = ev1(_sigma(2.0 * ts[lo]))
-        if not np.all(lo):
-            out[~lo] = ev2(_sigma(2.0 * ts[~lo] - 1.0)) @ e1
+        out[lo] = ev1(_sigma(2.0 * ts[lo]))
+        out[~lo] = ev2(_sigma(2.0 * ts[~lo] - 1.0)) @ e1
         return out
 
     return ev, end

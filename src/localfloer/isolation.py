@@ -16,6 +16,7 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
+from .errors import SearchTooLarge
 from .fields import Box
 from .genfun import GermMap
 from .germs import NEWTON_MAX_ITER, NEWTON_TOL, _distinct, _newton_search, _seed_orbit
@@ -26,6 +27,13 @@ __all__ = [
     "periodic_point_search",
     "SearchReport",
 ]
+
+# periodic_point_search refuses an order whose first Newton step would hold
+# more than this many bytes
+SHOOTING_BYTES = 2 * 10**9
+# arrays the size of the stacked Newton matrices that numpy's pinv holds at
+# once: the matrices, the SVD's copy, U, V^T, and two products
+PINV_WORKSPACE = 6
 
 
 # ----------------------------------------------------------- discrete norms
@@ -96,6 +104,11 @@ def periodic_point_search(
     phi^j vanishes to order d at 0, points inside r (tol / D(r))^(1/d)
     cannot be told apart from the origin at the achievable residual and
     are attributed to it in the conclusion (the raw findings keep them).
+
+    The first Newton step of order k solves for every seed at once, with
+    seeds x (2n k)^2 doubles of Newton matrices and PINV_WORKSPACE times
+    that for pinv.  Past SHOOTING_BYTES the search is refused before any
+    call of phi: SearchTooLarge, naming the order and the size.
     """
     radii = sorted(set(float(r) for r in radii), reverse=True)
     if not radii:
@@ -105,11 +118,16 @@ def periodic_point_search(
     if not 1 <= first <= k:
         raise ValueError("first order must be in 1 .. k")
     d = 2 * phi.n
-    lin = validate_symplectic(phi.origin_jacobian)
-
     grid = Box(center=(0.0,) * d, radius=1.0).nodes(seeds_per_axis)
     grid = grid[np.linalg.norm(grid, axis=1) <= 1.0 + 1e-12]
     seeds = np.concatenate([radius * grid for radius in radii])
+    newton_bytes = len(seeds) * (k * d) ** 2 * 8 * PINV_WORKSPACE
+    if newton_bytes > SHOOTING_BYTES:
+        raise SearchTooLarge(
+            f"order {k}: the Newton step of {len(seeds)} seeds would hold "
+            f"{newton_bytes / 1e9:.3g} GB, past the budget of {SHOOTING_BYTES / 1e9:g} GB"
+        )
+    lin = validate_symplectic(phi.origin_jacobian)
     orbit = _seed_orbit(phi.value_and_jac, seeds, k)
 
     r_min = radii[-1]

@@ -735,34 +735,62 @@ def test_unfinished_flow_fails_the_task_instead_of_hanging(tmp_path):
     assert error["message"].startswith("flow unfinished after")
 
 
-def test_only_the_degenerate_route_loads_scipy_interpolate(tmp_path):
-    """Each scenario runs through cli.main in a fresh process, which then
-    says whether scipy.interpolate is loaded: the spline tower and the
-    sampled-field interpolator of the degenerate route import it, and no
-    other route does."""
+def test_a_run_of_every_task_kind_loads_neither_scipy_nor_numpy_ma(tmp_path):
+    """A fresh process imports localfloer and runs, through cli.main, one
+    scenario holding every task kind, on the degenerate route (spline
+    tower, sampled-field interpolator, cubical homology).  No scipy module
+    and no numpy.ma is loaded then, and the run itself imports nothing
+    from the package's dependencies."""
     probe = textwrap.dedent(
         """
-        import sys
+        import json, sys
+        import localfloer
         from localfloer.cli import main
+        before = set(sys.modules)
         code = main(["run", "--scenario", sys.argv[1], "--out", sys.argv[2]])
-        print(code, "scipy.interpolate" in sys.modules)
+        loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy" or m == "numpy.ma")
+        ours = ("numpy", "localfloer")
+        new = sorted(m for m in set(sys.modules) - before if m.split(".")[0] in ours)
+        print(json.dumps([code, loaded, new]))
         """
     )
-    spectrum_morse = spectrum_scenario()
-    spectrum_morse["tasks"] = ["spectrum", {"kind": "morse", "field": "neg-r2"}]
-    persistence = spectrum_scenario()
-    persistence.update(tasks=["persistence"], k_range=[1, 2])
-    loaded = []
-    for name, sc in (("spectrum-morse", spectrum_morse), ("persistence", persistence)):
-        path = write_scenario(tmp_path, sc, f"{name}.json")
-        proc = subprocess.run(
-            [sys.executable, "-c", probe, path, str(tmp_path / name)],
-            capture_output=True,
-            text=True,
-            timeout=120,
-        )
-        loaded.append(proc.stdout.split()[-2:])
-    assert loaded == [["0", "False"], ["0", "True"]]
+    sc = spectrum_scenario(k_range=[1, 2])
+    sc["tasks"] = [
+        "spectrum",
+        "persistence",
+        "sdm",
+        {"kind": "isolation", "radii": [0.05], "seeds_per_axis": 3},
+        {"kind": "gaps", "radius": 0.05, "seeds_per_axis": 2},
+        {"kind": "morse", "field": "neg-r2"},
+    ]
+    assert sorted(t if isinstance(t, str) else t["kind"] for t in sc["tasks"]) == sorted(_TASK_KEYS)
+    path = write_scenario(tmp_path, sc)
+    proc = subprocess.run(
+        [sys.executable, "-c", probe, path, str(tmp_path / "out")],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    code, loaded, new = json.loads(proc.stdout.splitlines()[-1])
+    # every task ran; gaps refuses quartic-max's fixed set, typed
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert [e["error"] for e in summary["errors"]] == ["NonIsolated"]
+    assert code == 1 and loaded == [] and new == []
+
+
+def test_no_module_of_the_package_imports_scipy():
+    """scipy is the tests' oracle only: no import of it, at any depth of
+    any module under src/localfloer."""
+    found = []
+    for path in sorted(Path(localfloer.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            names = []
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module or ""]
+            found += [f"{path.name}:{node.lineno}" for n in names if n.split(".")[0] == "scipy"]
+    assert found == []
 
 
 def test_every_export_resolves():

@@ -222,6 +222,59 @@ def test_free_components_match_full_box_graph(case):
     assert cubical._free_components(sink, joined) == full_box_free_components(sink, joined)
 
 
+def _spiral(side: int) -> np.ndarray:
+    """Cells of a square spiral corridor one cell wide, walls between its
+    turns, walked in from the corner (side odd)."""
+    free = np.zeros((side, side), bool)
+    r = c = 0
+    dr, dc = 0, 1
+    free[0, 0] = True
+    while True:
+        for _ in range(2):
+            nr, nc = r + 2 * dr, c + 2 * dc
+            if 0 <= nr < side and 0 <= nc < side and not free[nr, nc]:
+                free[r + dr, c + dc] = free[nr, nc] = True
+                r, c = nr, nc
+                break
+            dr, dc = dc, -dr
+        else:
+            return free
+
+
+def _snake(side: int) -> np.ndarray:
+    """Cells of a corridor that runs along every even row and turns down
+    at alternate ends."""
+    free = np.zeros((side, side), bool)
+    free[::2] = True
+    free[1::4, -1] = True
+    free[3::4, 0] = True
+    return free
+
+
+@pytest.mark.parametrize("layout", [_spiral, _snake])
+@pytest.mark.parametrize("side", [5, 31, 101])
+@pytest.mark.parametrize("cuts", [0, 1, 7])
+def test_free_components_of_long_corridors_match_full_box_graph(layout, side, cuts):
+    """One long path of free cells, joined only along the path and cut at
+    a few random joins, with a sink wall around it: paths whose labels
+    meet only after many hookings."""
+    free = layout(side)
+    rng = np.random.default_rng(side + cuts)
+    joined = []
+    for ax in range(2):
+        lo = free[:-1] if ax == 0 else free[:, :-1]
+        hi = free[1:] if ax == 0 else free[:, 1:]
+        joined.append(lo & hi)
+    for _ in range(cuts):
+        ax = int(rng.integers(2))
+        where = np.argwhere(joined[ax])
+        joined[ax][tuple(where[rng.integers(len(where))])] = False
+    expected = full_box_free_components(~free, joined)
+    assert cubical._free_components(~free, joined) == expected
+    # each cut of the path adds a piece
+    assert expected == cuts + 1
+
+
 @pytest.mark.parametrize("m", [1, 2, 3, 4])
 @pytest.mark.parametrize("side", [2, 3, 5])
 @pytest.mark.parametrize(
@@ -655,3 +708,13 @@ def test_shift_adds_and_roundtrips(d, s, t):
 def test_negative_ranks_rejected():
     with pytest.raises(ValueError):
         GradedRanks.from_dict({0: -1})
+
+
+@pytest.mark.parametrize("size", [1, 2, 3, 10, 11, 17 * 17, 257 * 257])
+def test_median_has_the_bits_of_np_median(size):
+    rng = np.random.default_rng(size)
+    for scale in (1e-9, 1.0, 1e9):
+        a = rng.random(size) * scale
+        assert cubical._median(a) == float(np.median(a))
+    a = rng.random((size, 3))
+    assert cubical._median(a) == float(np.median(a))

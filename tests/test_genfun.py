@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from localfloer.corpus import linear_rotation, morse_triple, quartic, shear, twisted_rotation
+from localfloer.corpus import GERMS, linear_rotation, morse_triple, quartic, shear, twisted_rotation
 from localfloer.cubical import EXCLUDE_FRACTION, HM_RESOLUTIONS, local_morse_homology
 from localfloer.errors import NotC1Small, NotInvertibleOnBox
 from localfloer.fields import Box, SampledField
@@ -19,6 +19,7 @@ from localfloer.genfun import (
     generating_function,
     psi,
 )
+from localfloer.splines import Basis, QuinticSpline
 from oracles import (
     ShearPairMap,
     any_dim_path_integrate,
@@ -362,18 +363,17 @@ def _count_spline_lookups(monkeypatch, at=None) -> list:
     """Record (spline, dx, dy, grid) for every spline lookup at exactly the
     points at, or for every lookup at all if at is None.  A grid lookup
     is matched by the nodes of its two axes, x slowest."""
-    from scipy.interpolate import RectBivariateSpline
-
     seen = []
-    call = RectBivariateSpline.__call__
+    call = QuinticSpline.__call__
 
-    def counting(self, x, y, dx=0, dy=0, grid=True):
-        pts = np.stack(np.meshgrid(x, y, indexing="ij") if grid else [x, y], axis=-1)
+    def counting(self, basis, dx=0, dy=0):
+        x, y = basis.x, basis.y
+        pts = np.stack(np.meshgrid(x, y, indexing="ij") if basis.grid else [x, y], axis=-1)
         if at is None or _same_bits(pts.reshape(-1, 2), at):
-            seen.append((id(self), dx, dy, grid))
-        return call(self, x, y, dx=dx, dy=dy, grid=grid)
+            seen.append((id(self), dx, dy, basis.grid))
+        return call(self, basis, dx=dx, dy=dy)
 
-    monkeypatch.setattr(RectBivariateSpline, "__call__", counting)
+    monkeypatch.setattr(QuinticSpline, "__call__", counting)
     return seen
 
 
@@ -405,6 +405,98 @@ def test_generating_function_evaluates_phi_k_at_its_nodes_once(monkeypatch):
     values = _path_integrate(grad_grid, BOX2.spacing(res))
     values[res // 2, res // 2] = 0.0
     assert _same_bits(gf.field.values, values)
+
+
+@pytest.mark.parametrize("m, res", [(1, 3), (1, 17), (2, 3), (2, 17), (2, 65)])
+def test_field_interpolator_is_scipys_linear_interpolator_bit_for_bit(m, res):
+    """At nodes of other grids, inside the box and out to 30 % past it,
+    where both extrapolate linearly."""
+    from scipy.interpolate import RegularGridInterpolator
+
+    box = Box(center=(0.01, -0.02)[:m], radius=0.1)
+    rng = np.random.default_rng(res)
+    field = SampledField(box=box, values=rng.standard_normal((res,) * m))
+    pts = np.vstack(
+        [rng.uniform(-0.13, 0.13, (3000, m))]
+        + [box.nodes(r) for r in (3, 17, 25, 33, res)]
+        + [Box(center=(0.0,) * m, radius=0.13).nodes(9)]
+    )
+    axes = tuple(box.axes(res))
+    rgi = RegularGridInterpolator(
+        axes, field.values, method="linear", bounds_error=False, fill_value=None
+    )
+    ours = field.interpolator()(pts)
+    assert ours.shape == (len(pts),) and ours.tobytes() == rgi(pts).tobytes()
+    assert np.array_equal(field.interpolator()(box.nodes(res)), field.values.ravel())
+
+
+# largest distance of the spline maps from FITPACK's quintic interpolant of
+# the same table, in values and in first partials
+FITPACK_VALUE_BOUND = 1e-14
+FITPACK_PARTIAL_BOUND = 1e-12
+
+
+@pytest.mark.parametrize("name", ["quartic-max", "monkey-saddle", "twisted-rotation"])
+@pytest.mark.parametrize("resolution, k", [(33, 1), (33, 3), (97, 2)])
+def test_spline_maps_are_fitpacks_interpolant_within_a_bound(name, resolution, k):
+    """The numpy quintic spline of an iterate is RectBivariateSpline(kx=5,
+    ky=5) of its table within the bounds above, in values and first
+    partials, on the padded box and up to 1e-9 outside it, where both
+    clamp to the box's edge."""
+    from scipy.interpolate import RectBivariateSpline
+
+    phi = SplineGermMap(GERMS[name].factory(), BOX2, resolution=resolution).iterate(k)
+    ax, table = phi.padded.axes(resolution), phi._tower.level(k)
+    fits = [
+        RectBivariateSpline(ax[0], ax[1], table[:, i].reshape(resolution, resolution), kx=5, ky=5)
+        for i in range(2)
+    ]
+    r = phi.padded.radius + 1e-9
+    pts = np.random.default_rng(resolution + k).uniform(-r, r, (2000, 2))
+    pts[:5] = [[-r, -r], [r, r], [r, -r], [-r, 0.0], [0.0, r]]
+    x, y = pts[:, 0], pts[:, 1]
+
+    def fitpack(**deriv):
+        return np.stack([f(x, y, grid=False, **deriv) for f in fits], axis=1)
+
+    assert np.max(np.abs(phi(pts) - fitpack())) <= FITPACK_VALUE_BOUND
+    jac = np.stack([fitpack(dx=1), fitpack(dy=1)], axis=2)
+    assert np.max(np.abs(phi.jac(pts) - jac)) <= FITPACK_PARTIAL_BOUND
+    # the points past the edge read the edge
+    edge = np.clip(pts, -phi.padded.radius, phi.padded.radius)
+    assert np.array_equal(phi(pts), phi(edge))
+
+
+def test_a_spline_map_needs_six_nodes_per_axis():
+    with pytest.raises(ValueError, match="resolution of at least 6"):
+        SplineGermMap(quartic(-1), BOX2, resolution=5)
+    with pytest.raises(ValueError, match="at least 6 nodes per axis"):
+        QuinticSpline(np.arange(5.0), np.arange(6.0), np.zeros((5, 6)))
+    phi = SplineGermMap(quartic(-1), BOX2, resolution=6)
+    nodes = phi.padded.nodes(6)
+    assert np.max(np.abs(phi(nodes) - phi._tower.level(1))) < 1e-15
+
+
+def test_one_basis_serves_every_lookup_of_a_batch(monkeypatch):
+    """A reader computes the B-splines at its batch once; the value, both
+    partials of both components, and psi's reads look them up."""
+    phi = SplineGermMap(quartic(-1), BOX2, resolution=33).iterate(2)
+    built = []
+    init = Basis.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs.get("grid", args[-1]))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Basis, "__init__", counting)
+    pts = np.random.default_rng(2).uniform(-0.1, 0.1, (50, 2))
+    seen = _count_spline_lookups(monkeypatch)
+    phi.value_and_jac(pts)
+    assert len(seen) == 6 and built == [False]
+    built.clear()
+    reads = phi._psi_reads(BOX2.nodes(9))
+    [reads[part] for part in ("x", "y", "xx")]
+    assert built == [True]
 
 
 def _point_by_point(evaluate, nodes):

@@ -6,9 +6,11 @@ import pytest
 import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.integrate import OdeSolver, solve_ivp
+from scipy.integrate import solve_ivp
+from scipy.integrate._ivp import dop853_coefficients
 
 import localfloer.germs as germs_module
+from localfloer import dop853
 from localfloer.corpus import (
     GERMS,
     direct_sum_germ,
@@ -808,47 +810,160 @@ def test_a_flow_past_its_right_hand_side_budget_is_refused(monkeypatch):
         flow_jacobians(germ, z)
 
 
-def _integrators():
-    return sum(isinstance(obj, OdeSolver) for obj in gc.get_objects())
-
-
-def test_flows_leave_no_integrator_behind(monkeypatch):
-    # the integrator refers to itself through its right-hand side, so only
-    # the cyclic collector frees it; every flow collects it before it returns
-    # or refuses
+def test_flows_leave_no_integrator_behind():
+    """The integrator makes no reference cycle: with the collector off, a
+    flow, and each refusal, frees everything it allocated by reference
+    counting, so gc.collect() finds nothing after it."""
     germ = resonant_rotation()
-    gc.collect()
-    assert _integrators() == 0
     # a long flow: the twist turns fast at |z| = 0.5
     far = np.array([[0.5, 0.0]])
-    assert _variational_flow(germ, far, dense=False).nfev > 1000
-    assert _integrators() == 0
-    flow_points(germ, far)
-    assert _integrators() == 0
-    flow_jacobians(germ, np.vstack([far, np.random.default_rng(3).uniform(-0.3, 0.3, (50, 2))]))
-    assert _integrators() == 0
-    monodromy(germ, far[0]).endpoint()
-    assert _integrators() == 0
-    # refusals: past the default budget far out on the quartic, and on a
-    # right-hand side that is 0 * inf at a zero coordinate
-    with pytest.raises(StepFailure, match="unfinished after 50000 right-hand sides"):
-        flow_points(quartic(-1), np.array([[100.0, 0.0]]))
-    assert _integrators() == 0
+    near = np.array([[0.1, 0.0]])
     blowup = HamiltonianGerm(
         n=1,
         value=lambda t, z: z[:, 0] * np.inf,
         grad=lambda t, z: z * np.inf,
         jet=lambda t, z: (z * np.inf, np.zeros((len(z), 2, 2))),
     )
-    # and on one of order 1e306, which the step size selection divides by
-    # the tolerances, overflowing
-    for germ in (blowup, monkey_saddle(eps=1e308)):
-        for flow in (flow_points, flow_jacobians):
-            with pytest.raises(StepFailure, match="non-finite right-hand side"):
-                flow(germ, np.array([[0.1, 0.0]]))
-            assert _integrators() == 0
-    monkeypatch.setattr(germs_module, "RHS_BUDGET", 20)
+
+    def refused(flow, germ, z, match):
+        with pytest.raises(StepFailure, match=match):
+            flow(germ, z)
+
+    runs = [
+        lambda: _variational_flow(germ, far, dense=False),
+        lambda: flow_points(germ, far),
+        lambda: flow_jacobians(
+            germ, np.vstack([far, np.random.default_rng(3).uniform(-0.3, 0.3, (50, 2))])
+        ),
+        lambda: monodromy(germ, far[0]).endpoint(),
+        lambda: flow_points(germ, np.empty((0, 2))),
+        # past the default budget far out on the quartic
+        lambda: refused(
+            flow_points,
+            quartic(-1),
+            np.array([[100.0, 0.0]]),
+            "unfinished after 50000 right-hand sides",
+        ),
+    ]
+    # a right-hand side that is 0 * inf at a zero coordinate, and one of
+    # order 1e306, which the step size selection divides by the tolerances,
+    # overflowing
     for flow in (flow_points, flow_jacobians):
-        with pytest.raises(StepFailure, match="unfinished after 20 right-hand sides"):
-            flow(quartic(-1), np.array([[0.1, 0.0]]))
-        assert _integrators() == 0
+        for bad in (blowup, monkey_saddle(eps=1e308)):
+            runs.append(lambda f=flow, g=bad: refused(f, g, near, "non-finite right-hand side"))
+    assert _variational_flow(germ, far, dense=False).nfev > 1000
+    gc.collect()
+    gc.disable()
+    try:
+        for run in runs:
+            run()
+            assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_a_refusal_past_a_small_budget_leaves_nothing_for_the_collector(monkeypatch):
+    monkeypatch.setattr(germs_module, "RHS_BUDGET", 20)
+    gc.collect()
+    gc.disable()
+    try:
+        for flow in (flow_points, flow_jacobians):
+            with pytest.raises(StepFailure, match="unfinished after 20 right-hand sides"):
+                flow(quartic(-1), np.array([[0.1, 0.0]]))
+            assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_the_tableau_is_scipys_bit_for_bit():
+    for name in ("A", "B", "C", "D", "E3", "E5"):
+        ours, theirs = getattr(dop853, name), getattr(dop853_coefficients, name)
+        assert ours.shape == theirs.shape and ours.tobytes() == theirs.tobytes(), name
+    for name in ("N_STAGES", "N_STAGES_EXTENDED", "INTERPOLATOR_POWER"):
+        assert getattr(dop853, name) == getattr(dop853_coefficients, name)
+
+
+def _recorded_solves(monkeypatch, run) -> list:
+    """The arguments of every integrator call that run() makes through
+    germs.solve_ivp."""
+    calls = []
+    ours = germs_module.solve_ivp
+
+    def recording(fun, t_span, y0, **options):
+        calls.append((fun, t_span, np.array(y0, copy=True), options))
+        return ours(fun, t_span, y0, **options)
+
+    monkeypatch.setattr(germs_module, "solve_ivp", recording)
+    run()
+    monkeypatch.undo()
+    return calls
+
+
+def _assert_same_solution(fun, t_span, y0, options):
+    ours = dop853.solve_ivp(fun, t_span, y0, **options)
+    theirs = solve_ivp(fun, t_span, y0, method="DOP853", **options)
+    assert ours.nfev == theirs.nfev
+    for name in ("status", "message", "success"):
+        assert getattr(ours, name) == getattr(theirs, name)
+    assert ours.t.tobytes() == theirs.t.tobytes()
+    assert ours.y.shape == theirs.y.shape and ours.y.tobytes() == theirs.y.tobytes()
+    if options.get("dense_output"):
+        # both ends, the step times (each read on the step it ends) and between
+        ts = np.concatenate([theirs.t, np.linspace(0.0, 1.0, 41), [0.37, 1.0, 0.0]])
+        assert np.array_equal(ours.sol(ts), theirs.sol(ts))
+
+
+@pytest.mark.parametrize("npoints", [0, 1, 5])
+@pytest.mark.parametrize("name", sorted(GERMS))
+def test_flows_integrate_as_scipys_dop853_bit_for_bit(monkeypatch, name, npoints):
+    """Every integrator call of a value-only flow, a variational flow and,
+    for one point, a monodromy path gives scipy's states, right-hand-side
+    count and dense output bit for bit.  An empty batch evaluates one
+    right-hand side and stops, as scipy's does."""
+    germ = GERMS[name].factory()
+    z = np.random.default_rng(npoints).uniform(-0.05, 0.05, (npoints, 2 * germ.n))
+
+    def run():
+        flow_points(germ, z)
+        flow_jacobians(germ, z)
+        if npoints == 1:
+            monodromy(germ, z[0]).endpoint()
+
+    calls = _recorded_solves(monkeypatch, run)
+    assert calls
+    for fun, t_span, y0, options in calls:
+        assert options == {"rtol": RTOL, "atol": ATOL, "dense_output": options["dense_output"]}
+        _assert_same_solution(fun, t_span, y0, options)
+        if npoints == 0:
+            assert dop853.solve_ivp(fun, t_span, y0, **options).nfev == 1
+
+
+def test_refusals_are_scipys():
+    """A right-hand side that overflows and one that is not finite raise
+    the same floating point error as in scipy; a solution that blows up in
+    finite time fails with scipy's step size message, at the same count."""
+    options = dict(rtol=RTOL, atol=ATOL)
+
+    def scipys(*args, **kwargs):
+        return solve_ivp(*args, method="DOP853", **kwargs)
+
+    for fun, y0 in (
+        (lambda t, y: y * 1e308, np.array([10.0])),
+        (lambda t, y: y * np.inf, np.array([0.0, 1.0])),
+    ):
+        errors = []
+        for solve in (dop853.solve_ivp, scipys):
+            with np.errstate(invalid="raise", over="raise"):
+                with pytest.raises(FloatingPointError) as info:
+                    solve(fun, (0.0, 1.0), y0, **options)
+            errors.append(str(info.value))
+        assert errors[0] == errors[1]
+
+    # y' = y^2 from y = 2 blows up at t = 1/2
+    def blowup(t, y):
+        return y * y
+
+    with np.errstate(over="ignore"):
+        ours = dop853.solve_ivp(blowup, (0.0, 1.0), np.array([2.0]), **options)
+        assert not ours.success and ours.message == dop853.TOO_SMALL_STEP
+        _assert_same_solution(blowup, (0.0, 1.0), np.array([2.0]), options)

@@ -10,7 +10,8 @@ import pytest
 from localfloer import Box, OdeGermMap, c_constant_exact, periodic_point_search
 from localfloer.genfun import GermMap
 from localfloer.germs import NEWTON_MAX_ITER, _distinct, _newton_search, _seed_orbit
-from localfloer.errors import NewtonDivergence
+from localfloer import isolation
+from localfloer.errors import NewtonDivergence, SearchTooLarge
 from localfloer.scenarios import _jsonable
 from localfloer.corpus import (
     direct_sum_germ,
@@ -527,6 +528,50 @@ def test_distinct_matches_the_pairwise_loop(case):
     if case in ("ties", "random", "clusters"):
         # something was merged and something was kept apart
         assert 1 < len(got) < len(points)
+
+
+class _CountingMap(GermMap):
+    """The identity, counting its calls."""
+
+    n = 1
+    name = "counting"
+
+    def __init__(self):
+        self.calls = 0
+
+    def __call__(self, pts):
+        self.calls += 1
+        return np.array(pts, dtype=float)
+
+    def jac(self, pts):
+        self.calls += 1
+        return np.broadcast_to(np.eye(2), (len(pts), 2, 2)).copy()
+
+
+def test_a_search_whose_newton_matrices_cannot_fit_is_refused_before_any_flow():
+    """788 seeds at k = 1000 would hold 788 (2000)^2 doubles per Newton
+    matrix stack, 25 GB, and six times that in pinv: refused before phi is
+    called once, and before anything of that size is allocated."""
+    import tracemalloc
+
+    phi = _CountingMap()
+    tracemalloc.start()
+    try:
+        refusal = "^order 1000: the Newton step of 788 seeds would hold 151 GB"
+        with pytest.raises(SearchTooLarge, match=refusal):
+            periodic_point_search(phi, 1000, LADDER)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert phi.calls == 0
+    assert peak < 10**6
+    # the budget's edge: the first order past it is refused too
+    seeds = 788
+    k = int((isolation.SHOOTING_BYTES / (seeds * 4 * 8 * isolation.PINV_WORKSPACE)) ** 0.5)
+    assert seeds * (2 * k) ** 2 * 8 * isolation.PINV_WORKSPACE <= isolation.SHOOTING_BYTES
+    with pytest.raises(SearchTooLarge, match=f"^order {k + 1}: "):
+        periodic_point_search(phi, k + 1, LADDER)
+    assert phi.calls == 0
 
 
 def test_search_identity_fails_without_witnesses():
